@@ -66,8 +66,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.scale = match args.get(i).map(String::as_str) {
                     Some("tiny") => Scale::Tiny,
                     Some("small") => Scale::Small,
-                    Some("default") | None => Scale::Default,
+                    Some("default") => Scale::Default,
                     Some(other) => return Err(format!("unknown scale `{other}`")),
+                    None => return Err("--scale needs a value: tiny, small or default".into()),
                 };
             }
             "--json" => {
@@ -223,5 +224,44 @@ fn main() {
 
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn scale_without_a_value_is_an_error() {
+        let err = parse(&["fig7", "--scale"])
+            .err()
+            .expect("missing value rejected");
+        assert!(err.contains("--scale needs a value"), "{err}");
+    }
+
+    #[test]
+    fn unknown_scale_is_an_error() {
+        let err = parse(&["--scale", "huge"])
+            .err()
+            .expect("unknown scale rejected");
+        assert_eq!(err, "unknown scale `huge`");
+    }
+
+    #[test]
+    fn each_valid_scale_parses() {
+        for (name, scale) in [
+            ("tiny", Scale::Tiny),
+            ("small", Scale::Small),
+            ("default", Scale::Default),
+        ] {
+            let cli = parse(&["fig7", "--scale", name]).expect("valid scale");
+            assert_eq!(cli.scale, scale, "{name}");
+            assert_eq!(cli.which.as_deref(), Some("fig7"));
+        }
+        assert_eq!(parse(&["fig7"]).unwrap().scale, Scale::Default);
     }
 }

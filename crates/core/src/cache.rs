@@ -1,8 +1,8 @@
 use crate::monitor::UtilityMonitor;
-use crate::partition::{AnyController, EpochContext, EpochPlan};
+use crate::partition::{EpochContext, EpochPlan, PartitionState};
 use crate::policy::{
-    AnyInsertion, AnyScorer, CachePartition, EpochFeedback, InsertionContext, RegCacheConfig,
-    VictimView,
+    CachePartition, EpochFeedback, InsertionContext, InsertionPolicy, RegCacheConfig,
+    UseThresholds, VictimView,
 };
 use crate::PhysReg;
 use ubrc_stats::TimeWeighted;
@@ -191,6 +191,18 @@ struct Entry {
     parity_bad: bool,
 }
 
+impl Entry {
+    /// What the replacement policy sees of this entry.
+    fn victim_view(&self) -> VictimView {
+        VictimView {
+            uses: self.uses,
+            pinned: self.pinned,
+            from_fill: self.from_fill,
+            lru: self.lru,
+        }
+    }
+}
+
 /// Read-only snapshot of one valid cache entry, for external invariant
 /// checking (the timing simulator's `check` mode audits these against
 /// its own mirror of the use tracker).
@@ -247,16 +259,14 @@ pub struct RegisterCache {
     nthreads: usize,
     preg_quota: usize,
     thread_valid: Vec<usize>,
-    // The behavioral halves of `config.insertion` / `config.replacement`,
-    // instantiated once at construction (see `ubrc_core::policy`).
-    // Statically dispatched: the shipped policies resolve without a
-    // virtual call on the read/write hot paths.
-    insertion: AnyInsertion,
-    replacement: AnyScorer,
-    // The behavioral half of `config.partition` (see
-    // `ubrc_core::partition`): consulted at insertion for admission and
-    // victim ways, and at epoch boundaries for quota/way replanning.
-    partition: AnyController,
+    // Per-thread thresholds of `InsertionPolicy::AdaptiveUseThreshold`,
+    // retuned at every epoch boundary under that policy (the others
+    // ignore them).
+    thresholds: UseThresholds,
+    // The run-time state of `config.partition` (see `partition.rs`):
+    // consulted at insertion for admission and victim ways, and at
+    // epoch boundaries for quota/way replanning.
+    partition: PartitionState,
     // Dynamic repartitioning (a dynamic `config.partition`, nthreads >
     // 1): the shadow-tag monitors feeding the partitioner and the
     // cumulative hit/miss marks of the previous epoch boundary (for
@@ -286,9 +296,13 @@ impl RegisterCache {
     ///
     /// Panics on inconsistent geometry, `num_pregs` not divisible by
     /// `nthreads`, or an infeasible [`RegCacheConfig::partition`] /
-    /// [`RegCacheConfig::epoch_adapt`] combination (see
-    /// [`crate::controller_for`]). Callers wanting typed errors should
-    /// validate first (the simulator's `try_new_smt` does).
+    /// [`RegCacheConfig::epoch_adapt`] combination: ways not divisible
+    /// by the thread count under a way partition, fewer entries than
+    /// threads under an occupancy cap, a zero dynamic epoch, a
+    /// `min_cap` that overcommits the cache, or an
+    /// [`EpochAdapt`](crate::EpochAdapt) with an empty range or a
+    /// static partition. Callers wanting typed errors should validate
+    /// first (the simulator's `try_new_smt` does).
     pub fn new_smt(config: RegCacheConfig, num_pregs: usize, nthreads: usize) -> Self {
         let sets = config.sets();
         assert!(nthreads >= 1, "nthreads must be at least 1");
@@ -296,7 +310,7 @@ impl RegisterCache {
             num_pregs.is_multiple_of(nthreads),
             "num_pregs must divide evenly across threads"
         );
-        let partition = AnyController::from_config(&config, nthreads);
+        let partition = PartitionState::new(&config, nthreads);
         let shadow = config.classify_misses.then(|| {
             // The shadow is the fully-associative *shared* baseline: it
             // classifies misses, it does not model partitioning.
@@ -328,8 +342,7 @@ impl RegisterCache {
             nthreads,
             preg_quota: num_pregs / nthreads,
             thread_valid: vec![0; nthreads],
-            insertion: AnyInsertion::from_policy(config.insertion),
-            replacement: AnyScorer::from_policy(config.replacement),
+            thresholds: UseThresholds::default(),
             partition,
             monitor: dynamic.then(|| UtilityMonitor::new(config.entries, nthreads)),
             epoch_hits: vec![0; if dynamic { nthreads } else { 0 }],
@@ -348,48 +361,9 @@ impl RegisterCache {
         self.nthreads
     }
 
-    /// Replaces the insertion policy with a caller-supplied decider,
-    /// routed through the [`AnyInsertion::Custom`] escape hatch — the
-    /// dynamic-dispatch path every external
-    /// [`InsertionDecider`](crate::InsertionDecider) implementation
-    /// takes. The shipped policies reach the same decision logic
-    /// through monomorphic enum variants instead.
-    pub fn set_insertion(&mut self, decider: Box<dyn crate::InsertionDecider>) {
-        self.insertion = decider.into();
-    }
-
-    /// Replaces the replacement scorer via the [`AnyScorer::Custom`]
-    /// escape hatch; see [`RegisterCache::set_insertion`].
-    pub fn set_replacement(&mut self, scorer: Box<dyn crate::ReplacementScorer>) {
-        self.replacement = scorer.into();
-    }
-
-    /// Replaces the partition controller via the
-    /// [`AnyController::Custom`] escape hatch; see
-    /// [`RegisterCache::set_insertion`]. The controller must agree with
-    /// [`RegCacheConfig::partition`] on feasibility (way counts,
-    /// quotas) for the cache's occupancy accounting to stay coherent.
-    pub fn set_partition(&mut self, controller: Box<dyn crate::PartitionController>) {
-        self.partition = controller.into();
-    }
-
     /// Live entries owned by `tid`.
     pub fn thread_occupancy(&self, tid: usize) -> usize {
         self.thread_valid[tid]
-    }
-
-    /// The per-thread live-entry cap, when [`CachePartition::OccupancyCap`]
-    /// is active (`None` otherwise).
-    pub fn occupancy_cap(&self) -> Option<usize> {
-        (self.nthreads > 1 && self.config.partition == CachePartition::OccupancyCap)
-            .then(|| self.config.entries / self.nthreads)
-    }
-
-    /// Ways of each set owned by one thread, when
-    /// [`CachePartition::WayPartition`] is active (`None` otherwise).
-    pub fn ways_per_thread(&self) -> Option<usize> {
-        (self.nthreads > 1 && self.config.partition == CachePartition::WayPartition)
-            .then(|| self.config.ways / self.nthreads)
     }
 
     /// The live-entry cap currently binding thread `tid`, under either
@@ -422,15 +396,6 @@ impl RegisterCache {
     /// [`CachePartition::DynamicWay`]; `None` otherwise).
     pub fn way_owner(&self, way: usize) -> Option<usize> {
         self.partition.way_owner(way)
-    }
-
-    /// The configured repartition period, when a dynamic partition
-    /// ([`CachePartition::DynamicCap`] or [`CachePartition::DynamicWay`])
-    /// is active on a multi-thread cache (`None` otherwise). Under
-    /// [`EpochAdapt`](crate::EpochAdapt) the *live* period varies; gate the
-    /// epoch stage on [`RegisterCache::epoch_due`] instead.
-    pub fn epoch_cycles(&self) -> Option<u64> {
-        self.partition.epoch_cycles()
     }
 
     /// True when a dynamic-partition epoch boundary must fire at cycle
@@ -510,17 +475,8 @@ impl RegisterCache {
     /// Picks the way (relative to the set base) holding the minimum
     /// replacement score among `candidates`.
     fn min_score_way(&self, candidates: impl Iterator<Item = usize>, base: usize) -> Option<usize> {
-        let scorer = &self.replacement;
-        candidates.min_by_key(|&i| {
-            let e = &self.entries[base + i];
-            scorer.score(&VictimView {
-                uses: e.uses,
-                pinned: e.pinned,
-                from_fill: e.from_fill,
-                lru: e.lru,
-                reads: e.reads,
-            })
-        })
+        let policy = self.config.replacement;
+        candidates.min_by_key(|&i| policy.score(&self.entries[base + i].victim_view()))
     }
 
     /// Installs `preg` into `set`, evicting if necessary. Returns `false`
@@ -542,7 +498,7 @@ impl RegisterCache {
         let base = s * w;
         let tid = self.thread_of(preg);
         let victim_idx = if self.partition.admit(tid, &self.thread_valid) {
-            // Admitted: fill an invalid way of the controller's victim
+            // Admitted: fill an invalid way of the partition's victim
             // range, else evict its minimum-score entry.
             let range = self.partition.victim_ways(tid);
             let slice = &self.entries[base..base + w];
@@ -587,12 +543,10 @@ impl RegisterCache {
             }
             self.close_entry(victim, now);
             self.thread_valid[victim.tid as usize] -= 1;
-            self.partition.on_evict(victim.tid as usize);
         } else {
             self.valid_count += 1;
         }
         self.thread_valid[tid] += 1;
-        self.partition.on_insert(tid);
         self.per_preg[preg.0 as usize].ever_cached = true;
         self.stats.cached_events += 1;
         self.note_occupancy(now);
@@ -619,11 +573,11 @@ impl RegisterCache {
     ) -> WriteOutcome {
         self.stats.writes_attempted += 1;
         let tid = self.thread_of(preg);
-        let insert = self.insertion.should_insert(&InsertionContext {
+        let insert = self.config.insertion.should_insert(&InsertionContext {
             remaining,
             pinned,
             first_stage_bypasses,
-            tid,
+            threshold: self.thresholds.get(tid),
         });
         if !insert {
             self.stats.writes_filtered += 1;
@@ -778,7 +732,6 @@ impl RegisterCache {
             self.entries[i].valid = false;
             self.valid_count -= 1;
             self.thread_valid[e.tid as usize] -= 1;
-            self.partition.on_evict(e.tid as usize);
             self.close_entry(e, now);
             self.note_occupancy(now);
         }
@@ -980,7 +933,6 @@ impl RegisterCache {
         self.entries[i].valid = false;
         self.valid_count -= 1;
         self.thread_valid[e.tid as usize] -= 1;
-        self.partition.on_evict(e.tid as usize);
         self.close_entry(e, now);
         self.stats.parity_invalidations += 1;
         self.note_occupancy(now);
@@ -1003,16 +955,16 @@ impl RegisterCache {
 
     /// Runs one dynamic-partition epoch boundary at cycle `now`:
     /// snapshots per-thread hit/miss deltas since the previous boundary,
-    /// asks the [`PartitionController`](crate::PartitionController) for a new plan computed from the
+    /// asks the partition state for a new plan computed by the
     /// lookahead utility partitioner (see [`crate::monitor`]), enforces
     /// it — under [`CachePartition::DynamicCap`] by trimming each
     /// over-quota thread down to its new cap (evicting its own *unpinned*
     /// entries, lowest replacement score first — the same victims an
     /// at-cap insert would pick); under [`CachePartition::DynamicWay`]
     /// by draining reassigned ways (see
-    /// `RegisterCache::reassign_ways`) — ages the monitors, and
-    /// broadcasts the resulting [`EpochFeedback`] to the insertion and
-    /// replacement policies' `on_epoch` hooks.
+    /// `RegisterCache::reassign_ways`) — ages the monitors, and, under
+    /// [`InsertionPolicy::AdaptiveUseThreshold`], retunes the per-thread
+    /// use thresholds from the resulting [`EpochFeedback`].
     ///
     /// Quota floors guarantee feasibility: every thread keeps at least
     /// `max(1, pinned entries)` (under `DynamicCap`, raised toward the
@@ -1076,11 +1028,7 @@ impl RegisterCache {
             ways: w,
             sets: self.sets,
         };
-        let plan = self
-            .partition
-            .epoch_boundary(&cx)
-            .expect("dynamic controllers plan every boundary");
-        let (new_caps, new_ways) = match plan {
+        let (new_caps, new_ways) = match self.partition.epoch_boundary(&cx) {
             EpochPlan::Caps(caps) => {
                 for (t, &cap) in caps.iter().enumerate().take(n) {
                     while self.thread_valid[t] > cap {
@@ -1089,22 +1037,13 @@ impl RegisterCache {
                             .iter()
                             .enumerate()
                             .filter(|(_, e)| e.valid && e.tid as usize == t && !e.pinned)
-                            .min_by_key(|(_, e)| {
-                                self.replacement.score(&VictimView {
-                                    uses: e.uses,
-                                    pinned: e.pinned,
-                                    from_fill: e.from_fill,
-                                    lru: e.lru,
-                                    reads: e.reads,
-                                })
-                            })
+                            .min_by_key(|(_, e)| self.config.replacement.score(&e.victim_view()))
                             .map(|(i, _)| i)
                             .expect("floors cover every pinned entry");
                         let e = self.entries[victim];
                         self.entries[victim].valid = false;
                         self.valid_count -= 1;
                         self.thread_valid[t] -= 1;
-                        self.partition.on_evict(t);
                         self.stats.evictions += 1;
                         if e.uses == 0 && !e.pinned {
                             self.stats.evictions_zero_use += 1;
@@ -1137,13 +1076,14 @@ impl RegisterCache {
             new_caps,
             new_ways,
         };
-        self.insertion.on_epoch(&fb);
-        self.replacement.on_epoch(&fb);
+        if self.config.insertion == InsertionPolicy::AdaptiveUseThreshold {
+            self.thresholds.retune(&fb);
+        }
         fb
     }
 
     /// Enforces a freshly installed [`CachePartition::DynamicWay`] way
-    /// map (the controller already holds the *new* ownership when this
+    /// map (the partition already holds the *new* ownership when this
     /// runs). Two passes per the dataflow in DESIGN.md:
     ///
     /// 1. **Drain** — every valid entry sitting in a way its thread no
@@ -1177,7 +1117,6 @@ impl RegisterCache {
                 self.entries[base + i].valid = false;
                 self.valid_count -= 1;
                 self.thread_valid[e.tid as usize] -= 1;
-                self.partition.on_evict(e.tid as usize);
                 if e.pinned {
                     migrants.push((s, e));
                 } else {
@@ -1209,14 +1148,12 @@ impl RegisterCache {
                     self.close_entry(v, now);
                     self.valid_count -= 1;
                     self.thread_valid[v.tid as usize] -= 1;
-                    self.partition.on_evict(v.tid as usize);
                     i
                 }
             };
             self.entries[base + slot] = e;
             self.valid_count += 1;
             self.thread_valid[tid] += 1;
-            self.partition.on_insert(tid);
         }
     }
 }
@@ -1719,7 +1656,6 @@ mod tests {
         let mut c = dyncap(8, 2);
         assert_eq!(c.dynamic_caps(), Some(&[4usize, 4][..]));
         assert_eq!(c.current_cap(0), Some(4));
-        assert_eq!(c.epoch_cycles(), Some(64));
         for (i, p) in [40u16, 41, 42, 43, 44].into_iter().enumerate() {
             c.produce(PhysReg(p));
             c.write(PhysReg(p), i as u16, 1, false, 0, 1 + i as u64);

@@ -6,28 +6,26 @@
 //! from
 //!
 //! * [`RegisterCache`] — a small set-associative cache over the physical
-//!   register file, with pluggable policies behind the object-safe
-//!   [`InsertionDecider`] / [`ReplacementScorer`] traits (named at the
-//!   configuration level by [`InsertionPolicy`] and
-//!   [`ReplacementPolicy`]: write-all / non-bypass / use-based
-//!   insertion, LRU / fewest-remaining-uses / expected-hit-count
-//!   replacement), per-entry remaining-use counters with pinning, and
-//!   miss classification (not-written / capacity / conflict) against a
-//!   fully-associative shadow;
+//!   register file, with the insertion and replacement policies as
+//!   plain enums ([`InsertionPolicy`]: write-all / non-bypass /
+//!   use-based / adaptive use threshold; [`ReplacementPolicy`]: LRU /
+//!   fewest-remaining-uses / expected-hit-count), per-entry
+//!   remaining-use counters with pinning, and miss classification
+//!   (not-written / capacity / conflict) against a fully-associative
+//!   shadow;
 //! * [`IndexAssigner`] — decoupled indexing: register-cache set indices
 //!   assigned at rename time, independent of the physical register tag,
 //!   by one of four policies ([`IndexPolicy`]);
 //! * [`UseTracker`] — the per-value remaining-use bookkeeping between
 //!   rename and the cache write (the bypass window);
-//! * [`PartitionController`] — the object-safe SMT partitioning layer
-//!   (named at the configuration level by [`CachePartition`]): shared,
+//! * [`CachePartition`] — how SMT threads share the cache: shared,
 //!   static way/occupancy partitions, and the dynamic quota
 //!   ([`CachePartition::DynamicCap`]) and whole-way
-//!   ([`CachePartition::DynamicWay`]) controllers with optional
-//!   adaptive epoch pacing ([`EpochAdapt`]);
+//!   ([`CachePartition::DynamicWay`]) partitions with optional adaptive
+//!   epoch pacing ([`EpochAdapt`]);
 //! * [`UtilityMonitor`] — per-thread shadow-tag utility monitors and
 //!   the lookahead partitioners that recompute dynamic quotas and way
-//!   maps at epoch boundaries, fed back into the policies through
+//!   maps at epoch boundaries, reported per epoch as
 //!   [`EpochFeedback`];
 //! * [`BackingFile`] — the multi-cycle backing register file with its
 //!   single shared read port and write-completion interlock;
@@ -60,7 +58,7 @@ mod backing;
 mod cache;
 mod index;
 pub mod monitor;
-pub mod partition;
+mod partition;
 mod policy;
 mod twolevel;
 mod usetrack;
@@ -69,17 +67,9 @@ pub use backing::{BackingFile, BackingStats};
 pub use cache::{EntryView, MissClass, RegCacheStats, RegisterCache, WriteOutcome};
 pub use index::{IndexAssigner, IndexPolicy};
 pub use monitor::UtilityMonitor;
-pub use partition::{
-    controller_for, AnyController, DynamicCapController, DynamicWayController, EpochContext,
-    EpochPlan, OccupancyCapController, PartitionController, SharedController,
-    WayPartitionController,
-};
 pub use policy::{
-    AdaptiveUseThresholdInsertion, AnyInsertion, AnyScorer, CachePartition, EpochAdapt,
-    EpochFeedback, ExpectedHitCountScorer, FewestUsesScorer, InsertionContext, InsertionDecider,
-    InsertionPolicy, LruScorer, NonBypassInsertion, ProtectionConfig, RegCacheConfig,
-    ReplacementPolicy, ReplacementScorer, UseBasedInsertion, VictimScore, VictimView,
-    WriteAllInsertion, ADAPTIVE_THRESHOLD_MAX,
+    CachePartition, EpochAdapt, EpochFeedback, InsertionContext, InsertionPolicy, ProtectionConfig,
+    RegCacheConfig, ReplacementPolicy, VictimScore, VictimView, ADAPTIVE_THRESHOLD_MAX,
 };
 pub use twolevel::{TwoLevelConfig, TwoLevelFile, TwoLevelStats};
 pub use usetrack::UseTracker;

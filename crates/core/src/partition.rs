@@ -1,69 +1,65 @@
-//! Pluggable SMT partition controllers for the register cache.
+//! SMT partitioning state of the register cache.
 //!
 //! [`CachePartition`] is the *configuration-level* name of a
 //! partitioning policy — `Copy`, `Eq`, cheap to put in sweep matrices.
-//! The behavior lives behind the object-safe [`PartitionController`]
-//! trait, instantiated once at cache construction by
-//! [`controller_for`] (the same enum-name / boxed-behavior split as
-//! `InsertionPolicy` → `InsertionDecider` in the policy module).
+//! [`PartitionState`] is its run-time state (static caps, dynamic
+//! quotas, way counts, epoch pacer), built once at cache construction
+//! by [`PartitionState::new`] and consulted by plain `match`es at three
+//! decision points:
 //!
-//! The cache consults its controller at exactly three decision points:
+//! 1. **Insertion** ([`PartitionState::admit`] +
+//!    [`PartitionState::victim_ways`]): may this thread place freely,
+//!    and into which ways of the target set? An inadmissible insert (a
+//!    thread at its occupancy quota) falls back to evicting one of the
+//!    thread's *own* entries in the set, or is dropped.
+//! 2. **Epoch pacing** ([`PartitionState::epoch_due`] +
+//!    [`PartitionState::epoch_boundary`]): the dynamic partitions decide
+//!    when a boundary fires and return an [`EpochPlan`] — new entry
+//!    quotas or a new way map — which the cache then enforces (trimming
+//!    over-quota threads, draining reassigned ways).
+//! 3. **Audit** ([`PartitionState::audit`]): self-consistency of the
+//!    quota state, folded into the cache's structural audit.
 //!
-//! 1. **Insertion** ([`PartitionController::admit`] +
-//!    [`PartitionController::victim_ways`]): may this thread place
-//!    freely, and into which ways of the target set? An inadmissible
-//!    insert (a thread at its occupancy quota) falls back to evicting
-//!    one of the thread's *own* entries in the set, or is dropped.
-//! 2. **Epoch pacing** ([`PartitionController::epoch_due`] +
-//!    [`PartitionController::epoch_boundary`]): dynamic controllers
-//!    decide when a boundary fires and return an [`EpochPlan`] — new
-//!    entry quotas or a new way map — which the cache then enforces
-//!    (trimming over-quota threads, draining reassigned ways).
-//! 3. **Audit** ([`PartitionController::audit`]): self-consistency of
-//!    the controller's quota state, folded into the cache's structural
-//!    audit.
+//! The quota state is also readable (`cap`, `caps`, `way_counts`,
+//! `way_owner`) so the simulator's invariant checker can cross-check
+//! entry placement against epoch-varying ownership.
 //!
-//! Controllers also expose their quota state read-only (`cap`, `caps`,
-//! `way_counts`, `way_owner`) so the simulator's invariant checker can
-//! cross-check entry placement against epoch-varying ownership.
-//!
-//! Adding a controller touches at most three files: implement the trait
-//! here (plus a [`CachePartition`] variant in the policy module), and
-//! add a typed rejection to the simulator's config validation.
+//! Adding a partition policy is adding a [`CachePartition`] variant, a
+//! [`PartitionState`] variant with its match arms here, and a typed
+//! rejection in the simulator's config validation.
 
 use crate::monitor::UtilityMonitor;
 use crate::policy::{CachePartition, EpochAdapt, RegCacheConfig};
-use std::fmt;
 use std::ops::Range;
 
 /// Read-only epoch-boundary inputs handed to
-/// [`PartitionController::epoch_boundary`].
+/// [`PartitionState::epoch_boundary`].
 ///
-/// The cache gathers these from its own state so controllers stay free
-/// of entry-array knowledge: the shadow-tag monitors (utility curves),
-/// the pinned footprints (quota floors), and the geometry.
+/// The cache gathers these from its own state so the partition stays
+/// free of entry-array knowledge: the shadow-tag monitors (utility
+/// curves), the pinned footprints (quota floors), and the geometry.
 #[derive(Debug)]
-pub struct EpochContext<'a> {
+pub(crate) struct EpochContext<'a> {
     /// The shadow-tag utility monitors feeding the partitioner.
-    pub monitor: &'a UtilityMonitor,
+    pub(crate) monitor: &'a UtilityMonitor,
     /// Valid pinned entries per thread (quota floors: pinned entries
     /// are never evicted by a repartition).
-    pub pinned: &'a [usize],
+    pub(crate) pinned: &'a [usize],
     /// The largest pinned-entry count any single set holds per thread
     /// (way-granularity floors: a thread's new way block must fit its
     /// pinned entries in every set).
-    pub pinned_per_set_max: &'a [usize],
+    pub(crate) pinned_per_set_max: &'a [usize],
     /// Total cache entries.
-    pub entries: usize,
+    pub(crate) entries: usize,
     /// Cache associativity.
-    pub ways: usize,
+    pub(crate) ways: usize,
     /// Cache set count (= entries the ownership of one way is worth).
-    pub sets: usize,
+    pub(crate) sets: usize,
 }
 
-/// A dynamic controller's repartition decision, enforced by the cache.
+/// A dynamic partition's repartition decision, enforced by the cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EpochPlan {
+pub(crate) enum EpochPlan {
     /// New per-thread occupancy quotas (summing to the entry count);
     /// the cache trims each over-quota thread by evicting its own
     /// unpinned entries, lowest replacement score first.
@@ -75,178 +71,59 @@ pub enum EpochPlan {
     Ways(Vec<usize>),
 }
 
-/// Object-safe SMT partition behavior (see the module docs).
+/// The run-time state of a [`CachePartition`] (see the module docs).
 ///
-/// Implementations must be deterministic functions of their inputs and
-/// the feedback stream — the golden-snapshot matrix pins their timing.
-pub trait PartitionController: fmt::Debug + Send {
-    /// May `tid` place a new entry freely (into
-    /// [`PartitionController::victim_ways`])? `false` means the thread
-    /// is at its occupancy quota: the cache falls back to evicting one
-    /// of the thread's own entries in the target set, dropping the
-    /// insertion if it has none there.
-    fn admit(&self, tid: usize, occupancy: &[usize]) -> bool;
-
-    /// The candidate ways (relative to the set base) an admitted
-    /// insertion by `tid` may fill or evict from.
-    fn victim_ways(&self, tid: usize) -> Range<usize>;
-
-    /// Notification: an entry owned by `tid` was installed. Default
-    /// no-op (the cache keeps the occupancy counters).
-    fn on_insert(&mut self, _tid: usize) {}
-
-    /// Notification: an entry owned by `tid` was evicted or
-    /// invalidated. Default no-op.
-    fn on_evict(&mut self, _tid: usize) {}
-
-    /// The occupancy cap currently binding `tid`, if this controller
-    /// caps occupancy (`None` for way-partitioned and shared caches).
-    fn cap(&self, _tid: usize) -> Option<usize> {
-        None
-    }
-
-    /// The full dynamic entry-quota vector
-    /// ([`CachePartition::DynamicCap`] only; always sums to the entry
-    /// count).
-    fn caps(&self) -> Option<&[usize]> {
-        None
-    }
-
-    /// The per-thread way counts ([`CachePartition::DynamicWay`] only;
-    /// always sums to the associativity).
-    fn way_counts(&self) -> Option<&[usize]> {
-        None
-    }
-
-    /// The thread owning `way` (in every set), when ways are owned at
-    /// all (`None` for shared and occupancy-capped caches).
-    fn way_owner(&self, _way: usize) -> Option<usize> {
-        None
-    }
-
-    /// The configured repartition period of a dynamic controller
-    /// (`None` for the static policies). Under [`EpochAdapt`] this is
-    /// the *initial* period; the live period varies.
-    fn epoch_cycles(&self) -> Option<u64> {
-        None
-    }
-
-    /// True when an epoch boundary must fire at cycle `now` (static
-    /// controllers never fire).
-    fn epoch_due(&self, _now: u64) -> bool {
-        false
-    }
-
-    /// Closes an epoch: recomputes this controller's quota state from
-    /// the monitored utility curves and returns the plan for the cache
-    /// to enforce. `None` for static controllers (never called on
-    /// them).
-    fn epoch_boundary(&mut self, _cx: &EpochContext<'_>) -> Option<EpochPlan> {
-        None
-    }
-
-    /// Self-consistency of the controller's quota state (quota sums,
-    /// positivity). Folded into [`crate::RegisterCache::audit`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(description)` when internal quota state is
-    /// inconsistent.
-    fn audit(&self, _entries: usize, _ways: usize) -> Result<(), String> {
-        Ok(())
-    }
-
-    /// Clones the controller behind the object (cloning caches).
-    fn clone_box(&self) -> Box<dyn PartitionController>;
-}
-
-impl Clone for Box<dyn PartitionController> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// Builds the controller implementing `config.partition` for an
-/// `nthreads`-thread cache. With one thread every policy degenerates to
-/// the shared controller (partitioning is inert), preserving the
-/// single-thread golden contract.
-///
-/// # Panics
-///
-/// Panics on an infeasible configuration: a
-/// [`CachePartition::WayPartition`] or [`CachePartition::DynamicWay`]
-/// whose ways don't divide by the thread count, an occupancy-capped
-/// partition with fewer entries than threads, a zero dynamic epoch, a
-/// [`CachePartition::DynamicCap`] `min_cap` that overcommits the cache,
-/// or an [`EpochAdapt`] with an empty `[min, max]` range or a static
-/// partition. Callers wanting typed errors should validate first (the
-/// simulator's `try_new_smt` does).
-pub fn controller_for(config: &RegCacheConfig, nthreads: usize) -> Box<dyn PartitionController> {
-    AnyController::from_config(config, nthreads).into_boxed()
-}
-
-/// Statically dispatched partition controller: one enum variant per
-/// shipped [`CachePartition`], plus an [`AnyController::Custom`] escape
-/// hatch for user-supplied [`PartitionController`] implementations.
-///
-/// The cache stores this enum instead of a
-/// `Box<dyn PartitionController>`: the controller is consulted at four
-/// decision points on every insertion (`admit`, `victim_ways`,
-/// `on_evict`, `on_insert`), so resolving the shipped controllers with
-/// a jump table over inlined monomorphic bodies instead of virtual
-/// calls pays on every cache write. Behavior is identical to
-/// dispatching through the boxed object — the golden-snapshot matrix
-/// and the equivalence proptests pin this — and the object-safe trait
-/// remains the documented ≤3-file extension seam: any
-/// [`PartitionController`] implementation rides along in
-/// [`AnyController::Custom`] with unchanged semantics.
+/// Every method is a deterministic function of this state and its
+/// inputs — the golden-snapshot matrix pins the resulting timing.
 #[derive(Clone, Debug)]
-pub enum AnyController {
-    /// [`CachePartition::Shared`] (and every single-thread cache),
-    /// statically dispatched.
-    Shared(SharedController),
-    /// [`CachePartition::WayPartition`], statically dispatched.
-    WayPartition(WayPartitionController),
-    /// [`CachePartition::OccupancyCap`], statically dispatched.
-    OccupancyCap(OccupancyCapController),
-    /// [`CachePartition::DynamicCap`], statically dispatched.
-    DynamicCap(DynamicCapController),
-    /// [`CachePartition::DynamicWay`], statically dispatched.
-    DynamicWay(DynamicWayController),
-    /// A user-supplied controller, dispatched through the object-safe
-    /// trait exactly as before the enum existed.
-    Custom(Box<dyn PartitionController>),
+pub(crate) enum PartitionState {
+    /// [`CachePartition::Shared`] (and every single-thread cache): all
+    /// ways compete freely, no quotas, no epochs.
+    Shared { ways: usize },
+    /// [`CachePartition::WayPartition`]: thread `t` statically owns ways
+    /// `[t·w, (t+1)·w)` of every set.
+    WayPartition { ways_per_thread: usize },
+    /// [`CachePartition::OccupancyCap`]: shared ways, a static
+    /// `entries / nthreads` live-entry cap per thread.
+    OccupancyCap { ways: usize, cap: usize },
+    /// [`CachePartition::DynamicCap`]: shared ways, per-thread quotas
+    /// recomputed from the utility monitors every epoch.
+    DynamicCap {
+        ways: usize,
+        min_cap: usize,
+        caps: Vec<usize>,
+        pacer: EpochPacer,
+    },
+    /// [`CachePartition::DynamicWay`]: contiguous per-thread way blocks
+    /// (in thread order), reassigned from the utility monitors every
+    /// epoch. Thread `t` owns `counts[t]` ways, starting at the prefix
+    /// sum of `counts[..t]`.
+    DynamicWay {
+        counts: Vec<usize>,
+        pacer: EpochPacer,
+    },
 }
 
-/// Forwards one [`PartitionController`] method to whichever concrete
-/// controller the [`AnyController`] holds, monomorphically for the
-/// shipped variants.
-macro_rules! dispatch {
-    ($self:expr, $c:pat => $body:expr) => {
-        match $self {
-            AnyController::Shared($c) => $body,
-            AnyController::WayPartition($c) => $body,
-            AnyController::OccupancyCap($c) => $body,
-            AnyController::DynamicCap($c) => $body,
-            AnyController::DynamicWay($c) => $body,
-            AnyController::Custom($c) => $body,
-        }
-    };
-}
-
-impl AnyController {
-    /// Builds the statically dispatched controller implementing
-    /// `config.partition` for an `nthreads`-thread cache. Same contract
-    /// as [`controller_for`] (which now delegates here), including the
-    /// panics on infeasible configurations.
+impl PartitionState {
+    /// Builds the state implementing `config.partition` for an
+    /// `nthreads`-thread cache. With one thread every policy
+    /// degenerates to [`PartitionState::Shared`] (partitioning is
+    /// inert), preserving the single-thread golden contract.
     ///
     /// # Panics
     ///
-    /// See [`controller_for`].
-    pub fn from_config(config: &RegCacheConfig, nthreads: usize) -> Self {
+    /// Panics on an infeasible configuration: a
+    /// [`CachePartition::WayPartition`] or [`CachePartition::DynamicWay`]
+    /// whose ways don't divide by the thread count, an occupancy-capped
+    /// partition with fewer entries than threads, a zero dynamic epoch, a
+    /// [`CachePartition::DynamicCap`] `min_cap` that overcommits the
+    /// cache, or an [`EpochAdapt`] with an empty `[min, max]` range or a
+    /// static partition. Callers wanting typed errors should validate
+    /// first (the simulator's `try_new_smt` does).
+    pub(crate) fn new(config: &RegCacheConfig, nthreads: usize) -> Self {
         let ways = config.ways;
         if nthreads <= 1 {
-            return AnyController::Shared(SharedController { ways });
+            return PartitionState::Shared { ways };
         }
         if let Some(a) = config.epoch_adapt {
             assert!(
@@ -259,25 +136,25 @@ impl AnyController {
             );
         }
         match config.partition {
-            CachePartition::Shared => AnyController::Shared(SharedController { ways }),
+            CachePartition::Shared => PartitionState::Shared { ways },
             CachePartition::WayPartition => {
                 assert!(
                     ways.is_multiple_of(nthreads),
                     "WayPartition needs ways divisible by nthreads"
                 );
-                AnyController::WayPartition(WayPartitionController {
+                PartitionState::WayPartition {
                     ways_per_thread: ways / nthreads,
-                })
+                }
             }
             CachePartition::OccupancyCap => {
                 assert!(
                     config.entries >= nthreads,
                     "OccupancyCap needs at least one entry per thread"
                 );
-                AnyController::OccupancyCap(OccupancyCapController {
+                PartitionState::OccupancyCap {
                     ways,
                     cap: config.entries / nthreads,
-                })
+                }
             }
             CachePartition::DynamicCap {
                 epoch_cycles,
@@ -298,12 +175,12 @@ impl AnyController {
                 let caps = (0..nthreads)
                     .map(|t| config.entries / nthreads + usize::from(t < config.entries % nthreads))
                     .collect();
-                AnyController::DynamicCap(DynamicCapController {
+                PartitionState::DynamicCap {
                     ways,
                     min_cap,
                     caps,
                     pacer: EpochPacer::new(epoch_cycles, config.epoch_adapt),
-                })
+                }
             }
             CachePartition::DynamicWay { epoch_cycles } => {
                 assert!(epoch_cycles >= 1, "DynamicWay needs a non-zero epoch");
@@ -311,122 +188,190 @@ impl AnyController {
                     ways.is_multiple_of(nthreads),
                     "DynamicWay needs ways divisible by nthreads"
                 );
-                AnyController::DynamicWay(DynamicWayController {
+                PartitionState::DynamicWay {
                     counts: vec![ways / nthreads; nthreads],
                     pacer: EpochPacer::new(epoch_cycles, config.epoch_adapt),
-                })
+                }
             }
         }
     }
 
-    /// Moves the controller behind a `Box<dyn PartitionController>`,
-    /// restoring the virtual-dispatch form [`controller_for`]
-    /// advertises (the shipped variants box their concrete type; a
-    /// [`AnyController::Custom`] controller is returned as-is).
-    pub fn into_boxed(self) -> Box<dyn PartitionController> {
+    /// May `tid` place a new entry freely (into
+    /// [`PartitionState::victim_ways`])? `false` means the thread is at
+    /// its occupancy quota: the cache falls back to evicting one of the
+    /// thread's own entries in the target set, dropping the insertion
+    /// if it has none there.
+    #[inline]
+    pub(crate) fn admit(&self, tid: usize, occupancy: &[usize]) -> bool {
         match self {
-            AnyController::Shared(c) => Box::new(c),
-            AnyController::WayPartition(c) => Box::new(c),
-            AnyController::OccupancyCap(c) => Box::new(c),
-            AnyController::DynamicCap(c) => Box::new(c),
-            AnyController::DynamicWay(c) => Box::new(c),
-            AnyController::Custom(c) => c,
+            PartitionState::OccupancyCap { cap, .. } => occupancy[tid] < *cap,
+            PartitionState::DynamicCap { caps, .. } => occupancy[tid] < caps[tid],
+            _ => true,
         }
     }
 
-    /// Forwards [`PartitionController::admit`] without a virtual call
-    /// for the shipped controllers.
+    /// The candidate ways (relative to the set base) an admitted
+    /// insertion by `tid` may fill or evict from.
     #[inline]
-    pub fn admit(&self, tid: usize, occupancy: &[usize]) -> bool {
-        dispatch!(self, c => c.admit(tid, occupancy))
+    pub(crate) fn victim_ways(&self, tid: usize) -> Range<usize> {
+        match self {
+            PartitionState::Shared { ways }
+            | PartitionState::OccupancyCap { ways, .. }
+            | PartitionState::DynamicCap { ways, .. } => 0..*ways,
+            PartitionState::WayPartition { ways_per_thread: w } => tid * w..(tid + 1) * w,
+            PartitionState::DynamicWay { counts, .. } => {
+                let lo = counts[..tid].iter().sum();
+                lo..lo + counts[tid]
+            }
+        }
     }
 
-    /// Forwards [`PartitionController::victim_ways`] without a virtual
-    /// call for the shipped controllers.
+    /// The occupancy cap currently binding `tid` (`None` for
+    /// way-partitioned and shared caches).
     #[inline]
-    pub fn victim_ways(&self, tid: usize) -> Range<usize> {
-        dispatch!(self, c => c.victim_ways(tid))
+    pub(crate) fn cap(&self, tid: usize) -> Option<usize> {
+        match self {
+            PartitionState::OccupancyCap { cap, .. } => Some(*cap),
+            PartitionState::DynamicCap { caps, .. } => Some(caps[tid]),
+            _ => None,
+        }
     }
 
-    /// Forwards [`PartitionController::on_insert`] without a virtual
-    /// call for the shipped controllers.
+    /// The full dynamic entry-quota vector
+    /// ([`CachePartition::DynamicCap`] only; always sums to the entry
+    /// count).
+    pub(crate) fn caps(&self) -> Option<&[usize]> {
+        match self {
+            PartitionState::DynamicCap { caps, .. } => Some(caps),
+            _ => None,
+        }
+    }
+
+    /// The per-thread way counts ([`CachePartition::DynamicWay`] only;
+    /// always sums to the associativity).
+    pub(crate) fn way_counts(&self) -> Option<&[usize]> {
+        match self {
+            PartitionState::DynamicWay { counts, .. } => Some(counts),
+            _ => None,
+        }
+    }
+
+    /// The thread owning `way` (in every set), when ways are owned at
+    /// all (`None` for shared and occupancy-capped caches).
     #[inline]
-    pub fn on_insert(&mut self, tid: usize) {
-        dispatch!(self, c => c.on_insert(tid))
+    pub(crate) fn way_owner(&self, way: usize) -> Option<usize> {
+        match self {
+            PartitionState::WayPartition { ways_per_thread } => Some(way / ways_per_thread),
+            PartitionState::DynamicWay { counts, .. } => {
+                let mut end = 0;
+                counts.iter().position(|&c| {
+                    end += c;
+                    way < end
+                })
+            }
+            _ => None,
+        }
     }
 
-    /// Forwards [`PartitionController::on_evict`] without a virtual
-    /// call for the shipped controllers.
+    /// True when an epoch boundary must fire at cycle `now` (static
+    /// partitions never fire).
     #[inline]
-    pub fn on_evict(&mut self, tid: usize) {
-        dispatch!(self, c => c.on_evict(tid))
+    pub(crate) fn epoch_due(&self, now: u64) -> bool {
+        match self {
+            PartitionState::DynamicCap { pacer, .. } | PartitionState::DynamicWay { pacer, .. } => {
+                pacer.due(now)
+            }
+            _ => false,
+        }
     }
 
-    /// Forwards [`PartitionController::cap`].
-    #[inline]
-    pub fn cap(&self, tid: usize) -> Option<usize> {
-        dispatch!(self, c => c.cap(tid))
+    /// Closes an epoch: recomputes the quota state from the monitored
+    /// utility curves and returns the plan for the cache to enforce.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a static partition, which has no epochs.
+    pub(crate) fn epoch_boundary(&mut self, cx: &EpochContext<'_>) -> EpochPlan {
+        match self {
+            PartitionState::DynamicCap {
+                min_cap,
+                caps,
+                pacer,
+                ..
+            } => {
+                // Quota floors guarantee feasibility: every thread keeps
+                // at least `max(1, pinned entries)`, raised toward the
+                // configured `min_cap` in thread order while budget
+                // remains.
+                let mut floors: Vec<usize> = cx.pinned.iter().map(|&p| p.max(1)).collect();
+                let mut extra = cx.entries - floors.iter().sum::<usize>();
+                for f in floors.iter_mut() {
+                    let want = min_cap.saturating_sub(*f).min(extra);
+                    *f += want;
+                    extra -= want;
+                }
+                let new_caps = cx.monitor.repartition(cx.entries, &floors);
+                caps.clone_from(&new_caps);
+                pacer.advance(&new_caps);
+                EpochPlan::Caps(new_caps)
+            }
+            PartitionState::DynamicWay { counts, pacer } => {
+                // Way floors: every thread keeps at least one way, and
+                // enough ways to hold its pinned entries in the fullest
+                // set (pinned entries are confined to the thread's block
+                // in every set, so `pinned_per_set_max[t] <= counts[t]`
+                // and the floors always fit — by induction the counts
+                // stay >= 1 and conserve the associativity at every
+                // boundary).
+                let floors: Vec<usize> = cx.pinned_per_set_max.iter().map(|&p| p.max(1)).collect();
+                let new_counts = cx.monitor.repartition_ways(cx.ways, cx.sets, &floors);
+                counts.clone_from(&new_counts);
+                pacer.advance(&new_counts);
+                EpochPlan::Ways(new_counts)
+            }
+            _ => unreachable!("static partitions have no epoch boundaries"),
+        }
     }
 
-    /// Forwards [`PartitionController::caps`].
-    pub fn caps(&self) -> Option<&[usize]> {
-        dispatch!(self, c => c.caps())
-    }
-
-    /// Forwards [`PartitionController::way_counts`].
-    pub fn way_counts(&self) -> Option<&[usize]> {
-        dispatch!(self, c => c.way_counts())
-    }
-
-    /// Forwards [`PartitionController::way_owner`] without a virtual
-    /// call for the shipped controllers.
-    #[inline]
-    pub fn way_owner(&self, way: usize) -> Option<usize> {
-        dispatch!(self, c => c.way_owner(way))
-    }
-
-    /// Forwards [`PartitionController::epoch_cycles`].
-    pub fn epoch_cycles(&self) -> Option<u64> {
-        dispatch!(self, c => c.epoch_cycles())
-    }
-
-    /// Forwards [`PartitionController::epoch_due`] without a virtual
-    /// call for the shipped controllers (checked every cycle by the
-    /// epoch stage).
-    #[inline]
-    pub fn epoch_due(&self, now: u64) -> bool {
-        dispatch!(self, c => c.epoch_due(now))
-    }
-
-    /// Forwards [`PartitionController::epoch_boundary`] (cold path:
-    /// fires once per epoch).
-    pub fn epoch_boundary(&mut self, cx: &EpochContext<'_>) -> Option<EpochPlan> {
-        dispatch!(self, c => c.epoch_boundary(cx))
-    }
-
-    /// Forwards [`PartitionController::audit`].
+    /// Self-consistency of the quota state (quota sums, positivity).
+    /// Folded into [`crate::RegisterCache::audit`].
     ///
     /// # Errors
     ///
-    /// Returns `Err(description)` when the controller's quota state is
-    /// inconsistent (see [`PartitionController::audit`]).
-    pub fn audit(&self, entries: usize, ways: usize) -> Result<(), String> {
-        dispatch!(self, c => c.audit(entries, ways))
+    /// Returns `Err(description)` when the quota state is inconsistent.
+    pub(crate) fn audit(&self, entries: usize, ways: usize) -> Result<(), String> {
+        match self {
+            PartitionState::DynamicCap { caps, .. } => {
+                if caps.iter().sum::<usize>() != entries {
+                    return Err(format!(
+                        "dynamic caps {caps:?} do not sum to {entries} entries"
+                    ));
+                }
+                if let Some(t) = caps.iter().position(|&c| c == 0) {
+                    return Err(format!("thread {t} has a zero dynamic cap"));
+                }
+            }
+            PartitionState::DynamicWay { counts, .. } => {
+                if counts.iter().sum::<usize>() != ways {
+                    return Err(format!(
+                        "dynamic way counts {counts:?} do not sum to {ways} ways"
+                    ));
+                }
+                if let Some(t) = counts.iter().position(|&c| c == 0) {
+                    return Err(format!("thread {t} owns zero ways"));
+                }
+            }
+            _ => {}
+        }
+        Ok(())
     }
 }
 
-impl From<Box<dyn PartitionController>> for AnyController {
-    /// Wraps a boxed controller in the escape-hatch variant.
-    fn from(controller: Box<dyn PartitionController>) -> Self {
-        AnyController::Custom(controller)
-    }
-}
-
-/// Shared epoch pacing for the dynamic controllers: fixed-period
-/// (byte-identical to the pre-controller `now % epoch_cycles` gate) or
-/// [`EpochAdapt`]-driven variable-length epochs.
+/// Epoch pacing for the dynamic partitions: fixed-period (byte-identical
+/// to the original `now % epoch_cycles` gate) or [`EpochAdapt`]-driven
+/// variable-length epochs.
 #[derive(Clone, Debug)]
-struct EpochPacer {
+pub(crate) struct EpochPacer {
     /// The configured base period.
     base: u64,
     adapt: Option<EpochAdapt>,
@@ -456,9 +401,8 @@ impl EpochPacer {
 
     fn due(&self, now: u64) -> bool {
         match self.adapt {
-            // The fixed-period gate the pre-controller epoch stage
-            // used, verbatim: never at cycle 0, then every `base`th
-            // cycle.
+            // The fixed-period gate: never at cycle 0, then every
+            // `base`th cycle.
             None => now != 0 && now.is_multiple_of(self.base),
             Some(_) => now != 0 && now == self.next,
         }
@@ -489,205 +433,6 @@ fn l1_distance(a: &[usize], b: &[usize]) -> usize {
     a.iter().zip(b).map(|(&x, &y)| x.abs_diff(y)).sum()
 }
 
-/// [`CachePartition::Shared`] (and every single-thread cache): all ways
-/// compete freely, no quotas, no epochs.
-#[derive(Clone, Debug)]
-pub struct SharedController {
-    ways: usize,
-}
-
-impl PartitionController for SharedController {
-    fn admit(&self, _tid: usize, _occupancy: &[usize]) -> bool {
-        true
-    }
-    fn victim_ways(&self, _tid: usize) -> Range<usize> {
-        0..self.ways
-    }
-    fn clone_box(&self) -> Box<dyn PartitionController> {
-        Box::new(self.clone())
-    }
-}
-
-/// [`CachePartition::WayPartition`]: thread `t` statically owns ways
-/// `[t·w, (t+1)·w)` of every set.
-#[derive(Clone, Debug)]
-pub struct WayPartitionController {
-    ways_per_thread: usize,
-}
-
-impl PartitionController for WayPartitionController {
-    fn admit(&self, _tid: usize, _occupancy: &[usize]) -> bool {
-        true
-    }
-    fn victim_ways(&self, tid: usize) -> Range<usize> {
-        tid * self.ways_per_thread..(tid + 1) * self.ways_per_thread
-    }
-    fn way_owner(&self, way: usize) -> Option<usize> {
-        Some(way / self.ways_per_thread)
-    }
-    fn clone_box(&self) -> Box<dyn PartitionController> {
-        Box::new(self.clone())
-    }
-}
-
-/// [`CachePartition::OccupancyCap`]: shared ways, a static
-/// `entries / nthreads` live-entry cap per thread.
-#[derive(Clone, Debug)]
-pub struct OccupancyCapController {
-    ways: usize,
-    cap: usize,
-}
-
-impl PartitionController for OccupancyCapController {
-    fn admit(&self, tid: usize, occupancy: &[usize]) -> bool {
-        occupancy[tid] < self.cap
-    }
-    fn victim_ways(&self, _tid: usize) -> Range<usize> {
-        0..self.ways
-    }
-    fn cap(&self, _tid: usize) -> Option<usize> {
-        Some(self.cap)
-    }
-    fn clone_box(&self) -> Box<dyn PartitionController> {
-        Box::new(self.clone())
-    }
-}
-
-/// [`CachePartition::DynamicCap`]: shared ways, per-thread quotas
-/// recomputed from the utility monitors every epoch.
-#[derive(Clone, Debug)]
-pub struct DynamicCapController {
-    ways: usize,
-    min_cap: usize,
-    caps: Vec<usize>,
-    pacer: EpochPacer,
-}
-
-impl PartitionController for DynamicCapController {
-    fn admit(&self, tid: usize, occupancy: &[usize]) -> bool {
-        occupancy[tid] < self.caps[tid]
-    }
-    fn victim_ways(&self, _tid: usize) -> Range<usize> {
-        0..self.ways
-    }
-    fn cap(&self, tid: usize) -> Option<usize> {
-        Some(self.caps[tid])
-    }
-    fn caps(&self) -> Option<&[usize]> {
-        Some(&self.caps)
-    }
-    fn epoch_cycles(&self) -> Option<u64> {
-        Some(self.pacer.base)
-    }
-    fn epoch_due(&self, now: u64) -> bool {
-        self.pacer.due(now)
-    }
-    fn epoch_boundary(&mut self, cx: &EpochContext<'_>) -> Option<EpochPlan> {
-        // Quota floors guarantee feasibility: every thread keeps at
-        // least `max(1, pinned entries)`, raised toward the configured
-        // `min_cap` in thread order while budget remains.
-        let mut floors: Vec<usize> = cx.pinned.iter().map(|&p| p.max(1)).collect();
-        let mut extra = cx.entries - floors.iter().sum::<usize>();
-        for f in floors.iter_mut() {
-            let want = self.min_cap.saturating_sub(*f).min(extra);
-            *f += want;
-            extra -= want;
-        }
-        let new_caps = cx.monitor.repartition(cx.entries, &floors);
-        self.caps.clone_from(&new_caps);
-        self.pacer.advance(&new_caps);
-        Some(EpochPlan::Caps(new_caps))
-    }
-    fn audit(&self, entries: usize, _ways: usize) -> Result<(), String> {
-        if self.caps.iter().sum::<usize>() != entries {
-            return Err(format!(
-                "dynamic caps {:?} do not sum to {entries} entries",
-                self.caps
-            ));
-        }
-        if let Some(t) = self.caps.iter().position(|&c| c == 0) {
-            return Err(format!("thread {t} has a zero dynamic cap"));
-        }
-        Ok(())
-    }
-    fn clone_box(&self) -> Box<dyn PartitionController> {
-        Box::new(self.clone())
-    }
-}
-
-/// [`CachePartition::DynamicWay`]: contiguous per-thread way blocks (in
-/// thread order), reassigned from the utility monitors every epoch.
-#[derive(Clone, Debug)]
-pub struct DynamicWayController {
-    /// Ways owned per thread; thread `t`'s block starts at the prefix
-    /// sum of `counts[..t]`.
-    counts: Vec<usize>,
-    pacer: EpochPacer,
-}
-
-impl DynamicWayController {
-    fn start(&self, tid: usize) -> usize {
-        self.counts[..tid].iter().sum()
-    }
-}
-
-impl PartitionController for DynamicWayController {
-    fn admit(&self, _tid: usize, _occupancy: &[usize]) -> bool {
-        true
-    }
-    fn victim_ways(&self, tid: usize) -> Range<usize> {
-        let lo = self.start(tid);
-        lo..lo + self.counts[tid]
-    }
-    fn way_counts(&self) -> Option<&[usize]> {
-        Some(&self.counts)
-    }
-    fn way_owner(&self, way: usize) -> Option<usize> {
-        let mut end = 0;
-        for (t, &c) in self.counts.iter().enumerate() {
-            end += c;
-            if way < end {
-                return Some(t);
-            }
-        }
-        None
-    }
-    fn epoch_cycles(&self) -> Option<u64> {
-        Some(self.pacer.base)
-    }
-    fn epoch_due(&self, now: u64) -> bool {
-        self.pacer.due(now)
-    }
-    fn epoch_boundary(&mut self, cx: &EpochContext<'_>) -> Option<EpochPlan> {
-        // Way floors: every thread keeps at least one way, and enough
-        // ways to hold its pinned entries in the fullest set (pinned
-        // entries are confined to the thread's block in every set, so
-        // `pinned_per_set_max[t] <= counts[t]` and the floors always
-        // fit — by induction the counts stay >= 1 and conserve the
-        // associativity at every boundary).
-        let floors: Vec<usize> = cx.pinned_per_set_max.iter().map(|&p| p.max(1)).collect();
-        let new_counts = cx.monitor.repartition_ways(cx.ways, cx.sets, &floors);
-        self.counts.clone_from(&new_counts);
-        self.pacer.advance(&new_counts);
-        Some(EpochPlan::Ways(new_counts))
-    }
-    fn audit(&self, _entries: usize, ways: usize) -> Result<(), String> {
-        if self.counts.iter().sum::<usize>() != ways {
-            return Err(format!(
-                "dynamic way counts {:?} do not sum to {ways} ways",
-                self.counts
-            ));
-        }
-        if let Some(t) = self.counts.iter().position(|&c| c == 0) {
-            return Err(format!("thread {t} owns zero ways"));
-        }
-        Ok(())
-    }
-    fn clone_box(&self) -> Box<dyn PartitionController> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,61 +444,12 @@ mod tests {
         c
     }
 
-    #[test]
-    fn single_thread_always_gets_the_shared_controller() {
-        let c = controller_for(&cfg(CachePartition::OccupancyCap), 1);
-        assert!(c.admit(0, &[999]));
-        assert_eq!(c.victim_ways(0), 0..4);
-        assert_eq!(c.cap(0), None);
-        assert_eq!(c.epoch_cycles(), None);
-        assert!(!c.epoch_due(128));
-    }
-
-    #[test]
-    fn way_partition_controller_confines_and_names_owners() {
-        let c = controller_for(&cfg(CachePartition::WayPartition), 2);
-        assert_eq!(c.victim_ways(0), 0..2);
-        assert_eq!(c.victim_ways(1), 2..4);
-        assert_eq!(c.way_owner(1), Some(0));
-        assert_eq!(c.way_owner(2), Some(1));
-        assert!(c.admit(0, &[16, 0]));
-    }
-
-    #[test]
-    fn occupancy_cap_controller_admits_under_the_static_cap() {
-        let c = controller_for(&cfg(CachePartition::OccupancyCap), 2);
-        assert!(c.admit(0, &[7, 0]));
-        assert!(!c.admit(0, &[8, 0]));
-        assert_eq!(c.cap(1), Some(8));
-        assert_eq!(c.victim_ways(1), 0..4);
-    }
-
-    #[test]
-    fn dynamic_cap_controller_paces_fixed_epochs_like_the_modulo_gate() {
-        let c = controller_for(
-            &cfg(CachePartition::DynamicCap {
-                epoch_cycles: 64,
-                min_cap: 1,
-            }),
-            2,
-        );
-        assert_eq!(c.epoch_cycles(), Some(64));
-        assert!(!c.epoch_due(0));
-        assert!(!c.epoch_due(63));
-        assert!(c.epoch_due(64));
-        assert!(c.epoch_due(128));
-        assert_eq!(c.caps(), Some(&[8usize, 8][..]));
-    }
-
-    #[test]
-    fn dynamic_way_controller_reassigns_toward_reuse() {
-        let config = cfg(CachePartition::DynamicWay { epoch_cycles: 64 });
-        let mut c = controller_for(&config, 2);
-        assert_eq!(c.way_counts(), Some(&[2usize, 2][..]));
-        // Thread 0 shows reuse over 4 hot tags (sampled set 0 of 4).
+    /// A monitor in which thread 0 shows reuse over `hot` tags of
+    /// sampled set 0.
+    fn reuse_monitor(hot: u16) -> UtilityMonitor {
         let mut m = UtilityMonitor::new(16, 2);
         for round in 0..3 {
-            for p in 0..4u16 {
+            for p in 0..hot {
                 if round == 0 {
                     m.touch(0, PhysReg(p), 0);
                 } else {
@@ -761,6 +457,59 @@ mod tests {
                 }
             }
         }
+        m
+    }
+
+    #[test]
+    fn single_thread_always_gets_the_shared_partition() {
+        let p = PartitionState::new(&cfg(CachePartition::OccupancyCap), 1);
+        assert!(p.admit(0, &[999]));
+        assert_eq!(p.victim_ways(0), 0..4);
+        assert_eq!(p.cap(0), None);
+        assert_eq!(p.way_owner(3), None);
+        assert!(!p.epoch_due(128));
+    }
+
+    #[test]
+    fn way_partition_confines_and_names_owners() {
+        let p = PartitionState::new(&cfg(CachePartition::WayPartition), 2);
+        assert_eq!(p.victim_ways(0), 0..2);
+        assert_eq!(p.victim_ways(1), 2..4);
+        assert_eq!(p.way_owner(1), Some(0));
+        assert_eq!(p.way_owner(2), Some(1));
+        assert!(p.admit(0, &[16, 0]));
+    }
+
+    #[test]
+    fn occupancy_cap_admits_under_the_static_cap() {
+        let p = PartitionState::new(&cfg(CachePartition::OccupancyCap), 2);
+        assert!(p.admit(0, &[7, 0]));
+        assert!(!p.admit(0, &[8, 0]));
+        assert_eq!(p.cap(1), Some(8));
+        assert_eq!(p.victim_ways(1), 0..4);
+    }
+
+    #[test]
+    fn dynamic_cap_paces_fixed_epochs_like_the_modulo_gate() {
+        let p = PartitionState::new(
+            &cfg(CachePartition::DynamicCap {
+                epoch_cycles: 64,
+                min_cap: 1,
+            }),
+            2,
+        );
+        assert!(!p.epoch_due(0));
+        assert!(!p.epoch_due(63));
+        assert!(p.epoch_due(64));
+        assert!(p.epoch_due(128));
+        assert_eq!(p.caps(), Some(&[8usize, 8][..]));
+    }
+
+    #[test]
+    fn dynamic_way_reassigns_toward_reuse() {
+        let mut p = PartitionState::new(&cfg(CachePartition::DynamicWay { epoch_cycles: 64 }), 2);
+        assert_eq!(p.way_counts(), Some(&[2usize, 2][..]));
+        let m = reuse_monitor(4);
         let cx = EpochContext {
             monitor: &m,
             pinned: &[0, 0],
@@ -769,34 +518,25 @@ mod tests {
             ways: 4,
             sets: 4,
         };
-        let plan = c.epoch_boundary(&cx).expect("dynamic controllers plan");
+        let plan = p.epoch_boundary(&cx);
         let EpochPlan::Ways(counts) = plan else {
             panic!("DynamicWay plans ways, got {plan:?}");
         };
         assert_eq!(counts.iter().sum::<usize>(), 4);
         assert!(counts[0] > counts[1], "reuse thread wins ways: {counts:?}");
-        assert_eq!(c.way_counts(), Some(&counts[..]));
-        assert_eq!(c.way_owner(0), Some(0));
-        assert_eq!(c.way_owner(3), Some(1));
-        assert_eq!(c.victim_ways(1), counts[0]..4);
-        c.audit(16, 4).unwrap();
+        assert_eq!(p.way_counts(), Some(&counts[..]));
+        assert_eq!(p.way_owner(0), Some(0));
+        assert_eq!(p.way_owner(3), Some(1));
+        assert_eq!(p.way_owner(4), None);
+        assert_eq!(p.victim_ways(1), counts[0]..4);
+        p.audit(16, 4).unwrap();
     }
 
     #[test]
     fn way_floors_cover_pinned_entries() {
-        let config = cfg(CachePartition::DynamicWay { epoch_cycles: 64 });
-        let mut c = controller_for(&config, 2);
+        let mut p = PartitionState::new(&cfg(CachePartition::DynamicWay { epoch_cycles: 64 }), 2);
         // Thread 1 pins two entries in one set; thread 0 shows reuse.
-        let mut m = UtilityMonitor::new(16, 2);
-        for round in 0..3 {
-            for p in 0..6u16 {
-                if round == 0 {
-                    m.touch(0, PhysReg(p), 0);
-                } else {
-                    m.access(0, PhysReg(p), 0);
-                }
-            }
-        }
+        let m = reuse_monitor(6);
         let cx = EpochContext {
             monitor: &m,
             pinned: &[0, 3],
@@ -805,11 +545,29 @@ mod tests {
             ways: 4,
             sets: 4,
         };
-        let Some(EpochPlan::Ways(counts)) = c.epoch_boundary(&cx) else {
+        let EpochPlan::Ways(counts) = p.epoch_boundary(&cx) else {
             panic!("expected a way plan");
         };
         assert!(counts[1] >= 2, "floor must cover pins: {counts:?}");
         assert_eq!(counts.iter().sum::<usize>(), 4);
+    }
+
+    #[test]
+    fn audit_rejects_inconsistent_quota_state() {
+        let caps = PartitionState::DynamicCap {
+            ways: 4,
+            min_cap: 1,
+            caps: vec![16, 0],
+            pacer: EpochPacer::new(64, None),
+        };
+        assert!(caps.audit(16, 4).unwrap_err().contains("zero dynamic cap"));
+        assert!(caps.audit(12, 4).unwrap_err().contains("do not sum"));
+        let ways = PartitionState::DynamicWay {
+            counts: vec![3, 0],
+            pacer: EpochPacer::new(64, None),
+        };
+        assert!(ways.audit(16, 3).unwrap_err().contains("owns zero ways"));
+        assert!(ways.audit(16, 4).unwrap_err().contains("do not sum"));
     }
 
     #[test]
@@ -852,7 +610,7 @@ mod tests {
     fn epoch_adapt_rejects_static_partitions() {
         let mut c = cfg(CachePartition::WayPartition);
         c.epoch_adapt = Some(EpochAdapt::default_band());
-        let _ = controller_for(&c, 2);
+        let _ = PartitionState::new(&c, 2);
     }
 
     #[test]
@@ -864,7 +622,7 @@ mod tests {
             max_cycles: 64,
             band: 1,
         });
-        let _ = controller_for(&c, 2);
+        let _ = PartitionState::new(&c, 2);
     }
 
     #[test]
@@ -872,20 +630,6 @@ mod tests {
     fn dynamic_way_rejects_indivisible_ways() {
         let mut c = RegCacheConfig::use_based(9, 3);
         c.partition = CachePartition::DynamicWay { epoch_cycles: 64 };
-        let _ = controller_for(&c, 2);
-    }
-
-    #[test]
-    fn controllers_clone_behind_the_box() {
-        let c = controller_for(
-            &cfg(CachePartition::DynamicCap {
-                epoch_cycles: 64,
-                min_cap: 2,
-            }),
-            4,
-        );
-        let d = c.clone();
-        assert_eq!(c.caps(), d.caps());
-        assert_eq!(c.victim_ways(2), d.victim_ways(2));
+        let _ = PartitionState::new(&c, 2);
     }
 }

@@ -1,14 +1,10 @@
-use std::fmt;
-
 /// Register-cache insertion policy: which produced values get written
 /// into the cache at all.
 ///
-/// This enum is the *configuration-level* name of a policy — `Copy`,
-/// `Eq`, `Hash`, cheap to put in sweep matrices. The behavior itself
-/// lives behind the object-safe [`InsertionDecider`] trait;
-/// [`InsertionPolicy::decider`] is the factory connecting the two. New
-/// policies are added by implementing the trait and (optionally) naming
-/// them here.
+/// The enum is both the configuration-level name of a policy — `Copy`,
+/// `Eq`, `Hash`, cheap to put in sweep matrices — and its behavior:
+/// [`InsertionPolicy::should_insert`] is one `match` over the variants.
+/// A new policy is a new variant and its match arm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InsertionPolicy {
     /// Every produced value is written (Yung & Wilhelm's original
@@ -33,13 +29,15 @@ pub enum InsertionPolicy {
 }
 
 impl InsertionPolicy {
-    /// Builds the decider implementing this policy.
-    pub fn decider(self) -> Box<dyn InsertionDecider> {
+    /// `true` to write the value into the cache, `false` to filter it.
+    /// A pure function of the context, so runs stay deterministic.
+    #[inline]
+    pub fn should_insert(self, ctx: &InsertionContext) -> bool {
         match self {
-            InsertionPolicy::WriteAll => Box::new(WriteAllInsertion),
-            InsertionPolicy::NonBypass => Box::new(NonBypassInsertion),
-            InsertionPolicy::UseBased => Box::new(UseBasedInsertion),
-            InsertionPolicy::AdaptiveUseThreshold => Box::new(AdaptiveUseThresholdInsertion::new()),
+            InsertionPolicy::WriteAll => true,
+            InsertionPolicy::NonBypass => ctx.first_stage_bypasses == 0,
+            InsertionPolicy::UseBased => ctx.pinned || ctx.remaining > 0,
+            InsertionPolicy::AdaptiveUseThreshold => ctx.pinned || ctx.remaining >= ctx.threshold,
         }
     }
 }
@@ -47,9 +45,8 @@ impl InsertionPolicy {
 /// Register-cache replacement policy: which entry of a full set is
 /// evicted.
 ///
-/// Like [`InsertionPolicy`], this is the configuration-level name; the
-/// behavior is an object-safe [`ReplacementScorer`] built by
-/// [`ReplacementPolicy::scorer`].
+/// Like [`InsertionPolicy`], the enum is both the configuration-level
+/// name and the behavior ([`ReplacementPolicy::score`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
     /// Least-recently-used entry.
@@ -69,25 +66,34 @@ pub enum ReplacementPolicy {
 }
 
 impl ReplacementPolicy {
-    /// Builds the scorer implementing this policy.
-    pub fn scorer(self) -> Box<dyn ReplacementScorer> {
+    /// Scores one candidate victim; the cache evicts the entry of the
+    /// set whose score is smallest.
+    #[inline]
+    pub fn score(self, v: &VictimView) -> VictimScore {
         match self {
-            ReplacementPolicy::Lru => Box::new(LruScorer),
-            ReplacementPolicy::FewestUses => Box::new(FewestUsesScorer),
-            ReplacementPolicy::ExpectedHitCount => Box::new(ExpectedHitCountScorer),
+            // Pure recency, blind to use counts and pinning.
+            ReplacementPolicy::Lru => (false, 0, v.lru),
+            ReplacementPolicy::FewestUses => (v.pinned, v.uses as u64, v.lru),
+            ReplacementPolicy::ExpectedHitCount => {
+                // The fill proves the static prediction undercounted
+                // this value, so its `fill_default` counter (usually 0)
+                // understates its future.
+                let expected = if v.from_fill { v.uses.max(1) } else { v.uses };
+                (v.pinned, expected as u64, v.lru)
+            }
         }
     }
 }
 
-/// Per-thread telemetry handed to every policy object (and to the
-/// dynamic partitioner) at an epoch boundary.
+/// Per-thread telemetry of one closed epoch, returned by
+/// [`crate::RegisterCache::epoch_boundary`].
 ///
-/// Produced by the cache itself when [`CachePartition::DynamicCap`] is
-/// active: the simulator's epoch controller triggers the boundary, the
-/// cache gathers the deltas since the previous boundary, recomputes the
-/// per-thread quotas, and broadcasts the result through the
-/// [`InsertionDecider::on_epoch`] / [`ReplacementScorer::on_epoch`]
-/// hooks. All vectors are indexed by thread id and have one slot per
+/// Produced by the cache itself when a dynamic [`CachePartition`] is
+/// active: the simulator's epoch stage triggers the boundary, the cache
+/// gathers the deltas since the previous boundary, recomputes the
+/// per-thread quotas, and retunes the
+/// [`InsertionPolicy::AdaptiveUseThreshold`] thresholds from the
+/// result. All vectors are indexed by thread id and have one slot per
 /// SMT thread.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EpochFeedback {
@@ -138,36 +144,11 @@ pub struct InsertionContext {
     /// Consumers already satisfied from the first bypass stage — the
     /// only consumers visible to the write decision (§3.1).
     pub first_stage_bypasses: u32,
-    /// The producing SMT thread (always 0 on single-thread caches).
-    /// Feedback-driven deciders key per-thread state off this; the
-    /// static policies ignore it.
-    pub tid: usize,
-}
-
-/// Object-safe insertion decision: should this produced value occupy a
-/// cache entry at all?
-///
-/// Implementations must be pure functions of the context — the cache
-/// calls them on the configured write path and expects deterministic,
-/// state-free answers (determinism is what the golden-snapshot matrix
-/// pins).
-pub trait InsertionDecider: fmt::Debug + Send {
-    /// `true` to write the value into the cache, `false` to filter it.
-    fn should_insert(&self, ctx: &InsertionContext) -> bool;
-    /// Clones the decider behind the object (used by the shadow cache
-    /// and by cloning simulators).
-    fn clone_box(&self) -> Box<dyn InsertionDecider>;
-    /// Epoch-boundary feedback hook. The default is a no-op, so every
-    /// static policy is untouched by the feedback architecture (their
-    /// timing stays bit-identical to the pre-epoch model); adaptive
-    /// deciders override this to retune themselves from the telemetry.
-    fn on_epoch(&mut self, _fb: &EpochFeedback) {}
-}
-
-impl Clone for Box<dyn InsertionDecider> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
+    /// The producing thread's current minimum remaining-use count under
+    /// [`InsertionPolicy::AdaptiveUseThreshold`] (1, the use-based
+    /// baseline, until an epoch boundary retunes it). The other
+    /// policies ignore it.
+    pub threshold: u8,
 }
 
 /// What a replacement decision may consult about one candidate victim.
@@ -183,8 +164,6 @@ pub struct VictimView {
     pub from_fill: bool,
     /// Last-touch tick for recency ordering (larger = more recent).
     pub lru: u64,
-    /// Hits this entry has served since installation.
-    pub reads: u64,
 }
 
 /// A replacement preference key: the candidate with the *smallest* score
@@ -194,315 +173,47 @@ pub struct VictimView {
 /// deterministic.
 pub type VictimScore = (bool, u64, u64);
 
-/// Object-safe replacement scoring: rank a full set's entries for
-/// eviction.
-///
-/// Implementations must be deterministic functions of the
-/// [`VictimView`]; the cache evicts the entry whose score is smallest.
-pub trait ReplacementScorer: fmt::Debug + Send {
-    /// Scores one candidate; the set's minimum is evicted.
-    fn score(&self, v: &VictimView) -> VictimScore;
-    /// Clones the scorer behind the object.
-    fn clone_box(&self) -> Box<dyn ReplacementScorer>;
-    /// Epoch-boundary feedback hook (no-op by default; see
-    /// [`InsertionDecider::on_epoch`]).
-    fn on_epoch(&mut self, _fb: &EpochFeedback) {}
-}
-
-impl Clone for Box<dyn ReplacementScorer> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// [`InsertionPolicy::WriteAll`] as a decider.
-#[derive(Clone, Copy, Debug)]
-pub struct WriteAllInsertion;
-
-impl InsertionDecider for WriteAllInsertion {
-    fn should_insert(&self, _ctx: &InsertionContext) -> bool {
-        true
-    }
-    fn clone_box(&self) -> Box<dyn InsertionDecider> {
-        Box::new(*self)
-    }
-}
-
-/// [`InsertionPolicy::NonBypass`] as a decider.
-#[derive(Clone, Copy, Debug)]
-pub struct NonBypassInsertion;
-
-impl InsertionDecider for NonBypassInsertion {
-    fn should_insert(&self, ctx: &InsertionContext) -> bool {
-        ctx.first_stage_bypasses == 0
-    }
-    fn clone_box(&self) -> Box<dyn InsertionDecider> {
-        Box::new(*self)
-    }
-}
-
-/// [`InsertionPolicy::UseBased`] as a decider (§3.1).
-#[derive(Clone, Copy, Debug)]
-pub struct UseBasedInsertion;
-
-impl InsertionDecider for UseBasedInsertion {
-    fn should_insert(&self, ctx: &InsertionContext) -> bool {
-        ctx.pinned || ctx.remaining > 0
-    }
-    fn clone_box(&self) -> Box<dyn InsertionDecider> {
-        Box::new(*self)
-    }
-}
-
 /// Ceiling of the per-thread use threshold
 /// [`InsertionPolicy::AdaptiveUseThreshold`] may tighten to. Beyond
 /// this, filtering becomes so aggressive the cache starves on the
 /// kernels' mostly-degree-1/2 values.
 pub const ADAPTIVE_THRESHOLD_MAX: u8 = 3;
 
-/// [`InsertionPolicy::AdaptiveUseThreshold`] as a decider: the
-/// use-based filter with a per-thread minimum-use threshold retuned
-/// from [`EpochFeedback`].
+/// The per-thread thresholds [`InsertionPolicy::AdaptiveUseThreshold`]
+/// filters against, kept by the cache beside its policy and retuned
+/// from every [`EpochFeedback`] while that policy is configured.
 ///
 /// A thread that closed the epoch *at* its occupancy quota is fighting
 /// for space, so demanding more predicted uses per insertion (one more
 /// than before, capped at [`ADAPTIVE_THRESHOLD_MAX`]) keeps only its
 /// hottest values; a thread under quota relaxes back toward the
-/// baseline threshold of 1, which is exactly [`UseBasedInsertion`].
-/// Pinned values always insert, as in the base policy. Everything is a
-/// pure function of the feedback stream, so runs stay deterministic.
-#[derive(Clone, Debug)]
-pub struct AdaptiveUseThresholdInsertion {
-    /// Per-thread minimum remaining-use count; sized lazily on the
-    /// first epoch (an unseen thread uses the baseline of 1).
-    thresholds: Vec<u8>,
-}
+/// baseline threshold of 1, which is exactly
+/// [`InsertionPolicy::UseBased`]. Everything is a pure function of the
+/// feedback stream, so runs stay deterministic.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct UseThresholds(Vec<u8>);
 
-impl AdaptiveUseThresholdInsertion {
-    /// Starts at the use-based baseline (threshold 1 for every thread).
-    pub fn new() -> Self {
-        Self {
-            thresholds: Vec::new(),
+impl UseThresholds {
+    /// The threshold currently applied to `tid`; sized lazily on the
+    /// first epoch, so an unseen thread gets the baseline of 1.
+    #[inline]
+    pub(crate) fn get(&self, tid: usize) -> u8 {
+        self.0.get(tid).copied().unwrap_or(1)
+    }
+
+    /// Tightens each at-quota thread's threshold by one and relaxes
+    /// each under-quota thread's by one, within `1..=MAX`.
+    pub(crate) fn retune(&mut self, fb: &EpochFeedback) {
+        if self.0.len() < fb.new_caps.len() {
+            self.0.resize(fb.new_caps.len(), 1);
         }
-    }
-
-    /// The threshold currently applied to `tid`.
-    pub fn threshold(&self, tid: usize) -> u8 {
-        self.thresholds.get(tid).copied().unwrap_or(1)
-    }
-}
-
-impl Default for AdaptiveUseThresholdInsertion {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl InsertionDecider for AdaptiveUseThresholdInsertion {
-    fn should_insert(&self, ctx: &InsertionContext) -> bool {
-        ctx.pinned || ctx.remaining >= self.threshold(ctx.tid)
-    }
-    fn clone_box(&self) -> Box<dyn InsertionDecider> {
-        Box::new(self.clone())
-    }
-    fn on_epoch(&mut self, fb: &EpochFeedback) {
-        if self.thresholds.len() < fb.new_caps.len() {
-            self.thresholds.resize(fb.new_caps.len(), 1);
-        }
-        for (t, th) in self.thresholds.iter_mut().enumerate() {
+        for (t, th) in self.0.iter_mut().enumerate() {
             if fb.occupancy[t] >= fb.new_caps[t] {
                 *th = (*th + 1).min(ADAPTIVE_THRESHOLD_MAX);
             } else {
                 *th = th.saturating_sub(1).max(1);
             }
         }
-    }
-}
-
-/// [`ReplacementPolicy::Lru`] as a scorer: pure recency, blind to use
-/// counts and pinning.
-#[derive(Clone, Copy, Debug)]
-pub struct LruScorer;
-
-impl ReplacementScorer for LruScorer {
-    fn score(&self, v: &VictimView) -> VictimScore {
-        (false, 0, v.lru)
-    }
-    fn clone_box(&self) -> Box<dyn ReplacementScorer> {
-        Box::new(*self)
-    }
-}
-
-/// [`ReplacementPolicy::FewestUses`] as a scorer (§3.2): fewest
-/// remaining uses, LRU tie-break, pinned entries last.
-#[derive(Clone, Copy, Debug)]
-pub struct FewestUsesScorer;
-
-impl ReplacementScorer for FewestUsesScorer {
-    fn score(&self, v: &VictimView) -> VictimScore {
-        (v.pinned, v.uses as u64, v.lru)
-    }
-    fn clone_box(&self) -> Box<dyn ReplacementScorer> {
-        Box::new(*self)
-    }
-}
-
-/// [`ReplacementPolicy::ExpectedHitCount`] as a scorer: fewest
-/// *expected* hits. The expectation is the remaining-use counter, but
-/// an entry installed by a miss fill is floored at one expected hit —
-/// the fill proves the static prediction undercounted this value, so
-/// its `fill_default` counter (usually 0) understates its future.
-#[derive(Clone, Copy, Debug)]
-pub struct ExpectedHitCountScorer;
-
-impl ReplacementScorer for ExpectedHitCountScorer {
-    fn score(&self, v: &VictimView) -> VictimScore {
-        let expected = if v.from_fill {
-            (v.uses as u64).max(1)
-        } else {
-            v.uses as u64
-        };
-        (v.pinned, expected, v.lru)
-    }
-    fn clone_box(&self) -> Box<dyn ReplacementScorer> {
-        Box::new(*self)
-    }
-}
-
-/// Statically dispatched insertion decider: one enum variant per
-/// shipped [`InsertionPolicy`], plus a [`AnyInsertion::Custom`] escape
-/// hatch for user-supplied [`InsertionDecider`] implementations.
-///
-/// The cache stores this enum instead of a `Box<dyn InsertionDecider>`
-/// so the hot write path resolves the shipped policies with a jump
-/// table over inlined monomorphic bodies rather than a virtual call.
-/// Behavior is identical to dispatching through the boxed trait object
-/// — the golden-snapshot matrix and the equivalence proptests pin this
-/// — and the object-safe trait remains the extension seam: anything
-/// that implements [`InsertionDecider`] rides along in
-/// [`AnyInsertion::Custom`] with unchanged semantics.
-#[derive(Clone, Debug)]
-pub enum AnyInsertion {
-    /// [`InsertionPolicy::WriteAll`], statically dispatched.
-    WriteAll(WriteAllInsertion),
-    /// [`InsertionPolicy::NonBypass`], statically dispatched.
-    NonBypass(NonBypassInsertion),
-    /// [`InsertionPolicy::UseBased`], statically dispatched.
-    UseBased(UseBasedInsertion),
-    /// [`InsertionPolicy::AdaptiveUseThreshold`], statically
-    /// dispatched.
-    AdaptiveUseThreshold(AdaptiveUseThresholdInsertion),
-    /// A user-supplied decider, dispatched through the object-safe
-    /// trait exactly as before the enum existed.
-    Custom(Box<dyn InsertionDecider>),
-}
-
-impl AnyInsertion {
-    /// Builds the statically dispatched decider for a shipped policy.
-    pub fn from_policy(policy: InsertionPolicy) -> Self {
-        match policy {
-            InsertionPolicy::WriteAll => AnyInsertion::WriteAll(WriteAllInsertion),
-            InsertionPolicy::NonBypass => AnyInsertion::NonBypass(NonBypassInsertion),
-            InsertionPolicy::UseBased => AnyInsertion::UseBased(UseBasedInsertion),
-            InsertionPolicy::AdaptiveUseThreshold => {
-                AnyInsertion::AdaptiveUseThreshold(AdaptiveUseThresholdInsertion::new())
-            }
-        }
-    }
-
-    /// Forwards [`InsertionDecider::should_insert`] to the wrapped
-    /// decider without a virtual call for the shipped policies.
-    #[inline]
-    pub fn should_insert(&self, ctx: &InsertionContext) -> bool {
-        match self {
-            AnyInsertion::WriteAll(d) => d.should_insert(ctx),
-            AnyInsertion::NonBypass(d) => d.should_insert(ctx),
-            AnyInsertion::UseBased(d) => d.should_insert(ctx),
-            AnyInsertion::AdaptiveUseThreshold(d) => d.should_insert(ctx),
-            AnyInsertion::Custom(d) => d.should_insert(ctx),
-        }
-    }
-
-    /// Forwards [`InsertionDecider::on_epoch`] to the wrapped decider
-    /// (cold path: fires once per epoch boundary, not per access).
-    pub fn on_epoch(&mut self, fb: &EpochFeedback) {
-        match self {
-            AnyInsertion::WriteAll(d) => d.on_epoch(fb),
-            AnyInsertion::NonBypass(d) => d.on_epoch(fb),
-            AnyInsertion::UseBased(d) => d.on_epoch(fb),
-            AnyInsertion::AdaptiveUseThreshold(d) => d.on_epoch(fb),
-            AnyInsertion::Custom(d) => d.on_epoch(fb),
-        }
-    }
-}
-
-impl From<Box<dyn InsertionDecider>> for AnyInsertion {
-    /// Wraps a boxed decider in the escape-hatch variant.
-    fn from(decider: Box<dyn InsertionDecider>) -> Self {
-        AnyInsertion::Custom(decider)
-    }
-}
-
-/// Statically dispatched replacement scorer: one enum variant per
-/// shipped [`ReplacementPolicy`], plus a [`AnyScorer::Custom`] escape
-/// hatch for user-supplied [`ReplacementScorer`] implementations.
-///
-/// The victim-selection loop scores every entry of a set, so this is
-/// the hottest policy seam in the cache; see [`AnyInsertion`] for the
-/// dispatch rationale.
-#[derive(Clone, Debug)]
-pub enum AnyScorer {
-    /// [`ReplacementPolicy::Lru`], statically dispatched.
-    Lru(LruScorer),
-    /// [`ReplacementPolicy::FewestUses`], statically dispatched.
-    FewestUses(FewestUsesScorer),
-    /// [`ReplacementPolicy::ExpectedHitCount`], statically dispatched.
-    ExpectedHitCount(ExpectedHitCountScorer),
-    /// A user-supplied scorer, dispatched through the object-safe
-    /// trait exactly as before the enum existed.
-    Custom(Box<dyn ReplacementScorer>),
-}
-
-impl AnyScorer {
-    /// Builds the statically dispatched scorer for a shipped policy.
-    pub fn from_policy(policy: ReplacementPolicy) -> Self {
-        match policy {
-            ReplacementPolicy::Lru => AnyScorer::Lru(LruScorer),
-            ReplacementPolicy::FewestUses => AnyScorer::FewestUses(FewestUsesScorer),
-            ReplacementPolicy::ExpectedHitCount => {
-                AnyScorer::ExpectedHitCount(ExpectedHitCountScorer)
-            }
-        }
-    }
-
-    /// Forwards [`ReplacementScorer::score`] to the wrapped scorer
-    /// without a virtual call for the shipped policies.
-    #[inline]
-    pub fn score(&self, v: &VictimView) -> VictimScore {
-        match self {
-            AnyScorer::Lru(s) => s.score(v),
-            AnyScorer::FewestUses(s) => s.score(v),
-            AnyScorer::ExpectedHitCount(s) => s.score(v),
-            AnyScorer::Custom(s) => s.score(v),
-        }
-    }
-
-    /// Forwards [`ReplacementScorer::on_epoch`] to the wrapped scorer
-    /// (cold path: fires once per epoch boundary, not per access).
-    pub fn on_epoch(&mut self, fb: &EpochFeedback) {
-        match self {
-            AnyScorer::Lru(s) => s.on_epoch(fb),
-            AnyScorer::FewestUses(s) => s.on_epoch(fb),
-            AnyScorer::ExpectedHitCount(s) => s.on_epoch(fb),
-            AnyScorer::Custom(s) => s.on_epoch(fb),
-        }
-    }
-}
-
-impl From<Box<dyn ReplacementScorer>> for AnyScorer {
-    /// Wraps a boxed scorer in the escape-hatch variant.
-    fn from(scorer: Box<dyn ReplacementScorer>) -> Self {
-        AnyScorer::Custom(scorer)
     }
 }
 
@@ -571,16 +282,6 @@ impl CachePartition {
             self,
             CachePartition::DynamicCap { .. } | CachePartition::DynamicWay { .. }
         )
-    }
-
-    /// The repartition period of a dynamic partition (`None` for the
-    /// static policies).
-    pub fn epoch_cycles(&self) -> Option<u64> {
-        match *self {
-            CachePartition::DynamicCap { epoch_cycles, .. }
-            | CachePartition::DynamicWay { epoch_cycles } => Some(epoch_cycles),
-            _ => None,
-        }
     }
 }
 
@@ -824,38 +525,38 @@ mod tests {
             pinned,
             from_fill,
             lru,
-            reads: 0,
+        }
+    }
+
+    fn ctx(remaining: u8, pinned: bool, first_stage_bypasses: u32) -> InsertionContext {
+        InsertionContext {
+            remaining,
+            pinned,
+            first_stage_bypasses,
+            threshold: 1,
         }
     }
 
     #[test]
-    fn deciders_match_their_enum_semantics() {
-        let ctx = |remaining, pinned, first_stage_bypasses| InsertionContext {
-            remaining,
-            pinned,
-            first_stage_bypasses,
-            tid: 0,
-        };
-        let write_all = InsertionPolicy::WriteAll.decider();
-        assert!(write_all.should_insert(&ctx(0, false, 5)));
+    fn insertion_policies_decide_per_their_definitions() {
+        use InsertionPolicy::*;
+        assert!(WriteAll.should_insert(&ctx(0, false, 5)));
 
-        let non_bypass = InsertionPolicy::NonBypass.decider();
-        assert!(non_bypass.should_insert(&ctx(0, false, 0)));
-        assert!(!non_bypass.should_insert(&ctx(3, false, 1)));
+        assert!(NonBypass.should_insert(&ctx(0, false, 0)));
+        assert!(!NonBypass.should_insert(&ctx(3, false, 1)));
 
-        let use_based = InsertionPolicy::UseBased.decider();
-        assert!(use_based.should_insert(&ctx(1, false, 4)));
-        assert!(use_based.should_insert(&ctx(0, true, 4)));
-        assert!(!use_based.should_insert(&ctx(0, false, 1)));
+        assert!(UseBased.should_insert(&ctx(1, false, 4)));
+        assert!(UseBased.should_insert(&ctx(0, true, 4)));
+        assert!(!UseBased.should_insert(&ctx(0, false, 1)));
     }
 
     #[test]
-    fn scorers_rank_victims_like_their_enum_semantics() {
-        let lru = ReplacementPolicy::Lru.scorer();
+    fn replacement_policies_rank_victims_per_their_definitions() {
+        let lru = ReplacementPolicy::Lru;
         // Pure recency: a pinned high-use entry with an older tick loses.
         assert!(lru.score(&view(7, true, false, 1)) < lru.score(&view(0, false, false, 2)));
 
-        let fu = ReplacementPolicy::FewestUses.scorer();
+        let fu = ReplacementPolicy::FewestUses;
         assert!(fu.score(&view(0, false, false, 9)) < fu.score(&view(1, false, false, 1)));
         // Pinned entries are only chosen when everything is pinned.
         assert!(fu.score(&view(7, false, false, 9)) < fu.score(&view(0, true, false, 1)));
@@ -863,8 +564,8 @@ mod tests {
 
     #[test]
     fn expected_hit_count_floors_fill_entries_at_one() {
-        let ehc = ReplacementPolicy::ExpectedHitCount.scorer();
-        let fu = ReplacementPolicy::FewestUses.scorer();
+        let ehc = ReplacementPolicy::ExpectedHitCount;
+        let fu = ReplacementPolicy::FewestUses;
         // A zero-use write-installed entry is a better victim than a
         // zero-use fill-installed one (the fill is evidence of future
         // hits); FewestUses cannot tell them apart.
@@ -874,24 +575,6 @@ mod tests {
         assert!(fu.score(&dead_fill) < fu.score(&dead_write));
         // Above zero the floor is inert: counters dominate as usual.
         assert!(ehc.score(&view(1, false, true, 9)) < ehc.score(&view(2, false, false, 1)));
-    }
-
-    #[test]
-    fn boxed_policies_clone_and_stay_deterministic() {
-        let scorer = ReplacementPolicy::ExpectedHitCount.scorer();
-        let cloned = scorer.clone();
-        let v = view(3, false, true, 17);
-        assert_eq!(scorer.score(&v), cloned.score(&v));
-
-        let decider = InsertionPolicy::UseBased.decider();
-        let cloned = decider.clone();
-        let c = InsertionContext {
-            remaining: 0,
-            pinned: true,
-            first_stage_bypasses: 2,
-            tid: 0,
-        };
-        assert_eq!(decider.should_insert(&c), cloned.should_insert(&c));
     }
 
     #[test]
@@ -912,92 +595,67 @@ mod tests {
 
     #[test]
     fn adaptive_threshold_starts_as_use_based() {
-        let d = InsertionPolicy::AdaptiveUseThreshold.decider();
-        let ub = InsertionPolicy::UseBased.decider();
+        let thresholds = UseThresholds::default();
         for remaining in 0..4u8 {
             for pinned in [false, true] {
                 let c = InsertionContext {
-                    remaining,
-                    pinned,
-                    first_stage_bypasses: 0,
-                    tid: 1,
+                    threshold: thresholds.get(1),
+                    ..ctx(remaining, pinned, 0)
                 };
-                assert_eq!(d.should_insert(&c), ub.should_insert(&c));
+                assert_eq!(
+                    InsertionPolicy::AdaptiveUseThreshold.should_insert(&c),
+                    InsertionPolicy::UseBased.should_insert(&c)
+                );
             }
         }
     }
 
     #[test]
     fn adaptive_threshold_tightens_at_quota_and_relaxes_under_it() {
-        let mut d = AdaptiveUseThresholdInsertion::new();
+        let mut th = UseThresholds::default();
         // Thread 0 sits at its quota, thread 1 is well under.
-        d.on_epoch(&feedback(vec![8, 2], vec![8, 8]));
-        assert_eq!(d.threshold(0), 2);
-        assert_eq!(d.threshold(1), 1);
-        let at = |remaining, tid| InsertionContext {
-            remaining,
-            pinned: false,
-            first_stage_bypasses: 0,
-            tid,
+        th.retune(&feedback(vec![8, 2], vec![8, 8]));
+        assert_eq!(th.get(0), 2);
+        assert_eq!(th.get(1), 1);
+        let adaptive = InsertionPolicy::AdaptiveUseThreshold;
+        let at = |remaining, pinned, tid| InsertionContext {
+            threshold: th.get(tid),
+            ..ctx(remaining, pinned, 0)
         };
         assert!(
-            !d.should_insert(&at(1, 0)),
+            !adaptive.should_insert(&at(1, false, 0)),
             "over-quota thread filters 1-use"
         );
-        assert!(d.should_insert(&at(2, 0)));
+        assert!(adaptive.should_insert(&at(2, false, 0)));
         assert!(
-            d.should_insert(&at(1, 1)),
+            adaptive.should_insert(&at(1, false, 1)),
             "under-quota thread keeps baseline"
         );
         // Pinned values always insert regardless of the threshold.
-        assert!(d.should_insert(&InsertionContext {
-            remaining: 0,
-            pinned: true,
-            first_stage_bypasses: 0,
-            tid: 0,
-        }));
+        assert!(adaptive.should_insert(&at(0, true, 0)));
         // The threshold saturates at the ceiling...
         for _ in 0..10 {
-            d.on_epoch(&feedback(vec![8, 2], vec![8, 8]));
+            th.retune(&feedback(vec![8, 2], vec![8, 8]));
         }
-        assert_eq!(d.threshold(0), ADAPTIVE_THRESHOLD_MAX);
+        assert_eq!(th.get(0), ADAPTIVE_THRESHOLD_MAX);
         // ...and relaxes back down to 1 when the pressure lifts.
         for _ in 0..10 {
-            d.on_epoch(&feedback(vec![1, 2], vec![8, 8]));
+            th.retune(&feedback(vec![1, 2], vec![8, 8]));
         }
-        assert_eq!(d.threshold(0), 1);
+        assert_eq!(th.get(0), 1);
     }
 
     #[test]
-    fn adaptive_threshold_clones_with_its_state() {
-        let mut d = AdaptiveUseThresholdInsertion::new();
-        d.on_epoch(&feedback(vec![8], vec![8]));
-        let cloned = d.clone_box();
-        let c = InsertionContext {
-            remaining: 1,
-            pinned: false,
-            first_stage_bypasses: 0,
-            tid: 0,
-        };
-        assert_eq!(d.should_insert(&c), cloned.should_insert(&c));
-        assert!(!cloned.should_insert(&c));
-    }
-
-    #[test]
-    fn partition_dynamic_helpers() {
+    fn partition_dynamic_helper() {
         assert!(!CachePartition::Shared.is_dynamic());
         assert!(!CachePartition::WayPartition.is_dynamic());
+        assert!(!CachePartition::OccupancyCap.is_dynamic());
         assert!(CachePartition::DynamicCap {
             epoch_cycles: 128,
             min_cap: 4
         }
         .is_dynamic());
         assert!(CachePartition::DynamicWay { epoch_cycles: 128 }.is_dynamic());
-        assert_eq!(
-            CachePartition::DynamicWay { epoch_cycles: 128 }.epoch_cycles(),
-            Some(128)
-        );
-        assert_eq!(CachePartition::OccupancyCap.epoch_cycles(), None);
     }
 
     #[test]

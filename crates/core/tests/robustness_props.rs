@@ -207,7 +207,7 @@ proptest! {
         let nthreads = 4;
         let nsets = cfg.entries / cfg.ways;
         let mut cache = RegisterCache::new_smt(cfg, NPREGS, nthreads);
-        let cap = cache.occupancy_cap().expect("OccupancyCap mode has a cap");
+        let cap = cache.current_cap(0).expect("OccupancyCap mode has a cap");
         prop_assert_eq!(cap, 4);
         let set_of = |preg: u8| (preg as usize % nsets) as u16;
         let mut live = [false; NPREGS];

@@ -1,19 +1,19 @@
-//! Epoch stage: the feedback tick driving the dynamic partition
-//! controllers ([`ubrc_core::CachePartition::DynamicCap`] and
+//! Epoch stage: the feedback tick driving the dynamic partitions
+//! ([`ubrc_core::CachePartition::DynamicCap`] and
 //! [`ubrc_core::CachePartition::DynamicWay`]).
 //!
 //! Runs last in [`super::SCHEDULE`], after every cycle's reads and
 //! writes have landed, so an epoch boundary observes a consistent
-//! end-of-cycle cache state. Whenever the cache's
-//! [`ubrc_core::PartitionController`] reports a boundary due — every
+//! end-of-cycle cache state. Whenever the register cache reports a
+//! boundary due ([`ubrc_core::RegisterCache::epoch_due`]) — every
 //! `epoch_cycles`-th cycle, or at the variable instants an
 //! [`ubrc_core::EpochAdapt`] pacer schedules — it asks the register
 //! cache to close the epoch: the cache snapshots its per-thread
 //! hit/miss deltas, reruns the lookahead utility partitioner over the
 //! shadow-tag monitors, enforces the new quotas or way map, and
-//! broadcasts the resulting [`ubrc_core::EpochFeedback`] to the policy
-//! hooks. This stage only decides *when to ask* — all repartitioning
-//! state lives in `ubrc-core`.
+//! retunes the adaptive use thresholds from the resulting
+//! [`ubrc_core::EpochFeedback`]. This stage only decides *when to ask*
+//! — all repartitioning state lives in `ubrc-core`.
 //!
 //! Everything is keyed off the cycle counter — no RNG, no wall clock —
 //! so dynamic repartitioning is exactly as reproducible as the rest of

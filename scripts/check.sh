@@ -13,7 +13,7 @@ cargo clippy --workspace -- -D warnings
 echo "== cargo doc --no-deps (warnings denied)"
 # Vendored third_party crates are workspace members but not ours to fix.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
-  --exclude proptest --exclude criterion --exclude rand
+  --exclude proptest --exclude rand
 
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release

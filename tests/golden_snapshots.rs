@@ -407,7 +407,7 @@ fn cells() -> Vec<Cell> {
             });
         }
     }
-    // Dynamic way partitioning on the `PartitionController` seam: the
+    // Dynamic way partitioning (`CachePartition::DynamicWay`): the
     // quads at a 64-entry 8-way geometry (four threads start with two
     // ways each, so the UMON-guided way partitioner has whole ways to
     // move), once on the fixed 128-cycle epoch grid per scheme and once

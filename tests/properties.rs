@@ -5,11 +5,24 @@
 
 use proptest::prelude::*;
 use ubrc::core::{
-    controller_for, CachePartition, IndexAssigner, IndexPolicy, InsertionPolicy, PhysReg,
-    RegCacheConfig, RegisterCache, ReplacementPolicy, UseTracker, WriteOutcome,
+    IndexAssigner, IndexPolicy, InsertionPolicy, PhysReg, RegCacheConfig, RegisterCache,
+    ReplacementPolicy, UseTracker, WriteOutcome,
 };
 
 const NPREGS: usize = 48;
+
+const INSERTION_POLICIES: [InsertionPolicy; 4] = [
+    InsertionPolicy::WriteAll,
+    InsertionPolicy::NonBypass,
+    InsertionPolicy::UseBased,
+    InsertionPolicy::AdaptiveUseThreshold,
+];
+
+const REPLACEMENT_POLICIES: [ReplacementPolicy; 3] = [
+    ReplacementPolicy::Lru,
+    ReplacementPolicy::FewestUses,
+    ReplacementPolicy::ExpectedHitCount,
+];
 
 /// One legal-by-construction cache operation. The applier tracks
 /// per-preg lifecycle so `produce`/`write`/`free` stay well-ordered.
@@ -141,126 +154,26 @@ fn exercise_cache(mut cache: RegisterCache, ops: &[Op]) {
     }
 }
 
-/// Applies one op stream to two caches in lockstep, asserting every
-/// externally visible decision (insertion outcome, read hit/miss,
-/// occupancy) matches at every step.
-fn exercise_lockstep(a: &mut RegisterCache, b: &mut RegisterCache, ops: &[Op]) {
-    let sets = a.config().sets() as u16;
-    let mut life = [Life::Free; NPREGS];
-    let mut set_of = [0u16; NPREGS];
-    let mut now = 0u64;
-    for (i, &op) in ops.iter().enumerate() {
-        now += 1;
-        match op {
-            Op::Produce { preg } => {
-                if life[preg as usize] == Life::Free {
-                    a.produce(PhysReg(preg as u16));
-                    b.produce(PhysReg(preg as u16));
-                    set_of[preg as usize] = preg as u16 % sets;
-                    life[preg as usize] = Life::Produced;
-                }
-            }
-            Op::Write {
-                preg,
-                remaining,
-                pinned,
-                bypasses,
-            } => {
-                if life[preg as usize] == Life::Produced {
-                    let p = PhysReg(preg as u16);
-                    let set = set_of[preg as usize];
-                    let oa = a.write(p, set, remaining, pinned, bypasses as u32, now);
-                    let ob = b.write(p, set, remaining, pinned, bypasses as u32, now);
-                    assert_eq!(oa, ob, "insertion decision diverged at op {i}");
-                    life[preg as usize] = Life::Written;
-                }
-            }
-            Op::Read { preg } => {
-                if life[preg as usize] == Life::Written {
-                    let p = PhysReg(preg as u16);
-                    let set = set_of[preg as usize];
-                    let ha = a.read(p, set, now);
-                    let hb = b.read(p, set, now);
-                    assert_eq!(ha, hb, "hit/miss (replacement victim) diverged at op {i}");
-                    if !ha {
-                        a.fill(p, set, now);
-                        b.fill(p, set, now);
-                    }
-                }
-            }
-            Op::Free { preg } => {
-                if life[preg as usize] != Life::Free {
-                    a.free(PhysReg(preg as u16), set_of[preg as usize], now);
-                    b.free(PhysReg(preg as u16), set_of[preg as usize], now);
-                    life[preg as usize] = Life::Free;
-                }
-            }
-        }
-        assert_eq!(a.occupancy(), b.occupancy(), "occupancy diverged at op {i}");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Tentpole invariant: the monomorphic enum fast paths
-    /// (`AnyInsertion` / `AnyScorer` / `AnyController`) and the
-    /// `Custom(Box<dyn ...>)` escape hatch wrapping the *same* shipped
-    /// policy make identical decisions on identical access sequences —
-    /// devirtualizing the hot path changed dispatch, not behavior.
-    #[test]
-    fn enum_dispatch_matches_custom_boxed_policies(
-        ops in proptest::collection::vec(op_strategy(), 1..400),
-        insertion in prop_oneof![
-            Just(InsertionPolicy::WriteAll),
-            Just(InsertionPolicy::NonBypass),
-            Just(InsertionPolicy::UseBased),
-            Just(InsertionPolicy::AdaptiveUseThreshold),
-        ],
-        replacement in prop_oneof![
-            Just(ReplacementPolicy::Lru),
-            Just(ReplacementPolicy::FewestUses),
-            Just(ReplacementPolicy::ExpectedHitCount),
-        ],
-        partition_pick in 0usize..5,
-    ) {
-        let mut config = RegCacheConfig::use_based(16, 4);
-        config.insertion = insertion;
-        config.replacement = replacement;
-        let (nthreads, partition) = match partition_pick {
-            0 => (1, CachePartition::Shared),
-            1 => (2, CachePartition::WayPartition),
-            2 => (2, CachePartition::OccupancyCap),
-            3 => (2, CachePartition::DynamicCap { epoch_cycles: 64, min_cap: 2 }),
-            _ => (2, CachePartition::DynamicWay { epoch_cycles: 64 }),
-        };
-        config.partition = partition;
-        let mut enum_cache = RegisterCache::new_smt(config, NPREGS, nthreads);
-        let mut custom_cache = RegisterCache::new_smt(config, NPREGS, nthreads);
-        custom_cache.set_insertion(insertion.decider());
-        custom_cache.set_replacement(replacement.scorer());
-        custom_cache.set_partition(controller_for(&config, nthreads));
-        exercise_lockstep(&mut enum_cache, &mut custom_cache, &ops);
-        prop_assert_eq!(
-            format!("{:?}", enum_cache.stats()),
-            format!("{:?}", custom_cache.stats()),
-            "statistics diverged between enum and Custom dispatch"
-        );
-    }
-
+    /// Every insertion × replacement pair (each arm of both policy
+    /// `match`es) keeps the cache's invariants under the same random
+    /// operations.
     #[test]
     fn register_cache_invariants_hold_under_random_ops(
         ops in proptest::collection::vec(op_strategy(), 1..400),
         ways in prop_oneof![Just(1usize), Just(2), Just(4), Just(16)],
-        use_based in any::<bool>(),
     ) {
-        let mut config = if use_based {
-            RegCacheConfig::use_based(16, ways)
-        } else {
-            RegCacheConfig::lru(16, ways)
-        };
-        config.classify_misses = true;
-        exercise_cache(RegisterCache::new(config, NPREGS), &ops);
+        for insertion in INSERTION_POLICIES {
+            for replacement in REPLACEMENT_POLICIES {
+                let mut config = RegCacheConfig::use_based(16, ways);
+                config.insertion = insertion;
+                config.replacement = replacement;
+                config.classify_misses = true;
+                exercise_cache(RegisterCache::new(config, NPREGS), &ops);
+            }
+        }
     }
 
     #[test]
