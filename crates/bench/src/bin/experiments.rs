@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! experiments <id|all> [--scale tiny|small|default] [--json [PATH]]
-//!             [--check] [--timeout SECS] [--retries N] [--profile]
+//!             [--check] [--timeout SECS] [--profile]
 //! experiments --json            # trajectory only -> BENCH_pipeline.json
 //! experiments --list            # print available experiment ids
 //! ```
@@ -13,27 +13,22 @@
 //! oracle + per-cycle invariant checker) for every simulation;
 //! `--timeout SECS` gives each simulation cell a wall-clock budget,
 //! after which it is cancelled and reported as a typed timeout;
-//! `--retries N` re-runs a cell up to N extra times (with exponential
-//! backoff) when it fails transiently — timeout or panic — before the
-//! failure is recorded; `--profile` turns on the per-stage
-//! self-profiling layer (wall-time and call counts per pipeline stage,
-//! reported in the trajectory JSON; zero-cost when off and never a
-//! change to simulated timing). All four reach the runner through the
-//! `UBRC_CHECK` / `UBRC_TIMEOUT_SECS` / `UBRC_RETRIES` /
-//! `UBRC_PROFILE` environment variables, so they compose with every
-//! experiment.
+//! `--profile` turns on the per-stage self-profiling layer (wall-time
+//! and call counts per pipeline stage, reported in the trajectory JSON;
+//! zero-cost when off and never a change to simulated timing). All
+//! three reach the runner through the `UBRC_CHECK` /
+//! `UBRC_TIMEOUT_SECS` / `UBRC_PROFILE` environment variables, so they
+//! compose with every experiment.
 //!
-//! Selected experiments run concurrently: each gets a coordinator
-//! thread, and every individual simulation anywhere in the process
-//! goes through one bounded worker pool (see `ubrc_bench::run_one`),
-//! so total CPU use stays at the machine's parallelism no matter how
-//! many experiments are in flight. Reports still print in registry
-//! order.
+//! Selected experiments run one after another, in registry order, and
+//! each prints its table as soon as it finishes. Within an experiment,
+//! every simulation goes through one `ubrc_bench::run_cells` call,
+//! which runs them on at most `UBRC_BENCH_WORKERS` threads (default:
+//! the machine's available parallelism).
 
 use std::time::Instant;
 use ubrc_bench::experiments::registry;
 use ubrc_bench::pipeline_trajectory;
-use ubrc_stats::Table;
 use ubrc_workloads::Scale;
 
 struct Cli {
@@ -42,7 +37,6 @@ struct Cli {
     json: Option<String>,
     check: bool,
     timeout: Option<u64>,
-    retries: Option<u32>,
     profile: bool,
     list: bool,
 }
@@ -54,7 +48,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         json: None,
         check: false,
         timeout: None,
-        retries: None,
         profile: false,
         list: false,
     };
@@ -95,13 +88,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     _ => return Err("--timeout needs a positive integer of seconds".into()),
                 };
             }
-            "--retries" => {
-                i += 1;
-                cli.retries = match args.get(i).and_then(|v| v.parse::<u32>().ok()) {
-                    Some(n) => Some(n),
-                    None => return Err("--retries needs a non-negative integer".into()),
-                };
-            }
             other if cli.which.is_none() && !other.starts_with("--") => {
                 cli.which = Some(other.to_string())
             }
@@ -126,9 +112,6 @@ fn main() {
     if let Some(secs) = cli.timeout {
         std::env::set_var("UBRC_TIMEOUT_SECS", secs.to_string());
     }
-    if let Some(n) = cli.retries {
-        std::env::set_var("UBRC_RETRIES", n.to_string());
-    }
     if cli.profile {
         std::env::set_var("UBRC_PROFILE", "1");
     }
@@ -145,13 +128,12 @@ fn main() {
     if cli.which.is_none() && cli.json.is_none() {
         eprintln!(
             "usage: experiments <id|all> [--scale tiny|small|default] [--json [PATH]]\n\
-             \x20                 [--check] [--timeout SECS] [--retries N] [--profile]\n\
+             \x20                 [--check] [--timeout SECS] [--profile]\n\
              \n\
              --list         print the available experiment ids and exit\n\
              --json [PATH]  also run the benchmark trajectory and write it as JSON\n\
              --check        enable the co-simulation oracle and invariant checker\n\
              --timeout SECS wall-clock budget per simulation cell\n\
-             --retries N    extra attempts per cell on transient failures\n\
              --profile      attribute wall-time to pipeline stages in the JSON\n\
              \n\
              available experiments:"
@@ -177,25 +159,11 @@ fn main() {
 
     let scale = cli.scale;
     let mut failed = false;
-
-    // One coordinator thread per experiment; the worker gate inside
-    // run_one() bounds actual concurrent simulations.
-    let mut results: Vec<Option<(Result<Table, _>, f64)>> = Vec::new();
-    results.resize_with(selected.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot, (_, _, f)) in results.iter_mut().zip(&selected) {
-            scope.spawn(move || {
-                let t0 = Instant::now();
-                let table = f(scale);
-                *slot = Some((table, t0.elapsed().as_secs_f64()));
-            });
-        }
-    });
-
-    for ((id, desc, _), result) in selected.iter().zip(results) {
-        let (table, secs) = result.expect("scope joined every coordinator");
-        match table {
+    for (id, desc, f) in &selected {
+        let t0 = Instant::now();
+        match f(scale) {
             Ok(table) => {
+                let secs = t0.elapsed().as_secs_f64();
                 println!("## {id} — {desc}  [scale={scale:?}, {secs:.1}s]");
                 println!("{table}");
             }
@@ -263,5 +231,13 @@ mod tests {
             assert_eq!(cli.which.as_deref(), Some("fig7"));
         }
         assert_eq!(parse(&["fig7"]).unwrap().scale, Scale::Default);
+    }
+
+    #[test]
+    fn removed_retry_flag_is_rejected() {
+        let err = parse(&["fig7", "--retries", "1"])
+            .err()
+            .expect("unknown flag rejected");
+        assert_eq!(err, "unexpected argument `--retries`");
     }
 }

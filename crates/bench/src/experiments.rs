@@ -5,11 +5,11 @@
 //! workloads, and scale — see DESIGN.md); the *shapes* are the
 //! reproduction target and are recorded in EXPERIMENTS.md.
 
-use crate::runner::{run_one, run_suite, SuiteError, SuiteResult};
-use ubrc_core::{CachePartition, IndexPolicy, RegCacheConfig, TwoLevelConfig};
-use ubrc_sim::{RegStorage, SimConfig};
-use ubrc_stats::Table;
-use ubrc_workloads::{synthetic::SyntheticSpec, Scale};
+use crate::runner::{kernel_groups, run_cells, Cell, RunOptions, SuiteError};
+use ubrc_core::{CachePartition, EpochAdapt, IndexPolicy, RegCacheConfig, TwoLevelConfig};
+use ubrc_sim::{RegStorage, SimConfig, SimResult};
+use ubrc_stats::{geomean, Table};
+use ubrc_workloads::{synthetic::SyntheticSpec, Scale, Workload};
 
 /// Builds a cached-storage configuration.
 fn cached_cfg(cache: RegCacheConfig, index: IndexPolicy, backing: u32) -> SimConfig {
@@ -25,32 +25,23 @@ fn cached_cfg(cache: RegCacheConfig, index: IndexPolicy, backing: u32) -> SimCon
 /// with the indexing used throughout §5.4-§5.5 (round-robin for the
 /// reference designs, filtered round-robin for use-based).
 fn schemes(entries: usize, ways: usize, backing: u32) -> Vec<(&'static str, SimConfig)> {
-    vec![
-        (
-            "lru",
-            cached_cfg(
-                RegCacheConfig::lru(entries, ways),
-                IndexPolicy::RoundRobin,
-                backing,
-            ),
-        ),
+    type Ctor = fn(usize, usize) -> RegCacheConfig;
+    [
+        ("lru", RegCacheConfig::lru as Ctor, IndexPolicy::RoundRobin),
         (
             "non-bypass",
-            cached_cfg(
-                RegCacheConfig::non_bypass(entries, ways),
-                IndexPolicy::RoundRobin,
-                backing,
-            ),
+            RegCacheConfig::non_bypass,
+            IndexPolicy::RoundRobin,
         ),
         (
             "use-based",
-            cached_cfg(
-                RegCacheConfig::use_based(entries, ways),
-                IndexPolicy::FilteredRoundRobin,
-                backing,
-            ),
+            RegCacheConfig::use_based,
+            IndexPolicy::FilteredRoundRobin,
         ),
     ]
+    .into_iter()
+    .map(|(name, ctor, index)| (name, cached_cfg(ctor(entries, ways), index, backing)))
+    .collect()
 }
 
 fn mono_cfg(latency: u32) -> SimConfig {
@@ -128,12 +119,113 @@ pub fn table1() -> Table {
     t
 }
 
+/// The successful runs of one configuration over a set of kernel
+/// groups: `(label, result)` pairs in group order.
+struct SuiteResult {
+    runs: Vec<(String, SimResult)>,
+}
+
+impl SuiteResult {
+    /// Geometric-mean IPC across the runs.
+    fn geomean_ipc(&self) -> f64 {
+        let ipcs: Vec<f64> = self.runs.iter().map(|(_, r)| r.ipc()).collect();
+        geomean(&ipcs).unwrap_or(0.0)
+    }
+
+    /// Arithmetic mean of a per-run metric, skipping runs where the
+    /// metric is undefined.
+    fn mean_of<F>(&self, f: F) -> Option<f64>
+    where
+        F: Fn(&SimResult) -> Option<f64>,
+    {
+        let vals: Vec<f64> = self.runs.iter().filter_map(|(_, r)| f(r)).collect();
+        if vals.is_empty() {
+            None
+        } else {
+            Some(vals.iter().sum::<f64>() / vals.len() as f64)
+        }
+    }
+}
+
+/// Runs every config over every set of kernel groups — all cells in one
+/// [`run_cells`] call — and returns one [`SuiteResult`] per (config,
+/// set) pair, config-major.
+///
+/// # Errors
+///
+/// The [`SuiteError`] of the first failed cell, in cell order.
+fn run_matrix(
+    configs: &[SimConfig],
+    sets: &[Vec<Vec<Workload>>],
+) -> Result<Vec<SuiteResult>, SuiteError> {
+    let cells: Vec<Cell<'_>> = configs
+        .iter()
+        .flat_map(|config| {
+            sets.iter().flatten().map(move |g| Cell {
+                workloads: g,
+                config,
+            })
+        })
+        .collect();
+    let mut outcomes = cells.iter().zip(run_cells(&cells, &RunOptions::from_env()));
+    let mut out = Vec::with_capacity(configs.len() * sets.len());
+    for _ in configs {
+        for set in sets {
+            let runs = outcomes
+                .by_ref()
+                .take(set.len())
+                .map(|(cell, r)| Ok((cell.label(), r?)))
+                .collect::<Result<_, SuiteError>>()?;
+            out.push(SuiteResult { runs });
+        }
+    }
+    Ok(out)
+}
+
+/// [`run_matrix`] over the single-thread kernel suite.
+fn run_suites(configs: &[SimConfig], scale: Scale) -> Result<Vec<SuiteResult>, SuiteError> {
+    run_matrix(configs, &[kernel_groups(1, scale)])
+}
+
+/// [`run_suites`] over labelled configs: each label with its config's
+/// results, in order.
+fn run_labelled<L>(
+    rows: impl IntoIterator<Item = (L, SimConfig)>,
+    scale: Scale,
+) -> Result<Vec<(L, SuiteResult)>, SuiteError> {
+    let (labels, configs): (Vec<L>, Vec<SimConfig>) = rows.into_iter().unzip();
+    Ok(labels
+        .into_iter()
+        .zip(run_suites(&configs, scale)?)
+        .collect())
+}
+
+/// A table cell holding a suite's geometric-mean IPC.
+fn ipc(res: &SuiteResult) -> String {
+    format!("{:.4}", res.geomean_ipc())
+}
+
+/// A table row: `label`, then the geometric-mean IPC of each suite.
+fn ipc_row(t: &mut Table, label: String, res: &[SuiteResult]) {
+    t.row(std::iter::once(label).chain(res.iter().map(ipc)));
+}
+
+/// Latencies of the no-cache register-file baselines that close the
+/// fig6, fig11 and fig12 tables.
+const RF_LATENCIES: [u32; 3] = [1, 2, 3];
+
+fn rf_rows(t: &mut Table, res: &[SuiteResult]) {
+    for (lat, r) in RF_LATENCIES.iter().zip(res) {
+        t.row([format!("RF {lat}-cycle (no cache)"), ipc(r)]);
+    }
+}
+
 /// Figure 1: median register lifetime phases (empty / live / dead), in
 /// cycles, per benchmark plus the mean of the per-benchmark medians.
 pub fn fig1(scale: Scale) -> Result<Table, SuiteError> {
     let mut cfg = SimConfig::paper_default();
     cfg.collect_lifetimes = true;
-    let res = run_suite(&cfg, scale)?;
+    let res = run_suites(&[cfg], scale)?.remove(0);
     let mut t = Table::new(["benchmark", "empty", "live", "dead"]);
     let (mut es, mut ls, mut ds) = (0.0, 0.0, 0.0);
     for (name, r) in &res.runs {
@@ -146,12 +238,7 @@ pub fn fig1(scale: Scale) -> Result<Table, SuiteError> {
         es += e as f64;
         ls += l as f64;
         ds += d as f64;
-        t.row([
-            name.to_string(),
-            e.to_string(),
-            l.to_string(),
-            d.to_string(),
-        ]);
+        t.row([name.clone(), e.to_string(), l.to_string(), d.to_string()]);
     }
     let n = res.runs.len() as f64;
     t.row_f64("mean-of-medians", [es / n, ls / n, ds / n], 1);
@@ -164,7 +251,7 @@ pub fn fig1(scale: Scale) -> Result<Table, SuiteError> {
 pub fn fig2(scale: Scale) -> Result<Table, SuiteError> {
     let mut cfg = SimConfig::paper_default();
     cfg.collect_lifetimes = true;
-    let res = run_suite(&cfg, scale)?;
+    let res = run_suites(&[cfg], scale)?.remove(0);
     let mut alloc = ubrc_stats::Histogram::new();
     let mut live = ubrc_stats::Histogram::new();
     for (_, r) in &res.runs {
@@ -196,28 +283,28 @@ pub fn fig2(scale: Scale) -> Result<Table, SuiteError> {
 /// file baselines.
 pub fn fig6(scale: Scale) -> Result<Table, SuiteError> {
     let sizes = [16usize, 32, 48, 64, 80, 96, 128];
+    let mut configs: Vec<SimConfig> = sizes
+        .iter()
+        .flat_map(|&n| {
+            [1, 2, 4, n].map(|ways| {
+                cached_cfg(RegCacheConfig::use_based(n, ways), IndexPolicy::Standard, 2)
+            })
+        })
+        .collect();
+    configs.extend(RF_LATENCIES.map(mono_cfg));
+    let res = run_suites(&configs, scale)?;
+    let (grid, rf) = res.split_at(sizes.len() * 4);
     let mut t = Table::new(["entries", "direct", "2-way", "4-way", "full"]);
-    for &n in &sizes {
-        let mut row = vec![n.to_string()];
-        for ways in [1, 2, 4, n] {
-            let cfg = cached_cfg(RegCacheConfig::use_based(n, ways), IndexPolicy::Standard, 2);
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
-        }
-        t.row(row);
+    for (n, row) in sizes.iter().zip(grid.chunks(4)) {
+        ipc_row(&mut t, n.to_string(), row);
     }
-    for lat in [1u32, 2, 3] {
-        t.row([
-            format!("RF {lat}-cycle (no cache)"),
-            format!("{:.4}", run_suite(&mono_cfg(lat), scale)?.geomean_ipc()),
-        ]);
-    }
+    rf_rows(&mut t, rf);
     Ok(t)
 }
 
 /// Figure 7: decoupled indexing policies vs. associativity (64-entry
 /// use-based cache).
 pub fn fig7(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new(["policy", "direct", "2-way", "4-way"]);
     let policies = [
         ("preg (standard)", IndexPolicy::Standard),
         ("round-robin", IndexPolicy::RoundRobin),
@@ -225,13 +312,16 @@ pub fn fig7(scale: Scale) -> Result<Table, SuiteError> {
         ("filtered", IndexPolicy::FilteredRoundRobin),
         ("min-load", IndexPolicy::MinLoad),
     ];
-    for (name, policy) in policies {
-        let mut row = vec![name.to_string()];
-        for ways in [1usize, 2, 4] {
-            let cfg = cached_cfg(RegCacheConfig::use_based(64, ways), policy, 2);
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
-        }
-        t.row(row);
+    let configs: Vec<SimConfig> = policies
+        .iter()
+        .flat_map(|&(_, policy)| {
+            [1usize, 2, 4].map(|ways| cached_cfg(RegCacheConfig::use_based(64, ways), policy, 2))
+        })
+        .collect();
+    let res = run_suites(&configs, scale)?;
+    let mut t = Table::new(["policy", "direct", "2-way", "4-way"]);
+    for ((name, _), row) in policies.iter().zip(res.chunks(3)) {
+        ipc_row(&mut t, name.to_string(), row);
     }
     Ok(t)
 }
@@ -262,18 +352,7 @@ fn miss_breakdown_row(label: &str, res: &SuiteResult, t: &mut Table) {
 /// conflict) for the three schemes under standard and filtered
 /// round-robin indexing. 64-entry, 2-way.
 pub fn fig8(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new([
-        "scheme+index",
-        "not-written%",
-        "capacity%",
-        "conflict%",
-        "total%",
-    ]);
-    let mk = |policy: fn(usize, usize) -> RegCacheConfig, index| {
-        let mut cache = policy(64, 2);
-        cache.classify_misses = true;
-        cached_cfg(cache, index, 2)
-    };
+    let mut rows = Vec::new();
     for (name, ctor) in [
         (
             "lru",
@@ -286,9 +365,20 @@ pub fn fig8(scale: Scale) -> Result<Table, SuiteError> {
             ("standard", IndexPolicy::Standard),
             ("filtered-rr", IndexPolicy::FilteredRoundRobin),
         ] {
-            let res = run_suite(&mk(ctor, index), scale)?;
-            miss_breakdown_row(&format!("{name}/{iname}"), &res, &mut t);
+            let mut cache = ctor(64, 2);
+            cache.classify_misses = true;
+            rows.push((format!("{name}/{iname}"), cached_cfg(cache, index, 2)));
         }
+    }
+    let mut t = Table::new([
+        "scheme+index",
+        "not-written%",
+        "capacity%",
+        "conflict%",
+        "total%",
+    ]);
+    for (label, res) in run_labelled(rows, scale)? {
+        miss_breakdown_row(&label, &res, &mut t);
     }
     Ok(t)
 }
@@ -303,8 +393,7 @@ pub fn fig9(scale: Scale) -> Result<Table, SuiteError> {
         "file-read",
         "file-write",
     ]);
-    for (name, cfg) in schemes(64, 2, 2) {
-        let res = run_suite(&cfg, scale)?;
+    for (name, res) in run_labelled(schemes(64, 2, 2), scale)? {
         t.row_f64(
             name,
             [
@@ -328,8 +417,7 @@ pub fn fig10(scale: Scale) -> Result<Table, SuiteError> {
         "writes-filtered%",
         "never-cached%",
     ]);
-    for (name, cfg) in schemes(64, 2, 2) {
-        let res = run_suite(&cfg, scale)?;
+    for (name, res) in run_labelled(schemes(64, 2, 2), scale)? {
         let pct = |f: &dyn Fn(&ubrc_core::RegCacheStats) -> Option<f64>| {
             res.mean_of(|r| r.regcache.as_ref().and_then(f).map(|v| v * 100.0))
                 .unwrap_or(0.0)
@@ -351,9 +439,8 @@ pub fn fig10(scale: Scale) -> Result<Table, SuiteError> {
 pub fn table2(scale: Scale) -> Result<Table, SuiteError> {
     let mut t = Table::new(["average", "lru", "non-bypass", "use-based"]);
     let mut cols: Vec<[f64; 4]> = Vec::new();
-    for (_, cfg) in schemes(64, 2, 2) {
-        let res = run_suite(&cfg, scale)?;
-        let m = |f: &dyn Fn(&ubrc_core::RegCacheStats, &ubrc_sim::SimResult) -> Option<f64>| {
+    for (_, res) in run_labelled(schemes(64, 2, 2), scale)? {
+        let m = |f: &dyn Fn(&ubrc_core::RegCacheStats, &SimResult) -> Option<f64>| {
             res.mean_of(|r| r.regcache.as_ref().and_then(|c| f(c, r)))
                 .unwrap_or(0.0)
         };
@@ -382,7 +469,7 @@ pub fn table2(scale: Scale) -> Result<Table, SuiteError> {
 /// paper reports 57%) and fraction of replacement victims with zero
 /// remaining uses (the paper reports 84%), under the proposed design.
 pub fn charstats(scale: Scale) -> Result<Table, SuiteError> {
-    let res = run_suite(&SimConfig::paper_default(), scale)?;
+    let res = run_suites(&[SimConfig::paper_default()], scale)?.remove(0);
     let mut t = Table::new(["benchmark", "bypass%", "zero-use-victims%"]);
     for (name, r) in &res.runs {
         let zero = r
@@ -423,6 +510,26 @@ pub fn charstats(scale: Scale) -> Result<Table, SuiteError> {
 /// caching schemes (plus 4-way use-based) and the two-level file.
 pub fn fig11(scale: Scale) -> Result<Table, SuiteError> {
     let sizes = [16usize, 32, 48, 64, 96, 128];
+    // The two-level L1 must exceed the architectural register count
+    // ("at least one more register than the number of architected
+    // registers", §5.5) — below that it cannot run at all.
+    let two_level_fits = |n: usize| n + 32 > ubrc_isa::NUM_ARCH_REGS as usize + 4;
+    let mut configs = Vec::new();
+    for &n in &sizes {
+        configs.extend(schemes(n, 2, 2).into_iter().map(|(_, cfg)| cfg));
+        configs.push(cached_cfg(
+            RegCacheConfig::use_based(n, 4),
+            IndexPolicy::FilteredRoundRobin,
+            2,
+        ));
+        if two_level_fits(n) {
+            configs.push(SimConfig::table1(RegStorage::TwoLevel(
+                TwoLevelConfig::optimistic(n + 32),
+            )));
+        }
+    }
+    configs.extend(RF_LATENCIES.map(mono_cfg));
+    let res = run_suites(&configs, scale)?;
     let mut t = Table::new([
         "entries",
         "lru",
@@ -431,40 +538,36 @@ pub fn fig11(scale: Scale) -> Result<Table, SuiteError> {
         "use-based-4way",
         "two-level(+32)",
     ]);
+    let mut res = res.iter();
     for &n in &sizes {
         let mut row = vec![n.to_string()];
-        for (_, cfg) in schemes(n, 2, 2) {
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
-        }
-        let ub4 = cached_cfg(
-            RegCacheConfig::use_based(n, 4),
-            IndexPolicy::FilteredRoundRobin,
-            2,
-        );
-        row.push(format!("{:.4}", run_suite(&ub4, scale)?.geomean_ipc()));
-        // The two-level L1 must exceed the architectural register count
-        // ("at least one more register than the number of architected
-        // registers", §5.5) — below that it cannot run at all.
-        if n + 32 > ubrc_isa::NUM_ARCH_REGS as usize + 4 {
-            let tl = SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig::optimistic(n + 32)));
-            row.push(format!("{:.4}", run_suite(&tl, scale)?.geomean_ipc()));
+        row.extend(res.by_ref().take(4).map(ipc));
+        row.push(if two_level_fits(n) {
+            ipc(res.next().expect("one two-level suite per fitting size"))
         } else {
-            row.push("-".to_string());
-        }
+            "-".to_string()
+        });
         t.row(row);
     }
-    for lat in [1u32, 2, 3] {
-        t.row([
-            format!("RF {lat}-cycle (no cache)"),
-            format!("{:.4}", run_suite(&mono_cfg(lat), scale)?.geomean_ipc()),
-        ]);
-    }
+    rf_rows(&mut t, res.as_slice());
     Ok(t)
 }
 
 /// Figure 12: geometric-mean IPC vs. backing-file (or two-level L2)
 /// latency. 64-entry caches, 96-entry two-level L1.
 pub fn fig12(scale: Scale) -> Result<Table, SuiteError> {
+    let latencies = 1u32..=6;
+    let mut configs = Vec::new();
+    for lat in latencies.clone() {
+        configs.extend(schemes(64, 2, lat).into_iter().map(|(_, cfg)| cfg));
+        configs.push(SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig {
+            l2_latency: lat,
+            ..TwoLevelConfig::optimistic(96)
+        })));
+    }
+    configs.extend(RF_LATENCIES.map(mono_cfg));
+    let res = run_suites(&configs, scale)?;
+    let (grid, rf) = res.split_at(configs.len() - RF_LATENCIES.len());
     let mut t = Table::new([
         "backing-latency",
         "lru",
@@ -472,35 +575,22 @@ pub fn fig12(scale: Scale) -> Result<Table, SuiteError> {
         "use-based",
         "two-level",
     ]);
-    for lat in 1u32..=6 {
-        let mut row = vec![lat.to_string()];
-        for (_, cfg) in schemes(64, 2, lat) {
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
-        }
-        let tl = SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig {
-            l2_latency: lat,
-            ..TwoLevelConfig::optimistic(96)
-        }));
-        row.push(format!("{:.4}", run_suite(&tl, scale)?.geomean_ipc()));
-        t.row(row);
+    for (lat, row) in latencies.zip(grid.chunks(4)) {
+        ipc_row(&mut t, lat.to_string(), row);
     }
-    for lat in [1u32, 2, 3] {
-        t.row([
-            format!("RF {lat}-cycle (no cache)"),
-            format!("{:.4}", run_suite(&mono_cfg(lat), scale)?.geomean_ipc()),
-        ]);
-    }
+    rf_rows(&mut t, rf);
     Ok(t)
 }
 
 /// §5.3 tuning: the maximum use count (pinning limit) sweep.
 pub fn maxuse(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new(["max-use-count", "geomean-ipc", "miss-rate%"]);
-    for max in [1u8, 2, 3, 5, 6, 7, 9, 12, 15] {
+    let rows = [1u8, 2, 3, 5, 6, 7, 9, 12, 15].map(|max| {
         let mut cache = RegCacheConfig::use_based(64, 2);
         cache.max_use_count = max;
-        let cfg = cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2);
-        let res = run_suite(&cfg, scale)?;
+        (max, cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2))
+    });
+    let mut t = Table::new(["max-use-count", "geomean-ipc", "miss-rate%"]);
+    for (max, res) in run_labelled(rows, scale)? {
         let miss = res
             .mean_of(|r| r.regcache.as_ref().and_then(|c| c.miss_rate()))
             .unwrap_or(0.0);
@@ -511,43 +601,44 @@ pub fn maxuse(scale: Scale) -> Result<Table, SuiteError> {
 
 /// §5.3 tuning: unknown-default × fill-default grid.
 pub fn defaults(scale: Scale) -> Result<Table, SuiteError> {
+    let configs: Vec<SimConfig> = (0u8..=3)
+        .flat_map(|unknown| {
+            (0u8..=2).map(move |fill| {
+                let mut cache = RegCacheConfig::use_based(64, 2);
+                cache.unknown_default = unknown;
+                cache.fill_default = fill;
+                cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2)
+            })
+        })
+        .collect();
+    let res = run_suites(&configs, scale)?;
     let mut t = Table::new(["unknown\\fill", "fill=0", "fill=1", "fill=2"]);
-    for unknown in 0u8..=3 {
-        let mut row = vec![format!("unknown={unknown}")];
-        for fill in 0u8..=2 {
-            let mut cache = RegCacheConfig::use_based(64, 2);
-            cache.unknown_default = unknown;
-            cache.fill_default = fill;
-            let cfg = cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2);
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
-        }
-        t.row(row);
+    for (unknown, row) in (0u8..=3).zip(res.chunks(3)) {
+        ipc_row(&mut t, format!("unknown={unknown}"), row);
     }
     Ok(t)
 }
 
 /// §5.5 ablation: two-level L1↔L2 transfer bandwidth.
 pub fn twolevel_bw(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new(["transfers/cycle", "geomean-ipc", "rename-stalls"]);
-    for bw in [1u32, 2, 4, 8] {
-        let cfg = SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig {
+    let rows = [1u32, 2, 4, 8].map(|bw| {
+        let storage = RegStorage::TwoLevel(TwoLevelConfig {
             transfers_per_cycle: bw,
             ..TwoLevelConfig::optimistic(96)
-        }));
-        let res = run_suite(&cfg, scale)?;
+        });
+        (bw, SimConfig::table1(storage))
+    });
+    let mut t = Table::new(["transfers/cycle", "geomean-ipc", "rename-stalls"]);
+    for (bw, res) in run_labelled(rows, scale)? {
         let stalls: u64 = res.runs.iter().map(|(_, r)| r.dispatch_stall_pregs).sum();
-        t.row([
-            bw.to_string(),
-            format!("{:.4}", res.geomean_ipc()),
-            stalls.to_string(),
-        ]);
+        t.row([bw.to_string(), ipc(&res), stalls.to_string()]);
     }
     Ok(t)
 }
 
 /// §3.3: degree-of-use predictor accuracy and coverage per benchmark.
 pub fn douse_accuracy(scale: Scale) -> Result<Table, SuiteError> {
-    let res = run_suite(&SimConfig::paper_default(), scale)?;
+    let res = run_suites(&[SimConfig::paper_default()], scale)?.remove(0);
     let mut t = Table::new(["benchmark", "accuracy%", "coverage%"]);
     for (name, r) in &res.runs {
         t.row_f64(
@@ -573,19 +664,25 @@ pub fn douse_accuracy(scale: Scale) -> Result<Table, SuiteError> {
 /// §4.2 ablation: filtered round-robin parameters (high-use degree
 /// threshold × per-set skip threshold).
 pub fn filtered_params(scale: Scale) -> Result<Table, SuiteError> {
+    let degrees = [3u8, 5, 7];
+    let configs: Vec<SimConfig> = degrees
+        .iter()
+        .flat_map(|&degree| {
+            (0u32..=2).map(move |skip| {
+                let mut cfg = cached_cfg(
+                    RegCacheConfig::use_based(64, 2),
+                    IndexPolicy::FilteredRoundRobin,
+                    2,
+                );
+                cfg.filter_params = Some((degree, skip));
+                cfg
+            })
+        })
+        .collect();
+    let res = run_suites(&configs, scale)?;
     let mut t = Table::new(["high-use>", "skip>0", "skip>1", "skip>2"]);
-    for degree in [3u8, 5, 7] {
-        let mut row = vec![degree.to_string()];
-        for skip in 0u32..=2 {
-            let mut cfg = cached_cfg(
-                RegCacheConfig::use_based(64, 2),
-                IndexPolicy::FilteredRoundRobin,
-                2,
-            );
-            cfg.filter_params = Some((degree, skip));
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
-        }
-        t.row(row);
+    for (degree, row) in degrees.iter().zip(res.chunks(3)) {
+        ipc_row(&mut t, degree.to_string(), row);
     }
     Ok(t)
 }
@@ -594,14 +691,20 @@ pub fn filtered_params(scale: Scale) -> Result<Table, SuiteError> {
 /// bypassing): how the bypass-network depth interacts with each
 /// register storage organization.
 pub fn bypass_depth(scale: Scale) -> Result<Table, SuiteError> {
+    let depths = [1u32, 2, 3];
+    let configs: Vec<SimConfig> = depths
+        .iter()
+        .flat_map(|&stages| {
+            [SimConfig::paper_default(), mono_cfg(1), mono_cfg(3)].map(|mut cfg| {
+                cfg.bypass_stages = stages;
+                cfg
+            })
+        })
+        .collect();
+    let res = run_suites(&configs, scale)?;
     let mut t = Table::new(["bypass-stages", "use-based", "RF-1", "RF-3"]);
-    for stages in [1u32, 2, 3] {
-        let mut row = vec![stages.to_string()];
-        for mut cfg in [SimConfig::paper_default(), mono_cfg(1), mono_cfg(3)] {
-            cfg.bypass_stages = stages;
-            row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
-        }
-        t.row(row);
+    for (stages, row) in depths.iter().zip(res.chunks(3)) {
+        ipc_row(&mut t, stages.to_string(), row);
     }
     Ok(t)
 }
@@ -611,15 +714,16 @@ pub fn bypass_depth(scale: Scale) -> Result<Table, SuiteError> {
 /// point (standard indexing cannot express these set counts cleanly;
 /// the assigner handles them natively).
 pub fn odd_sizes(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new(["entries(2-way)", "sets", "geomean-ipc"]);
-    for n in [40usize, 48, 56, 64, 72, 88] {
+    let rows = [40usize, 48, 56, 64, 72, 88].map(|n| {
         let cache = RegCacheConfig::use_based(n, 2);
-        let sets = cache.sets();
-        let cfg = cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2);
+        (cache, cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2))
+    });
+    let mut t = Table::new(["entries(2-way)", "sets", "geomean-ipc"]);
+    for (cache, res) in run_labelled(rows, scale)? {
         t.row([
-            n.to_string(),
-            sets.to_string(),
-            format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()),
+            cache.entries.to_string(),
+            cache.sets().to_string(),
+            ipc(&res),
         ]);
     }
     Ok(t)
@@ -629,8 +733,7 @@ pub fn odd_sizes(scale: Scale) -> Result<Table, SuiteError> {
 /// degraded — predictor disabled (unknown default only), hair-trigger
 /// confidence (noisy predictions), and the paper's configuration.
 pub fn robustness(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new(["degree-information", "geomean-ipc", "miss/operand %"]);
-    let variants: Vec<(&str, SimConfig)> = vec![
+    let variants = [
         (
             "paper default (2-bit confidence)",
             SimConfig::paper_default(),
@@ -648,8 +751,8 @@ pub fn robustness(scale: Scale) -> Result<Table, SuiteError> {
             cfg
         }),
     ];
-    for (name, cfg) in variants {
-        let res = run_suite(&cfg, scale)?;
+    let mut t = Table::new(["degree-information", "geomean-ipc", "miss/operand %"]);
+    for (name, res) in run_labelled(variants, scale)? {
         let miss = res.mean_of(|r| r.miss_rate_per_operand()).unwrap_or(0.0);
         t.row_f64(name, [res.geomean_ipc(), miss * 100.0], 4);
     }
@@ -659,20 +762,19 @@ pub fn robustness(scale: Scale) -> Result<Table, SuiteError> {
 /// Extension: cost of load-hit speculation (the 21264 mechanism the
 /// paper reuses for register-cache misses) vs. an oracle scheduler.
 pub fn loadspec(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new(["load scheduling", "geomean-ipc", "mis-speculations"]);
-    for (name, on) in [
+    let rows = [
         ("hit-speculation (default)", true),
         ("oracle wakeup", false),
-    ] {
+    ]
+    .map(|(name, on)| {
         let mut cfg = SimConfig::paper_default();
         cfg.load_hit_speculation = on;
-        let res = run_suite(&cfg, scale)?;
+        (name, cfg)
+    });
+    let mut t = Table::new(["load scheduling", "geomean-ipc", "mis-speculations"]);
+    for (name, res) in run_labelled(rows, scale)? {
         let misses: u64 = res.runs.iter().map(|(_, r)| r.load_miss_speculations).sum();
-        t.row([
-            name.to_string(),
-            format!("{:.4}", res.geomean_ipc()),
-            misses.to_string(),
-        ]);
+        t.row([name.to_string(), ipc(&res), misses.to_string()]);
     }
     Ok(t)
 }
@@ -681,11 +783,13 @@ pub fn loadspec(scale: Scale) -> Result<Table, SuiteError> {
 /// the 4K-entry predictor of Butts & Sohi MICRO 2002; smaller tables
 /// lose coverage and leave more values on the unknown default).
 pub fn douse_size(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new(["entries(4-way)", "geomean-ipc", "accuracy%", "coverage%"]);
-    for sets in [16usize, 64, 256, 1024] {
+    let rows = [16usize, 64, 256, 1024].map(|sets| {
         let mut cfg = SimConfig::paper_default();
         cfg.douse.sets = sets;
-        let res = run_suite(&cfg, scale)?;
+        (sets, cfg)
+    });
+    let mut t = Table::new(["entries(4-way)", "geomean-ipc", "accuracy%", "coverage%"]);
+    for (sets, res) in run_labelled(rows, scale)? {
         t.row_f64(
             &format!("{}", sets * 4),
             [
@@ -703,17 +807,15 @@ pub fn douse_size(scale: Scale) -> Result<Table, SuiteError> {
 /// Table 1 machine has 128-entry load/store queues; disabling the
 /// model shows how much memory-dependence serialization costs).
 pub fn lsq(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new(["store->load ordering", "geomean-ipc", "lsq-stall-slots"]);
-    for (name, on) in [("modeled (default)", true), ("ignored", false)] {
+    let rows = [("modeled (default)", true), ("ignored", false)].map(|(name, on)| {
         let mut cfg = SimConfig::paper_default();
         cfg.model_store_forwarding = on;
-        let res = run_suite(&cfg, scale)?;
+        (name, cfg)
+    });
+    let mut t = Table::new(["store->load ordering", "geomean-ipc", "lsq-stall-slots"]);
+    for (name, res) in run_labelled(rows, scale)? {
         let stalls: u64 = res.runs.iter().map(|(_, r)| r.store_forward_stalls).sum();
-        t.row([
-            name.to_string(),
-            format!("{:.4}", res.geomean_ipc()),
-            stalls.to_string(),
-        ]);
+        t.row([name.to_string(), ipc(&res), stalls.to_string()]);
     }
     Ok(t)
 }
@@ -722,19 +824,17 @@ pub fn lsq(scale: Scale) -> Result<Table, SuiteError> {
 /// storage organization — the paper evaluates SPECint only; this checks
 /// the conclusions hold beyond integer code.
 pub fn extended(scale: Scale) -> Result<Table, SuiteError> {
-    use ubrc_workloads::extended_suite;
-    let mut t = Table::new(["kernel", "lru", "non-bypass", "use-based", "RF-3"]);
-    let configs: Vec<SimConfig> = schemes(64, 2, 2)
+    let mut configs: Vec<SimConfig> = schemes(64, 2, 2).into_iter().map(|(_, c)| c).collect();
+    configs.push(mono_cfg(3));
+    let kernels = ubrc_workloads::extended_suite(scale)
         .into_iter()
-        .map(|(_, c)| c)
-        .chain(std::iter::once(mono_cfg(3)))
+        .map(|w| vec![w])
         .collect();
-    for w in extended_suite(scale) {
-        let mut row = vec![w.name.to_string()];
-        for cfg in &configs {
-            let r = run_one(&w, cfg.clone())?;
-            row.push(format!("{:.4}", r.ipc()));
-        }
+    let res = run_matrix(&configs, &[kernels])?;
+    let mut t = Table::new(["kernel", "lru", "non-bypass", "use-based", "RF-3"]);
+    for (i, (name, _)) in res[0].runs.iter().enumerate() {
+        let mut row = vec![name.clone()];
+        row.extend(res.iter().map(|r| format!("{:.4}", r.runs[i].1.ipc())));
         t.row(row);
     }
     Ok(t)
@@ -743,21 +843,19 @@ pub fn extended(scale: Scale) -> Result<Table, SuiteError> {
 /// §2.2 ablation: "a single read port suffices" for the backing file —
 /// sweep the port count and show the flat curve.
 pub fn backing_ports(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new(["read-ports", "geomean-ipc", "contention-cycles"]);
-    for ports in [1usize, 2, 4] {
+    let rows = [1usize, 2, 4].map(|ports| {
         let mut cfg = SimConfig::paper_default();
         cfg.backing_read_ports = ports;
-        let res = run_suite(&cfg, scale)?;
+        (ports, cfg)
+    });
+    let mut t = Table::new(["read-ports", "geomean-ipc", "contention-cycles"]);
+    for (ports, res) in run_labelled(rows, scale)? {
         let contention: u64 = res
             .runs
             .iter()
             .filter_map(|(_, r)| r.backing.map(|b| b.port_contention_cycles))
             .sum();
-        t.row([
-            ports.to_string(),
-            format!("{:.4}", res.geomean_ipc()),
-            contention.to_string(),
-        ]);
+        t.row([ports.to_string(), ipc(&res), contention.to_string()]);
     }
     Ok(t)
 }
@@ -767,16 +865,19 @@ pub fn backing_ports(scale: Scale) -> Result<Table, SuiteError> {
 /// cache's replay loop).
 pub fn predictors(scale: Scale) -> Result<Table, SuiteError> {
     use ubrc_sim::BranchPredictorKind as B;
-    let mut t = Table::new(["predictor", "geomean-ipc", "mispredict%"]);
-    for (name, kind) in [
+    let rows = [
         ("not-taken", B::NotTaken),
         ("bimodal 4KB", B::Bimodal),
         ("gshare 4KB", B::Gshare),
         ("yags 12KB (paper)", B::Yags),
-    ] {
+    ]
+    .map(|(name, kind)| {
         let mut cfg = SimConfig::paper_default();
         cfg.branch_predictor = kind;
-        let res = run_suite(&cfg, scale)?;
+        (name, cfg)
+    });
+    let mut t = Table::new(["predictor", "geomean-ipc", "mispredict%"]);
+    for (name, res) in run_labelled(rows, scale)? {
         let mr = res.mean_of(|r| r.branch_mispredict_rate()).unwrap_or(0.0);
         t.row_f64(name, [res.geomean_ipc(), mr * 100.0], 4);
     }
@@ -792,24 +893,26 @@ pub fn synthetic_sweep(_scale: Scale) -> Result<Table, SuiteError> {
         ("high-use", SyntheticSpec::high_use(11)),
         ("dead-value-heavy", SyntheticSpec::dead_value_heavy(11)),
     ];
+    let configs: Vec<SimConfig> = schemes(64, 2, 2).into_iter().map(|(_, c)| c).collect();
+    let programs = specs.iter().map(|(_, spec)| vec![spec.build()]).collect();
+    let res = run_matrix(&configs, &[programs])?;
     let mut t = Table::new([
         "distribution",
         "lru-miss%",
         "non-bypass-miss%",
         "use-based-miss%",
     ]);
-    for (name, spec) in specs {
-        let w = spec.build();
+    for (i, (name, _)) in specs.iter().enumerate() {
         let mut row = vec![name.to_string()];
-        for (_, cfg) in schemes(64, 2, 2) {
-            let r = run_one(&w, cfg)?;
-            let miss = r
+        row.extend(res.iter().map(|r| {
+            let miss = r.runs[i]
+                .1
                 .regcache
                 .as_ref()
                 .and_then(|c| c.miss_rate())
                 .unwrap_or(0.0);
-            row.push(format!("{:.2}", miss * 100.0));
-        }
+            format!("{:.2}", miss * 100.0)
+        }));
         t.row(row);
     }
     Ok(t)
@@ -824,17 +927,18 @@ pub fn synthetic_sweep(_scale: Scale) -> Result<Table, SuiteError> {
 /// al., "Making Belady-Inspired Replacement Policies More Effective
 /// Using Expected Hit Count").
 pub fn ehc(scale: Scale) -> Result<Table, SuiteError> {
-    let mut t = Table::new(["replacement", "geomean-ipc", "miss/operand %"]);
-    for (name, cache) in [
+    let caches = [
         ("lru", RegCacheConfig::lru(64, 2)),
         ("fewest-uses (paper)", RegCacheConfig::use_based(64, 2)),
         (
             "expected-hit-count",
             RegCacheConfig::expected_hit_count(64, 2),
         ),
-    ] {
-        let cfg = cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2);
-        let res = run_suite(&cfg, scale)?;
+    ];
+    let rows =
+        caches.map(|(name, cache)| (name, cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2)));
+    let mut t = Table::new(["replacement", "geomean-ipc", "miss/operand %"]);
+    for (name, res) in run_labelled(rows, scale)? {
         let miss = res.mean_of(|r| r.miss_rate_per_operand()).unwrap_or(0.0);
         t.row_f64(name, [res.geomean_ipc(), miss * 100.0], 4);
     }
@@ -865,25 +969,19 @@ pub fn smt(scale: Scale) -> Result<Table, SuiteError> {
         ),
         ("no-cache (RF 3-cycle)", mono_cfg(3)),
     ];
+    let (names, configs): (Vec<&str>, Vec<SimConfig>) = variants.into_iter().unzip();
+    let res = run_matrix(
+        &configs,
+        &[kernel_groups(1, scale), kernel_groups(2, scale)],
+    )?;
     let mut t = Table::new(["scheme", "1T-geomean-ipc", "2T-geomean-ipc", "2T/1T"]);
-    for (name, cfg) in variants {
-        let one = run_suite(&cfg, scale)?.geomean_ipc();
-        let two = crate::runner::run_pair_suite(&cfg, scale)?.geomean_ipc();
+    for (name, pair) in names.into_iter().zip(res.chunks(2)) {
+        let (one, two) = (pair[0].geomean_ipc(), pair[1].geomean_ipc());
         t.row_f64(name, [one, two, two / one], 4);
     }
     Ok(t)
 }
 
-/// Extension: 4-thread SMT register-cache partitioning. Each
-/// [`ubrc_workloads::kernel_quads`] grouping runs on one 4-thread core
-/// and the aggregate IPC is reported for the {use-based, LRU} ×
-/// {shared, way-partitioned, occupancy-capped} register-cache matrix.
-/// The geometry is 64 entries x 4 ways so `WayPartition` gives each
-/// thread exactly one way per set. A shared cache lets a
-/// register-hungry thread crowd out its siblings; the partition
-/// policies trade that interference against lower effective capacity
-/// per thread, and the `vs-shared` column shows which effect wins for
-/// each replacement scheme.
 /// SMT fairness: the harmonic mean of per-thread speedups versus the
 /// shared-cache baseline, over every (quad, thread) pair. Each
 /// thread's IPC is its retired count over the cell's shared cycles
@@ -913,24 +1011,43 @@ fn fairness_vs_shared(baseline: &SuiteResult, run: &SuiteResult) -> f64 {
     }
 }
 
-/// Extension: the 4-thread register-cache partition matrix (shared /
-/// way-partitioned / occupancy-capped) for both replacement schemes,
-/// with the `fairness-hmean` harmonic-mean column alongside the
-/// aggregate `vs-shared` IPC ratio.
-pub fn smt4(scale: Scale) -> Result<Table, SuiteError> {
-    let partitions = [
-        ("shared", CachePartition::Shared),
-        ("way-partition", CachePartition::WayPartition),
-        ("occupancy-cap", CachePartition::OccupancyCap),
-    ];
+/// A named register-cache partition, optionally with adaptive epochs.
+type Partition = (&'static str, CachePartition, Option<EpochAdapt>);
+
+/// The 4-thread partition matrix behind [`smt4`], [`ucp`] and
+/// [`dynway`]: each [`ubrc_workloads::kernel_quads`] grouping runs on
+/// one 4-thread core, and the aggregate IPC is reported for both
+/// replacement schemes (use-based, LRU) at 64 entries × `ways` under
+/// each partition. The first partition is the `vs-shared` baseline, and
+/// the `fairness-hmean` column (see [`fairness_vs_shared`]) sits
+/// alongside the aggregate ratio.
+fn partition_matrix(
+    scale: Scale,
+    ways: usize,
+    partitions: &[Partition],
+) -> Result<Table, SuiteError> {
     let schemes = [
         (
             "use-based",
-            RegCacheConfig::use_based(64, 4),
+            RegCacheConfig::use_based(64, ways),
             IndexPolicy::FilteredRoundRobin,
         ),
-        ("lru", RegCacheConfig::lru(64, 4), IndexPolicy::RoundRobin),
+        (
+            "lru",
+            RegCacheConfig::lru(64, ways),
+            IndexPolicy::RoundRobin,
+        ),
     ];
+    let mut configs = Vec::new();
+    for (_, base, index) in schemes {
+        for &(_, partition, adapt) in partitions {
+            let mut cache = base;
+            cache.partition = partition;
+            cache.epoch_adapt = adapt;
+            configs.push(cached_cfg(cache, index, 2));
+        }
+    }
+    let res = run_matrix(&configs, &[kernel_groups(4, scale)])?;
     let mut t = Table::new([
         "scheme",
         "partition",
@@ -938,27 +1055,39 @@ pub fn smt4(scale: Scale) -> Result<Table, SuiteError> {
         "vs-shared",
         "fairness-hmean",
     ]);
-    for (scheme, base, index) in schemes {
-        let mut shared: Option<SuiteResult> = None;
-        for (pname, p) in partitions {
-            let mut cache = base;
-            cache.partition = p;
-            let cfg = cached_cfg(cache, index, 2);
-            let res = crate::runner::run_quad_suite(&cfg, scale)?;
-            let ipc = res.geomean_ipc();
-            let baseline = shared.get_or_insert_with(|| res.clone());
-            let fairness = fairness_vs_shared(baseline, &res);
-            let base_ipc = baseline.geomean_ipc();
+    for ((scheme, _, _), rows) in schemes.iter().zip(res.chunks(partitions.len())) {
+        let baseline = &rows[0];
+        for ((pname, _, _), r) in partitions.iter().zip(rows) {
+            let ipc = r.geomean_ipc();
             t.row([
                 scheme.to_string(),
                 pname.to_string(),
                 format!("{ipc:.4}"),
-                format!("{:.4}", ipc / base_ipc),
-                format!("{fairness:.4}"),
+                format!("{:.4}", ipc / baseline.geomean_ipc()),
+                format!("{:.4}", fairness_vs_shared(baseline, r)),
             ]);
         }
     }
     Ok(t)
+}
+
+/// Extension: 4-thread SMT register-cache partitioning, {use-based,
+/// LRU} × {shared, way-partitioned, occupancy-capped}. The geometry is
+/// 64 entries x 4 ways so `WayPartition` gives each thread exactly one
+/// way per set. A shared cache lets a register-hungry thread crowd out
+/// its siblings; the partition policies trade that interference against
+/// lower effective capacity per thread, and the `vs-shared` column
+/// shows which effect wins for each replacement scheme.
+pub fn smt4(scale: Scale) -> Result<Table, SuiteError> {
+    partition_matrix(
+        scale,
+        4,
+        &[
+            ("shared", CachePartition::Shared, None),
+            ("way-partition", CachePartition::WayPartition, None),
+            ("occupancy-cap", CachePartition::OccupancyCap, None),
+        ],
+    )
 }
 
 /// Extension: soft-error detection and recovery. Sweeps a periodic
@@ -1013,8 +1142,7 @@ pub fn soft(scale: Scale) -> Result<Table, SuiteError> {
         "p50-latency",
         "p99-latency",
     ]);
-    for (name, cfg) in rows {
-        let res = run_suite(&cfg, scale)?;
+    for (name, res) in run_labelled(rows, scale)? {
         let mut latency = ubrc_stats::Histogram::new();
         let (mut recoveries, mut machine_checks) = (0u64, 0u64);
         for (_, r) in &res.runs {
@@ -1029,7 +1157,7 @@ pub fn soft(scale: Scale) -> Result<Table, SuiteError> {
         };
         t.row([
             name,
-            format!("{:.4}", res.geomean_ipc()),
+            ipc(&res),
             recoveries.to_string(),
             machine_checks.to_string(),
             pct(50.0),
@@ -1038,6 +1166,13 @@ pub fn soft(scale: Scale) -> Result<Table, SuiteError> {
     }
     Ok(t)
 }
+
+/// UMON-driven occupancy quotas, recomputed every 128 cycles with a
+/// floor of 4 entries per thread.
+const DYNAMIC_CAP: CachePartition = CachePartition::DynamicCap {
+    epoch_cycles: 128,
+    min_cap: 4,
+};
 
 /// Tentpole extension: utility-driven dynamic register-cache
 /// partitioning (after Qureshi & Patt's UCP, MICRO 2006, transplanted
@@ -1050,53 +1185,15 @@ pub fn soft(scale: Scale) -> Result<Table, SuiteError> {
 /// (`vs-shared` < 1); the dynamic row should close most of that gap by
 /// granting quota where the monitors see marginal hits.
 pub fn ucp(scale: Scale) -> Result<Table, SuiteError> {
-    let partitions = [
-        ("shared", CachePartition::Shared),
-        ("occupancy-cap", CachePartition::OccupancyCap),
-        (
-            "dynamic-cap",
-            CachePartition::DynamicCap {
-                epoch_cycles: 128,
-                min_cap: 4,
-            },
-        ),
-    ];
-    let schemes = [
-        (
-            "use-based",
-            RegCacheConfig::use_based(64, 4),
-            IndexPolicy::FilteredRoundRobin,
-        ),
-        ("lru", RegCacheConfig::lru(64, 4), IndexPolicy::RoundRobin),
-    ];
-    let mut t = Table::new([
-        "scheme",
-        "partition",
-        "4T-geomean-ipc",
-        "vs-shared",
-        "fairness-hmean",
-    ]);
-    for (scheme, base, index) in schemes {
-        let mut shared: Option<SuiteResult> = None;
-        for (pname, p) in partitions {
-            let mut cache = base;
-            cache.partition = p;
-            let cfg = cached_cfg(cache, index, 2);
-            let res = crate::runner::run_quad_suite(&cfg, scale)?;
-            let ipc = res.geomean_ipc();
-            let baseline = shared.get_or_insert_with(|| res.clone());
-            let fairness = fairness_vs_shared(baseline, &res);
-            let base_ipc = baseline.geomean_ipc();
-            t.row([
-                scheme.to_string(),
-                pname.to_string(),
-                format!("{ipc:.4}"),
-                format!("{:.4}", ipc / base_ipc),
-                format!("{fairness:.4}"),
-            ]);
-        }
-    }
-    Ok(t)
+    partition_matrix(
+        scale,
+        4,
+        &[
+            ("shared", CachePartition::Shared, None),
+            ("occupancy-cap", CachePartition::OccupancyCap, None),
+            ("dynamic-cap", DYNAMIC_CAP, None),
+        ],
+    )
 }
 
 /// Tentpole extension: UMON-guided dynamic *way* partitioning
@@ -1112,71 +1209,23 @@ pub fn ucp(scale: Scale) -> Result<Table, SuiteError> {
 /// threads) while tracking phase behavior, so its row should land
 /// between `dynamic-cap` and the static split's isolation tax.
 pub fn dynway(scale: Scale) -> Result<Table, SuiteError> {
-    use ubrc_core::EpochAdapt;
+    let dynamic_way = CachePartition::DynamicWay { epoch_cycles: 128 };
     let adapt = Some(EpochAdapt {
         min_cycles: 32,
         max_cycles: 512,
         band: 2,
     });
-    let partitions: [(&str, CachePartition, Option<EpochAdapt>); 5] = [
-        ("shared", CachePartition::Shared, None),
-        ("way-partition", CachePartition::WayPartition, None),
-        (
-            "dynamic-cap",
-            CachePartition::DynamicCap {
-                epoch_cycles: 128,
-                min_cap: 4,
-            },
-            None,
-        ),
-        (
-            "dynamic-way",
-            CachePartition::DynamicWay { epoch_cycles: 128 },
-            None,
-        ),
-        (
-            "dynamic-way adaptive",
-            CachePartition::DynamicWay { epoch_cycles: 128 },
-            adapt,
-        ),
-    ];
-    let schemes = [
-        (
-            "use-based",
-            RegCacheConfig::use_based(64, 8),
-            IndexPolicy::FilteredRoundRobin,
-        ),
-        ("lru", RegCacheConfig::lru(64, 8), IndexPolicy::RoundRobin),
-    ];
-    let mut t = Table::new([
-        "scheme",
-        "partition",
-        "4T-geomean-ipc",
-        "vs-shared",
-        "fairness-hmean",
-    ]);
-    for (scheme, base, index) in schemes {
-        let mut shared: Option<SuiteResult> = None;
-        for (pname, p, adapt) in &partitions {
-            let mut cache = base;
-            cache.partition = *p;
-            cache.epoch_adapt = *adapt;
-            let cfg = cached_cfg(cache, index, 2);
-            let res = crate::runner::run_quad_suite(&cfg, scale)?;
-            let ipc = res.geomean_ipc();
-            let baseline = shared.get_or_insert_with(|| res.clone());
-            let fairness = fairness_vs_shared(baseline, &res);
-            let base_ipc = baseline.geomean_ipc();
-            t.row([
-                scheme.to_string(),
-                pname.to_string(),
-                format!("{ipc:.4}"),
-                format!("{:.4}", ipc / base_ipc),
-                format!("{fairness:.4}"),
-            ]);
-        }
-    }
-    Ok(t)
+    partition_matrix(
+        scale,
+        8,
+        &[
+            ("shared", CachePartition::Shared, None),
+            ("way-partition", CachePartition::WayPartition, None),
+            ("dynamic-cap", DYNAMIC_CAP, None),
+            ("dynamic-way", dynamic_way, None),
+            ("dynamic-way adaptive", dynamic_way, adapt),
+        ],
+    )
 }
 
 /// Extension: the SMT fetch-policy × freelist matrix. Each fetch
@@ -1198,26 +1247,33 @@ pub fn fetchpol(scale: Scale) -> Result<Table, SuiteError> {
         ("partitioned", FreelistPolicy::Partitioned),
         ("shared cap=96", FreelistPolicy::Shared { cap: 96 }),
     ];
+    let mut rows = Vec::new();
+    for (fname, fetch) in policies {
+        for (flname, freelist) in freelists {
+            let mut cfg = SimConfig::paper_default();
+            cfg.fetch_policy = fetch;
+            cfg.freelist = freelist;
+            rows.push(((fname, flname), cfg));
+        }
+    }
+    let (names, configs): (Vec<(&str, &str)>, Vec<SimConfig>) = rows.into_iter().unzip();
+    let res = run_matrix(
+        &configs,
+        &[kernel_groups(2, scale), kernel_groups(4, scale)],
+    )?;
     let mut t = Table::new([
         "fetch-policy",
         "freelist",
         "2T-geomean-ipc",
         "4T-geomean-ipc",
     ]);
-    for (fname, fetch) in policies {
-        for (flname, freelist) in freelists {
-            let mut cfg = SimConfig::paper_default();
-            cfg.fetch_policy = fetch;
-            cfg.freelist = freelist;
-            let two = crate::runner::run_pair_suite(&cfg, scale)?.geomean_ipc();
-            let four = crate::runner::run_quad_suite(&cfg, scale)?.geomean_ipc();
-            t.row([
-                fname.to_string(),
-                flname.to_string(),
-                format!("{two:.4}"),
-                format!("{four:.4}"),
-            ]);
-        }
+    for ((fname, flname), two_four) in names.into_iter().zip(res.chunks(2)) {
+        t.row([
+            fname.to_string(),
+            flname.to_string(),
+            ipc(&two_four[0]),
+            ipc(&two_four[1]),
+        ]);
     }
     Ok(t)
 }
@@ -1232,6 +1288,22 @@ pub fn fetchpol(scale: Scale) -> Result<Table, SuiteError> {
 /// floor should help most where fills are frequent (small caches) and
 /// wash out as capacity grows.
 pub fn ehc_sweep(scale: Scale) -> Result<Table, SuiteError> {
+    let geometries: Vec<(usize, usize)> = [32usize, 64, 96]
+        .into_iter()
+        .flat_map(|entries| [2usize, 4].map(|ways| (entries, ways)))
+        .collect();
+    let mut configs = Vec::new();
+    for &(entries, ways) in &geometries {
+        let fewest = RegCacheConfig::use_based(entries, ways);
+        let mut floored = RegCacheConfig::use_based(entries, ways);
+        floored.fill_default = 1;
+        let ehc = RegCacheConfig::expected_hit_count(entries, ways);
+        configs.extend(
+            [fewest, floored, ehc]
+                .map(|cache| cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2)),
+        );
+    }
+    let res = run_suites(&configs, scale)?;
     let mut t = Table::new([
         "entries",
         "ways",
@@ -1239,19 +1311,10 @@ pub fn ehc_sweep(scale: Scale) -> Result<Table, SuiteError> {
         "fill-default=1",
         "expected-hit-count",
     ]);
-    for entries in [32usize, 64, 96] {
-        for ways in [2usize, 4] {
-            let fewest = RegCacheConfig::use_based(entries, ways);
-            let mut floored = RegCacheConfig::use_based(entries, ways);
-            floored.fill_default = 1;
-            let ehc = RegCacheConfig::expected_hit_count(entries, ways);
-            let mut row = vec![entries.to_string(), ways.to_string()];
-            for cache in [fewest, floored, ehc] {
-                let cfg = cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2);
-                row.push(format!("{:.4}", run_suite(&cfg, scale)?.geomean_ipc()));
-            }
-            t.row(row);
-        }
+    for ((entries, ways), row) in geometries.iter().zip(res.chunks(3)) {
+        let mut cells = vec![entries.to_string(), ways.to_string()];
+        cells.extend(row.iter().map(ipc));
+        t.row(cells);
     }
     Ok(t)
 }
@@ -1384,4 +1447,49 @@ pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
             ehc_sweep,
         ),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_matrix_splits_results_per_config_and_set() {
+        let configs = [SimConfig::paper_default(), mono_cfg(3)];
+        let sets = [kernel_groups(1, Scale::Tiny), kernel_groups(4, Scale::Tiny)];
+        let res = run_matrix(&configs, &sets).unwrap();
+        assert_eq!(res.len(), 4);
+        for per_config in res.chunks(2) {
+            let (suite, quads) = (&per_config[0], &per_config[1]);
+            assert_eq!(suite.runs.len(), 12);
+            assert_eq!(suite.runs[0].0, "qsort");
+            let labels: Vec<&str> = quads.runs.iter().map(|(l, _)| l.as_str()).collect();
+            assert_eq!(
+                labels,
+                [
+                    "qsort+bfs+listchase+strsearch",
+                    "hash+rle+matmul+bitops",
+                    "crc+fpmix+fib+dispatch"
+                ]
+            );
+            assert!(per_config.iter().all(|r| r.geomean_ipc() > 0.1));
+        }
+        // The monolithic file has no register cache, so `mean_of` skips
+        // every one of its runs.
+        let miss = |r: &SuiteResult| r.mean_of(|s| s.regcache.as_ref().and_then(|c| c.miss_rate()));
+        assert!(miss(&res[0]).unwrap() > 0.0);
+        assert!(miss(&res[2]).is_none());
+    }
+
+    #[test]
+    fn run_matrix_fails_with_the_first_error_in_cell_order() {
+        let mut bad = SimConfig::paper_default();
+        bad.phys_regs = 8; // fewer physical than architectural registers
+        let configs = [SimConfig::paper_default(), bad];
+        let err = run_suites(&configs, Scale::Tiny)
+            .err()
+            .expect("the second config is rejected");
+        assert_eq!(err.workload, "qsort");
+        assert_eq!(err.failure.kind(), "config");
+    }
 }

@@ -17,12 +17,7 @@ pub mod experiments;
 mod runner;
 mod trajectory;
 
-pub use runner::{
-    max_workers, run_group, run_group_cell, run_group_with, run_one, run_one_cell, run_one_with,
-    run_pair, run_pair_suite, run_pair_suite_robust, run_pair_with, run_quad_suite,
-    run_quad_suite_robust, run_suite, run_suite_robust, suite_geomean_ipc, RunOptions, SuiteCell,
-    SuiteError, SuiteFailure, SuiteReport, SuiteResult,
-};
+pub use runner::{run_cells, Cell, RunOptions, SuiteError, SuiteFailure};
 pub use trajectory::{
     pipeline_trajectory, smt4_trajectory_configs, smt_trajectory_configs, soft_trajectory_configs,
     trajectory_configs, TrajectoryOutcome, SCHEMA as TRAJECTORY_SCHEMA,

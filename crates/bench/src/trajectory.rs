@@ -1,24 +1,24 @@
-//! Machine-readable benchmark trajectory (`BENCH_pipeline.json`).
+//! Machine-readable benchmark trajectory (`experiments --json`).
 //!
 //! `experiments --json` runs the kernel suite under a fixed matrix of
 //! register-storage configurations and records, per configuration, the
 //! harness wall time, the simulated instruction count, the simulation
 //! throughput (simulated instructions per wall second), and the
-//! geometric-mean IPC. Successive checkins can compare the files to
-//! track simulator performance without re-deriving anything from logs.
+//! geometric-mean IPC. Two runs' documents can be diffed per config
+//! and per kernel without re-deriving anything from logs.
 //!
 //! The schema is documented in DESIGN.md (§Performance).
 
-use crate::runner::{max_workers, run_suite_robust};
+use crate::runner::{kernel_groups, max_workers, run_cells, Cell, RunOptions, SuiteError};
 use std::time::Instant;
 use ubrc_core::{CachePartition, IndexPolicy, ProtectionConfig, RegCacheConfig};
-use ubrc_sim::{FaultKind, FaultPlan, RecoveryPolicy, RegStorage, SimConfig};
-use ubrc_stats::Json;
+use ubrc_sim::{FaultKind, FaultPlan, RecoveryPolicy, RegStorage, SimConfig, SimResult};
+use ubrc_stats::{geomean, Json};
 use ubrc_workloads::Scale;
 
 /// Version tag embedded in the emitted document. `/2` added the
-/// per-kernel `attempts` count (runner retries) and the `soft-*`
-/// protection/recovery configurations; `/3` added the dynamically
+/// `soft-*` protection/recovery configurations (and a per-kernel retry
+/// count, dropped again in `/6`); `/3` added the dynamically
 /// partitioned 4-thread cells (`smt4-*-dyncap`) and the 2-thread
 /// fetch-policy cells (`smt2-use-based-{rr,ic28}`); `/4` added the
 /// dynamically way-partitioned 4-thread cells (`smt4-*-dynway`, at the
@@ -27,8 +27,10 @@ use ubrc_workloads::Scale;
 /// cycles, from `SimResult::thread_retired`); `/5` added the optional
 /// per-config `profile` section (per-stage wall-nanoseconds and call
 /// counts summed over the config's kernels, present only when the run
-/// was made with `--profile` / `UBRC_PROFILE`).
-pub const SCHEMA: &str = "ubrc-bench-pipeline/5";
+/// was made with `--profile` / `UBRC_PROFILE`); `/6` dropped the
+/// per-kernel retry count (the runner never reruns a cell: the
+/// simulator is deterministic).
+pub const SCHEMA: &str = "ubrc-bench-pipeline/6";
 
 fn cached(cache: RegCacheConfig, index: IndexPolicy) -> SimConfig {
     SimConfig::table1(RegStorage::Cached {
@@ -154,103 +156,43 @@ pub fn smt_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
 /// The 4-thread SMT configurations the trajectory tracks: each cell
 /// runs every [`ubrc_workloads::kernel_quads`] grouping co-scheduled on
 /// one core under the {use-based, LRU} × {shared, way-partitioned,
-/// occupancy-capped} register-cache matrix (64-entry 4-way geometry so
-/// the ways divide across the threads), so its `ipc` columns are
-/// aggregate (four-thread) IPC.
+/// occupancy-capped, dynamic-cap} register-cache matrix (64-entry 4-way
+/// geometry so the ways divide across the threads) plus dynamic-way at
+/// 64x8 (so whole ways can move), so its `ipc` columns are aggregate
+/// (four-thread) IPC.
 pub fn smt4_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
-    let part = |mut cache: RegCacheConfig, p: CachePartition| {
-        cache.partition = p;
-        cache
+    type Scheme = (fn(usize, usize) -> RegCacheConfig, IndexPolicy);
+    let ub: Scheme = (RegCacheConfig::use_based, IndexPolicy::FilteredRoundRobin);
+    let lru: Scheme = (RegCacheConfig::lru, IndexPolicy::RoundRobin);
+    let dyncap = CachePartition::DynamicCap {
+        epoch_cycles: 128,
+        min_cap: 4,
     };
-    let ub = || RegCacheConfig::use_based(64, 4);
-    let lru = || RegCacheConfig::lru(64, 4);
-    vec![
-        (
-            "smt4-use-based-shared",
-            cached(
-                part(ub(), CachePartition::Shared),
-                IndexPolicy::FilteredRoundRobin,
-            ),
-        ),
+    let dynway = CachePartition::DynamicWay { epoch_cycles: 128 };
+    [
+        ("smt4-use-based-shared", ub, CachePartition::Shared, 4),
         (
             "smt4-use-based-waypart",
-            cached(
-                part(ub(), CachePartition::WayPartition),
-                IndexPolicy::FilteredRoundRobin,
-            ),
+            ub,
+            CachePartition::WayPartition,
+            4,
         ),
-        (
-            "smt4-use-based-occcap",
-            cached(
-                part(ub(), CachePartition::OccupancyCap),
-                IndexPolicy::FilteredRoundRobin,
-            ),
-        ),
-        (
-            "smt4-lru-shared",
-            cached(part(lru(), CachePartition::Shared), IndexPolicy::RoundRobin),
-        ),
-        (
-            "smt4-lru-waypart",
-            cached(
-                part(lru(), CachePartition::WayPartition),
-                IndexPolicy::RoundRobin,
-            ),
-        ),
-        (
-            "smt4-lru-occcap",
-            cached(
-                part(lru(), CachePartition::OccupancyCap),
-                IndexPolicy::RoundRobin,
-            ),
-        ),
-        (
-            "smt4-use-based-dyncap",
-            cached(
-                part(
-                    ub(),
-                    CachePartition::DynamicCap {
-                        epoch_cycles: 128,
-                        min_cap: 4,
-                    },
-                ),
-                IndexPolicy::FilteredRoundRobin,
-            ),
-        ),
-        (
-            "smt4-lru-dyncap",
-            cached(
-                part(
-                    lru(),
-                    CachePartition::DynamicCap {
-                        epoch_cycles: 128,
-                        min_cap: 4,
-                    },
-                ),
-                IndexPolicy::RoundRobin,
-            ),
-        ),
-        (
-            "smt4-use-based-dynway",
-            cached(
-                part(
-                    RegCacheConfig::use_based(64, 8),
-                    CachePartition::DynamicWay { epoch_cycles: 128 },
-                ),
-                IndexPolicy::FilteredRoundRobin,
-            ),
-        ),
-        (
-            "smt4-lru-dynway",
-            cached(
-                part(
-                    RegCacheConfig::lru(64, 8),
-                    CachePartition::DynamicWay { epoch_cycles: 128 },
-                ),
-                IndexPolicy::RoundRobin,
-            ),
-        ),
+        ("smt4-use-based-occcap", ub, CachePartition::OccupancyCap, 4),
+        ("smt4-lru-shared", lru, CachePartition::Shared, 4),
+        ("smt4-lru-waypart", lru, CachePartition::WayPartition, 4),
+        ("smt4-lru-occcap", lru, CachePartition::OccupancyCap, 4),
+        ("smt4-use-based-dyncap", ub, dyncap, 4),
+        ("smt4-lru-dyncap", lru, dyncap, 4),
+        ("smt4-use-based-dynway", ub, dynway, 8),
+        ("smt4-lru-dynway", lru, dynway, 8),
     ]
+    .into_iter()
+    .map(|(name, (scheme, index), partition, ways)| {
+        let mut cache = scheme(64, ways);
+        cache.partition = partition;
+        (name, cached(cache, index))
+    })
+    .collect()
 }
 
 /// Outcome of a trajectory run: the (possibly partial) document plus
@@ -271,32 +213,26 @@ pub struct TrajectoryOutcome {
 /// [`TrajectoryOutcome::failed`], while aggregate statistics cover the
 /// cells that completed.
 pub fn pipeline_trajectory(scale: Scale) -> TrajectoryOutcome {
-    let mut singles = trajectory_configs();
-    singles.extend(soft_trajectory_configs());
-    trajectory_over(
-        singles,
-        smt_trajectory_configs(),
-        smt4_trajectory_configs(),
-        scale,
-    )
-}
-
-/// How many hardware threads a trajectory cell co-schedules.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CellKind {
-    Single,
-    Pair,
-    Quad,
+    let with_threads = |threads: usize, configs: Vec<(&'static str, SimConfig)>| {
+        configs
+            .into_iter()
+            .map(move |(name, cfg)| (name, threads, cfg))
+    };
+    let matrix = with_threads(1, trajectory_configs())
+        .chain(with_threads(1, soft_trajectory_configs()))
+        .chain(with_threads(2, smt_trajectory_configs()))
+        .chain(with_threads(4, smt4_trajectory_configs()))
+        .collect();
+    trajectory_over(matrix, scale)
 }
 
 /// Sums the per-stage self-profiles of a config's successful kernels
 /// into one `profile` JSON section (stage order as the pipeline runs
 /// them). `None` when no kernel carried a profile — i.e. the run was
 /// made without `--profile` — so the section never appears empty.
-fn aggregate_profile(report: &crate::runner::SuiteReport) -> Option<Json> {
+fn aggregate_profile(outcomes: &[Result<SimResult, SuiteError>]) -> Option<Json> {
     let mut stages: Vec<(&'static str, u64, u64)> = Vec::new();
-    for cell in &report.runs {
-        let Ok(r) = &cell.outcome else { continue };
+    for r in outcomes.iter().flatten() {
         let Some(p) = &r.profile else { continue };
         for s in &p.stages {
             match stages.iter_mut().find(|(n, _, _)| *n == s.name) {
@@ -327,74 +263,69 @@ fn aggregate_profile(report: &crate::runner::SuiteReport) -> Option<Json> {
     ]))
 }
 
+/// Runs each `(name, threads, config)` entry over the kernel suite's
+/// `threads`-kernel co-schedules, one [`run_cells`] call per config so
+/// each config's `wall_seconds` times that config alone.
 fn trajectory_over(
-    matrix: Vec<(&'static str, SimConfig)>,
-    smt_matrix: Vec<(&'static str, SimConfig)>,
-    smt4_matrix: Vec<(&'static str, SimConfig)>,
+    matrix: Vec<(&'static str, usize, SimConfig)>,
     scale: Scale,
 ) -> TrajectoryOutcome {
     let t_total = Instant::now();
+    let opts = RunOptions::from_env();
     let mut configs = Vec::new();
     let mut total_insts: u64 = 0;
     let mut total_failed = 0usize;
-    let cells = matrix
-        .into_iter()
-        .map(|(name, cfg)| (name, cfg, CellKind::Single))
-        .chain(
-            smt_matrix
-                .into_iter()
-                .map(|(name, cfg)| (name, cfg, CellKind::Pair)),
-        )
-        .chain(
-            smt4_matrix
-                .into_iter()
-                .map(|(name, cfg)| (name, cfg, CellKind::Quad)),
-        );
-    for (name, cfg, kind) in cells {
+    for (name, threads, cfg) in matrix {
         let t0 = Instant::now();
-        let report = match kind {
-            CellKind::Single => run_suite_robust(&cfg, scale),
-            CellKind::Pair => crate::runner::run_pair_suite_robust(&cfg, scale),
-            CellKind::Quad => crate::runner::run_quad_suite_robust(&cfg, scale),
-        };
+        let groups = kernel_groups(threads, scale);
+        let cells: Vec<Cell<'_>> = groups
+            .iter()
+            .map(|g| Cell {
+                workloads: g,
+                config: &cfg,
+            })
+            .collect();
+        let outcomes = run_cells(&cells, &opts);
         let wall = t0.elapsed().as_secs_f64();
-        let ok = report.successes();
-        let failed = report.failed();
+        let ok: Vec<&SimResult> = outcomes.iter().flatten().collect();
+        let failed = outcomes.len() - ok.len();
         total_failed += failed;
-        let insts = ok.total_retired();
+        let insts: u64 = ok.iter().map(|r| r.retired).sum();
         total_insts += insts;
-        let kernels = Json::arr(report.runs.iter().map(|cell| match &cell.outcome {
-            Ok(r) => {
-                let mut fields = vec![
-                    ("name", Json::from(cell.name)),
-                    ("cycles", Json::from(r.cycles)),
-                    ("retired", Json::from(r.retired)),
-                    ("ipc", Json::from(r.ipc())),
-                ];
-                if kind != CellKind::Single {
-                    fields.push((
-                        "thread_ipc",
-                        Json::arr(
-                            r.thread_retired
-                                .iter()
-                                .map(|&n| Json::from(n as f64 / r.cycles.max(1) as f64)),
-                        ),
-                    ));
+        let ipcs: Vec<f64> = ok.iter().map(|r| r.ipc()).collect();
+        let kernels = Json::arr(cells.iter().zip(&outcomes).map(|(cell, outcome)| {
+            let name = ("name", Json::from(cell.label()));
+            match outcome {
+                Ok(r) => {
+                    let mut fields = vec![
+                        name,
+                        ("cycles", Json::from(r.cycles)),
+                        ("retired", Json::from(r.retired)),
+                        ("ipc", Json::from(r.ipc())),
+                    ];
+                    if threads > 1 {
+                        fields.push((
+                            "thread_ipc",
+                            Json::arr(
+                                r.thread_retired
+                                    .iter()
+                                    .map(|&n| Json::from(n as f64 / r.cycles.max(1) as f64)),
+                            ),
+                        ));
+                    }
+                    Json::obj(fields)
                 }
-                fields.push(("attempts", Json::from(cell.attempts as u64)));
-                Json::obj(fields)
+                Err(e) => Json::obj([
+                    name,
+                    (
+                        "error",
+                        Json::obj([
+                            ("kind", Json::from(e.failure.kind())),
+                            ("message", Json::from(e.reason())),
+                        ]),
+                    ),
+                ]),
             }
-            Err(e) => Json::obj([
-                ("name", Json::from(cell.name)),
-                (
-                    "error",
-                    Json::obj([
-                        ("kind", Json::from(e.failure.kind())),
-                        ("message", Json::from(e.reason())),
-                    ]),
-                ),
-                ("attempts", Json::from(cell.attempts as u64)),
-            ]),
         }));
         let mut fields = vec![
             ("name", Json::from(name)),
@@ -404,10 +335,10 @@ fn trajectory_over(
                 "sim_insts_per_sec",
                 Json::from(insts as f64 / wall.max(1e-9)),
             ),
-            ("geomean_ipc", Json::from(ok.geomean_ipc())),
+            ("geomean_ipc", Json::from(geomean(&ipcs).unwrap_or(0.0))),
             ("failed", Json::from(failed)),
         ];
-        if let Some(profile) = aggregate_profile(&report) {
+        if let Some(profile) = aggregate_profile(&outcomes) {
             fields.push(("profile", profile));
         }
         fields.push(("kernels", kernels));
@@ -454,7 +385,6 @@ mod tests {
             r#""name":"soft-protected""#,
             r#""name":"soft-cache-p200""#,
             r#""name":"soft-backing-p400""#,
-            r#""attempts":1"#,
             r#""name":"smt2-use-based""#,
             r#""name":"smt2-lru""#,
             r#""name":"smt2-use-based-rr""#,
@@ -481,19 +411,18 @@ mod tests {
 
     #[test]
     fn profile_section_aggregates_per_stage_samples() {
-        use crate::runner::{run_one_cell, RunOptions, SuiteReport};
         let w = ubrc_workloads::workload_by_name("crc", Scale::Tiny).unwrap();
+        let cfg = SimConfig::paper_default();
+        let cell = Cell {
+            workloads: std::slice::from_ref(&w),
+            config: &cfg,
+        };
         let opts = RunOptions {
             profile: true,
             ..RunOptions::default()
         };
-        let report = SuiteReport {
-            runs: vec![
-                run_one_cell(&w, SimConfig::paper_default(), opts),
-                run_one_cell(&w, SimConfig::paper_default(), opts),
-            ],
-        };
-        let profile = aggregate_profile(&report).expect("profiled run has a section");
+        let outcomes = run_cells(&[cell, cell], &opts);
+        let profile = aggregate_profile(&outcomes).expect("profiled run has a section");
         let s = profile.to_string();
         assert!(s.contains(r#""total_nanos":"#), "missing total in {s}");
         for stage in ["inject", "issue", "rename", "fetch", "storage-tick"] {
@@ -506,13 +435,7 @@ mod tests {
         // each per-stage call count is even and positive.
         assert!(!s.contains(r#""calls":0"#), "stage with zero calls in {s}");
         // Without profiling there is no section at all.
-        let plain = SuiteReport {
-            runs: vec![run_one_cell(
-                &w,
-                SimConfig::paper_default(),
-                RunOptions::default(),
-            )],
-        };
+        let plain = run_cells(&[cell], &RunOptions::default());
         assert!(aggregate_profile(&plain).is_none());
     }
 
@@ -523,8 +446,11 @@ mod tests {
         // count is surfaced for the binary's non-zero exit.
         let mut broken = SimConfig::paper_default();
         broken.phys_regs = 8;
-        let matrix = vec![("good", SimConfig::paper_default()), ("broken", broken)];
-        let out = trajectory_over(matrix, vec![], vec![], Scale::Tiny);
+        let matrix = vec![
+            ("good", 1, SimConfig::paper_default()),
+            ("broken", 1, broken),
+        ];
+        let out = trajectory_over(matrix, Scale::Tiny);
         assert_eq!(out.failed, 12);
         let s = out.doc.to_string();
         assert!(s.contains(r#""name":"good""#));

@@ -1,8 +1,9 @@
 //! Smoke tests for the experiment registry: every experiment id is
 //! unique and documented, and each of the quick experiments runs end to
 //! end at `Scale::Tiny` and produces a populated table. The heavyweight
-//! sweeps (fig6/fig11/fig12) are exercised by the `experiments` binary
-//! and the Criterion smoke benches instead.
+//! sweeps (fig6/fig11/fig12 and the §5.3/§4.2 tuning grids) are
+//! exercised by the `experiments` binary instead (`scripts/check.sh`
+//! runs `experiments all --scale tiny`).
 
 use ubrc_bench::experiments::registry;
 use ubrc_workloads::Scale;
