@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! experiments <id|all> [--scale tiny|small|default] [--json [PATH]]
-//!             [--check] [--timeout SECS] [--profile]
+//!             [--check] [--timeout SECS]
 //! experiments --json            # trajectory only -> BENCH_pipeline.json
 //! experiments --list            # print available experiment ids
 //! ```
@@ -12,13 +12,9 @@
 //! `--check` turns on full runtime checking (lockstep co-simulation
 //! oracle + per-cycle invariant checker) for every simulation;
 //! `--timeout SECS` gives each simulation cell a wall-clock budget,
-//! after which it is cancelled and reported as a typed timeout;
-//! `--profile` turns on the per-stage self-profiling layer (wall-time
-//! and call counts per pipeline stage, reported in the trajectory JSON;
-//! zero-cost when off and never a change to simulated timing). All
-//! three reach the runner through the `UBRC_CHECK` /
-//! `UBRC_TIMEOUT_SECS` / `UBRC_PROFILE` environment variables, so they
-//! compose with every experiment.
+//! after which it is cancelled and reported as a typed timeout. Both
+//! reach the runner through the `UBRC_CHECK` / `UBRC_TIMEOUT_SECS`
+//! environment variables, so they compose with every experiment.
 //!
 //! Selected experiments run one after another, in registry order, and
 //! each prints its table as soon as it finishes. Within an experiment,
@@ -37,7 +33,6 @@ struct Cli {
     json: Option<String>,
     check: bool,
     timeout: Option<u64>,
-    profile: bool,
     list: bool,
 }
 
@@ -48,7 +43,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         json: None,
         check: false,
         timeout: None,
-        profile: false,
         list: false,
     };
     let mut i = 0;
@@ -79,7 +73,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.json = Some(path);
             }
             "--check" => cli.check = true,
-            "--profile" => cli.profile = true,
             "--list" => cli.list = true,
             "--timeout" => {
                 i += 1;
@@ -112,9 +105,6 @@ fn main() {
     if let Some(secs) = cli.timeout {
         std::env::set_var("UBRC_TIMEOUT_SECS", secs.to_string());
     }
-    if cli.profile {
-        std::env::set_var("UBRC_PROFILE", "1");
-    }
 
     let reg = registry();
     if cli.list {
@@ -128,13 +118,12 @@ fn main() {
     if cli.which.is_none() && cli.json.is_none() {
         eprintln!(
             "usage: experiments <id|all> [--scale tiny|small|default] [--json [PATH]]\n\
-             \x20                 [--check] [--timeout SECS] [--profile]\n\
+             \x20                 [--check] [--timeout SECS]\n\
              \n\
              --list         print the available experiment ids and exit\n\
              --json [PATH]  also run the benchmark trajectory and write it as JSON\n\
              --check        enable the co-simulation oracle and invariant checker\n\
              --timeout SECS wall-clock budget per simulation cell\n\
-             --profile      attribute wall-time to pipeline stages in the JSON\n\
              \n\
              available experiments:"
         );
@@ -239,5 +228,13 @@ mod tests {
             .err()
             .expect("unknown flag rejected");
         assert_eq!(err, "unexpected argument `--retries`");
+    }
+
+    #[test]
+    fn removed_profile_flag_is_rejected() {
+        let err = parse(&["--json", "--profile"])
+            .err()
+            .expect("unknown flag rejected");
+        assert_eq!(err, "unexpected argument `--profile`");
     }
 }

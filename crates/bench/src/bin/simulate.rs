@@ -1,79 +1,59 @@
-//! Single-run simulator CLI: run one bundled kernel (or an assembly
-//! file) under a chosen register storage organization and print a full
+//! Single-run simulator CLI: run one bundled kernel, a `+`-joined
+//! co-schedule of bundled kernels (one hardware thread each), or an
+//! assembly file under a named configuration, and print a full
 //! statistics report.
 //!
 //! ```text
-//! simulate <kernel-name|path.s> [--storage use-based|lru|non-bypass|mono1|mono2|mono3|two-level]
-//!          [--entries N] [--ways N] [--backing N] [--scale tiny|small|default]
-//!          [--list] [--trace N]
+//! simulate <kernel[+kernel...]|path.s> [--config SPEC]
+//!          [--scale tiny|small|default] [--list] [--trace N]
 //! ```
 //!
-//! `--list` prints the disassembly before simulating; `--trace N`
-//! renders a pipeline diagram of the first N instructions.
+//! `--config` takes a spec `BASE[,key=value]*` (default `use-based`,
+//! the paper's design point), such as `lru,ways=4,partition=dyncap`;
+//! the bases and keys are those of `ubrc_sim::SimConfig`'s `FromStr`.
+//! A bad spec, or a configuration the simulator rejects, exits 2 with
+//! a message. Every golden snapshot row prints its `simulate` line when
+//! it drifts. `--list` prints the disassembly before simulating;
+//! `--trace N` renders a pipeline diagram of the first N instructions.
 
-use ubrc_core::{IndexPolicy, RegCacheConfig, TwoLevelConfig};
-use ubrc_isa::assemble;
-use ubrc_sim::{simulate, RegStorage, SimConfig, SimResult};
+use ubrc_isa::{assemble, Program};
+use ubrc_sim::{simulate, SimConfig, SimError, SimResult};
 use ubrc_stats::Table;
 use ubrc_workloads::{workload_by_name, Scale};
 
+const USAGE: &str = "usage: simulate <kernel[+kernel...]|file.s> [--config SPEC] \
+                     [--scale tiny|small|default] [--list] [--trace N]";
+
+#[derive(Debug)]
 struct Options {
     target: String,
-    storage: String,
-    entries: usize,
-    ways: usize,
-    backing: u32,
+    config: SimConfig,
     scale: Scale,
     list: bool,
     trace: usize,
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         target: String::new(),
-        storage: "use-based".into(),
-        entries: 64,
-        ways: 2,
-        backing: 2,
+        config: SimConfig::paper_default(),
         scale: Scale::Default,
         list: false,
         trace: 0,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or(format!("missing value after {arg}"))
+        let mut value = || {
+            i += 1;
+            args.get(i).ok_or(format!("missing value after {arg}"))
         };
         match arg.as_str() {
-            "--storage" => opts.storage = value(&mut i)?,
-            "--entries" => {
-                opts.entries = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --entries: {e}"))?
-            }
-            "--ways" => {
-                opts.ways = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --ways: {e}"))?
-            }
-            "--backing" => {
-                opts.backing = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --backing: {e}"))?
-            }
+            "--config" => opts.config = value()?.parse()?,
             "--list" => opts.list = true,
-            "--trace" => {
-                opts.trace = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --trace: {e}"))?
-            }
+            "--trace" => opts.trace = value()?.parse().map_err(|e| format!("bad --trace: {e}"))?,
             "--scale" => {
-                opts.scale = match value(&mut i)?.as_str() {
+                opts.scale = match value()?.as_str() {
                     "tiny" => Scale::Tiny,
                     "small" => Scale::Small,
                     "default" => Scale::Default,
@@ -93,48 +73,34 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn storage_of(opts: &Options) -> Result<RegStorage, String> {
-    let cached = |cache| RegStorage::Cached {
-        cache,
-        index: IndexPolicy::FilteredRoundRobin,
-        backing_read: opts.backing,
-        backing_write: opts.backing,
-    };
-    Ok(match opts.storage.as_str() {
-        "use-based" => cached(RegCacheConfig::use_based(opts.entries, opts.ways)),
-        "lru" => RegStorage::Cached {
-            cache: RegCacheConfig::lru(opts.entries, opts.ways),
-            index: IndexPolicy::RoundRobin,
-            backing_read: opts.backing,
-            backing_write: opts.backing,
-        },
-        "non-bypass" => RegStorage::Cached {
-            cache: RegCacheConfig::non_bypass(opts.entries, opts.ways),
-            index: IndexPolicy::RoundRobin,
-            backing_read: opts.backing,
-            backing_write: opts.backing,
-        },
-        "mono1" => RegStorage::Monolithic {
-            read_latency: 1,
-            write_latency: 1,
-        },
-        "mono2" => RegStorage::Monolithic {
-            read_latency: 2,
-            write_latency: 2,
-        },
-        "mono3" => RegStorage::Monolithic {
-            read_latency: 3,
-            write_latency: 3,
-        },
-        "two-level" => RegStorage::TwoLevel(TwoLevelConfig::optimistic(opts.entries + 32)),
-        other => return Err(format!("unknown storage `{other}`")),
-    })
+/// The target's programs: one assembly file, or one bundled kernel per
+/// `+`-separated name.
+fn programs(opts: &Options) -> Result<Vec<Program>, String> {
+    if opts.target.ends_with(".s") || opts.target.contains('/') {
+        let src = std::fs::read_to_string(&opts.target)
+            .map_err(|e| format!("cannot read `{}`: {e}", opts.target))?;
+        let program = assemble(&src).map_err(|e| format!("assembly failed: {e}"))?;
+        return Ok(vec![program]);
+    }
+    opts.target
+        .split('+')
+        .map(|name| {
+            let w = workload_by_name(name, opts.scale)
+                .ok_or_else(|| format!("unknown kernel `{name}`"))?;
+            w.assemble()
+                .map_err(|e| format!("kernel `{name}` failed to assemble: {e}"))
+        })
+        .collect()
 }
 
 fn report(r: &SimResult) {
     let mut t = Table::new(["metric", "value"]);
     t.row(["cycles".to_string(), r.cycles.to_string()]);
     t.row(["instructions retired".to_string(), r.retired.to_string()]);
+    if r.thread_retired.len() > 1 {
+        let per_thread: Vec<String> = r.thread_retired.iter().map(u64::to_string).collect();
+        t.row(["retired per thread".to_string(), per_thread.join(" / ")]);
+    }
     t.row(["IPC".to_string(), format!("{:.4}", r.ipc())]);
     t.row([
         "branch mispredict rate".to_string(),
@@ -175,6 +141,17 @@ fn report(r: &SimResult) {
                 .unwrap_or_else(|| "-".into()),
         ]);
         t.row(["replayed instructions".to_string(), r.replayed.to_string()]);
+        t.row([
+            "regcache reads (hits / misses)".to_string(),
+            format!("{} ({} / {})", c.reads, c.read_hits, c.read_misses),
+        ]);
+        t.row([
+            "misses not-written / capacity / conflict".to_string(),
+            format!(
+                "{} / {} / {}",
+                c.misses_not_written, c.misses_capacity, c.misses_conflict
+            ),
+        ]);
     }
     if let Some(b) = &r.backing {
         t.row(["backing file reads".to_string(), b.reads.to_string()]);
@@ -201,52 +178,80 @@ fn report(r: &SimResult) {
     println!("{t}");
 }
 
+fn fail(code: i32, message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(code)
+}
+
 fn main() {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: simulate <kernel|file.s> [--storage use-based|lru|non-bypass|mono1|mono2|mono3|two-level] [--entries N] [--ways N] [--backing N] [--scale S]"
-            );
-            std::process::exit(2);
-        }
-    };
-    let program = if opts.target.ends_with(".s") || opts.target.contains('/') {
-        let src = std::fs::read_to_string(&opts.target).unwrap_or_else(|e| {
-            eprintln!("cannot read `{}`: {e}", opts.target);
-            std::process::exit(2);
-        });
-        assemble(&src).unwrap_or_else(|e| {
-            eprintln!("assembly failed: {e}");
-            std::process::exit(2);
-        })
-    } else {
-        match workload_by_name(&opts.target, opts.scale) {
-            Some(w) => w.assemble().expect("bundled kernels assemble"),
-            None => {
-                eprintln!("unknown kernel `{}`", opts.target);
-                std::process::exit(2);
-            }
-        }
-    };
-    let storage = match storage_of(&opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args).unwrap_or_else(|e| fail(2, &format!("{e}\n{USAGE}")));
+    let programs = programs(&opts).unwrap_or_else(|e| fail(2, &e));
     if opts.list {
-        print!("{}", ubrc_isa::listing(&program));
-        println!();
+        for program in &programs {
+            print!("{}", ubrc_isa::listing(program));
+            println!();
+        }
     }
-    let mut config = SimConfig::table1(storage);
+    let mut config = opts.config;
     config.trace_instructions = opts.trace;
-    let result = simulate(program, config);
+    let result = simulate(programs, config).unwrap_or_else(|e| {
+        let code = if matches!(*e, SimError::Config(_)) {
+            2
+        } else {
+            1
+        };
+        fail(code, &e.to_string())
+    });
     if let Some(timeline) = &result.timeline {
         print!("{}", timeline.render(90));
         println!();
     }
     report(&result);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn config_defaults_to_the_paper_design_point() {
+        let opts = parse(&["crc", "--scale", "tiny"]).unwrap();
+        assert_eq!(opts.config, SimConfig::paper_default());
+        assert_eq!(opts.scale, Scale::Tiny);
+        let opts = parse(&["crc", "--config", "lru,ways=4"]).unwrap();
+        assert_eq!(opts.config, "lru,ways=4".parse().unwrap());
+    }
+
+    #[test]
+    fn retired_storage_flags_are_rejected() {
+        for flag in ["--storage", "--entries", "--ways", "--backing"] {
+            let err = parse(&["crc", flag, "2"]).unwrap_err();
+            assert_eq!(err, format!("unexpected argument `{flag}`"));
+        }
+    }
+
+    #[test]
+    fn a_bad_spec_names_the_key_and_what_it_accepts() {
+        let err = parse(&["crc", "--config", "use-based,index=diagonal"]).unwrap_err();
+        assert!(err.contains("`index`"), "{err}");
+        for policy in ["standard", "round-robin", "minimum", "filtered", "min-load"] {
+            assert!(err.contains(policy), "{err}");
+        }
+        let err = parse(&["crc", "--config"]).unwrap_err();
+        assert_eq!(err, "missing value after --config");
+    }
+
+    #[test]
+    fn a_plus_joined_target_co_schedules_kernels() {
+        let opts = parse(&["qsort+bfs+listchase+strsearch", "--scale", "tiny"]).unwrap();
+        assert_eq!(programs(&opts).unwrap().len(), 4);
+        let opts = parse(&["qsort+nope", "--scale", "tiny"]).unwrap();
+        assert_eq!(programs(&opts).unwrap_err(), "unknown kernel `nope`");
+        assert_eq!(parse(&[]).unwrap_err(), "no kernel or file given");
+    }
 }

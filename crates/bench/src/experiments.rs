@@ -6,49 +6,44 @@
 //! reproduction target and are recorded in EXPERIMENTS.md.
 
 use crate::runner::{kernel_groups, run_cells, Cell, RunOptions, SuiteError};
-use ubrc_core::{CachePartition, EpochAdapt, IndexPolicy, RegCacheConfig, TwoLevelConfig};
+use ubrc_core::RegCacheConfig;
 use ubrc_sim::{RegStorage, SimConfig, SimResult};
 use ubrc_stats::{geomean, Table};
 use ubrc_workloads::{synthetic::SyntheticSpec, Scale, Workload};
 
-/// Builds a cached-storage configuration.
-fn cached_cfg(cache: RegCacheConfig, index: IndexPolicy, backing: u32) -> SimConfig {
-    SimConfig::table1(RegStorage::Cached {
-        cache,
-        index,
-        backing_read: backing,
-        backing_write: backing,
-    })
+/// The config a spec names (see `ubrc_sim::SimConfig`'s `FromStr`).
+/// Every design point here is a fixed spec, so a rejected one is a
+/// harness bug.
+fn spec(spec: &str) -> SimConfig {
+    spec.parse().unwrap_or_else(|e| panic!("{spec}: {e}"))
 }
 
-/// The three caching schemes the paper compares, at a given geometry,
-/// with the indexing used throughout §5.4-§5.5 (round-robin for the
-/// reference designs, filtered round-robin for use-based).
+/// A spec's config with its register cache tuned in Rust, for the
+/// fields no spec key covers.
+fn tuned(base: &str, tune: impl FnOnce(&mut RegCacheConfig)) -> SimConfig {
+    let mut cfg = spec(base);
+    if let RegStorage::Cached { cache, .. } = &mut cfg.storage {
+        tune(cache);
+    }
+    cfg
+}
+
+/// The three caching schemes the paper compares, at a given geometry
+/// and backing-file latency, each under the indexing its spec base
+/// pairs it with.
 fn schemes(entries: usize, ways: usize, backing: u32) -> Vec<(&'static str, SimConfig)> {
-    type Ctor = fn(usize, usize) -> RegCacheConfig;
-    [
-        ("lru", RegCacheConfig::lru as Ctor, IndexPolicy::RoundRobin),
-        (
-            "non-bypass",
-            RegCacheConfig::non_bypass,
-            IndexPolicy::RoundRobin,
-        ),
-        (
-            "use-based",
-            RegCacheConfig::use_based,
-            IndexPolicy::FilteredRoundRobin,
-        ),
-    ]
-    .into_iter()
-    .map(|(name, ctor, index)| (name, cached_cfg(ctor(entries, ways), index, backing)))
-    .collect()
+    ["lru", "non-bypass", "use-based"]
+        .map(|name| {
+            let cfg = spec(&format!(
+                "{name},entries={entries},ways={ways},backing={backing}"
+            ));
+            (name, cfg)
+        })
+        .into()
 }
 
 fn mono_cfg(latency: u32) -> SimConfig {
-    SimConfig::table1(RegStorage::Monolithic {
-        read_latency: latency,
-        write_latency: latency,
-    })
+    spec(&format!("rf-{latency}"))
 }
 
 /// Table 1: the simulated machine configuration.
@@ -286,9 +281,8 @@ pub fn fig6(scale: Scale) -> Result<Table, SuiteError> {
     let mut configs: Vec<SimConfig> = sizes
         .iter()
         .flat_map(|&n| {
-            [1, 2, 4, n].map(|ways| {
-                cached_cfg(RegCacheConfig::use_based(n, ways), IndexPolicy::Standard, 2)
-            })
+            [1, 2, 4, n]
+                .map(|ways| spec(&format!("use-based,entries={n},ways={ways},index=standard")))
         })
         .collect();
     configs.extend(RF_LATENCIES.map(mono_cfg));
@@ -306,16 +300,16 @@ pub fn fig6(scale: Scale) -> Result<Table, SuiteError> {
 /// use-based cache).
 pub fn fig7(scale: Scale) -> Result<Table, SuiteError> {
     let policies = [
-        ("preg (standard)", IndexPolicy::Standard),
-        ("round-robin", IndexPolicy::RoundRobin),
-        ("minimum", IndexPolicy::Minimum),
-        ("filtered", IndexPolicy::FilteredRoundRobin),
-        ("min-load", IndexPolicy::MinLoad),
+        ("preg (standard)", "standard"),
+        ("round-robin", "round-robin"),
+        ("minimum", "minimum"),
+        ("filtered", "filtered"),
+        ("min-load", "min-load"),
     ];
     let configs: Vec<SimConfig> = policies
         .iter()
-        .flat_map(|&(_, policy)| {
-            [1usize, 2, 4].map(|ways| cached_cfg(RegCacheConfig::use_based(64, ways), policy, 2))
+        .flat_map(|&(_, index)| {
+            [1, 2, 4].map(|ways| spec(&format!("use-based,ways={ways},index={index}")))
         })
         .collect();
     let res = run_suites(&configs, scale)?;
@@ -353,21 +347,10 @@ fn miss_breakdown_row(label: &str, res: &SuiteResult, t: &mut Table) {
 /// round-robin indexing. 64-entry, 2-way.
 pub fn fig8(scale: Scale) -> Result<Table, SuiteError> {
     let mut rows = Vec::new();
-    for (name, ctor) in [
-        (
-            "lru",
-            RegCacheConfig::lru as fn(usize, usize) -> RegCacheConfig,
-        ),
-        ("non-bypass", RegCacheConfig::non_bypass),
-        ("use-based", RegCacheConfig::use_based),
-    ] {
-        for (iname, index) in [
-            ("standard", IndexPolicy::Standard),
-            ("filtered-rr", IndexPolicy::FilteredRoundRobin),
-        ] {
-            let mut cache = ctor(64, 2);
-            cache.classify_misses = true;
-            rows.push((format!("{name}/{iname}"), cached_cfg(cache, index, 2)));
+    for name in ["lru", "non-bypass", "use-based"] {
+        for (iname, index) in [("standard", "standard"), ("filtered-rr", "filtered")] {
+            let cfg = spec(&format!("{name},index={index},classify=on"));
+            rows.push((format!("{name}/{iname}"), cfg));
         }
     }
     let mut t = Table::new([
@@ -517,15 +500,9 @@ pub fn fig11(scale: Scale) -> Result<Table, SuiteError> {
     let mut configs = Vec::new();
     for &n in &sizes {
         configs.extend(schemes(n, 2, 2).into_iter().map(|(_, cfg)| cfg));
-        configs.push(cached_cfg(
-            RegCacheConfig::use_based(n, 4),
-            IndexPolicy::FilteredRoundRobin,
-            2,
-        ));
+        configs.push(spec(&format!("use-based,entries={n},ways=4")));
         if two_level_fits(n) {
-            configs.push(SimConfig::table1(RegStorage::TwoLevel(
-                TwoLevelConfig::optimistic(n + 32),
-            )));
+            configs.push(spec(&format!("two-level,entries={}", n + 32)));
         }
     }
     configs.extend(RF_LATENCIES.map(mono_cfg));
@@ -560,10 +537,7 @@ pub fn fig12(scale: Scale) -> Result<Table, SuiteError> {
     let mut configs = Vec::new();
     for lat in latencies.clone() {
         configs.extend(schemes(64, 2, lat).into_iter().map(|(_, cfg)| cfg));
-        configs.push(SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig {
-            l2_latency: lat,
-            ..TwoLevelConfig::optimistic(96)
-        })));
+        configs.push(spec(&format!("two-level,backing={lat}")));
     }
     configs.extend(RF_LATENCIES.map(mono_cfg));
     let res = run_suites(&configs, scale)?;
@@ -584,11 +558,8 @@ pub fn fig12(scale: Scale) -> Result<Table, SuiteError> {
 
 /// §5.3 tuning: the maximum use count (pinning limit) sweep.
 pub fn maxuse(scale: Scale) -> Result<Table, SuiteError> {
-    let rows = [1u8, 2, 3, 5, 6, 7, 9, 12, 15].map(|max| {
-        let mut cache = RegCacheConfig::use_based(64, 2);
-        cache.max_use_count = max;
-        (max, cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2))
-    });
+    let rows = [1u8, 2, 3, 5, 6, 7, 9, 12, 15]
+        .map(|max| (max, tuned("use-based", |c| c.max_use_count = max)));
     let mut t = Table::new(["max-use-count", "geomean-ipc", "miss-rate%"]);
     for (max, res) in run_labelled(rows, scale)? {
         let miss = res
@@ -604,10 +575,10 @@ pub fn defaults(scale: Scale) -> Result<Table, SuiteError> {
     let configs: Vec<SimConfig> = (0u8..=3)
         .flat_map(|unknown| {
             (0u8..=2).map(move |fill| {
-                let mut cache = RegCacheConfig::use_based(64, 2);
-                cache.unknown_default = unknown;
-                cache.fill_default = fill;
-                cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2)
+                tuned("use-based", |c| {
+                    c.unknown_default = unknown;
+                    c.fill_default = fill;
+                })
             })
         })
         .collect();
@@ -622,11 +593,11 @@ pub fn defaults(scale: Scale) -> Result<Table, SuiteError> {
 /// §5.5 ablation: two-level L1↔L2 transfer bandwidth.
 pub fn twolevel_bw(scale: Scale) -> Result<Table, SuiteError> {
     let rows = [1u32, 2, 4, 8].map(|bw| {
-        let storage = RegStorage::TwoLevel(TwoLevelConfig {
-            transfers_per_cycle: bw,
-            ..TwoLevelConfig::optimistic(96)
-        });
-        (bw, SimConfig::table1(storage))
+        let mut cfg = spec("two-level");
+        if let RegStorage::TwoLevel(tl) = &mut cfg.storage {
+            tl.transfers_per_cycle = bw;
+        }
+        (bw, cfg)
     });
     let mut t = Table::new(["transfers/cycle", "geomean-ipc", "rename-stalls"]);
     for (bw, res) in run_labelled(rows, scale)? {
@@ -669,11 +640,7 @@ pub fn filtered_params(scale: Scale) -> Result<Table, SuiteError> {
         .iter()
         .flat_map(|&degree| {
             (0u32..=2).map(move |skip| {
-                let mut cfg = cached_cfg(
-                    RegCacheConfig::use_based(64, 2),
-                    IndexPolicy::FilteredRoundRobin,
-                    2,
-                );
+                let mut cfg = SimConfig::paper_default();
                 cfg.filter_params = Some((degree, skip));
                 cfg
             })
@@ -714,17 +681,10 @@ pub fn bypass_depth(scale: Scale) -> Result<Table, SuiteError> {
 /// point (standard indexing cannot express these set counts cleanly;
 /// the assigner handles them natively).
 pub fn odd_sizes(scale: Scale) -> Result<Table, SuiteError> {
-    let rows = [40usize, 48, 56, 64, 72, 88].map(|n| {
-        let cache = RegCacheConfig::use_based(n, 2);
-        (cache, cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2))
-    });
+    let rows = [40usize, 48, 56, 64, 72, 88].map(|n| (n, spec(&format!("use-based,entries={n}"))));
     let mut t = Table::new(["entries(2-way)", "sets", "geomean-ipc"]);
-    for (cache, res) in run_labelled(rows, scale)? {
-        t.row([
-            cache.entries.to_string(),
-            cache.sets().to_string(),
-            ipc(&res),
-        ]);
+    for (n, res) in run_labelled(rows, scale)? {
+        t.row([n.to_string(), (n / 2).to_string(), ipc(&res)]);
     }
     Ok(t)
 }
@@ -927,16 +887,12 @@ pub fn synthetic_sweep(_scale: Scale) -> Result<Table, SuiteError> {
 /// al., "Making Belady-Inspired Replacement Policies More Effective
 /// Using Expected Hit Count").
 pub fn ehc(scale: Scale) -> Result<Table, SuiteError> {
-    let caches = [
-        ("lru", RegCacheConfig::lru(64, 2)),
-        ("fewest-uses (paper)", RegCacheConfig::use_based(64, 2)),
-        (
-            "expected-hit-count",
-            RegCacheConfig::expected_hit_count(64, 2),
-        ),
-    ];
-    let rows =
-        caches.map(|(name, cache)| (name, cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2)));
+    let rows = [
+        ("lru", "lru,index=filtered"),
+        ("fewest-uses (paper)", "use-based"),
+        ("expected-hit-count", "ehc"),
+    ]
+    .map(|(name, base)| (name, spec(base)));
     let mut t = Table::new(["replacement", "geomean-ipc", "miss/operand %"]);
     for (name, res) in run_labelled(rows, scale)? {
         let miss = res.mean_of(|r| r.miss_rate_per_operand()).unwrap_or(0.0);
@@ -955,18 +911,8 @@ pub fn ehc(scale: Scale) -> Result<Table, SuiteError> {
 /// relative to the 1-thread column.
 pub fn smt(scale: Scale) -> Result<Table, SuiteError> {
     let variants = [
-        (
-            "use-based",
-            cached_cfg(
-                RegCacheConfig::use_based(64, 2),
-                IndexPolicy::FilteredRoundRobin,
-                2,
-            ),
-        ),
-        (
-            "lru",
-            cached_cfg(RegCacheConfig::lru(64, 2), IndexPolicy::RoundRobin, 2),
-        ),
+        ("use-based", spec("use-based")),
+        ("lru", spec("lru")),
         ("no-cache (RF 3-cycle)", mono_cfg(3)),
     ];
     let (names, configs): (Vec<&str>, Vec<SimConfig>) = variants.into_iter().unzip();
@@ -1011,40 +957,24 @@ fn fairness_vs_shared(baseline: &SuiteResult, run: &SuiteResult) -> f64 {
     }
 }
 
-/// A named register-cache partition, optionally with adaptive epochs.
-type Partition = (&'static str, CachePartition, Option<EpochAdapt>);
-
 /// The 4-thread partition matrix behind [`smt4`], [`ucp`] and
 /// [`dynway`]: each [`ubrc_workloads::kernel_quads`] grouping runs on
 /// one 4-thread core, and the aggregate IPC is reported for both
 /// replacement schemes (use-based, LRU) at 64 entries × `ways` under
-/// each partition. The first partition is the `vs-shared` baseline, and
+/// each `(label, spec keys)` partition. The first partition is the
+/// `vs-shared` baseline, and
 /// the `fairness-hmean` column (see [`fairness_vs_shared`]) sits
 /// alongside the aggregate ratio.
 fn partition_matrix(
     scale: Scale,
     ways: usize,
-    partitions: &[Partition],
+    partitions: &[(&str, &str)],
 ) -> Result<Table, SuiteError> {
-    let schemes = [
-        (
-            "use-based",
-            RegCacheConfig::use_based(64, ways),
-            IndexPolicy::FilteredRoundRobin,
-        ),
-        (
-            "lru",
-            RegCacheConfig::lru(64, ways),
-            IndexPolicy::RoundRobin,
-        ),
-    ];
+    let schemes = ["use-based", "lru"];
     let mut configs = Vec::new();
-    for (_, base, index) in schemes {
-        for &(_, partition, adapt) in partitions {
-            let mut cache = base;
-            cache.partition = partition;
-            cache.epoch_adapt = adapt;
-            configs.push(cached_cfg(cache, index, 2));
+    for scheme in schemes {
+        for (_, keys) in partitions {
+            configs.push(spec(&format!("{scheme},ways={ways},{keys}")));
         }
     }
     let res = run_matrix(&configs, &[kernel_groups(4, scale)])?;
@@ -1055,9 +985,9 @@ fn partition_matrix(
         "vs-shared",
         "fairness-hmean",
     ]);
-    for ((scheme, _, _), rows) in schemes.iter().zip(res.chunks(partitions.len())) {
+    for (scheme, rows) in schemes.iter().zip(res.chunks(partitions.len())) {
         let baseline = &rows[0];
-        for ((pname, _, _), r) in partitions.iter().zip(rows) {
+        for ((pname, _), r) in partitions.iter().zip(rows) {
             let ipc = r.geomean_ipc();
             t.row([
                 scheme.to_string(),
@@ -1083,9 +1013,9 @@ pub fn smt4(scale: Scale) -> Result<Table, SuiteError> {
         scale,
         4,
         &[
-            ("shared", CachePartition::Shared, None),
-            ("way-partition", CachePartition::WayPartition, None),
-            ("occupancy-cap", CachePartition::OccupancyCap, None),
+            ("shared", "partition=shared"),
+            ("way-partition", "partition=waypart"),
+            ("occupancy-cap", "partition=occcap"),
         ],
     )
 }
@@ -1100,38 +1030,14 @@ pub fn smt4(scale: Scale) -> Result<Table, SuiteError> {
 /// fault-free rows pin the zero-overhead claim: `protected` must match
 /// `unprotected` exactly.
 pub fn soft(scale: Scale) -> Result<Table, SuiteError> {
-    use ubrc_core::ProtectionConfig;
-    use ubrc_sim::{FaultKind, FaultPlan, RecoveryPolicy};
-
-    let protected = |plan: Option<FaultPlan>| {
-        let mut cache = RegCacheConfig::use_based(64, 2);
-        cache.protection = ProtectionConfig::full();
-        let mut cfg = cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2);
-        cfg.recovery = RecoveryPolicy::enabled();
-        cfg.fault_plan = plan;
-        cfg
-    };
     let mut rows: Vec<(String, SimConfig)> = vec![
-        (
-            "unprotected".into(),
-            cached_cfg(
-                RegCacheConfig::use_based(64, 2),
-                IndexPolicy::FilteredRoundRobin,
-                2,
-            ),
-        ),
-        ("protected, fault-free".into(), protected(None)),
+        ("unprotected".into(), spec("use-based")),
+        ("protected, fault-free".into(), spec("use-based,protect=on")),
     ];
-    for (kname, kind) in [
-        ("cache-data", FaultKind::FlipCacheData),
-        ("use-counter", FaultKind::FlipUseCounter),
-        ("backing-word", FaultKind::FlipBackingWord),
-    ] {
-        for period in [400u64, 100] {
-            rows.push((
-                format!("{kname} 1/{period}cyc"),
-                protected(Some(FaultPlan::periodic(11, period, kind))),
-            ));
+    for kind in ["cache-data", "use-counter", "backing-word"] {
+        for period in [400, 100] {
+            let cfg = spec(&format!("use-based,protect=on,fault={kind}:{period}:11"));
+            rows.push((format!("{kind} 1/{period}cyc"), cfg));
         }
     }
     let mut t = Table::new([
@@ -1167,13 +1073,6 @@ pub fn soft(scale: Scale) -> Result<Table, SuiteError> {
     Ok(t)
 }
 
-/// UMON-driven occupancy quotas, recomputed every 128 cycles with a
-/// floor of 4 entries per thread.
-const DYNAMIC_CAP: CachePartition = CachePartition::DynamicCap {
-    epoch_cycles: 128,
-    min_cap: 4,
-};
-
 /// Tentpole extension: utility-driven dynamic register-cache
 /// partitioning (after Qureshi & Patt's UCP, MICRO 2006, transplanted
 /// to the register cache). The 4-thread partition matrix of [`smt4`]
@@ -1189,9 +1088,9 @@ pub fn ucp(scale: Scale) -> Result<Table, SuiteError> {
         scale,
         4,
         &[
-            ("shared", CachePartition::Shared, None),
-            ("occupancy-cap", CachePartition::OccupancyCap, None),
-            ("dynamic-cap", DYNAMIC_CAP, None),
+            ("shared", "partition=shared"),
+            ("occupancy-cap", "partition=occcap"),
+            ("dynamic-cap", "partition=dyncap"),
         ],
     )
 }
@@ -1209,21 +1108,15 @@ pub fn ucp(scale: Scale) -> Result<Table, SuiteError> {
 /// threads) while tracking phase behavior, so its row should land
 /// between `dynamic-cap` and the static split's isolation tax.
 pub fn dynway(scale: Scale) -> Result<Table, SuiteError> {
-    let dynamic_way = CachePartition::DynamicWay { epoch_cycles: 128 };
-    let adapt = Some(EpochAdapt {
-        min_cycles: 32,
-        max_cycles: 512,
-        band: 2,
-    });
     partition_matrix(
         scale,
         8,
         &[
-            ("shared", CachePartition::Shared, None),
-            ("way-partition", CachePartition::WayPartition, None),
-            ("dynamic-cap", DYNAMIC_CAP, None),
-            ("dynamic-way", dynamic_way, None),
-            ("dynamic-way adaptive", dynamic_way, adapt),
+            ("shared", "partition=shared"),
+            ("way-partition", "partition=waypart"),
+            ("dynamic-cap", "partition=dyncap"),
+            ("dynamic-way", "partition=dynway"),
+            ("dynamic-way adaptive", "partition=dynway,adapt=on"),
         ],
     )
 }
@@ -1294,14 +1187,10 @@ pub fn ehc_sweep(scale: Scale) -> Result<Table, SuiteError> {
         .collect();
     let mut configs = Vec::new();
     for &(entries, ways) in &geometries {
-        let fewest = RegCacheConfig::use_based(entries, ways);
-        let mut floored = RegCacheConfig::use_based(entries, ways);
-        floored.fill_default = 1;
-        let ehc = RegCacheConfig::expected_hit_count(entries, ways);
-        configs.extend(
-            [fewest, floored, ehc]
-                .map(|cache| cached_cfg(cache, IndexPolicy::FilteredRoundRobin, 2)),
-        );
+        let fewest = format!("use-based,entries={entries},ways={ways}");
+        configs.push(spec(&fewest));
+        configs.push(tuned(&fewest, |c| c.fill_default = 1));
+        configs.push(spec(&format!("ehc,entries={entries},ways={ways}")));
     }
     let res = run_suites(&configs, scale)?;
     let mut t = Table::new([

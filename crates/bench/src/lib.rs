@@ -19,6 +19,5 @@ mod trajectory;
 
 pub use runner::{run_cells, Cell, RunOptions, SuiteError, SuiteFailure};
 pub use trajectory::{
-    pipeline_trajectory, smt4_trajectory_configs, smt_trajectory_configs, soft_trajectory_configs,
-    trajectory_configs, TrajectoryOutcome, SCHEMA as TRAJECTORY_SCHEMA,
+    pipeline_trajectory, TrajectoryOutcome, SCHEMA as TRAJECTORY_SCHEMA, TRAJECTORY,
 };

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 use ubrc_isa::Program;
-use ubrc_sim::{CheckConfig, SimConfig, SimError, SimResult, Simulator};
+use ubrc_sim::{simulate, CheckConfig, SimConfig, SimError, SimResult, Simulator};
 use ubrc_workloads::{kernel_pairs, kernel_quads, suite, Scale, Workload};
 
 /// A simulation cell failed: which cell, and how.
@@ -91,9 +91,9 @@ impl fmt::Display for SuiteFailure {
 }
 
 /// Per-run options for the runner, normally derived from the
-/// environment (which is how the `experiments` binary's `--check`,
-/// `--timeout` and `--profile` flags reach every cell without threading
-/// a parameter through every experiment signature).
+/// environment (which is how the `experiments` binary's `--check` and
+/// `--timeout` flags reach every cell without threading a parameter
+/// through every experiment signature).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunOptions {
     /// Enable full runtime checking ([`CheckConfig::full`]) on every
@@ -102,26 +102,20 @@ pub struct RunOptions {
     /// Wall-clock budget per cell; a cell still running at the deadline
     /// is cancelled and reported as [`SuiteFailure::Timeout`].
     pub timeout: Option<Duration>,
-    /// Enable per-stage self-profiling on every cell (wall-time and
-    /// call counts per pipeline stage; never changes simulated timing).
-    pub profile: bool,
 }
 
 impl RunOptions {
-    /// Reads `UBRC_CHECK` (any non-empty value other than `0`),
-    /// `UBRC_TIMEOUT_SECS` (integer seconds), and `UBRC_PROFILE` (any
-    /// non-empty value other than `0`).
+    /// Reads `UBRC_CHECK` (any non-empty value other than `0`) and
+    /// `UBRC_TIMEOUT_SECS` (integer seconds).
     pub fn from_env() -> Self {
-        let flag = |name| std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0");
         let timeout = std::env::var("UBRC_TIMEOUT_SECS")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
             .filter(|&s| s > 0)
             .map(Duration::from_secs);
         Self {
-            check: flag("UBRC_CHECK"),
+            check: std::env::var("UBRC_CHECK").is_ok_and(|v| !v.is_empty() && v != "0"),
             timeout,
-            profile: flag("UBRC_PROFILE"),
         }
     }
 }
@@ -201,7 +195,7 @@ pub fn run_cells(cells: &[Cell<'_>], opts: &RunOptions) -> Vec<Result<SimResult,
                         // result carries its index back through `join`.
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(cell) = cells.get(i) else { break done };
-                        let outcome = simulate(cell, opts).map_err(|failure| SuiteError {
+                        let outcome = run_cell(cell, opts).map_err(|failure| SuiteError {
                             workload: cell.label(),
                             failure,
                         });
@@ -230,8 +224,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Assembles every member of the cell and simulates it, with the
-/// checking, profiling and deadline overrides from `opts` applied.
-fn simulate(cell: &Cell<'_>, opts: &RunOptions) -> Result<SimResult, SuiteFailure> {
+/// checking and deadline overrides from `opts` applied.
+fn run_cell(cell: &Cell<'_>, opts: &RunOptions) -> Result<SimResult, SuiteFailure> {
     let mut programs = Vec::with_capacity(cell.workloads.len());
     for w in cell.workloads {
         programs.push(w.assemble().map_err(SuiteFailure::Asm)?);
@@ -240,18 +234,11 @@ fn simulate(cell: &Cell<'_>, opts: &RunOptions) -> Result<SimResult, SuiteFailur
     if opts.check {
         config.check = CheckConfig::full();
     }
-    if opts.profile {
-        config.profile = true;
-    }
     match opts.timeout {
         Some(budget) => run_with_deadline(programs, config, budget),
-        None => catch_unwind(AssertUnwindSafe(|| {
-            Simulator::try_new_smt(programs, config)
-                .map_err(|e| Box::new(SimError::Config(e)))?
-                .run_checked()
-        }))
-        .map_err(|p| SuiteFailure::Panic(panic_message(p)))?
-        .map_err(SuiteFailure::Sim),
+        None => catch_unwind(AssertUnwindSafe(|| simulate(programs, config)))
+            .map_err(|p| SuiteFailure::Panic(panic_message(p)))?
+            .map_err(SuiteFailure::Sim),
     }
 }
 
@@ -396,32 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_run_matches_unprofiled() {
-        // `--profile` must be observation-only: identical simulated
-        // outcome, with the wall-time attribution riding alongside.
-        let w = ubrc_workloads::workload_by_name("crc", Scale::Tiny).unwrap();
-        let cfg = SimConfig::paper_default();
-        let cell = [Cell {
-            workloads: std::slice::from_ref(&w),
-            config: &cfg,
-        }];
-        let plain = run_cells(&cell, &RunOptions::default()).remove(0).unwrap();
-        let opts = RunOptions {
-            profile: true,
-            ..RunOptions::default()
-        };
-        let profiled = run_cells(&cell, &opts).remove(0).unwrap();
-        assert_eq!(plain.cycles, profiled.cycles);
-        assert_eq!(plain.retired, profiled.retired);
-        assert!(plain.profile.is_none());
-        let p = profiled.profile.expect("profile collected");
-        assert!(p.total_nanos() > 0);
-        // Every stage runs once per cycle, so the call counts agree
-        // with each other and with the simulated cycle count.
-        assert!(p.stages.iter().all(|s| s.calls == plain.cycles));
-    }
-
-    #[test]
     fn checked_run_matches_unchecked() {
         // `--check` must be observation-only: identical SimResult.
         let w = ubrc_workloads::workload_by_name("crc", Scale::Tiny).unwrap();
@@ -434,7 +395,6 @@ mod tests {
         let opts = RunOptions {
             check: true,
             timeout: Some(Duration::from_secs(120)),
-            ..RunOptions::default()
         };
         let checked = run_cells(&cell, &opts).remove(0).unwrap();
         assert_eq!(plain.cycles, checked.cycles);

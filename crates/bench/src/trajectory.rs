@@ -9,10 +9,9 @@
 //!
 //! The schema is documented in DESIGN.md (§Performance).
 
-use crate::runner::{kernel_groups, max_workers, run_cells, Cell, RunOptions, SuiteError};
+use crate::runner::{kernel_groups, max_workers, run_cells, Cell, RunOptions};
 use std::time::Instant;
-use ubrc_core::{CachePartition, IndexPolicy, ProtectionConfig, RegCacheConfig};
-use ubrc_sim::{FaultKind, FaultPlan, RecoveryPolicy, RegStorage, SimConfig, SimResult};
+use ubrc_sim::{SimConfig, SimResult};
 use ubrc_stats::{geomean, Json};
 use ubrc_workloads::Scale;
 
@@ -24,176 +23,84 @@ use ubrc_workloads::Scale;
 /// dynamically way-partitioned 4-thread cells (`smt4-*-dynway`, at the
 /// 64x8 geometry so whole ways can move) and a per-kernel `thread_ipc`
 /// array on every co-scheduled cell (per-thread retired over cell
-/// cycles, from `SimResult::thread_retired`); `/5` added the optional
-/// per-config `profile` section (per-stage wall-nanoseconds and call
-/// counts summed over the config's kernels, present only when the run
-/// was made with `--profile` / `UBRC_PROFILE`); `/6` dropped the
+/// cycles, from `SimResult::thread_retired`); `/5` added an optional
+/// per-config `profile` section of per-stage wall time, dropped again
+/// in `/7` with the `--profile` flag that filled it; `/6` dropped the
 /// per-kernel retry count (the runner never reruns a cell: the
 /// simulator is deterministic).
-pub const SCHEMA: &str = "ubrc-bench-pipeline/6";
+pub const SCHEMA: &str = "ubrc-bench-pipeline/7";
 
-fn cached(cache: RegCacheConfig, index: IndexPolicy) -> SimConfig {
-    SimConfig::table1(RegStorage::Cached {
-        cache,
-        index,
-        backing_read: 2,
-        backing_write: 2,
-    })
-}
-
-/// The fixed configuration matrix the trajectory tracks: the paper's
-/// three caching schemes plus the monolithic register-file baselines.
-pub fn trajectory_configs() -> Vec<(&'static str, SimConfig)> {
-    vec![
-        (
-            "rf-1",
-            SimConfig::table1(RegStorage::Monolithic {
-                read_latency: 1,
-                write_latency: 1,
-            }),
-        ),
-        (
-            "rf-3",
-            SimConfig::table1(RegStorage::Monolithic {
-                read_latency: 3,
-                write_latency: 3,
-            }),
-        ),
-        (
-            "lru",
-            cached(RegCacheConfig::lru(64, 2), IndexPolicy::RoundRobin),
-        ),
-        (
-            "non-bypass",
-            cached(RegCacheConfig::non_bypass(64, 2), IndexPolicy::RoundRobin),
-        ),
-        (
-            "use-based",
-            cached(
-                RegCacheConfig::use_based(64, 2),
-                IndexPolicy::FilteredRoundRobin,
-            ),
-        ),
-        (
-            "ehc",
-            cached(
-                RegCacheConfig::expected_hit_count(64, 2),
-                IndexPolicy::FilteredRoundRobin,
-            ),
-        ),
-        (
-            "min-load",
-            cached(RegCacheConfig::use_based(64, 2), IndexPolicy::MinLoad),
-        ),
-    ]
-}
-
-/// The soft-error configurations the trajectory tracks: the use-based
-/// design point with full parity protection and machine-check recovery
-/// enabled, once fault-free (pinning the zero-overhead claim: its
-/// numbers must match `use-based`) and once under each class of
-/// periodic recoverable fault (pinning the cost of the recovery
-/// machinery itself).
-pub fn soft_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
-    let protected = |plan: Option<FaultPlan>| {
-        let mut cache = RegCacheConfig::use_based(64, 2);
-        cache.protection = ProtectionConfig::full();
-        let mut cfg = cached(cache, IndexPolicy::FilteredRoundRobin);
-        cfg.recovery = RecoveryPolicy::enabled();
-        cfg.fault_plan = plan;
-        cfg
-    };
-    vec![
-        ("soft-protected", protected(None)),
-        (
-            "soft-cache-p200",
-            protected(Some(FaultPlan::periodic(7, 200, FaultKind::FlipCacheData))),
-        ),
-        (
-            "soft-backing-p400",
-            protected(Some(FaultPlan::periodic(
-                9,
-                400,
-                FaultKind::FlipBackingWord,
-            ))),
-        ),
-    ]
-}
-
-/// The 2-thread SMT configurations the trajectory tracks: each cell
-/// runs every [`ubrc_workloads::kernel_pairs`] pairing co-scheduled on
-/// one core, so its `ipc` columns are aggregate (two-thread) IPC. The
-/// `rr`/`ic28` cells pin the fetch-policy ablation (the default cells
-/// fetch with ICOUNT.1.8).
-pub fn smt_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
-    let fetch = |mut cfg: SimConfig, policy: ubrc_sim::FetchPolicy| {
-        cfg.fetch_policy = policy;
-        cfg
-    };
-    let ub = || {
-        cached(
-            RegCacheConfig::use_based(64, 2),
-            IndexPolicy::FilteredRoundRobin,
-        )
-    };
-    vec![
-        ("smt2-use-based", ub()),
-        (
-            "smt2-lru",
-            cached(RegCacheConfig::lru(64, 2), IndexPolicy::RoundRobin),
-        ),
-        (
-            "smt2-use-based-rr",
-            fetch(ub(), ubrc_sim::FetchPolicy::RoundRobin),
-        ),
-        (
-            "smt2-use-based-ic28",
-            fetch(ub(), ubrc_sim::FetchPolicy::Icount28),
-        ),
-    ]
-}
-
-/// The 4-thread SMT configurations the trajectory tracks: each cell
-/// runs every [`ubrc_workloads::kernel_quads`] grouping co-scheduled on
-/// one core under the {use-based, LRU} × {shared, way-partitioned,
-/// occupancy-capped, dynamic-cap} register-cache matrix (64-entry 4-way
-/// geometry so the ways divide across the threads) plus dynamic-way at
-/// 64x8 (so whole ways can move), so its `ipc` columns are aggregate
-/// (four-thread) IPC.
-pub fn smt4_trajectory_configs() -> Vec<(&'static str, SimConfig)> {
-    type Scheme = (fn(usize, usize) -> RegCacheConfig, IndexPolicy);
-    let ub: Scheme = (RegCacheConfig::use_based, IndexPolicy::FilteredRoundRobin);
-    let lru: Scheme = (RegCacheConfig::lru, IndexPolicy::RoundRobin);
-    let dyncap = CachePartition::DynamicCap {
-        epoch_cycles: 128,
-        min_cap: 4,
-    };
-    let dynway = CachePartition::DynamicWay { epoch_cycles: 128 };
-    [
-        ("smt4-use-based-shared", ub, CachePartition::Shared, 4),
-        (
-            "smt4-use-based-waypart",
-            ub,
-            CachePartition::WayPartition,
-            4,
-        ),
-        ("smt4-use-based-occcap", ub, CachePartition::OccupancyCap, 4),
-        ("smt4-lru-shared", lru, CachePartition::Shared, 4),
-        ("smt4-lru-waypart", lru, CachePartition::WayPartition, 4),
-        ("smt4-lru-occcap", lru, CachePartition::OccupancyCap, 4),
-        ("smt4-use-based-dyncap", ub, dyncap, 4),
-        ("smt4-lru-dyncap", lru, dyncap, 4),
-        ("smt4-use-based-dynway", ub, dynway, 8),
-        ("smt4-lru-dynway", lru, dynway, 8),
-    ]
-    .into_iter()
-    .map(|(name, (scheme, index), partition, ways)| {
-        let mut cache = scheme(64, ways);
-        cache.partition = partition;
-        (name, cached(cache, index))
-    })
-    .collect()
-}
+/// The fixed configuration matrix the trajectory tracks, as `(name,
+/// threads, spec)`: each config runs over the kernel suite's
+/// `threads`-kernel co-schedules (the 12 kernels, the 6
+/// [`ubrc_workloads::kernel_pairs`] or the 3
+/// [`ubrc_workloads::kernel_quads`]), so a multi-thread config's `ipc`
+/// columns are aggregate IPC.
+///
+/// - The paper's three caching schemes, the expected-hit-count scorer
+///   and min-load indexing, plus the monolithic register-file
+///   baselines.
+/// - The use-based design point with full parity protection and
+///   machine-check recovery: once fault-free (pinning the zero-overhead
+///   claim: its numbers must match `use-based`) and once under each
+///   class of periodic recoverable fault (pinning the cost of the
+///   recovery machinery itself).
+/// - 2-thread pairs, with the fetch-policy ablation (the default cells
+///   fetch with ICOUNT.1.8).
+/// - 4-thread quads under the {use-based, LRU} × {shared,
+///   way-partitioned, occupancy-capped, dynamic-cap} matrix at 64x4 (so
+///   the ways divide across the threads), plus dynamic-way at 64x8 (so
+///   whole ways can move).
+pub const TRAJECTORY: [(&str, usize, &str); 24] = [
+    ("rf-1", 1, "rf-1"),
+    ("rf-3", 1, "rf-3"),
+    ("lru", 1, "lru"),
+    ("non-bypass", 1, "non-bypass"),
+    ("use-based", 1, "use-based"),
+    ("ehc", 1, "ehc"),
+    ("min-load", 1, "use-based,index=min-load"),
+    ("soft-protected", 1, "use-based,protect=on"),
+    (
+        "soft-cache-p200",
+        1,
+        "use-based,protect=on,fault=cache-data:200:7",
+    ),
+    (
+        "soft-backing-p400",
+        1,
+        "use-based,protect=on,fault=backing-word:400:9",
+    ),
+    ("smt2-use-based", 2, "use-based"),
+    ("smt2-lru", 2, "lru"),
+    ("smt2-use-based-rr", 2, "use-based,fetch=round-robin"),
+    ("smt2-use-based-ic28", 2, "use-based,fetch=icount28"),
+    ("smt4-use-based-shared", 4, "use-based,ways=4"),
+    (
+        "smt4-use-based-waypart",
+        4,
+        "use-based,ways=4,partition=waypart",
+    ),
+    (
+        "smt4-use-based-occcap",
+        4,
+        "use-based,ways=4,partition=occcap",
+    ),
+    ("smt4-lru-shared", 4, "lru,ways=4"),
+    ("smt4-lru-waypart", 4, "lru,ways=4,partition=waypart"),
+    ("smt4-lru-occcap", 4, "lru,ways=4,partition=occcap"),
+    (
+        "smt4-use-based-dyncap",
+        4,
+        "use-based,ways=4,partition=dyncap",
+    ),
+    ("smt4-lru-dyncap", 4, "lru,ways=4,partition=dyncap"),
+    (
+        "smt4-use-based-dynway",
+        4,
+        "use-based,ways=8,partition=dynway",
+    ),
+    ("smt4-lru-dynway", 4, "lru,ways=8,partition=dynway"),
+];
 
 /// Outcome of a trajectory run: the (possibly partial) document plus
 /// the number of failed cells. The document is always emitted — a
@@ -213,54 +120,14 @@ pub struct TrajectoryOutcome {
 /// [`TrajectoryOutcome::failed`], while aggregate statistics cover the
 /// cells that completed.
 pub fn pipeline_trajectory(scale: Scale) -> TrajectoryOutcome {
-    let with_threads = |threads: usize, configs: Vec<(&'static str, SimConfig)>| {
-        configs
-            .into_iter()
-            .map(move |(name, cfg)| (name, threads, cfg))
-    };
-    let matrix = with_threads(1, trajectory_configs())
-        .chain(with_threads(1, soft_trajectory_configs()))
-        .chain(with_threads(2, smt_trajectory_configs()))
-        .chain(with_threads(4, smt4_trajectory_configs()))
+    let matrix = TRAJECTORY
+        .iter()
+        .map(|&(name, threads, spec)| {
+            let cfg = spec.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, threads, cfg)
+        })
         .collect();
     trajectory_over(matrix, scale)
-}
-
-/// Sums the per-stage self-profiles of a config's successful kernels
-/// into one `profile` JSON section (stage order as the pipeline runs
-/// them). `None` when no kernel carried a profile — i.e. the run was
-/// made without `--profile` — so the section never appears empty.
-fn aggregate_profile(outcomes: &[Result<SimResult, SuiteError>]) -> Option<Json> {
-    let mut stages: Vec<(&'static str, u64, u64)> = Vec::new();
-    for r in outcomes.iter().flatten() {
-        let Some(p) = &r.profile else { continue };
-        for s in &p.stages {
-            match stages.iter_mut().find(|(n, _, _)| *n == s.name) {
-                Some((_, nanos, calls)) => {
-                    *nanos += s.nanos;
-                    *calls += s.calls;
-                }
-                None => stages.push((s.name, s.nanos, s.calls)),
-            }
-        }
-    }
-    if stages.is_empty() {
-        return None;
-    }
-    let total: u64 = stages.iter().map(|&(_, nanos, _)| nanos).sum();
-    Some(Json::obj([
-        ("total_nanos", Json::from(total)),
-        (
-            "stages",
-            Json::arr(stages.into_iter().map(|(name, nanos, calls)| {
-                Json::obj([
-                    ("name", Json::from(name)),
-                    ("nanos", Json::from(nanos)),
-                    ("calls", Json::from(calls)),
-                ])
-            })),
-        ),
-    ]))
 }
 
 /// Runs each `(name, threads, config)` entry over the kernel suite's
@@ -327,7 +194,7 @@ fn trajectory_over(
                 ]),
             }
         }));
-        let mut fields = vec![
+        configs.push(Json::obj([
             ("name", Json::from(name)),
             ("wall_seconds", Json::from(wall)),
             ("instructions", Json::from(insts)),
@@ -337,12 +204,8 @@ fn trajectory_over(
             ),
             ("geomean_ipc", Json::from(geomean(&ipcs).unwrap_or(0.0))),
             ("failed", Json::from(failed)),
-        ];
-        if let Some(profile) = aggregate_profile(&outcomes) {
-            fields.push(("profile", profile));
-        }
-        fields.push(("kernels", kernels));
-        configs.push(Json::obj(fields));
+            ("kernels", kernels),
+        ]));
     }
     let total_wall = t_total.elapsed().as_secs_f64();
     let doc = Json::obj([
@@ -407,36 +270,6 @@ mod tests {
         ] {
             assert!(s.contains(key), "missing `{key}` in {s}");
         }
-    }
-
-    #[test]
-    fn profile_section_aggregates_per_stage_samples() {
-        let w = ubrc_workloads::workload_by_name("crc", Scale::Tiny).unwrap();
-        let cfg = SimConfig::paper_default();
-        let cell = Cell {
-            workloads: std::slice::from_ref(&w),
-            config: &cfg,
-        };
-        let opts = RunOptions {
-            profile: true,
-            ..RunOptions::default()
-        };
-        let outcomes = run_cells(&[cell, cell], &opts);
-        let profile = aggregate_profile(&outcomes).expect("profiled run has a section");
-        let s = profile.to_string();
-        assert!(s.contains(r#""total_nanos":"#), "missing total in {s}");
-        for stage in ["inject", "issue", "rename", "fetch", "storage-tick"] {
-            assert!(
-                s.contains(&format!(r#""name":"{stage}""#)),
-                "missing {stage} in {s}"
-            );
-        }
-        // Two identical profiled kernels: every stage ran in both, so
-        // each per-stage call count is even and positive.
-        assert!(!s.contains(r#""calls":0"#), "stage with zero calls in {s}");
-        // Without profiling there is no section at all.
-        let plain = run_cells(&[cell], &RunOptions::default());
-        assert!(aggregate_profile(&plain).is_none());
     }
 
     #[test]

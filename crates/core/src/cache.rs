@@ -1,9 +1,6 @@
 use crate::monitor::UtilityMonitor;
 use crate::partition::{EpochContext, EpochPlan, PartitionState};
-use crate::policy::{
-    CachePartition, EpochFeedback, InsertionContext, InsertionPolicy, RegCacheConfig,
-    UseThresholds, VictimView,
-};
+use crate::policy::{CachePartition, EpochFeedback, InsertionContext, RegCacheConfig, VictimView};
 use crate::PhysReg;
 use ubrc_stats::TimeWeighted;
 
@@ -259,10 +256,6 @@ pub struct RegisterCache {
     nthreads: usize,
     preg_quota: usize,
     thread_valid: Vec<usize>,
-    // Per-thread thresholds of `InsertionPolicy::AdaptiveUseThreshold`,
-    // retuned at every epoch boundary under that policy (the others
-    // ignore them).
-    thresholds: UseThresholds,
     // The run-time state of `config.partition` (see `partition.rs`):
     // consulted at insertion for admission and victim ways, and at
     // epoch boundaries for quota/way replanning.
@@ -342,7 +335,6 @@ impl RegisterCache {
             nthreads,
             preg_quota: num_pregs / nthreads,
             thread_valid: vec![0; nthreads],
-            thresholds: UseThresholds::default(),
             partition,
             monitor: dynamic.then(|| UtilityMonitor::new(config.entries, nthreads)),
             epoch_hits: vec![0; if dynamic { nthreads } else { 0 }],
@@ -577,7 +569,6 @@ impl RegisterCache {
             remaining,
             pinned,
             first_stage_bypasses,
-            threshold: self.thresholds.get(tid),
         });
         if !insert {
             self.stats.writes_filtered += 1;
@@ -962,9 +953,7 @@ impl RegisterCache {
     /// entries, lowest replacement score first — the same victims an
     /// at-cap insert would pick); under [`CachePartition::DynamicWay`]
     /// by draining reassigned ways (see
-    /// `RegisterCache::reassign_ways`) — ages the monitors, and, under
-    /// [`InsertionPolicy::AdaptiveUseThreshold`], retunes the per-thread
-    /// use thresholds from the resulting [`EpochFeedback`].
+    /// `RegisterCache::reassign_ways`) — and ages the monitors.
     ///
     /// Quota floors guarantee feasibility: every thread keeps at least
     /// `max(1, pinned entries)` (under `DynamicCap`, raised toward the
@@ -1066,7 +1055,7 @@ impl RegisterCache {
             .expect("dynamic-partition caches carry monitors")
             .decay();
         self.stats.epochs += 1;
-        let fb = EpochFeedback {
+        EpochFeedback {
             epoch: self.stats.epochs,
             cycle: now,
             hits,
@@ -1075,11 +1064,7 @@ impl RegisterCache {
             old_caps,
             new_caps,
             new_ways,
-        };
-        if self.config.insertion == InsertionPolicy::AdaptiveUseThreshold {
-            self.thresholds.retune(&fb);
         }
-        fb
     }
 
     /// Enforces a freshly installed [`CachePartition::DynamicWay`] way

@@ -8,7 +8,7 @@
 //! * [`RegisterCache`] — a small set-associative cache over the physical
 //!   register file, with the insertion and replacement policies as
 //!   plain enums ([`InsertionPolicy`]: write-all / non-bypass /
-//!   use-based / adaptive use threshold; [`ReplacementPolicy`]: LRU /
+//!   use-based; [`ReplacementPolicy`]: LRU /
 //!   fewest-remaining-uses / expected-hit-count), per-entry
 //!   remaining-use counters with pinning, and miss classification
 //!   (not-written / capacity / conflict) against a fully-associative
@@ -69,7 +69,7 @@ pub use index::{IndexAssigner, IndexPolicy};
 pub use monitor::UtilityMonitor;
 pub use policy::{
     CachePartition, EpochAdapt, EpochFeedback, InsertionContext, InsertionPolicy, ProtectionConfig,
-    RegCacheConfig, ReplacementPolicy, VictimScore, VictimView, ADAPTIVE_THRESHOLD_MAX,
+    RegCacheConfig, ReplacementPolicy, VictimScore, VictimView,
 };
 pub use twolevel::{TwoLevelConfig, TwoLevelFile, TwoLevelStats};
 pub use usetrack::UseTracker;

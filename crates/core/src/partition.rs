@@ -609,7 +609,11 @@ mod tests {
     #[should_panic(expected = "epoch_adapt requires a dynamic partition")]
     fn epoch_adapt_rejects_static_partitions() {
         let mut c = cfg(CachePartition::WayPartition);
-        c.epoch_adapt = Some(EpochAdapt::default_band());
+        c.epoch_adapt = Some(EpochAdapt {
+            min_cycles: 16,
+            max_cycles: 256,
+            band: 1,
+        });
         let _ = PartitionState::new(&c, 2);
     }
 

@@ -18,14 +18,6 @@ pub enum InsertionPolicy {
     /// first-stage bypasses are accounted — the paper's contribution
     /// (§3.1). Pinned (saturated-degree) values are always written.
     UseBased,
-    /// [`InsertionPolicy::UseBased`] with a *per-thread* use threshold
-    /// retuned from epoch feedback: a thread running at its occupancy
-    /// quota demands more predicted uses per insertion (up to
-    /// [`ADAPTIVE_THRESHOLD_MAX`]), a thread under quota relaxes back
-    /// toward the use-based baseline of 1. Identical to `UseBased`
-    /// until the first epoch boundary fires, and on single-thread or
-    /// statically partitioned caches forever (no boundaries ever fire).
-    AdaptiveUseThreshold,
 }
 
 impl InsertionPolicy {
@@ -37,7 +29,6 @@ impl InsertionPolicy {
             InsertionPolicy::WriteAll => true,
             InsertionPolicy::NonBypass => ctx.first_stage_bypasses == 0,
             InsertionPolicy::UseBased => ctx.pinned || ctx.remaining > 0,
-            InsertionPolicy::AdaptiveUseThreshold => ctx.pinned || ctx.remaining >= ctx.threshold,
         }
     }
 }
@@ -90,11 +81,9 @@ impl ReplacementPolicy {
 ///
 /// Produced by the cache itself when a dynamic [`CachePartition`] is
 /// active: the simulator's epoch stage triggers the boundary, the cache
-/// gathers the deltas since the previous boundary, recomputes the
-/// per-thread quotas, and retunes the
-/// [`InsertionPolicy::AdaptiveUseThreshold`] thresholds from the
-/// result. All vectors are indexed by thread id and have one slot per
-/// SMT thread.
+/// gathers the deltas since the previous boundary and recomputes the
+/// per-thread quotas. All vectors are indexed by thread id and have one
+/// slot per SMT thread.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EpochFeedback {
     /// Zero-based index of the epoch that just closed.
@@ -144,11 +133,6 @@ pub struct InsertionContext {
     /// Consumers already satisfied from the first bypass stage — the
     /// only consumers visible to the write decision (§3.1).
     pub first_stage_bypasses: u32,
-    /// The producing thread's current minimum remaining-use count under
-    /// [`InsertionPolicy::AdaptiveUseThreshold`] (1, the use-based
-    /// baseline, until an epoch boundary retunes it). The other
-    /// policies ignore it.
-    pub threshold: u8,
 }
 
 /// What a replacement decision may consult about one candidate victim.
@@ -172,50 +156,6 @@ pub struct VictimView {
 /// recency tick, which is unique, so victim selection is total and
 /// deterministic.
 pub type VictimScore = (bool, u64, u64);
-
-/// Ceiling of the per-thread use threshold
-/// [`InsertionPolicy::AdaptiveUseThreshold`] may tighten to. Beyond
-/// this, filtering becomes so aggressive the cache starves on the
-/// kernels' mostly-degree-1/2 values.
-pub const ADAPTIVE_THRESHOLD_MAX: u8 = 3;
-
-/// The per-thread thresholds [`InsertionPolicy::AdaptiveUseThreshold`]
-/// filters against, kept by the cache beside its policy and retuned
-/// from every [`EpochFeedback`] while that policy is configured.
-///
-/// A thread that closed the epoch *at* its occupancy quota is fighting
-/// for space, so demanding more predicted uses per insertion (one more
-/// than before, capped at [`ADAPTIVE_THRESHOLD_MAX`]) keeps only its
-/// hottest values; a thread under quota relaxes back toward the
-/// baseline threshold of 1, which is exactly
-/// [`InsertionPolicy::UseBased`]. Everything is a pure function of the
-/// feedback stream, so runs stay deterministic.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct UseThresholds(Vec<u8>);
-
-impl UseThresholds {
-    /// The threshold currently applied to `tid`; sized lazily on the
-    /// first epoch, so an unseen thread gets the baseline of 1.
-    #[inline]
-    pub(crate) fn get(&self, tid: usize) -> u8 {
-        self.0.get(tid).copied().unwrap_or(1)
-    }
-
-    /// Tightens each at-quota thread's threshold by one and relaxes
-    /// each under-quota thread's by one, within `1..=MAX`.
-    pub(crate) fn retune(&mut self, fb: &EpochFeedback) {
-        if self.0.len() < fb.new_caps.len() {
-            self.0.resize(fb.new_caps.len(), 1);
-        }
-        for (t, th) in self.0.iter_mut().enumerate() {
-            if fb.occupancy[t] >= fb.new_caps[t] {
-                *th = (*th + 1).min(ADAPTIVE_THRESHOLD_MAX);
-            } else {
-                *th = th.saturating_sub(1).max(1);
-            }
-        }
-    }
-}
 
 /// How register-cache capacity is divided between SMT threads.
 ///
@@ -305,18 +245,6 @@ pub struct EpochAdapt {
     /// Hysteresis band: consecutive allocations whose L1 distance is at
     /// most this count as "agreeing".
     pub band: usize,
-}
-
-impl EpochAdapt {
-    /// A default band: 32–512-cycle epochs, agreement within an L1
-    /// distance of 2.
-    pub fn default_band() -> Self {
-        Self {
-            min_cycles: 32,
-            max_cycles: 512,
-            band: 2,
-        }
-    }
 }
 
 /// Soft-error protection switches for the register storage structures.
@@ -533,7 +461,6 @@ mod tests {
             remaining,
             pinned,
             first_stage_bypasses,
-            threshold: 1,
         }
     }
 
@@ -585,86 +512,22 @@ mod tests {
         assert_eq!(c.sets(), 32);
     }
 
-    fn feedback(occupancy: Vec<usize>, new_caps: Vec<usize>) -> EpochFeedback {
-        EpochFeedback {
-            occupancy,
-            new_caps,
-            ..EpochFeedback::default()
-        }
-    }
-
-    #[test]
-    fn adaptive_threshold_starts_as_use_based() {
-        let thresholds = UseThresholds::default();
-        for remaining in 0..4u8 {
-            for pinned in [false, true] {
-                let c = InsertionContext {
-                    threshold: thresholds.get(1),
-                    ..ctx(remaining, pinned, 0)
-                };
-                assert_eq!(
-                    InsertionPolicy::AdaptiveUseThreshold.should_insert(&c),
-                    InsertionPolicy::UseBased.should_insert(&c)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_threshold_tightens_at_quota_and_relaxes_under_it() {
-        let mut th = UseThresholds::default();
-        // Thread 0 sits at its quota, thread 1 is well under.
-        th.retune(&feedback(vec![8, 2], vec![8, 8]));
-        assert_eq!(th.get(0), 2);
-        assert_eq!(th.get(1), 1);
-        let adaptive = InsertionPolicy::AdaptiveUseThreshold;
-        let at = |remaining, pinned, tid| InsertionContext {
-            threshold: th.get(tid),
-            ..ctx(remaining, pinned, 0)
-        };
-        assert!(
-            !adaptive.should_insert(&at(1, false, 0)),
-            "over-quota thread filters 1-use"
-        );
-        assert!(adaptive.should_insert(&at(2, false, 0)));
-        assert!(
-            adaptive.should_insert(&at(1, false, 1)),
-            "under-quota thread keeps baseline"
-        );
-        // Pinned values always insert regardless of the threshold.
-        assert!(adaptive.should_insert(&at(0, true, 0)));
-        // The threshold saturates at the ceiling...
-        for _ in 0..10 {
-            th.retune(&feedback(vec![8, 2], vec![8, 8]));
-        }
-        assert_eq!(th.get(0), ADAPTIVE_THRESHOLD_MAX);
-        // ...and relaxes back down to 1 when the pressure lifts.
-        for _ in 0..10 {
-            th.retune(&feedback(vec![1, 2], vec![8, 8]));
-        }
-        assert_eq!(th.get(0), 1);
-    }
-
     #[test]
     fn partition_dynamic_helper() {
         assert!(!CachePartition::Shared.is_dynamic());
         assert!(!CachePartition::WayPartition.is_dynamic());
         assert!(!CachePartition::OccupancyCap.is_dynamic());
         assert!(CachePartition::DynamicCap {
-            epoch_cycles: 128,
-            min_cap: 4
+            epoch_cycles: 1,
+            min_cap: 1
         }
         .is_dynamic());
-        assert!(CachePartition::DynamicWay { epoch_cycles: 128 }.is_dynamic());
+        assert!(CachePartition::DynamicWay { epoch_cycles: 1 }.is_dynamic());
     }
 
     #[test]
-    fn epoch_adapt_default_band_is_well_formed() {
-        let a = EpochAdapt::default_band();
-        assert!(a.min_cycles >= 1);
-        assert!(a.min_cycles <= a.max_cycles);
-        // The presets never enable adaptation: the fixed-epoch golden
-        // rows depend on it.
+    fn presets_leave_epoch_adaptation_off() {
+        // The fixed-epoch golden rows depend on it.
         assert_eq!(RegCacheConfig::use_based(64, 4).epoch_adapt, None);
     }
 }

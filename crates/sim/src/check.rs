@@ -285,6 +285,14 @@ pub enum ConfigError {
         /// Architectural registers each thread must map.
         arch_regs: usize,
     },
+    /// The register cache's `entries` is not a positive multiple of its
+    /// `ways`, so it has no whole number of sets.
+    CacheGeometry {
+        /// Configured cache entries.
+        entries: usize,
+        /// Configured cache associativity.
+        ways: usize,
+    },
     /// `fetch_width` or `issue_width` is zero.
     ZeroWidth {
         /// Name of the zero field.
@@ -399,6 +407,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "each thread's register partition ({partition}) must exceed the \
                  architectural set ({arch_regs}); raise phys_regs or lower nthreads"
+            ),
+            ConfigError::CacheGeometry { entries, ways } => write!(
+                f,
+                "a register cache of {entries} entries and {ways} ways has no whole \
+                 number of sets: entries must be a positive multiple of ways"
             ),
             ConfigError::ZeroWidth { field } => {
                 write!(f, "{field} must be at least 1")

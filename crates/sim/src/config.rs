@@ -329,7 +329,7 @@ pub struct SimConfig {
     /// changes the simulated timing.
     pub profile: bool,
     /// Hardware thread contexts (SMT). Set by
-    /// [`crate::Simulator::new_smt`] to the number of co-scheduled
+    /// [`crate::Simulator::try_new_smt`] to the number of co-scheduled
     /// programs; 1 for the classic single-threaded core. The physical
     /// register file is partitioned evenly between contexts, so
     /// `phys_regs` must divide by `nthreads` and leave each partition

@@ -164,7 +164,7 @@ impl FaultPlan {
 }
 
 /// A malformed [`FaultPlan`], reported by [`FaultPlan::validate`]
-/// (which the simulator's `try_new`/`try_new_smt` run before
+/// (which the simulator's `try_new_smt` runs before
 /// construction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultPlanError {

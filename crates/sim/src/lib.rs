@@ -8,14 +8,21 @@
 //! insertion/replacement/indexing policies), or the two-level register
 //! file baseline.
 //!
+//! A run is named by a config spec (see [`SimConfig`]'s `FromStr`:
+//! a base such as `use-based` or `lru` plus `key=value` overrides) and
+//! made by [`simulate`], or by [`Simulator::try_new_smt`] and
+//! [`Simulator::run_checked`] when construction and the run are timed
+//! or cancelled apart.
+//!
 //! # Examples
 //!
 //! ```
-//! use ubrc_sim::{simulate_workload, SimConfig};
+//! use ubrc_sim::{simulate, SimConfig};
 //! use ubrc_workloads::{workload_by_name, Scale};
 //!
-//! let w = workload_by_name("crc", Scale::Tiny).unwrap();
-//! let result = simulate_workload(&w, SimConfig::paper_default());
+//! let program = workload_by_name("crc", Scale::Tiny).unwrap().assemble().unwrap();
+//! let config: SimConfig = "lru,ways=4".parse().unwrap();
+//! let result = simulate(vec![program], config).unwrap();
 //! assert!(result.ipc() > 0.1);
 //! assert!(result.retired > 1000);
 //! ```
@@ -29,6 +36,7 @@ mod oracle;
 mod pipeline;
 #[cfg(test)]
 mod smt_tests;
+mod spec;
 mod stage;
 mod stats;
 pub mod trace;
@@ -47,64 +55,20 @@ pub use stats::{EpochRecord, LifetimeCollector, LifetimeStats, SimResult};
 pub use trace::{InstTrace, OperandPath, Timeline};
 
 use ubrc_isa::Program;
-use ubrc_workloads::Workload;
 
-/// Simulates a program to completion under the given configuration.
-///
-/// # Panics
-///
-/// Panics if the program faults during functional execution or the
-/// pipeline deadlocks (which would be a simulator bug).
-pub fn simulate(program: Program, config: SimConfig) -> SimResult {
-    Simulator::new(program, config).run()
-}
-
-/// Assembles and simulates one workload.
-///
-/// # Panics
-///
-/// Panics if the workload fails to assemble (a workload-generator bug)
-/// or faults during execution.
-pub fn simulate_workload(workload: &Workload, config: SimConfig) -> SimResult {
-    let program = workload.assemble().expect("workload assembles");
-    simulate(program, config)
-}
-
-/// Simulates a program to completion, returning abnormal endings —
-/// oracle divergence, invariant violation, watchdog deadlock, emulator
-/// fault, cancellation — as a structured [`SimError`] instead of
-/// panicking.
+/// Co-schedules one program per hardware thread on a single core (one
+/// program is the classic single-threaded machine) and simulates until
+/// every thread halts. With several programs the front end is
+/// replicated per thread and the physical register file partitioned
+/// evenly; the issue window, execute units, register storage, and
+/// memory hierarchy are shared (see `DESIGN.md`, "SMT front end").
 ///
 /// # Errors
 ///
-/// Returns the first [`SimError`] encountered.
-pub fn simulate_checked(program: Program, config: SimConfig) -> Result<SimResult, Box<SimError>> {
-    Simulator::new(program, config).run_checked()
-}
-
-/// Co-schedules one program per hardware thread on a single SMT core
-/// and simulates until every thread halts. The front end is replicated
-/// per thread and the physical register file partitioned evenly; the
-/// issue window, execute units, register storage, and memory hierarchy
-/// are shared (see `DESIGN.md`, "SMT front end").
-///
-/// # Panics
-///
-/// Panics like [`simulate`], or if the configuration cannot be
-/// partitioned (see [`Simulator::new_smt`]).
-pub fn simulate_smt(programs: Vec<Program>, config: SimConfig) -> SimResult {
-    Simulator::new_smt(programs, config).run()
-}
-
-/// [`simulate_smt`] with structured error reporting, as in
-/// [`simulate_checked`].
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] encountered.
-pub fn simulate_smt_checked(
-    programs: Vec<Program>,
-    config: SimConfig,
-) -> Result<SimResult, Box<SimError>> {
-    Simulator::new_smt(programs, config).run_checked()
+/// A configuration [`Simulator::try_new_smt`] rejects comes back as
+/// [`SimError::Config`]; otherwise the first [`SimError`] of the run.
+pub fn simulate(programs: Vec<Program>, config: SimConfig) -> Result<SimResult, Box<SimError>> {
+    Simulator::try_new_smt(programs, config)
+        .map_err(|e| Box::new(SimError::Config(e)))?
+        .run_checked()
 }

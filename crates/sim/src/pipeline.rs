@@ -15,7 +15,7 @@
 //! declarative stage schedule (`stage::SCHEDULE`). This module owns
 //! construction and the run loop.
 //!
-//! SMT: [`Simulator::new_smt`] co-schedules several programs on one
+//! SMT: [`Simulator::try_new_smt`] co-schedules several programs on one
 //! core. Each context gets a replicated front end and an even slice of
 //! the physical-register file ([`crate::stage::ThreadState`]); the
 //! issue window, execute units, register cache, backing file, and
@@ -62,46 +62,6 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Builds a single-threaded simulator over a loaded program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (fewer physical
-    /// registers than architectural, zero widths).
-    pub fn new(program: Program, config: SimConfig) -> Self {
-        Self::new_smt(vec![program], config)
-    }
-
-    /// Builds a single-threaded simulator like [`Simulator::new`], but
-    /// reports a rejected configuration as a typed [`ConfigError`]
-    /// instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] the configuration violates.
-    pub fn try_new(program: Program, config: SimConfig) -> Result<Self, ConfigError> {
-        Self::try_new_smt(vec![program], config)
-    }
-
-    /// Builds a simulator co-scheduling one program per hardware
-    /// thread. `config.nthreads` is overwritten with the program count;
-    /// the physical register file is partitioned evenly between the
-    /// contexts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Simulator::try_new_smt`] rejects the configuration:
-    /// no programs, zero widths, a register file that does not divide
-    /// evenly into partitions each larger than the architectural set, an
-    /// SMT-incompatible storage organization, or an undersized two-level
-    /// L1.
-    pub fn new_smt(programs: Vec<Program>, config: SimConfig) -> Self {
-        match Self::try_new_smt(programs, config) {
-            Ok(sim) => sim,
-            Err(e) => panic!("invalid simulator configuration: {e}"),
-        }
-    }
-
     /// Validates the `(programs, config)` combination without building
     /// anything, returning the first problem found.
     fn validate_smt(nprograms: usize, config: &SimConfig) -> Result<(), ConfigError> {
@@ -133,6 +93,14 @@ impl Simulator {
                 partition,
                 arch_regs: narch,
             });
+        }
+        if let RegStorage::Cached { cache, .. } = &config.storage {
+            if cache.entries == 0 || cache.ways == 0 || !cache.entries.is_multiple_of(cache.ways) {
+                return Err(ConfigError::CacheGeometry {
+                    entries: cache.entries,
+                    ways: cache.ways,
+                });
+            }
         }
         match &config.storage {
             RegStorage::TwoLevel(tl) => {
@@ -240,9 +208,11 @@ impl Simulator {
         Ok(())
     }
 
-    /// Builds a simulator like [`Simulator::new_smt`], but reports a
-    /// rejected configuration as a typed [`ConfigError`] instead of
-    /// panicking.
+    /// Builds a simulator co-scheduling one program per hardware
+    /// thread (one program is the classic single-threaded core).
+    /// `config.nthreads` is overwritten with the program count; the
+    /// physical register file is partitioned evenly between the
+    /// contexts.
     ///
     /// # Errors
     ///
@@ -490,23 +460,10 @@ impl Simulator {
     }
 
     /// Runs the simulation to completion (program halt or the
-    /// configured instruction budget) and returns the results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline deadlocks (an internal invariant
-    /// violation) or the functional emulator faults (a bad workload).
-    pub fn run(self) -> SimResult {
-        match self.run_checked() {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs the simulation to completion like [`Simulator::run`], but
-    /// returns abnormal endings — oracle divergence, invariant
-    /// violation, watchdog timeout, emulator fault, cancellation — as
-    /// a structured [`SimError`] instead of panicking.
+    /// configured instruction budget) and returns the results, or the
+    /// abnormal ending — oracle divergence, invariant violation,
+    /// watchdog timeout, emulator fault, cancellation — as a structured
+    /// [`SimError`].
     ///
     /// # Errors
     ///

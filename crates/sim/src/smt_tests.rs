@@ -5,31 +5,48 @@
 //! `pub(crate)` access to pipeline internals, so they live inside the
 //! crate rather than under `tests/`.
 
-use crate::check::{CheckConfig, ConfigError};
+use crate::check::{CheckConfig, ConfigError, SimError};
 use crate::config::{FetchPolicy, FreelistPolicy, RecoveryPolicy, RegStorage, SimConfig};
-use crate::Simulator;
-use ubrc_core::{CachePartition, IndexPolicy, RegCacheConfig, TwoLevelConfig};
+use crate::{SimResult, Simulator};
+use ubrc_core::{CachePartition, RegCacheConfig};
 use ubrc_isa::Program;
 use ubrc_workloads::{workload_by_name, Scale};
 
-fn program(name: &str) -> Program {
-    workload_by_name(name, Scale::Tiny)
-        .expect("kernel exists")
-        .assemble()
-        .expect("kernel assembles")
-}
-
 fn programs(names: &[&str]) -> Vec<Program> {
-    names.iter().map(|n| program(n)).collect()
+    names
+        .iter()
+        .map(|n| {
+            let w = workload_by_name(n, Scale::Tiny).expect("kernel exists");
+            w.assemble().expect("kernel assembles")
+        })
+        .collect()
 }
 
+fn spec(spec: &str) -> SimConfig {
+    spec.parse().unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn sim(names: &[&str], cfg: SimConfig) -> Simulator {
+    Simulator::try_new_smt(programs(names), cfg).expect("config accepted")
+}
+
+fn run(names: &[&str], cfg: SimConfig) -> SimResult {
+    crate::simulate(programs(names), cfg).expect("clean run")
+}
+
+fn rejected(names: &[&str], cfg: SimConfig) -> ConfigError {
+    Simulator::try_new_smt(programs(names), cfg)
+        .err()
+        .expect("config must be rejected")
+}
+
+/// The `use-based` base with its cache swapped for `cache`.
 fn cached(cache: RegCacheConfig) -> SimConfig {
-    SimConfig::table1(RegStorage::Cached {
-        cache,
-        index: IndexPolicy::FilteredRoundRobin,
-        backing_read: 2,
-        backing_write: 2,
-    })
+    let mut cfg = spec("use-based");
+    if let RegStorage::Cached { cache: c, .. } = &mut cfg.storage {
+        *c = cache;
+    }
+    cfg
 }
 
 /// Squashing thread 0's wrong path must not disturb thread 1's front
@@ -38,10 +55,7 @@ fn cached(cache: RegCacheConfig) -> SimConfig {
 /// register thread 0 freed lands back in thread 0's own partition.
 #[test]
 fn squash_on_one_thread_leaves_the_other_untouched() {
-    let mut sim = Simulator::new_smt(
-        vec![program("bfs"), program("crc")],
-        SimConfig::paper_default(),
-    );
+    let mut sim = sim(&["bfs", "crc"], SimConfig::paper_default());
     while sim.core.now < 200_000 {
         let t0 = &sim.core.threads[0];
         if t0.wrong_path && t0.wp_map_saved && t0.wp_ras_saved && sim.core.threads[1].seq > 0 {
@@ -94,13 +108,13 @@ fn freelist_exhaustion_stalls_without_stealing() {
     let solo = |name: &str| {
         let mut cfg = SimConfig::paper_default();
         cfg.phys_regs = 72;
-        Simulator::new(program(name), cfg).run().retired
+        run(&[name], cfg).retired
     };
     let expect = [solo("bfs"), solo("hash")];
 
     let mut cfg = SimConfig::paper_default();
     cfg.phys_regs = 144; // two partitions of 72: 64 arch + 8 rename regs
-    let mut sim = Simulator::new_smt(vec![program("bfs"), program("hash")], cfg);
+    let mut sim = sim(&["bfs", "hash"], cfg);
     while !sim.core.halted && sim.core.now < 2_000_000 {
         sim.core.cycle();
         assert!(sim.core.error.is_none(), "clean run expected");
@@ -134,15 +148,9 @@ fn freelist_exhaustion_stalls_without_stealing() {
 /// 2-thread runs replay cycle-for-cycle.
 #[test]
 fn icount_scheduling_is_deterministic() {
-    let run = || {
-        Simulator::new_smt(
-            vec![program("listchase"), program("strsearch")],
-            SimConfig::paper_default(),
-        )
-        .run()
-    };
-    let a = run();
-    let b = run();
+    let once = || run(&["listchase", "strsearch"], SimConfig::paper_default());
+    let a = once();
+    let b = once();
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.retired, b.retired);
     assert_eq!(a.thread_retired, b.thread_retired);
@@ -161,16 +169,10 @@ fn icount_scheduling_is_deterministic() {
 /// (same timing as the unchecked run).
 #[test]
 fn checked_smt_run_is_clean_and_observation_only() {
-    let plain = Simulator::new_smt(
-        vec![program("qsort"), program("rle")],
-        SimConfig::paper_default(),
-    )
-    .run();
+    let plain = run(&["qsort", "rle"], SimConfig::paper_default());
     let mut cfg = SimConfig::paper_default();
     cfg.check = CheckConfig::full();
-    let checked = Simulator::new_smt(vec![program("qsort"), program("rle")], cfg)
-        .run_checked()
-        .expect("checked SMT run is clean");
+    let checked = run(&["qsort", "rle"], cfg);
     assert_eq!(plain.cycles, checked.cycles);
     assert_eq!(plain.retired, checked.retired);
     assert_eq!(plain.thread_retired, checked.thread_retired);
@@ -180,13 +182,11 @@ fn checked_smt_run_is_clean_and_observation_only() {
 //
 // Every rejected `(programs, config)` combination must come back from
 // `try_new_smt` as the matching `ConfigError` variant instead of a bare
-// panic, and `new_smt` must panic with the same rendered message.
+// panic, and `simulate` must return it as `SimError::Config`.
 
 #[test]
 fn no_programs_is_rejected() {
-    let err = Simulator::try_new_smt(vec![], SimConfig::paper_default())
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&[], SimConfig::paper_default());
     assert_eq!(err, ConfigError::NoPrograms);
 }
 
@@ -194,9 +194,7 @@ fn no_programs_is_rejected() {
 fn zero_fetch_width_is_rejected() {
     let mut cfg = SimConfig::paper_default();
     cfg.fetch_width = 0;
-    let err = Simulator::try_new_smt(vec![program("crc")], cfg)
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc"], cfg);
     assert_eq!(
         err,
         ConfigError::ZeroWidth {
@@ -209,9 +207,7 @@ fn zero_fetch_width_is_rejected() {
 fn zero_issue_width_is_rejected() {
     let mut cfg = SimConfig::paper_default();
     cfg.issue_width = 0;
-    let err = Simulator::try_new_smt(vec![program("crc")], cfg)
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc"], cfg);
     assert_eq!(
         err,
         ConfigError::ZeroWidth {
@@ -224,9 +220,7 @@ fn zero_issue_width_is_rejected() {
 fn uneven_partition_is_rejected() {
     let mut cfg = SimConfig::paper_default();
     cfg.phys_regs = 513;
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cfg)
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(
         err,
         ConfigError::UnevenPartition {
@@ -240,9 +234,7 @@ fn uneven_partition_is_rejected() {
 fn partition_smaller_than_arch_state_is_rejected() {
     let mut cfg = SimConfig::paper_default();
     cfg.phys_regs = 8;
-    let err = Simulator::try_new_smt(vec![program("crc")], cfg)
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc"], cfg);
     let narch = ubrc_isa::NUM_ARCH_REGS as usize;
     assert_eq!(
         err,
@@ -262,20 +254,16 @@ fn partition_smaller_than_arch_state_is_rejected() {
 
 #[test]
 fn two_level_storage_rejects_multiple_threads() {
-    let cfg = SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig::optimistic(96)));
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cfg)
-        .err()
-        .expect("config must be rejected");
+    let cfg = spec("two-level");
+    let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(err, ConfigError::TwoLevelSmt { nthreads: 2 });
 }
 
 #[test]
 fn undersized_two_level_l1_is_rejected() {
     let narch = ubrc_isa::NUM_ARCH_REGS as usize;
-    let cfg = SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig::optimistic(narch)));
-    let err = Simulator::try_new_smt(vec![program("crc")], cfg)
-        .err()
-        .expect("config must be rejected");
+    let cfg = spec(&format!("two-level,entries={narch}"));
+    let err = rejected(&["crc"], cfg);
     assert_eq!(
         err,
         ConfigError::L1TooSmall {
@@ -290,11 +278,8 @@ fn undersized_two_level_l1_is_rejected() {
 
 #[test]
 fn way_partition_with_indivisible_ways_is_rejected() {
-    let mut cache = RegCacheConfig::use_based(48, 3);
-    cache.partition = CachePartition::WayPartition;
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cached(cache))
-        .err()
-        .expect("config must be rejected");
+    let cfg = spec("use-based,entries=48,ways=3,partition=waypart");
+    let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(
         err,
         ConfigError::WayPartitionMismatch {
@@ -306,11 +291,8 @@ fn way_partition_with_indivisible_ways_is_rejected() {
 
 #[test]
 fn occupancy_cap_with_too_few_entries_is_rejected() {
-    let mut cache = RegCacheConfig::use_based(1, 1);
-    cache.partition = CachePartition::OccupancyCap;
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cached(cache))
-        .err()
-        .expect("config must be rejected");
+    let cfg = spec("use-based,entries=1,ways=1,partition=occcap");
+    let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(
         err,
         ConfigError::OccupancyCapTooSmall {
@@ -325,9 +307,7 @@ fn shared_freelist_cap_at_or_below_arch_state_is_rejected() {
     let narch = ubrc_isa::NUM_ARCH_REGS as usize;
     let mut cfg = SimConfig::paper_default();
     cfg.freelist = FreelistPolicy::Shared { cap: narch };
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cfg)
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(
         err,
         ConfigError::SharedFreelistCapTooSmall {
@@ -339,39 +319,56 @@ fn shared_freelist_cap_at_or_below_arch_state_is_rejected() {
 
 #[test]
 fn shared_freelist_with_partitioned_cache_is_rejected() {
-    let mut cache = RegCacheConfig::use_based(64, 2);
-    cache.partition = CachePartition::WayPartition;
-    let mut cfg = cached(cache);
+    let mut cfg = spec("use-based,partition=waypart");
     cfg.freelist = FreelistPolicy::Shared { cap: 128 };
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cfg)
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(err, ConfigError::SharedFreelistWithPartitionedCache);
 }
 
+/// A cache with no whole number of sets is rejected on every thread
+/// count, instead of panicking in the geometry or assigner setup.
 #[test]
-#[should_panic(expected = "invalid simulator configuration")]
-fn new_smt_panics_with_the_rendered_config_error() {
+fn cache_geometry_without_whole_sets_is_rejected() {
+    for (geometry, entries, ways) in [
+        ("ways=3", 64, 3),
+        ("ways=0", 64, 0),
+        ("entries=0", 0, 2),
+        ("entries=2,ways=4", 2, 4),
+    ] {
+        for names in [&QUAD[..1], &QUAD[..2], &QUAD] {
+            let err = rejected(names, spec(&format!("use-based,{geometry}")));
+            assert_eq!(err, ConfigError::CacheGeometry { entries, ways });
+        }
+    }
+    let msg = rejected(&["crc"], spec("lru,ways=3")).to_string();
+    assert!(msg.contains("64 entries and 3 ways"), "{msg}");
+}
+
+#[test]
+fn simulate_returns_a_rejected_config_as_sim_error() {
     let mut cfg = SimConfig::paper_default();
     cfg.phys_regs = 8;
-    let _ = Simulator::new_smt(vec![program("crc")], cfg);
+    let err = crate::simulate(programs(&["crc"]), cfg).unwrap_err();
+    assert!(matches!(
+        *err,
+        SimError::Config(ConfigError::PartitionTooSmall { partition: 8, .. })
+    ));
+    assert!(err
+        .to_string()
+        .starts_with("invalid simulator configuration"));
 }
 
 // --- 4-thread scaling ---------------------------------------------------
 
-fn quad() -> Vec<Program> {
-    programs(&["qsort", "bfs", "listchase", "strsearch"])
-}
+const QUAD: [&str; 4] = ["qsort", "bfs", "listchase", "strsearch"];
 
 /// Runs `cfg` on the quad unchecked and fully checked; the checked run
 /// must be observation-only (bit-identical headline results).
 fn assert_checked_matches_unchecked(cfg: SimConfig) {
-    let plain = Simulator::new_smt(quad(), cfg.clone()).run();
+    let plain = run(&QUAD, cfg.clone());
     let mut checked_cfg = cfg;
     checked_cfg.check = CheckConfig::full();
-    let checked = Simulator::new_smt(quad(), checked_cfg)
-        .run_checked()
-        .expect("checked 4-thread run is clean");
+    let checked = run(&QUAD, checked_cfg);
     assert_eq!(plain.cycles, checked.cycles);
     assert_eq!(plain.retired, checked.retired);
     assert_eq!(plain.thread_retired, checked.thread_retired);
@@ -387,7 +384,7 @@ fn assert_checked_matches_unchecked(cfg: SimConfig) {
 /// four programs retire to completion.
 #[test]
 fn four_threads_keep_partition_containment_to_completion() {
-    let mut sim = Simulator::new_smt(quad(), SimConfig::paper_default());
+    let mut sim = sim(&QUAD, SimConfig::paper_default());
     while !sim.core.halted && sim.core.now < 4_000_000 {
         sim.core.cycle();
         assert!(sim.core.error.is_none(), "clean run expected");
@@ -415,10 +412,7 @@ fn four_threads_keep_partition_containment_to_completion() {
 /// covers.
 #[test]
 fn four_thread_squash_leaves_all_peers_untouched() {
-    let mut sim = Simulator::new_smt(
-        programs(&["bfs", "crc", "hash", "rle"]),
-        SimConfig::paper_default(),
-    );
+    let mut sim = sim(&["bfs", "crc", "hash", "rle"], SimConfig::paper_default());
     while sim.core.now < 400_000 {
         let t0 = &sim.core.threads[0];
         if t0.wrong_path
@@ -469,35 +463,27 @@ fn four_thread_squash_leaves_all_peers_untouched() {
 /// way-containment cross-check stays silent for the whole run.
 #[test]
 fn way_partitioned_quad_is_checked_clean_and_observation_only() {
-    let mut cache = RegCacheConfig::use_based(64, 4);
-    cache.partition = CachePartition::WayPartition;
-    assert_checked_matches_unchecked(cached(cache));
+    assert_checked_matches_unchecked(spec("use-based,ways=4,partition=waypart"));
 }
 
 /// 4-thread occupancy capping: checked ≡ unchecked under the
 /// per-thread occupancy cross-check.
 #[test]
 fn occupancy_capped_quad_is_checked_clean_and_observation_only() {
-    let mut cache = RegCacheConfig::use_based(64, 2);
-    cache.partition = CachePartition::OccupancyCap;
-    assert_checked_matches_unchecked(cached(cache));
+    assert_checked_matches_unchecked(spec("use-based,partition=occcap"));
 }
 
 /// Round-robin fetch across 4 threads: checked ≡ unchecked.
 #[test]
 fn round_robin_quad_is_checked_clean_and_observation_only() {
-    let mut cfg = SimConfig::paper_default();
-    cfg.fetch_policy = FetchPolicy::RoundRobin;
-    assert_checked_matches_unchecked(cfg);
+    assert_checked_matches_unchecked(spec("use-based,fetch=round-robin"));
 }
 
 /// ICOUNT.2.8 (two fetch slots per cycle) across 4 threads:
 /// checked ≡ unchecked.
 #[test]
 fn icount28_quad_is_checked_clean_and_observation_only() {
-    let mut cfg = SimConfig::paper_default();
-    cfg.fetch_policy = FetchPolicy::Icount28;
-    assert_checked_matches_unchecked(cfg);
+    assert_checked_matches_unchecked(spec("use-based,fetch=icount28"));
 }
 
 /// A shared rename pool with per-thread caps: checked ≡ unchecked under
@@ -518,7 +504,7 @@ fn shared_freelist_cap_binds_and_is_never_exceeded() {
     let mut cfg = SimConfig::paper_default();
     // Tight cap: 64 arch + 8 rename registers per thread.
     cfg.freelist = FreelistPolicy::Shared { cap: 72 };
-    let mut sim = Simulator::new_smt(programs(&["bfs", "hash"]), cfg);
+    let mut sim = sim(&["bfs", "hash"], cfg);
     let mut capped_stalls = false;
     while !sim.core.halted && sim.core.now < 4_000_000 {
         sim.core.cycle();
@@ -559,7 +545,7 @@ fn dynamic_capped_quad_is_checked_clean_and_observation_only() {
 /// on epoch multiples.
 #[test]
 fn dynamic_cap_epochs_fire_and_conserve_the_cache() {
-    let result = Simulator::new_smt(quad(), cached(dyncap_cache())).run();
+    let result = run(&QUAD, cached(dyncap_cache()));
     assert!(
         result.epochs > 0,
         "the quad must outlive one 2048-cycle epoch"
@@ -590,9 +576,9 @@ fn dynamic_cap_epochs_fire_and_conserve_the_cache() {
 /// the full quota timeline.
 #[test]
 fn dynamic_cap_runs_are_deterministic() {
-    let run = || Simulator::new_smt(quad(), cached(dyncap_cache())).run();
-    let a = run();
-    let b = run();
+    let once = || run(&QUAD, cached(dyncap_cache()));
+    let a = once();
+    let b = once();
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.retired, b.retired);
     assert_eq!(a.thread_retired, b.thread_retired);
@@ -629,7 +615,7 @@ fn machine_check_squashes_mid_epoch_keep_dynamic_caps_consistent() {
         40,
         crate::inject::FaultKind::FlipBackingWord,
     ));
-    let r = crate::simulate_smt_checked(quad(), cfg)
+    let r = crate::simulate(programs(&QUAD), cfg)
         .expect("faulted dynamically-capped run recovers cleanly");
     assert!(r.machine_checks > 0, "no backing fault reached a miss read");
     assert!(
@@ -650,9 +636,7 @@ fn dynamic_cap_zero_epoch_is_rejected() {
         epoch_cycles: 0,
         min_cap: 1,
     };
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cached(cache))
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cached(cache));
     assert_eq!(err, ConfigError::DynamicCapZeroEpoch);
 }
 
@@ -663,9 +647,7 @@ fn dynamic_cap_with_too_few_entries_is_rejected() {
         epoch_cycles: 2048,
         min_cap: 1,
     };
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cached(cache))
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cached(cache));
     assert_eq!(
         err,
         ConfigError::DynamicCapTooSmall {
@@ -682,9 +664,7 @@ fn dynamic_cap_min_cap_too_large_is_rejected() {
         epoch_cycles: 2048,
         min_cap: 40,
     };
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cached(cache))
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cached(cache));
     assert_eq!(
         err,
         ConfigError::DynamicCapMinCapTooLarge {
@@ -705,9 +685,7 @@ fn dynamic_cap_min_cap_too_large_is_rejected() {
 fn dynamic_cap_with_shared_freelist_is_rejected() {
     let mut cfg = cached(dyncap_cache());
     cfg.freelist = FreelistPolicy::Shared { cap: 128 };
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cfg)
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(err, ConfigError::SharedFreelistWithPartitionedCache);
 }
 
@@ -734,7 +712,7 @@ fn dynamic_way_quad_is_checked_clean_and_observation_only() {
 /// equivalents.
 #[test]
 fn dynamic_way_epochs_fire_and_conserve_the_ways() {
-    let result = Simulator::new_smt(quad(), cached(dynway_cache())).run();
+    let result = run(&QUAD, cached(dynway_cache()));
     assert!(
         result.epochs > 0,
         "the quad must outlive one 2048-cycle epoch"
@@ -757,9 +735,9 @@ fn dynamic_way_epochs_fire_and_conserve_the_ways() {
 /// bit-identically, including the full way-map timeline.
 #[test]
 fn dynamic_way_runs_are_deterministic() {
-    let run = || Simulator::new_smt(quad(), cached(dynway_cache())).run();
-    let a = run();
-    let b = run();
+    let once = || run(&QUAD, cached(dynway_cache()));
+    let a = once();
+    let b = once();
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.retired, b.retired);
     assert_eq!(a.thread_retired, b.thread_retired);
@@ -788,9 +766,9 @@ fn adaptive_epoch_runs_are_deterministic() {
         });
         cached(cache)
     };
-    let run = || Simulator::new_smt(quad(), adaptive()).run();
-    let a = run();
-    let b = run();
+    let once = || run(&QUAD, adaptive());
+    let a = once();
+    let b = once();
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.retired, b.retired);
     assert_eq!(a.thread_retired, b.thread_retired);
@@ -822,7 +800,7 @@ fn machine_check_squashes_mid_way_reassignment_stay_consistent() {
         40,
         crate::inject::FaultKind::FlipBackingWord,
     ));
-    let r = crate::simulate_smt_checked(quad(), cfg)
+    let r = crate::simulate(programs(&QUAD), cfg)
         .expect("faulted dynamically-way-partitioned run recovers cleanly");
     assert!(r.machine_checks > 0, "no backing fault reached a miss read");
     assert!(
@@ -835,33 +813,11 @@ fn machine_check_squashes_mid_way_reassignment_stay_consistent() {
     assert!(r.thread_retired.iter().all(|&t| t > 0));
 }
 
-/// The feedback-consuming insertion policy (threshold tightened for
-/// over-quota threads, relaxed when under) stays deterministic on top
-/// of dynamic capping.
-#[test]
-fn adaptive_use_threshold_runs_are_deterministic() {
-    let adaptive = || {
-        let mut cache = dyncap_cache();
-        cache.insertion = ubrc_core::InsertionPolicy::AdaptiveUseThreshold;
-        cached(cache)
-    };
-    let run = || Simulator::new_smt(quad(), adaptive()).run();
-    let a = run();
-    let b = run();
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.retired, b.retired);
-    assert_eq!(a.thread_retired, b.thread_retired);
-    assert_eq!(a.epoch_timeline, b.epoch_timeline);
-    assert!(a.epochs > 0, "the feedback loop must actually run");
-}
-
 #[test]
 fn dynamic_way_zero_epoch_is_rejected() {
     let mut cache = RegCacheConfig::use_based(64, 8);
     cache.partition = CachePartition::DynamicWay { epoch_cycles: 0 };
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cached(cache))
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cached(cache));
     assert_eq!(err, ConfigError::DynamicWayZeroEpoch);
 }
 
@@ -869,9 +825,7 @@ fn dynamic_way_zero_epoch_is_rejected() {
 fn dynamic_way_with_indivisible_ways_is_rejected() {
     let mut cache = RegCacheConfig::use_based(48, 3);
     cache.partition = CachePartition::DynamicWay { epoch_cycles: 2048 };
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cached(cache))
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cached(cache));
     assert_eq!(
         err,
         ConfigError::DynamicWayMismatch {
@@ -885,9 +839,7 @@ fn dynamic_way_with_indivisible_ways_is_rejected() {
 fn dynamic_way_with_shared_freelist_is_rejected() {
     let mut cfg = cached(dynway_cache());
     cfg.freelist = FreelistPolicy::Shared { cap: 128 };
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cfg)
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(err, ConfigError::SharedFreelistWithPartitionedCache);
 }
 
@@ -899,9 +851,7 @@ fn epoch_adapt_with_empty_range_is_rejected() {
         max_cycles: 64,
         band: 2,
     });
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cached(cache))
-        .err()
-        .expect("config must be rejected");
+    let err = rejected(&["crc", "rle"], cached(cache));
     assert_eq!(
         err,
         ConfigError::EpochAdaptInvalidRange {
@@ -913,12 +863,8 @@ fn epoch_adapt_with_empty_range_is_rejected() {
 
 #[test]
 fn epoch_adapt_on_static_partition_is_rejected() {
-    let mut cache = RegCacheConfig::use_based(64, 4);
-    cache.partition = CachePartition::WayPartition;
-    cache.epoch_adapt = Some(ubrc_core::EpochAdapt::default_band());
-    let err = Simulator::try_new_smt(programs(&["crc", "rle"]), cached(cache))
-        .err()
-        .expect("config must be rejected");
+    let cfg = spec("use-based,ways=4,partition=waypart,adapt=on");
+    let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(err, ConfigError::EpochAdaptStaticPartition);
 }
 
@@ -931,13 +877,13 @@ fn all_fetch_policies_are_deterministic() {
         FetchPolicy::RoundRobin,
         FetchPolicy::Icount28,
     ] {
-        let run = || {
+        let once = || {
             let mut cfg = SimConfig::paper_default();
             cfg.fetch_policy = policy;
-            Simulator::new_smt(programs(&["listchase", "strsearch"]), cfg).run()
+            run(&["listchase", "strsearch"], cfg)
         };
-        let a = run();
-        let b = run();
+        let a = once();
+        let b = once();
         assert_eq!(a.cycles, b.cycles, "{policy:?} replay diverged");
         assert_eq!(a.retired, b.retired);
         assert_eq!(a.thread_retired, b.thread_retired);

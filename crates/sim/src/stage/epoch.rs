@@ -11,8 +11,8 @@
 //! cache to close the epoch: the cache snapshots its per-thread
 //! hit/miss deltas, reruns the lookahead utility partitioner over the
 //! shadow-tag monitors, enforces the new quotas or way map, and
-//! retunes the adaptive use thresholds from the resulting
-//! [`ubrc_core::EpochFeedback`]. This stage only decides *when to ask*
+//! reports the result as an [`ubrc_core::EpochFeedback`]. This stage
+//! only decides *when to ask*
 //! — all repartitioning state lives in `ubrc-core`.
 //!
 //! Everything is keyed off the cycle counter — no RNG, no wall clock —

@@ -285,7 +285,7 @@ mod tests {
         let mut config = SimConfig::paper_default();
         config.rob_entries = 4;
         let cap = config.fetch_width * (config.frontend_stages as usize + 1);
-        let mut sim = Simulator::new(w.assemble().unwrap(), config);
+        let mut sim = Simulator::try_new_smt(vec![w.assemble().unwrap()], config).unwrap();
         let mut latch_peak = 0;
         for _ in 0..2_000 {
             sim.core.cycle();

@@ -219,7 +219,9 @@ mod tests {
     #[test]
     fn squash_clears_wrong_path_state_from_every_latch() {
         let w = workload_by_name("bfs", Scale::Tiny).unwrap();
-        let mut sim = Simulator::new(w.assemble().unwrap(), SimConfig::paper_default());
+        let mut sim =
+            Simulator::try_new_smt(vec![w.assemble().unwrap()], SimConfig::paper_default())
+                .unwrap();
         let mut last_squashed = 0;
         let mut squash_cycles = 0;
         while !sim.core.halted && sim.core.now < 200_000 {

@@ -2,23 +2,26 @@
 //! sanely) across the corners of its configuration space, not just at
 //! the Table 1 design point.
 
-use ubrc_core::{IndexPolicy, RegCacheConfig};
-use ubrc_sim::{simulate_workload, RegStorage, SimConfig};
-use ubrc_workloads::{workload_by_name, Scale};
+use ubrc_sim::{simulate, SimConfig, SimResult};
+use ubrc_workloads::{workload_by_name, Scale, Workload};
 
 fn base() -> SimConfig {
     SimConfig::paper_default()
 }
 
+fn run(w: &Workload, cfg: SimConfig) -> SimResult {
+    simulate(vec![w.assemble().unwrap()], cfg).unwrap()
+}
+
 #[test]
 fn narrow_machine_still_correct_and_slower() {
     let w = workload_by_name("crc", Scale::Tiny).unwrap();
-    let wide = simulate_workload(&w, base());
+    let wide = run(&w, base());
     let mut cfg = base();
     cfg.issue_width = 1;
     cfg.fetch_width = 1;
     cfg.retire_width = 1;
-    let narrow = simulate_workload(&w, cfg);
+    let narrow = run(&w, cfg);
     assert_eq!(narrow.retired, wide.retired);
     assert!(narrow.ipc() <= 1.0, "1-wide machine cannot exceed 1 IPC");
     assert!(narrow.cycles > wide.cycles);
@@ -29,8 +32,8 @@ fn tiny_window_throttles_ilp() {
     let w = workload_by_name("matmul", Scale::Tiny).unwrap();
     let mut small = base();
     small.window_entries = 4;
-    let s = simulate_workload(&w, small);
-    let l = simulate_workload(&w, base());
+    let s = run(&w, small);
+    let l = run(&w, base());
     assert_eq!(s.retired, l.retired);
     assert!(
         s.cycles >= l.cycles,
@@ -47,13 +50,13 @@ fn small_rob_and_few_pregs_still_complete() {
     // the ROB, which is not a preg stall).
     let mut cfg = base();
     cfg.rob_entries = 16;
-    let r = simulate_workload(&w, cfg);
+    let r = run(&w, cfg);
     assert!(r.retired > 0 && r.ipc() > 0.01);
 
     // Few rename registers with a big ROB must stall on the freelist.
     let mut cfg = base();
     cfg.phys_regs = 80; // 64 architectural + 16 rename
-    let r = simulate_workload(&w, cfg);
+    let r = run(&w, cfg);
     assert!(r.retired > 0 && r.ipc() > 0.01);
     assert!(
         r.dispatch_stall_pregs > 0,
@@ -64,13 +67,8 @@ fn small_rob_and_few_pregs_still_complete() {
 #[test]
 fn one_entry_register_cache_works() {
     let w = workload_by_name("fib", Scale::Tiny).unwrap();
-    let cfg = SimConfig::table1(RegStorage::Cached {
-        cache: RegCacheConfig::use_based(1, 1),
-        index: IndexPolicy::Standard,
-        backing_read: 2,
-        backing_write: 2,
-    });
-    let r = simulate_workload(&w, cfg);
+    let cfg = "use-based,entries=1,ways=1,index=standard".parse().unwrap();
+    let r = run(&w, cfg);
     assert!(r.retired > 0);
     let c = r.regcache.unwrap();
     assert!(
@@ -85,23 +83,18 @@ fn expected_hit_count_is_deterministic_and_distinct() {
     // checked configuration, (b) be reproducible bit for bit, and
     // (c) actually diverge from fewest-remaining-uses somewhere — if it
     // never picks a different victim the seam proved nothing.
-    let mk = |cache: RegCacheConfig| {
-        let mut cfg = SimConfig::table1(RegStorage::Cached {
-            cache,
-            index: IndexPolicy::FilteredRoundRobin,
-            backing_read: 2,
-            backing_write: 2,
-        });
+    let mk = |base: &str| {
+        let mut cfg: SimConfig = base.parse().unwrap();
         cfg.check = ubrc_sim::CheckConfig::full();
         cfg
     };
     let mut distinct = false;
     for w in ubrc_workloads::suite(Scale::Tiny) {
-        let a = simulate_workload(&w, mk(RegCacheConfig::expected_hit_count(64, 2)));
-        let b = simulate_workload(&w, mk(RegCacheConfig::expected_hit_count(64, 2)));
+        let a = run(&w, mk("ehc"));
+        let b = run(&w, mk("ehc"));
         assert_eq!(a.cycles, b.cycles, "{}: EHC must be deterministic", w.name);
         assert_eq!(a.retired, b.retired);
-        let ub = simulate_workload(&w, mk(RegCacheConfig::use_based(64, 2)));
+        let ub = run(&w, mk("use-based"));
         assert_eq!(a.retired, ub.retired, "{}: same program retires", w.name);
         if a.cycles != ub.cycles {
             distinct = true;
@@ -116,11 +109,11 @@ fn expected_hit_count_is_deterministic_and_distinct() {
 #[test]
 fn deep_frontend_lengthens_branch_loops() {
     let w = workload_by_name("qsort", Scale::Tiny).unwrap();
-    let shallow = simulate_workload(&w, base());
+    let shallow = run(&w, base());
     let mut deep = base();
     deep.frontend_stages = 25;
     deep.min_branch_penalty = 29;
-    let d = simulate_workload(&w, deep);
+    let d = run(&w, deep);
     assert_eq!(d.retired, shallow.retired);
     assert!(
         d.cycles > shallow.cycles,
@@ -133,23 +126,20 @@ fn single_bypass_stage_functions() {
     let w = workload_by_name("crc", Scale::Tiny).unwrap();
     let mut cfg = base();
     cfg.bypass_stages = 1;
-    let r = simulate_workload(&w, cfg);
+    let r = run(&w, cfg);
     assert!(r.retired > 0);
     // With one stage, fewer operands can use the bypass network.
-    let two = simulate_workload(&w, base());
+    let two = run(&w, base());
     assert!(r.bypass_fraction().unwrap() < two.bypass_fraction().unwrap());
 }
 
 #[test]
 fn giant_cache_behaves_like_ideal_storage() {
     let w = workload_by_name("matmul", Scale::Tiny).unwrap();
-    let cfg = SimConfig::table1(RegStorage::Cached {
-        cache: RegCacheConfig::use_based(512, 4),
-        index: IndexPolicy::RoundRobin,
-        backing_read: 2,
-        backing_write: 2,
-    });
-    let big = simulate_workload(&w, cfg);
+    let cfg = "use-based,entries=512,ways=4,index=round-robin"
+        .parse()
+        .unwrap();
+    let big = run(&w, cfg);
     // Misses still possible (filtered single-use values), but rare.
     // Residual misses are filtered single-use values whose degree the
     // cold predictor underestimated, not capacity/conflicts.
@@ -170,8 +160,8 @@ fn disabled_prefetch_slows_straight_line_code() {
     let program = ubrc_isa::assemble(&src).unwrap();
     let mut cfg = base();
     cfg.memsys.prefetch = false;
-    let off = ubrc_sim::simulate(program.clone(), cfg);
-    let on = ubrc_sim::simulate(program, base());
+    let off = simulate(vec![program.clone()], cfg).unwrap();
+    let on = simulate(vec![program], base()).unwrap();
     assert_eq!(off.retired, on.retired);
     assert!(
         on.memsys.i_miss < off.memsys.i_miss,

@@ -3,8 +3,12 @@
 //! 21264 mechanism the paper reuses for register-cache misses.
 
 use ubrc_isa::assemble;
-use ubrc_sim::{simulate, simulate_workload, SimConfig};
-use ubrc_workloads::{workload_by_name, Scale};
+use ubrc_sim::{simulate, SimConfig, SimResult};
+use ubrc_workloads::{workload_by_name, Scale, Workload};
+
+fn run(w: &Workload, cfg: SimConfig) -> SimResult {
+    simulate(vec![w.assemble().unwrap()], cfg).unwrap()
+}
 
 /// A cold pointer-chase load misses to memory; its dependent must be
 /// squashed once (issued under the hit assumption) and the run must
@@ -19,7 +23,7 @@ fn missing_load_squashes_its_shadow() {
                halt\n";
     let mut on = SimConfig::paper_default();
     on.load_hit_speculation = true;
-    let r = simulate(assemble(src).unwrap(), on);
+    let r = simulate(vec![assemble(src).unwrap()], on).unwrap();
     assert!(
         r.load_miss_speculations >= 1,
         "the cold load must mis-speculate"
@@ -38,8 +42,8 @@ fn oracle_scheduling_eliminates_replays() {
     spec.load_hit_speculation = true;
     let mut oracle = SimConfig::paper_default();
     oracle.load_hit_speculation = false;
-    let rs = simulate_workload(&w, spec);
-    let ro = simulate_workload(&w, oracle);
+    let rs = run(&w, spec);
+    let ro = run(&w, oracle);
     assert_eq!(rs.retired, ro.retired);
     assert!(rs.load_miss_speculations > 0);
     assert_eq!(ro.load_miss_speculations, 0);
@@ -64,7 +68,7 @@ fn warm_loads_do_not_replay() {
                subi r5, r5, 1\n\
                bgtz r5, loop\n\
                halt\n";
-    let r = simulate(assemble(src).unwrap(), SimConfig::paper_default());
+    let r = simulate(vec![assemble(src).unwrap()], SimConfig::paper_default()).unwrap();
     assert!(
         r.load_miss_speculations <= 4,
         "warm loop mis-speculated {} times",
@@ -78,7 +82,7 @@ fn suite_completes_with_load_speculation() {
     for name in ["listchase", "bfs", "qsort"] {
         let w = workload_by_name(name, Scale::Tiny).unwrap();
         let m = w.run_checks().unwrap();
-        let r = simulate_workload(&w, SimConfig::paper_default());
+        let r = run(&w, SimConfig::paper_default());
         assert_eq!(r.retired, m.instruction_count(), "{name}");
     }
 }

@@ -8,7 +8,7 @@ use ubrc_sim::{simulate, SimConfig, SimResult};
 fn run(src: &str, forwarding: bool) -> SimResult {
     let mut cfg = SimConfig::paper_default();
     cfg.model_store_forwarding = forwarding;
-    simulate(assemble(src).unwrap(), cfg)
+    simulate(vec![assemble(src).unwrap()], cfg).unwrap()
 }
 
 /// A store feeding an immediately following load of the same address
@@ -61,12 +61,11 @@ fn independent_loads_are_not_penalized() {
 /// default for every experiment).
 #[test]
 fn suite_runs_with_ordering_enabled() {
-    use ubrc_sim::simulate_workload;
     use ubrc_workloads::{workload_by_name, Scale};
     for name in ["qsort", "fib", "rle"] {
         let w = workload_by_name(name, Scale::Tiny).unwrap();
         let m = w.run_checks().unwrap();
-        let r = simulate_workload(&w, SimConfig::paper_default());
+        let r = simulate(vec![w.assemble().unwrap()], SimConfig::paper_default()).unwrap();
         assert_eq!(r.retired, m.instruction_count(), "{name}");
         // Stack-heavy kernels must exercise the forwarding path.
         if name == "qsort" || name == "fib" {

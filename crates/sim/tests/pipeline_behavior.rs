@@ -3,29 +3,24 @@
 //! to the register-storage organization in the directions the paper
 //! establishes.
 
-use ubrc_core::{IndexPolicy, RegCacheConfig, TwoLevelConfig};
 use ubrc_isa::assemble;
-use ubrc_sim::{simulate, simulate_workload, RegStorage, SimConfig, SimResult};
-use ubrc_workloads::{suite, workload_by_name, Scale};
+use ubrc_sim::{simulate, SimConfig, SimResult};
+use ubrc_workloads::{suite, workload_by_name, Scale, Workload};
 
-fn cached(cache: RegCacheConfig, index: IndexPolicy) -> SimConfig {
-    SimConfig::table1(RegStorage::Cached {
-        cache,
-        index,
-        backing_read: 2,
-        backing_write: 2,
-    })
+fn run(w: &Workload, cfg: SimConfig) -> SimResult {
+    simulate(vec![w.assemble().unwrap()], cfg).unwrap()
+}
+
+fn spec(spec: &str) -> SimConfig {
+    spec.parse().unwrap()
 }
 
 fn mono(latency: u32) -> SimConfig {
-    SimConfig::table1(RegStorage::Monolithic {
-        read_latency: latency,
-        write_latency: latency,
-    })
+    spec(&format!("rf-{latency}"))
 }
 
 fn run_asm(src: &str, config: SimConfig) -> SimResult {
-    simulate(assemble(src).unwrap(), config)
+    simulate(vec![assemble(src).unwrap()], config).unwrap()
 }
 
 #[test]
@@ -43,16 +38,12 @@ fn retires_the_exact_dynamic_instruction_count() {
 
 #[test]
 fn every_workload_retires_and_progresses_under_every_storage() {
-    let configs = [
-        SimConfig::paper_default(),
-        mono(3),
-        SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig::optimistic(96))),
-    ];
+    let configs = [SimConfig::paper_default(), mono(3), spec("two-level")];
     for w in suite(Scale::Tiny) {
         // The functional emulator gives the ground-truth count.
         let m = w.run_checks().unwrap();
         for cfg in &configs {
-            let r = simulate_workload(&w, cfg.clone());
+            let r = run(&w, cfg.clone());
             assert_eq!(
                 r.retired,
                 m.instruction_count(),
@@ -69,9 +60,9 @@ fn every_workload_retires_and_progresses_under_every_storage() {
 #[test]
 fn single_cycle_file_beats_slower_files() {
     let w = workload_by_name("crc", Scale::Small).unwrap();
-    let ipc1 = simulate_workload(&w, mono(1)).ipc();
-    let ipc2 = simulate_workload(&w, mono(2)).ipc();
-    let ipc3 = simulate_workload(&w, mono(3)).ipc();
+    let ipc1 = run(&w, mono(1)).ipc();
+    let ipc2 = run(&w, mono(2)).ipc();
+    let ipc3 = run(&w, mono(3)).ipc();
     assert!(ipc1 >= ipc2, "1-cycle {ipc1} < 2-cycle {ipc2}");
     assert!(ipc2 >= ipc3, "2-cycle {ipc2} < 3-cycle {ipc3}");
     assert!(ipc1 > ipc3, "no penalty at all for a 3-cycle file");
@@ -105,8 +96,8 @@ fn register_cache_recovers_most_of_the_monolithic_penalty() {
     let mut wins = 0;
     let mut total = 0;
     for w in suite(Scale::Small) {
-        let ub = simulate_workload(&w, SimConfig::paper_default()).ipc();
-        let m3 = simulate_workload(&w, mono(3)).ipc();
+        let ub = run(&w, SimConfig::paper_default()).ipc();
+        let m3 = run(&w, mono(3)).ipc();
         total += 1;
         if ub > m3 {
             wins += 1;
@@ -121,14 +112,8 @@ fn register_cache_recovers_most_of_the_monolithic_penalty() {
 #[test]
 fn use_based_beats_non_bypass_on_miss_rate() {
     let w = workload_by_name("qsort", Scale::Small).unwrap();
-    let ub = simulate_workload(
-        &w,
-        cached(RegCacheConfig::use_based(64, 2), IndexPolicy::RoundRobin),
-    );
-    let nb = simulate_workload(
-        &w,
-        cached(RegCacheConfig::non_bypass(64, 2), IndexPolicy::RoundRobin),
-    );
+    let ub = run(&w, spec("use-based,index=round-robin"));
+    let nb = run(&w, spec("non-bypass"));
     let ub_miss = ub.regcache.unwrap().miss_rate().unwrap();
     let nb_miss = nb.regcache.unwrap().miss_rate().unwrap();
     assert!(
@@ -139,10 +124,11 @@ fn use_based_beats_non_bypass_on_miss_rate() {
 
 #[test]
 fn fully_associative_cache_reports_no_conflict_misses() {
-    let mut cache = RegCacheConfig::use_based(32, 32);
-    cache.classify_misses = true;
     let w = workload_by_name("matmul", Scale::Tiny).unwrap();
-    let r = simulate_workload(&w, cached(cache, IndexPolicy::Standard));
+    let r = run(
+        &w,
+        spec("use-based,entries=32,ways=32,index=standard,classify=on"),
+    );
     let c = r.regcache.unwrap();
     assert_eq!(c.misses_conflict, 0);
 }
@@ -150,7 +136,7 @@ fn fully_associative_cache_reports_no_conflict_misses() {
 #[test]
 fn miss_replay_squashes_are_counted() {
     let w = workload_by_name("listchase", Scale::Tiny).unwrap();
-    let r = simulate_workload(&w, SimConfig::paper_default());
+    let r = run(&w, SimConfig::paper_default());
     assert!(r.miss_events > 0, "pointer chasing should miss sometimes");
     assert!(r.replayed > 0, "misses must trigger replays");
 }
@@ -158,7 +144,7 @@ fn miss_replay_squashes_are_counted() {
 #[test]
 fn branch_mispredictions_are_detected_and_bounded() {
     let w = workload_by_name("qsort", Scale::Small).unwrap();
-    let r = simulate_workload(&w, SimConfig::paper_default());
+    let r = run(&w, SimConfig::paper_default());
     let rate = r.branch_mispredict_rate().unwrap();
     assert!(rate > 0.0, "sorting random data must mispredict sometimes");
     assert!(rate < 0.5, "misprediction rate {rate} implausibly high");
@@ -167,7 +153,7 @@ fn branch_mispredictions_are_detected_and_bounded() {
 #[test]
 fn degree_predictor_reaches_high_accuracy_on_loops() {
     let w = workload_by_name("crc", Scale::Small).unwrap();
-    let r = simulate_workload(&w, SimConfig::paper_default());
+    let r = run(&w, SimConfig::paper_default());
     let acc = r.douse.accuracy().unwrap();
     assert!(acc > 0.9, "degree-of-use accuracy {acc} below expectation");
 }
@@ -175,10 +161,10 @@ fn degree_predictor_reaches_high_accuracy_on_loops() {
 #[test]
 fn two_level_file_stalls_when_l1_is_tiny() {
     let w = workload_by_name("crc", Scale::Tiny).unwrap();
-    let small = SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig::optimistic(66)));
-    let large = SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig::optimistic(160)));
-    let rs = simulate_workload(&w, small);
-    let rl = simulate_workload(&w, large);
+    let small = spec("two-level,entries=66");
+    let large = spec("two-level,entries=160");
+    let rs = run(&w, small);
+    let rl = run(&w, large);
     assert!(
         rs.ipc() <= rl.ipc(),
         "tiny L1 should not outperform a large one ({} vs {})",
@@ -196,7 +182,7 @@ fn lifetime_collection_produces_consistent_distributions() {
     let mut cfg = SimConfig::paper_default();
     cfg.collect_lifetimes = true;
     let w = workload_by_name("bitops", Scale::Tiny).unwrap();
-    let r = simulate_workload(&w, cfg);
+    let r = run(&w, cfg);
     let lt = r.lifetimes.expect("lifetimes collected");
     assert!(!lt.empty.is_empty());
     assert!(!lt.live.is_empty());
@@ -215,7 +201,7 @@ fn instruction_budget_is_respected() {
     let mut cfg = SimConfig::paper_default();
     cfg.max_instructions = 500;
     let w = workload_by_name("crc", Scale::Small).unwrap();
-    let r = simulate_workload(&w, cfg);
+    let r = run(&w, cfg);
     assert!(r.retired >= 500, "stopped early: {}", r.retired);
     assert!(r.retired < 600, "overshot the budget: {}", r.retired);
 }
@@ -223,7 +209,7 @@ fn instruction_budget_is_respected() {
 #[test]
 fn backing_file_sees_every_write_and_only_miss_reads() {
     let w = workload_by_name("matmul", Scale::Tiny).unwrap();
-    let r = simulate_workload(&w, SimConfig::paper_default());
+    let r = run(&w, SimConfig::paper_default());
     let b = r.backing.unwrap();
     let c = r.regcache.unwrap();
     // Every *executed* producer writes the backing file; values squashed
@@ -241,7 +227,7 @@ fn timeline_tracing_records_stages_in_order() {
     let mut cfg = SimConfig::paper_default();
     cfg.trace_instructions = 32;
     let w = workload_by_name("crc", Scale::Tiny).unwrap();
-    let r = simulate_workload(&w, cfg);
+    let r = run(&w, cfg);
     let tl = r.timeline.expect("tracing enabled");
     assert_eq!(tl.insts.len(), 32);
     for t in &tl.insts {
@@ -275,4 +261,23 @@ fn timeline_tracing_records_stages_in_order() {
     // The rendering mentions every traced sequence number.
     let text = tl.render(120);
     assert!(text.contains(" 31 "));
+}
+
+#[test]
+fn profiled_run_matches_unprofiled() {
+    // Profiling must be observation-only: identical simulated outcome,
+    // with the wall-time attribution riding alongside.
+    let w = workload_by_name("crc", Scale::Tiny).unwrap();
+    let plain = run(&w, SimConfig::paper_default());
+    let mut cfg = SimConfig::paper_default();
+    cfg.profile = true;
+    let profiled = run(&w, cfg);
+    assert_eq!(plain.cycles, profiled.cycles);
+    assert_eq!(plain.retired, profiled.retired);
+    assert!(plain.profile.is_none());
+    let p = profiled.profile.expect("profile collected");
+    assert!(p.total_nanos() > 0);
+    // Every stage runs once per cycle, so the call counts agree
+    // with each other and with the simulated cycle count.
+    assert!(p.stages.iter().all(|s| s.calls == plain.cycles));
 }

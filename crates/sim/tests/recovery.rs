@@ -6,33 +6,25 @@
 //! every invalidate/re-fill and machine-check squash.
 
 use proptest::prelude::*;
-use ubrc_core::{IndexPolicy, ProtectionConfig, RegCacheConfig};
-use ubrc_sim::{
-    simulate_checked, simulate_smt_checked, CheckConfig, FaultKind, FaultPlan, FaultSpec,
-    RecoveryPolicy, RegStorage, SimConfig, SimResult,
-};
+use ubrc_sim::{simulate, CheckConfig, FaultKind, FaultPlan, FaultSpec, SimConfig, SimResult};
 use ubrc_workloads::{workload_by_name, Scale};
 
-fn protected_config(entries: usize, protection: ProtectionConfig) -> SimConfig {
-    let mut cache = RegCacheConfig::use_based(entries, 2);
-    cache.protection = protection;
-    let mut cfg = SimConfig::table1(RegStorage::Cached {
-        cache,
-        index: IndexPolicy::FilteredRoundRobin,
-        backing_read: 2,
-        backing_write: 2,
-    });
+/// A fully checked `entries`-entry use-based cache, with parity and
+/// machine-check recovery on or off.
+fn protected_config(entries: usize, protect: bool) -> SimConfig {
+    let on = if protect { "on" } else { "off" };
+    let spec = format!("use-based,entries={entries},protect={on}");
+    let mut cfg: SimConfig = spec.parse().unwrap();
     cfg.check = CheckConfig::full();
-    cfg.recovery = RecoveryPolicy::enabled();
     cfg
 }
 
 fn run_protected(entries: usize, plan: FaultPlan) -> SimResult {
     let w = workload_by_name("crc", Scale::Tiny).unwrap();
     let program = w.assemble().unwrap();
-    let mut cfg = protected_config(entries, ProtectionConfig::full());
+    let mut cfg = protected_config(entries, true);
     cfg.fault_plan = Some(plan);
-    match simulate_checked(program, cfg) {
+    match simulate(vec![program], cfg) {
         Ok(r) => r,
         Err(e) => panic!("recoverable fault was not recovered cleanly: {e}"),
     }
@@ -84,11 +76,7 @@ fn recovery_preserves_the_architectural_result() {
     // exactly the instructions a fault-free run retires (the oracle
     // checks every record), and the IPC cost is the recovery time.
     let w = workload_by_name("crc", Scale::Tiny).unwrap();
-    let clean = simulate_checked(
-        w.assemble().unwrap(),
-        protected_config(8, ProtectionConfig::full()),
-    )
-    .unwrap();
+    let clean = simulate(vec![w.assemble().unwrap()], protected_config(8, true)).unwrap();
     let faulted = run_protected(8, FaultPlan::periodic(24, 30, FaultKind::FlipBackingWord));
     assert_eq!(clean.retired, faulted.retired);
     assert!(faulted.machine_checks > 0);
@@ -100,17 +88,8 @@ fn protection_off_with_no_faults_is_byte_identical() {
     // The protection plumbing must be invisible when disabled: same
     // cycles, same retirement count, no recoveries.
     let w = workload_by_name("crc", Scale::Tiny).unwrap();
-    let base_cfg = {
-        let mut cfg = protected_config(64, ProtectionConfig::off());
-        cfg.recovery = RecoveryPolicy::disabled();
-        cfg
-    };
-    let base = simulate_checked(w.assemble().unwrap(), base_cfg).unwrap();
-    let prot = simulate_checked(
-        w.assemble().unwrap(),
-        protected_config(64, ProtectionConfig::full()),
-    )
-    .unwrap();
+    let base = simulate(vec![w.assemble().unwrap()], protected_config(64, false)).unwrap();
+    let prot = simulate(vec![w.assemble().unwrap()], protected_config(64, true)).unwrap();
     assert_eq!(base.cycles, prot.cycles);
     assert_eq!(base.retired, prot.retired);
     assert_eq!(prot.recoveries, 0);
@@ -132,15 +111,14 @@ fn smt_fault_in_thread0_never_squashes_thread1() {
     // register the renamer reads through storage is config-dependent).
     let mut detected = 0;
     for target in [10u16, 30, 50, 90, 130, 170] {
-        let mut cfg = protected_config(8, ProtectionConfig::full());
+        let mut cfg = protected_config(8, true);
         cfg.fault_plan = Some(FaultPlan::periodic_targeted(
             25,
             20,
             FaultKind::FlipBackingWord,
             target,
         ));
-        let r = simulate_smt_checked(vec![w0.assemble().unwrap(), w1.assemble().unwrap()], cfg)
-            .unwrap();
+        let r = simulate(vec![w0.assemble().unwrap(), w1.assemble().unwrap()], cfg).unwrap();
         assert_eq!(
             r.thread_machine_checks[1], 0,
             "a thread-0 fault squashed thread 1 (target {target})"
@@ -160,9 +138,9 @@ fn watchdog_forces_one_recovery_before_declaring_deadlock() {
     // The resulting dump must carry the recovery counters so a
     // livelock-after-recovery is distinguishable from plain deadlock.
     let w = workload_by_name("crc", Scale::Tiny).unwrap();
-    let mut cfg = protected_config(64, ProtectionConfig::full());
+    let mut cfg = protected_config(64, true);
     cfg.check.watchdog_cycles = 1;
-    let err = simulate_checked(w.assemble().unwrap(), cfg).unwrap_err();
+    let err = simulate(vec![w.assemble().unwrap()], cfg).unwrap_err();
     match *err {
         ubrc_sim::SimError::Watchdog(d) => {
             assert!(d.recoveries > 0, "no forced recovery before deadlock");

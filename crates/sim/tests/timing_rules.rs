@@ -6,7 +6,7 @@ use ubrc_isa::assemble;
 use ubrc_sim::{simulate, BranchPredictorKind, RegStorage, SimConfig, SimResult};
 
 fn run(src: &str, cfg: SimConfig) -> SimResult {
-    simulate(assemble(src).unwrap(), cfg)
+    simulate(vec![assemble(src).unwrap()], cfg).unwrap()
 }
 
 fn mono1() -> SimConfig {

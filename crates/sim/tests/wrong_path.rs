@@ -4,8 +4,12 @@
 
 use ubrc_core::TwoLevelConfig;
 use ubrc_isa::assemble;
-use ubrc_sim::{simulate, simulate_workload, BranchPredictorKind, RegStorage, SimConfig};
-use ubrc_workloads::{suite, workload_by_name, Scale};
+use ubrc_sim::{simulate, BranchPredictorKind, RegStorage, SimConfig, SimResult};
+use ubrc_workloads::{suite, workload_by_name, Scale, Workload};
+
+fn run(w: &Workload, cfg: SimConfig) -> SimResult {
+    simulate(vec![w.assemble().unwrap()], cfg).unwrap()
+}
 
 #[test]
 fn wrong_path_instructions_are_fetched_and_squashed() {
@@ -19,7 +23,7 @@ fn wrong_path_instructions_are_fetched_and_squashed() {
                halt\n";
     let mut cfg = SimConfig::paper_default();
     cfg.branch_predictor = BranchPredictorKind::NotTaken;
-    let r = simulate(assemble(src).unwrap(), cfg);
+    let r = simulate(vec![assemble(src).unwrap()], cfg).unwrap();
     assert_eq!(r.retired, 1 + 200 * 3 + 1);
     assert!(
         r.wrong_path_squashed > 100,
@@ -36,7 +40,7 @@ fn architectural_results_survive_heavy_wrong_path_traffic() {
     cfg.branch_predictor = BranchPredictorKind::NotTaken;
     for w in suite(Scale::Tiny) {
         let m = w.run_checks().unwrap();
-        let r = simulate_workload(&w, cfg.clone());
+        let r = run(&w, cfg.clone());
         assert_eq!(
             r.retired,
             m.instruction_count(),
@@ -53,7 +57,7 @@ fn wrong_path_pollutes_use_counters() {
     // pressure (a perfect-direction predictor produces no wrong paths
     // for conditional branches).
     let w = workload_by_name("qsort", Scale::Small).unwrap();
-    let polluted = simulate_workload(&w, SimConfig::paper_default());
+    let polluted = run(&w, SimConfig::paper_default());
     assert!(polluted.wrong_path_squashed > 0, "qsort must mispredict");
     // Pollution exists but the machinery bounds it: accuracy stays high.
     let acc = polluted.douse.accuracy().unwrap();
@@ -67,7 +71,7 @@ fn two_level_file_pays_for_speculative_movement() {
     // recovery cost the paper charges it for.
     let w = workload_by_name("qsort", Scale::Small).unwrap();
     let cfg = SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig::optimistic(96)));
-    let r = simulate_workload(&w, cfg);
+    let r = run(&w, cfg);
     let tl = r.twolevel.unwrap();
     assert!(tl.transfers > 0, "no L1->L2 movement at all");
     assert!(
@@ -86,14 +90,14 @@ fn free_list_is_conserved_across_squashes() {
     cfg.branch_predictor = BranchPredictorKind::Bimodal;
     cfg.phys_regs = 96;
     let m = w.run_checks().unwrap();
-    let r = simulate_workload(&w, cfg);
+    let r = run(&w, cfg);
     assert_eq!(r.retired, m.instruction_count());
 }
 
 #[test]
 fn mispredicted_indirect_jumps_follow_predicted_targets() {
     let w = workload_by_name("dispatch", Scale::Tiny).unwrap();
-    let r = simulate_workload(&w, SimConfig::paper_default());
+    let r = run(&w, SimConfig::paper_default());
     assert!(
         r.indirect_mispredicts > 0,
         "cold jump table must mispredict"
@@ -112,7 +116,7 @@ fn timeline_marks_wrong_path_instructions() {
     let mut cfg = SimConfig::paper_default();
     cfg.branch_predictor = BranchPredictorKind::NotTaken;
     cfg.trace_instructions = 40;
-    let r = simulate(assemble(src).unwrap(), cfg);
+    let r = simulate(vec![assemble(src).unwrap()], cfg).unwrap();
     let tl = r.timeline.unwrap();
     assert!(
         tl.insts.iter().any(|t| t.wrong_path),

@@ -9,10 +9,9 @@
 //!
 //! Without an argument, a built-in histogram kernel is used.
 
-use ubrc::core::{IndexPolicy, RegCacheConfig};
 use ubrc::emu::Machine;
 use ubrc::isa::assemble;
-use ubrc::sim::{simulate, RegStorage, SimConfig};
+use ubrc::sim::simulate;
 use ubrc::stats::Table;
 
 const BUILTIN: &str = "
@@ -73,13 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sweep cache geometry for this kernel.
     let mut table = Table::new(["geometry", "IPC", "miss/operand %", "writes filtered %"]);
     for (entries, ways) in [(16, 2), (32, 2), (64, 2), (64, 4), (128, 2)] {
-        let cfg = SimConfig::table1(RegStorage::Cached {
-            cache: RegCacheConfig::use_based(entries, ways),
-            index: IndexPolicy::FilteredRoundRobin,
-            backing_read: 2,
-            backing_write: 2,
-        });
-        let r = simulate(program.clone(), cfg);
+        let cfg = format!("use-based,entries={entries},ways={ways}").parse()?;
+        let r = simulate(vec![program.clone()], cfg)?;
         let cache = r.regcache.as_ref().expect("cached config");
         table.row([
             format!("{entries}-entry {ways}-way"),
@@ -88,13 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.1}", cache.frac_writes_filtered().unwrap_or(0.0) * 100.0),
         ]);
     }
-    let mono = simulate(
-        program,
-        SimConfig::table1(RegStorage::Monolithic {
-            read_latency: 3,
-            write_latency: 3,
-        }),
-    );
+    let mono = simulate(vec![program], "rf-3".parse()?)?;
     table.row([
         "3-cycle monolithic file".to_string(),
         format!("{:.3}", mono.ipc()),

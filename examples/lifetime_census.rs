@@ -8,7 +8,7 @@
 //! cargo run --release --example lifetime_census
 //! ```
 
-use ubrc::sim::{simulate_workload, SimConfig};
+use ubrc::sim::{simulate, SimConfig};
 use ubrc::stats::Table;
 use ubrc::workloads::{suite, Scale};
 
@@ -27,7 +27,8 @@ fn main() {
     ]);
     let mut live90_max = 0u64;
     for w in suite(Scale::Small) {
-        let r = simulate_workload(&w, cfg.clone());
+        let program = w.assemble().expect("bundled kernels assemble");
+        let r = simulate(vec![program], cfg.clone()).expect("kernel simulates");
         let lt = r.lifetimes.as_ref().expect("lifetimes enabled");
         let live90 = lt.live_concurrency.percentile(90.0).unwrap_or(0);
         live90_max = live90_max.max(live90);

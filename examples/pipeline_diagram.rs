@@ -12,7 +12,7 @@
 //! ```
 
 use ubrc::isa::assemble;
-use ubrc::sim::{simulate, SimConfig, Simulator};
+use ubrc::sim::{simulate, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The Figure 3 scenario: a producer (I1) whose value feeds
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut config = SimConfig::paper_default();
     config.trace_instructions = 12;
-    let result = Simulator::new(program.clone(), config).run();
+    let result = simulate(vec![program.clone()], config)?;
 
     println!("pipeline timeline (use-based register cache):\n");
     let timeline = result.timeline.expect("tracing enabled");
@@ -48,16 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Same code on the 3-cycle monolithic file for contrast.
-    let mut mono = SimConfig::table1(ubrc::sim::RegStorage::Monolithic {
-        read_latency: 3,
-        write_latency: 3,
-    });
+    let mut mono: SimConfig = "rf-3".parse()?;
     mono.trace_instructions = 12;
-    let result = Simulator::new(program, mono).run();
+    let result = simulate(vec![program], mono)?;
     println!("\npipeline timeline (3-cycle monolithic register file):\n");
     print!("{}", result.timeline.expect("tracing enabled").render(72));
-
-    // simulate() is the one-call form when no tracing is needed.
-    let _ = simulate(assemble("main: halt\n")?, SimConfig::paper_default());
     Ok(())
 }

@@ -5,8 +5,7 @@
 //! cargo run --release --example policy_shootout [tiny|small|default]
 //! ```
 
-use ubrc::core::{IndexPolicy, RegCacheConfig, TwoLevelConfig};
-use ubrc::sim::{simulate_workload, RegStorage, SimConfig};
+use ubrc::sim::simulate;
 use ubrc::stats::{geomean, Table};
 use ubrc::workloads::{suite, Scale};
 
@@ -17,60 +16,28 @@ fn main() {
         _ => Scale::Small,
     };
 
-    let cached = |cache: RegCacheConfig, index| {
-        SimConfig::table1(RegStorage::Cached {
-            cache,
-            index,
-            backing_read: 2,
-            backing_write: 2,
-        })
-    };
-    let contenders: Vec<(&str, SimConfig)> = vec![
-        (
-            "1-cycle monolithic RF (upper bound)",
-            SimConfig::table1(RegStorage::Monolithic {
-                read_latency: 1,
-                write_latency: 1,
-            }),
-        ),
-        (
-            "use-based cache 64/2-way + filtered-rr",
-            SimConfig::paper_default(),
-        ),
+    // Each contender is a config spec: a named base plus overrides.
+    let contenders = [
+        ("1-cycle monolithic RF (upper bound)", "rf-1"),
+        ("use-based cache 64/2-way + filtered-rr", "use-based"),
         (
             "use-based cache 48/4-way + filtered-rr",
-            cached(
-                RegCacheConfig::use_based(48, 4),
-                IndexPolicy::FilteredRoundRobin,
-            ),
+            "use-based,entries=48,ways=4",
         ),
-        (
-            "lru cache 64/2-way + round-robin",
-            cached(RegCacheConfig::lru(64, 2), IndexPolicy::RoundRobin),
-        ),
-        (
-            "non-bypass cache 64/2-way + round-robin",
-            cached(RegCacheConfig::non_bypass(64, 2), IndexPolicy::RoundRobin),
-        ),
-        (
-            "two-level file, 96-entry L1",
-            SimConfig::table1(RegStorage::TwoLevel(TwoLevelConfig::optimistic(96))),
-        ),
-        (
-            "3-cycle monolithic RF (what the cache replaces)",
-            SimConfig::table1(RegStorage::Monolithic {
-                read_latency: 3,
-                write_latency: 3,
-            }),
-        ),
+        ("lru cache 64/2-way + round-robin", "lru"),
+        ("non-bypass cache 64/2-way + round-robin", "non-bypass"),
+        ("two-level file, 96-entry L1", "two-level"),
+        ("3-cycle monolithic RF (what the cache replaces)", "rf-3"),
     ];
 
     let mut rows: Vec<(String, f64, f64)> = Vec::new();
-    for (name, cfg) in contenders {
+    for (name, spec) in contenders {
         let mut ipcs = Vec::new();
         let mut miss = Vec::new();
         for w in suite(scale) {
-            let r = simulate_workload(&w, cfg.clone());
+            let program = w.assemble().expect("bundled kernels assemble");
+            let r = simulate(vec![program], spec.parse().expect("valid spec"))
+                .expect("kernel simulates");
             ipcs.push(r.ipc());
             if let Some(m) = r.miss_rate_per_operand() {
                 miss.push(m);

@@ -8,7 +8,7 @@
 
 use ubrc::emu::Machine;
 use ubrc::isa::assemble;
-use ubrc::sim::{simulate, RegStorage, SimConfig};
+use ubrc::sim::{simulate, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A little dot-product kernel in UBRC assembly.
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Timing simulation with the paper's proposed design: a
     //    64-entry, 2-way use-based register cache with filtered
     //    round-robin decoupled indexing over a 2-cycle backing file.
-    let cached = simulate(program.clone(), SimConfig::paper_default());
+    let cached = simulate(vec![program.clone()], SimConfig::paper_default())?;
     println!(
         "use-based register cache: {} cycles, IPC {:.3}",
         cached.cycles,
@@ -57,14 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 3. The baseline it replaces: a monolithic 3-cycle register file.
-    let mono = simulate(
-        program,
-        SimConfig::table1(RegStorage::Monolithic {
-            read_latency: 3,
-            write_latency: 3,
-        }),
-    );
+    // 3. The baseline it replaces: a monolithic 3-cycle register file,
+    //    named by its config spec.
+    let mono = simulate(vec![program], "rf-3".parse()?)?;
     println!(
         "3-cycle monolithic file:  {} cycles, IPC {:.3}",
         mono.cycles,

@@ -19,6 +19,12 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== workspace tests: every crate's unit, integration and doc tests"
+# Tier-1 runs only the root package. This step also runs every crate's
+# own suites: the SMT, wrong-path, fault-injection, recovery, runner,
+# ISA and property tests, and the ConfigError rejection tests.
+cargo test --workspace --release -q
+
 echo "== oracle-on smoke: Tiny suite with full runtime checking"
 cargo run --release -q -p ubrc-bench --bin experiments -- \
   charstats --scale tiny --check --timeout 300 >/dev/null
@@ -34,11 +40,10 @@ cargo run --release -q -p ubrc-bench --bin experiments -- \
 echo "== recovery smoke: Tiny suite, parity + injected faults, oracle on"
 # The soft experiment sweeps every recoverable fault class with full
 # checking: any oracle divergence or unbalanced pin/fill accounting
-# fails the run. The recovery test suite then asserts the counts are
-# non-zero (faults actually landed and were repaired).
+# fails the run. (The workspace step's recovery tests assert the
+# counts are non-zero: faults actually landed and were repaired.)
 cargo run --release -q -p ubrc-bench --bin experiments -- \
   soft --scale tiny --check --timeout 300 >/dev/null
-cargo test --release -q -p ubrc-sim --test recovery
 
 echo "== dynamic-partitioning smoke: Tiny quads, DynamicCap, oracle on"
 # The ucp experiment runs the shared/occupancy-cap/dynamic-cap matrix;
@@ -69,11 +74,5 @@ UBRC_BENCH_WORKERS=2 cargo run --release -q -p ubrc-bench --bin experiments -- \
   all --scale tiny \
   | sed -E 's/, [0-9.]+s\]/]/' >"$parallel_out"
 diff "$serial_out" "$parallel_out"
-
-echo "== ConfigError rejection tests"
-cargo test --release -q -p ubrc-sim --lib -- reject
-
-echo "== property tests: partitioning + protection invariants"
-cargo test --release -q -p ubrc-core --test robustness_props
 
 echo "all checks passed"

@@ -1,11 +1,14 @@
 //! Cross-crate integration tests: the whole stack from assembly text to
 //! timing statistics.
 
-use ubrc::core::{IndexPolicy, RegCacheConfig};
 use ubrc::emu::Machine;
 use ubrc::isa::assemble;
-use ubrc::sim::{simulate, simulate_workload, RegStorage, SimConfig};
-use ubrc::workloads::{suite, workload_by_name, Scale};
+use ubrc::sim::{simulate, SimConfig, SimResult};
+use ubrc::workloads::{suite, workload_by_name, Scale, Workload};
+
+fn run(w: &Workload, spec: &str) -> SimResult {
+    simulate(vec![w.assemble().unwrap()], spec.parse().unwrap()).unwrap()
+}
 
 #[test]
 fn workload_suite_validates_at_default_scale() {
@@ -25,14 +28,8 @@ fn timing_simulation_preserves_architectural_results() {
     let w = workload_by_name("hash", Scale::Small).unwrap();
     let machine = w.run_checks().unwrap();
     let expected = machine.instruction_count();
-    for cfg in [
-        SimConfig::paper_default(),
-        SimConfig::table1(RegStorage::Monolithic {
-            read_latency: 3,
-            write_latency: 3,
-        }),
-    ] {
-        assert_eq!(simulate_workload(&w, cfg).retired, expected);
+    for spec in ["use-based", "rf-3"] {
+        assert_eq!(run(&w, spec).retired, expected);
     }
 }
 
@@ -54,15 +51,7 @@ fn assembled_programs_roundtrip_through_encoding() {
 #[test]
 fn cache_statistics_are_internally_consistent() {
     let w = workload_by_name("qsort", Scale::Small).unwrap();
-    let mut cache = RegCacheConfig::use_based(64, 2);
-    cache.classify_misses = true;
-    let cfg = SimConfig::table1(RegStorage::Cached {
-        cache,
-        index: IndexPolicy::FilteredRoundRobin,
-        backing_read: 2,
-        backing_write: 2,
-    });
-    let r = simulate_workload(&w, cfg);
+    let r = run(&w, "use-based,classify=on");
     let c = r.regcache.expect("cached run");
     assert_eq!(c.reads, c.read_hits + c.read_misses);
     assert_eq!(c.writes_attempted, c.writes_inserted + c.writes_filtered);
@@ -87,8 +76,8 @@ fn deterministic_simulation() {
     // Identical inputs must give identical cycle counts (no hidden
     // randomness or time dependence anywhere in the stack).
     let w = workload_by_name("bfs", Scale::Small).unwrap();
-    let a = simulate_workload(&w, SimConfig::paper_default());
-    let b = simulate_workload(&w, SimConfig::paper_default());
+    let a = run(&w, "use-based");
+    let b = run(&w, "use-based");
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.replayed, b.replayed);
     assert_eq!(
@@ -118,7 +107,7 @@ fn custom_program_through_the_full_stack() {
     let mut m = Machine::new(program.clone());
     m.run(10_000).unwrap();
     assert_eq!(m.int_reg(3), 25 + 16 + 9 + 4 + 1);
-    let r = simulate(program, SimConfig::paper_default());
+    let r = simulate(vec![program], SimConfig::paper_default()).unwrap();
     assert_eq!(r.retired, m.instruction_count());
     assert!(r.cycles > 0);
 }
@@ -133,7 +122,7 @@ fn synthetic_workloads_run_under_timing_simulation() {
     ] {
         let spec = SyntheticSpec { blocks: 30, ..spec };
         let w = spec.build();
-        let r = simulate_workload(&w, SimConfig::paper_default());
+        let r = run(&w, "use-based");
         assert!(r.retired > 500);
         assert!(r.ipc() > 0.1);
     }
@@ -147,16 +136,8 @@ fn use_based_policy_prefers_predictable_reuse() {
     // management.
     use ubrc::workloads::synthetic::SyntheticSpec;
     let w = SyntheticSpec::high_use(1).build();
-    let cached = |cache| {
-        SimConfig::table1(RegStorage::Cached {
-            cache,
-            index: IndexPolicy::RoundRobin,
-            backing_read: 2,
-            backing_write: 2,
-        })
-    };
-    let ub = simulate_workload(&w, cached(RegCacheConfig::use_based(64, 2)));
-    let nb = simulate_workload(&w, cached(RegCacheConfig::non_bypass(64, 2)));
+    let ub = run(&w, "use-based,index=round-robin");
+    let nb = run(&w, "non-bypass");
     let ub_miss = ub.miss_rate_per_operand().unwrap();
     let nb_miss = nb.miss_rate_per_operand().unwrap();
     assert!(

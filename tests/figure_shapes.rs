@@ -3,40 +3,31 @@
 //! guards for the experiment harness — if a model change flips one of
 //! these orderings, a headline conclusion of the paper broke.
 
-use ubrc::core::{IndexPolicy, RegCacheConfig};
-use ubrc::sim::{simulate_workload, RegStorage, SimConfig};
+use ubrc::sim::{simulate, RegStorage, SimConfig};
 use ubrc::stats::geomean;
 use ubrc::workloads::{suite, Scale};
 
 fn geomean_ipc(cfg: &SimConfig) -> f64 {
     let ipcs: Vec<f64> = suite(Scale::Small)
         .iter()
-        .map(|w| simulate_workload(w, cfg.clone()).ipc())
+        .map(|w| {
+            let r = simulate(vec![w.assemble().unwrap()], cfg.clone());
+            r.unwrap().ipc()
+        })
         .collect();
     geomean(&ipcs).expect("positive IPCs")
 }
 
-fn cached(cache: RegCacheConfig, index: IndexPolicy) -> SimConfig {
-    SimConfig::table1(RegStorage::Cached {
-        cache,
-        index,
-        backing_read: 2,
-        backing_write: 2,
-    })
-}
-
-fn mono(latency: u32) -> SimConfig {
-    SimConfig::table1(RegStorage::Monolithic {
-        read_latency: latency,
-        write_latency: latency,
-    })
+/// The suite geomean IPC under the config `spec` names.
+fn ipc(spec: &str) -> f64 {
+    geomean_ipc(&spec.parse().unwrap())
 }
 
 #[test]
 fn monolithic_latency_ordering_fig6_baselines() {
-    let i1 = geomean_ipc(&mono(1));
-    let i2 = geomean_ipc(&mono(2));
-    let i3 = geomean_ipc(&mono(3));
+    let i1 = ipc("rf-1");
+    let i2 = ipc("rf-2");
+    let i3 = ipc("rf-3");
     assert!(
         i1 > i2 && i2 > i3,
         "RF latency ordering broken: {i1} {i2} {i3}"
@@ -45,22 +36,8 @@ fn monolithic_latency_ordering_fig6_baselines() {
 
 #[test]
 fn associativity_ordering_fig6() {
-    let dm = geomean_ipc(&cached(
-        RegCacheConfig::use_based(64, 1),
-        IndexPolicy::Standard,
-    ));
-    let w2 = geomean_ipc(&cached(
-        RegCacheConfig::use_based(64, 2),
-        IndexPolicy::Standard,
-    ));
-    let w4 = geomean_ipc(&cached(
-        RegCacheConfig::use_based(64, 4),
-        IndexPolicy::Standard,
-    ));
-    let fa = geomean_ipc(&cached(
-        RegCacheConfig::use_based(64, 64),
-        IndexPolicy::Standard,
-    ));
+    let at = |ways: usize| ipc(&format!("use-based,ways={ways},index=standard"));
+    let (dm, w2, w4, fa) = (at(1), at(2), at(4), at(64));
     assert!(w2 > dm, "2-way ({w2}) must beat direct-mapped ({dm})");
     assert!(
         w4 >= w2 * 0.999,
@@ -74,31 +51,16 @@ fn associativity_ordering_fig6() {
 
 #[test]
 fn cache_size_ordering_fig6() {
-    let small = geomean_ipc(&cached(
-        RegCacheConfig::use_based(16, 2),
-        IndexPolicy::Standard,
-    ));
-    let large = geomean_ipc(&cached(
-        RegCacheConfig::use_based(128, 2),
-        IndexPolicy::Standard,
-    ));
+    let small = ipc("use-based,entries=16,index=standard");
+    let large = ipc("use-based,entries=128,index=standard");
     assert!(large > small, "bigger caches must help: {large} vs {small}");
 }
 
 #[test]
 fn decoupled_indexing_helps_direct_mapped_fig7() {
-    let std_ipc = geomean_ipc(&cached(
-        RegCacheConfig::use_based(64, 1),
-        IndexPolicy::Standard,
-    ));
-    let rr = geomean_ipc(&cached(
-        RegCacheConfig::use_based(64, 1),
-        IndexPolicy::RoundRobin,
-    ));
-    let frr = geomean_ipc(&cached(
-        RegCacheConfig::use_based(64, 1),
-        IndexPolicy::FilteredRoundRobin,
-    ));
+    let std_ipc = ipc("use-based,ways=1,index=standard");
+    let rr = ipc("use-based,ways=1,index=round-robin");
+    let frr = ipc("use-based,ways=1,index=filtered");
     assert!(
         rr > std_ipc,
         "round-robin ({rr}) must beat standard ({std_ipc})"
@@ -111,15 +73,9 @@ fn decoupled_indexing_helps_direct_mapped_fig7() {
 
 #[test]
 fn scheme_ordering_fig11() {
-    let ub = geomean_ipc(&cached(
-        RegCacheConfig::use_based(64, 2),
-        IndexPolicy::FilteredRoundRobin,
-    ));
-    let lru = geomean_ipc(&cached(RegCacheConfig::lru(64, 2), IndexPolicy::RoundRobin));
-    let nb = geomean_ipc(&cached(
-        RegCacheConfig::non_bypass(64, 2),
-        IndexPolicy::RoundRobin,
-    ));
+    let ub = ipc("use-based");
+    let lru = ipc("lru");
+    let nb = ipc("non-bypass");
     assert!(ub > lru, "use-based ({ub}) must beat LRU ({lru})");
     assert!(
         lru > nb,
@@ -132,7 +88,7 @@ fn use_based_cache_beats_the_three_cycle_file() {
     // The headline: the proposed design outperforms the monolithic
     // 3-cycle register file it replaces.
     let ub = geomean_ipc(&SimConfig::paper_default());
-    let rf3 = geomean_ipc(&mono(3));
+    let rf3 = ipc("rf-3");
     assert!(
         ub > rf3,
         "use-based cache ({ub}) must beat the 3-cycle RF ({rf3})"
@@ -141,27 +97,13 @@ fn use_based_cache_beats_the_three_cycle_file() {
 
 #[test]
 fn backing_latency_degrades_use_based_gracefully_fig12() {
-    let at = |lat: u32| {
-        geomean_ipc(&SimConfig::table1(RegStorage::Cached {
-            cache: RegCacheConfig::use_based(64, 2),
-            index: IndexPolicy::FilteredRoundRobin,
-            backing_read: lat,
-            backing_write: lat,
-        }))
-    };
+    let at = |lat: u32| ipc(&format!("use-based,backing={lat}"));
     let l1 = at(1);
     let l4 = at(4);
     let l6 = at(6);
     assert!(l1 > l4 && l4 > l6, "latency must hurt: {l1} {l4} {l6}");
     // Use-based degradation must be milder than non-bypass degradation.
-    let nb_at = |lat: u32| {
-        geomean_ipc(&SimConfig::table1(RegStorage::Cached {
-            cache: RegCacheConfig::non_bypass(64, 2),
-            index: IndexPolicy::RoundRobin,
-            backing_read: lat,
-            backing_write: lat,
-        }))
-    };
+    let nb_at = |lat: u32| ipc(&format!("non-bypass,backing={lat}"));
     let ub_drop = l1 / l6;
     let nb_drop = nb_at(1) / nb_at(6);
     assert!(
@@ -173,9 +115,11 @@ fn backing_latency_degrades_use_based_gracefully_fig12() {
 #[test]
 fn pinning_limit_has_a_knee_maxuse() {
     let at = |max: u8| {
-        let mut cache = RegCacheConfig::use_based(64, 2);
-        cache.max_use_count = max;
-        geomean_ipc(&cached(cache, IndexPolicy::FilteredRoundRobin))
+        let mut cfg = SimConfig::paper_default();
+        if let RegStorage::Cached { cache, .. } = &mut cfg.storage {
+            cache.max_use_count = max;
+        }
+        geomean_ipc(&cfg)
     };
     let low = at(1);
     let knee = at(7);

@@ -11,11 +11,10 @@ use ubrc::core::{
 
 const NPREGS: usize = 48;
 
-const INSERTION_POLICIES: [InsertionPolicy; 4] = [
+const INSERTION_POLICIES: [InsertionPolicy; 3] = [
     InsertionPolicy::WriteAll,
     InsertionPolicy::NonBypass,
     InsertionPolicy::UseBased,
-    InsertionPolicy::AdaptiveUseThreshold,
 ];
 
 const REPLACEMENT_POLICIES: [ReplacementPolicy; 3] = [
@@ -270,7 +269,7 @@ proptest! {
         seed in any::<u64>(),
         storage_pick in 0usize..3,
     ) {
-        use ubrc::sim::{simulate_workload, RegStorage, SimConfig};
+        use ubrc::sim::{simulate, SimConfig};
         use ubrc::workloads::synthetic::SyntheticSpec;
         let spec = SyntheticSpec {
             blocks: 12,
@@ -279,17 +278,8 @@ proptest! {
         };
         let w = spec.build();
         let machine = w.run_checks().expect("runs functionally");
-        let cfg = match storage_pick {
-            0 => SimConfig::paper_default(),
-            1 => SimConfig::table1(RegStorage::Monolithic {
-                read_latency: 3,
-                write_latency: 3,
-            }),
-            _ => SimConfig::table1(RegStorage::TwoLevel(
-                ubrc::core::TwoLevelConfig::optimistic(96),
-            )),
-        };
-        let r = simulate_workload(&w, cfg);
+        let cfg: SimConfig = ["use-based", "rf-3", "two-level"][storage_pick].parse().unwrap();
+        let r = simulate(vec![w.assemble().unwrap()], cfg).unwrap();
         // Completeness: the pipeline retires the exact dynamic stream.
         prop_assert_eq!(r.retired, machine.instruction_count());
         // Work conservation: never faster than the machine width...
