@@ -868,7 +868,7 @@ impl RegisterCache {
 
     /// Fault-injection hook: flips a data bit in the `nth` valid entry
     /// (modulo occupancy), marking its modeled parity bad. A protected
-    /// read ([`crate::ProtectionConfig::cache_parity`]) detects the
+    /// read ([`crate::RegCacheConfig::protect`]) detects the
     /// upset via [`RegisterCache::take_parity_fault`] and re-fills from
     /// the backing file. Returns the victim's tag, or `None` when the
     /// cache is empty.

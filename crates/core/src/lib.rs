@@ -68,8 +68,8 @@ pub use cache::{EntryView, MissClass, RegCacheStats, RegisterCache, WriteOutcome
 pub use index::{IndexAssigner, IndexPolicy};
 pub use monitor::UtilityMonitor;
 pub use policy::{
-    CachePartition, EpochAdapt, EpochFeedback, InsertionContext, InsertionPolicy, ProtectionConfig,
-    RegCacheConfig, ReplacementPolicy, VictimScore, VictimView,
+    CachePartition, EpochAdapt, EpochFeedback, InsertionContext, InsertionPolicy, RegCacheConfig,
+    ReplacementPolicy, VictimScore, VictimView,
 };
 pub use twolevel::{TwoLevelConfig, TwoLevelFile, TwoLevelStats};
 pub use usetrack::UseTracker;

@@ -247,52 +247,6 @@ pub struct EpochAdapt {
     pub band: usize,
 }
 
-/// Soft-error protection switches for the register storage structures.
-///
-/// Each flag adds a modeled parity tag to one structure — register-cache
-/// entries, the use-counter bank, or the backing-file words — that is
-/// checked on every read of that structure. The timing model carries no
-/// data bits, so "parity" is a per-element poison flag set by the fault
-/// injector and cleared by writes; the flags only gate *detection*, and
-/// with everything off (the default) no protection code runs at all, so
-/// timing is bit-identical to an unprotected build.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct ProtectionConfig {
-    /// Parity on register-cache entries: a corrupted entry is detected
-    /// at its next read and invalidated (the clean copy in the backing
-    /// file makes this recoverable by a re-fill).
-    pub cache_parity: bool,
-    /// Parity on the remaining-use counter bank: a corrupted counter is
-    /// detected at its next read and scrubbed to zero-remaining,
-    /// unpinned (the counters are performance hints, never values).
-    pub counter_parity: bool,
-    /// Parity on backing-file words: a corrupted word is detected at
-    /// the next backing read and must escalate — the backing file *is*
-    /// the clean copy, so there is nothing local to re-fill from.
-    pub backing_parity: bool,
-}
-
-impl ProtectionConfig {
-    /// No protection (the default): zero overhead, zero detection.
-    pub fn off() -> Self {
-        Self::default()
-    }
-
-    /// Parity on all three structures.
-    pub fn full() -> Self {
-        Self {
-            cache_parity: true,
-            counter_parity: true,
-            backing_parity: true,
-        }
-    }
-
-    /// True when at least one structure is protected.
-    pub fn any(&self) -> bool {
-        self.cache_parity || self.counter_parity || self.backing_parity
-    }
-}
-
 /// Full configuration of a [`crate::RegisterCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegCacheConfig {
@@ -327,9 +281,14 @@ pub struct RegCacheConfig {
     /// [`EpochAdapt`]). Ignored by the static partitions and on
     /// single-thread caches.
     pub epoch_adapt: Option<EpochAdapt>,
-    /// Soft-error parity protection on the storage structures (off by
-    /// default; see [`ProtectionConfig`]).
-    pub protection: ProtectionConfig,
+    /// Soft-error protection (off by default). On puts a modeled parity
+    /// tag on every register-cache entry, use counter and backing-file
+    /// word, tested at each read of that structure; the timing model
+    /// carries no data bits, so a tag is a poison flag the fault
+    /// injector sets and a write clears. The simulator pairs detection
+    /// with recovery: a bad entry is re-filled, a bad counter scrubbed,
+    /// and a bad backing word takes a machine check.
+    pub protect: bool,
 }
 
 impl RegCacheConfig {
@@ -348,7 +307,7 @@ impl RegCacheConfig {
             classify_misses: false,
             partition: CachePartition::Shared,
             epoch_adapt: None,
-            protection: ProtectionConfig::off(),
+            protect: false,
         }
     }
 

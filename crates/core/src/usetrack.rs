@@ -121,11 +121,12 @@ impl UseTracker {
 
     /// Recoverable fault-injection hook: like
     /// [`UseTracker::corrupt_counter`], but also marks the counter's
-    /// parity bad so a protected read ([`ProtectionConfig::counter_parity`](
-    /// crate::ProtectionConfig)) detects the upset and scrubs it instead
-    /// of consuming the corrupted count. Returns `false` when the
-    /// register holds no live value.
-    pub fn corrupt_counter_parity(&mut self, preg: PhysReg) -> bool {
+    /// parity bad so a protected read
+    /// ([`RegCacheConfig::protect`](crate::RegCacheConfig::protect))
+    /// detects the upset and scrubs it instead of consuming the
+    /// corrupted count. Returns `false` when the register holds no live
+    /// value.
+    pub fn flip_use_counter(&mut self, preg: PhysReg) -> bool {
         if !self.corrupt_counter(preg) {
             return false;
         }
@@ -209,7 +210,7 @@ mod tests {
         let mut t = UseTracker::new(8);
         t.init(PhysReg(4), Some(9), 1, 7);
         assert!(t.parity_ok(PhysReg(4)));
-        assert!(t.corrupt_counter_parity(PhysReg(4)));
+        assert!(t.flip_use_counter(PhysReg(4)));
         assert!(!t.parity_ok(PhysReg(4)));
         t.scrub(PhysReg(4));
         assert!(t.parity_ok(PhysReg(4)));
@@ -221,9 +222,9 @@ mod tests {
     #[test]
     fn parity_faults_need_a_live_value_and_init_rewrites_the_word() {
         let mut t = UseTracker::new(8);
-        assert!(!t.corrupt_counter_parity(PhysReg(5)), "inactive: no fault");
+        assert!(!t.flip_use_counter(PhysReg(5)), "inactive: no fault");
         t.init(PhysReg(5), Some(2), 1, 7);
-        assert!(t.corrupt_counter_parity(PhysReg(5)));
+        assert!(t.flip_use_counter(PhysReg(5)));
         t.init(PhysReg(5), Some(3), 1, 7);
         assert!(t.parity_ok(PhysReg(5)), "a fresh init overwrites parity");
     }

@@ -293,7 +293,7 @@ pub enum ConfigError {
         /// Configured cache associativity.
         ways: usize,
     },
-    /// `fetch_width` or `issue_width` is zero.
+    /// A width or port count is zero.
     ZeroWidth {
         /// Name of the zero field.
         field: &'static str,

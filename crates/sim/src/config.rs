@@ -136,6 +136,13 @@ impl RegStorage {
         }
     }
 
+    /// Whether soft-error protection is on: parity on a register cache
+    /// with [`RegCacheConfig::protect`] set, and the machine-check
+    /// recovery that acts on it. No other storage has parity.
+    pub fn protected(&self) -> bool {
+        matches!(self, RegStorage::Cached { cache, .. } if cache.protect)
+    }
+
     /// Storage read latency between issue and execute.
     pub fn read_latency(&self) -> u32 {
         match self {
@@ -143,50 +150,6 @@ impl RegStorage {
             RegStorage::Cached { .. } => 1,
             RegStorage::TwoLevel(_) => 1,
         }
-    }
-}
-
-/// How the pipeline reacts to a parity error detected by the
-/// register-storage protection layer
-/// ([`ubrc_core::ProtectionConfig`]).
-///
-/// Cache-entry and use-counter faults recover locally (invalidate and
-/// re-fill / scrub); a backing-file fault — the architected copy — and
-/// a watchdog-detected stall escalate to a machine-check squash of the
-/// affected thread, replaying from its last retired instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Master switch. Off (the default) preserves PR 2's
-    /// detect-and-report behavior: a detected fault surfaces through
-    /// the checker/oracle instead of recovering.
-    pub enabled: bool,
-    /// Cycles the squashed thread's front end stays quiesced after a
-    /// machine check before refetching (pipeline drain + checkpoint
-    /// restore).
-    pub machine_check_penalty: u64,
-}
-
-impl RecoveryPolicy {
-    /// Recovery disabled (the default; golden baseline behavior).
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            machine_check_penalty: 10,
-        }
-    }
-
-    /// Recovery enabled with the default 10-cycle machine-check drain.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            machine_check_penalty: 10,
-        }
-    }
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self::disabled()
     }
 }
 
@@ -319,9 +282,6 @@ pub struct SimConfig {
     /// the robustness tests to prove the oracle/checker detect each
     /// corruption class.
     pub fault_plan: Option<FaultPlan>,
-    /// Reaction to parity errors detected by the protection layer
-    /// (see [`RecoveryPolicy`]).
-    pub recovery: RecoveryPolicy,
     /// Collect per-stage wall-time and call-count attribution
     /// ([`crate::SimResult::profile`]). Off by default: the per-cycle
     /// loop takes the original untimed path and no profiling code runs
@@ -370,7 +330,6 @@ impl SimConfig {
             load_hit_speculation: true,
             check: CheckConfig::default(),
             fault_plan: None,
-            recovery: RecoveryPolicy::disabled(),
             profile: false,
             nthreads: 1,
             fetch_policy: FetchPolicy::Icount,

@@ -24,10 +24,11 @@
 //!   correct-path record's architectural result. Timing-neutral;
 //!   detected by the co-simulation oracle at retirement.
 //!
-//! The *recoverable* classes model transient upsets in structures the
-//! protection layer (`ProtectionConfig`) guards with parity; with the
-//! matching protection flag on, a `RecoveryPolicy` detects each upset
-//! at the read port and recovers instead of diverging:
+//! The *recoverable* classes model transient upsets in the structures a
+//! protected register cache (`RegCacheConfig::protect`, spec key
+//! `protect=on`) guards with parity. Protection detects each upset at
+//! the read port and recovers instead of diverging, so a plan with a
+//! recoverable kind is rejected without it:
 //!
 //! * [`FaultKind::FlipCacheData`] — flips a data bit of a resident
 //!   register-cache entry. Detected by the cache read port's parity
@@ -40,8 +41,6 @@
 //!   word (the architected copy). Detected at the miss-read port;
 //!   recovered by a machine-check squash-and-replay of the consuming
 //!   thread from its last retired instruction.
-
-use ubrc_core::ProtectionConfig;
 
 /// A deterministic fault-injection campaign (`SimConfig::fault_plan`).
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -118,18 +117,14 @@ impl FaultPlan {
 
     /// Validates the plan against the machine it will run on: `period`
     /// must be non-zero, targets must name existing physical registers,
-    /// and recoverable kinds require the matching parity protection
-    /// (otherwise a detected-and-recovered campaign would silently
-    /// become a corruption campaign).
+    /// and recoverable kinds require `protected` storage (otherwise a
+    /// detected-and-recovered campaign would silently become a
+    /// corruption campaign).
     ///
     /// # Errors
     ///
     /// Returns the first [`FaultPlanError`] found.
-    pub fn validate(
-        &self,
-        phys_regs: usize,
-        protection: ProtectionConfig,
-    ) -> Result<(), FaultPlanError> {
+    pub fn validate(&self, phys_regs: usize, protected: bool) -> Result<(), FaultPlanError> {
         let check_kind = |kind: FaultKind, target: Option<u16>| {
             if let Some(t) = target {
                 if t as usize >= phys_regs {
@@ -139,13 +134,7 @@ impl FaultPlan {
                     });
                 }
             }
-            let protected = match kind {
-                FaultKind::FlipCacheData => protection.cache_parity,
-                FaultKind::FlipUseCounter => protection.counter_parity,
-                FaultKind::FlipBackingWord => protection.backing_parity,
-                _ => true,
-            };
-            if !protected {
+            if kind.is_recoverable() && !protected {
                 return Err(FaultPlanError::RecoverableWithoutProtection { kind });
             }
             Ok(())
@@ -179,8 +168,8 @@ pub enum FaultPlanError {
         /// The machine's physical register count.
         phys_regs: usize,
     },
-    /// A recoverable fault kind was requested without the parity
-    /// protection that detects it.
+    /// A recoverable fault kind was requested without the protection
+    /// that detects it.
     RecoverableWithoutProtection {
         /// The offending fault kind.
         kind: FaultKind,
@@ -199,8 +188,8 @@ impl std::fmt::Display for FaultPlanError {
             ),
             FaultPlanError::RecoverableWithoutProtection { kind } => write!(
                 f,
-                "recoverable fault {kind:?} requires the matching parity protection \
-                 (enable it in RegCacheConfig::protection)"
+                "recoverable fault {kind:?} requires a protected register cache \
+                 (spec key protect=on, RegCacheConfig::protect)"
             ),
         }
     }
@@ -253,8 +242,8 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// True for the parity-detectable kinds a `RecoveryPolicy` can
-    /// recover from (given the matching `ProtectionConfig` flag).
+    /// True for the parity-detectable kinds a protected register cache
+    /// recovers from.
     pub fn is_recoverable(&self) -> bool {
         matches!(
             self,
@@ -406,32 +395,30 @@ mod tests {
 
     #[test]
     fn validation_rejects_malformed_plans() {
-        let full = ProtectionConfig::full();
-        let off = ProtectionConfig::off();
         assert_eq!(
-            FaultPlan::periodic(1, 0, FaultKind::FlipCacheData).validate(512, full),
+            FaultPlan::periodic(1, 0, FaultKind::FlipCacheData).validate(512, true),
             Err(FaultPlanError::ZeroPeriod)
         );
         assert_eq!(
-            FaultPlan::single_targeted(1, 5, FaultKind::FlipBackingWord, 600).validate(512, full),
+            FaultPlan::single_targeted(1, 5, FaultKind::FlipBackingWord, 600).validate(512, true),
             Err(FaultPlanError::TargetOutOfRange {
                 target: 600,
                 phys_regs: 512
             })
         );
         assert_eq!(
-            FaultPlan::single(1, 5, FaultKind::FlipUseCounter).validate(512, off),
+            FaultPlan::single(1, 5, FaultKind::FlipUseCounter).validate(512, false),
             Err(FaultPlanError::RecoverableWithoutProtection {
                 kind: FaultKind::FlipUseCounter
             })
         );
         // Non-recoverable kinds never need protection.
         assert_eq!(
-            FaultPlan::single(1, 5, FaultKind::CorruptRecord).validate(512, off),
+            FaultPlan::single(1, 5, FaultKind::CorruptRecord).validate(512, false),
             Ok(())
         );
         assert_eq!(
-            FaultPlan::periodic_targeted(1, 50, FaultKind::FlipBackingWord, 40).validate(512, full),
+            FaultPlan::periodic_targeted(1, 50, FaultKind::FlipBackingWord, 40).validate(512, true),
             Ok(())
         );
         assert!(FaultPlan::default().is_empty());

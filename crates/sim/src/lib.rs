@@ -46,8 +46,7 @@ pub use check::{
     SimError,
 };
 pub use config::{
-    BranchPredictorKind, FetchPolicy, FreelistPolicy, FuPools, RecoveryPolicy, RegStorage,
-    SimConfig,
+    BranchPredictorKind, FetchPolicy, FreelistPolicy, FuPools, RegStorage, SimConfig,
 };
 pub use inject::{FaultKind, FaultPlan, FaultPlanError, FaultSpec, PeriodicFault};
 pub use pipeline::Simulator;

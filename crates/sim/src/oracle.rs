@@ -1,34 +1,29 @@
 //! Lockstep co-simulation oracle.
 //!
-//! A second functional machine replays the program one instruction per
-//! *retirement*: because retirement is in program order and wrong-path
-//! work never retires, the oracle's next step must agree with the
-//! record the pipeline carried for the retiring instruction — fetch
-//! PC, control-flow outcome, effective address, and the architectural
-//! result bits. A mismatch means the pipeline's record stream was
-//! corrupted somewhere between fetch and retirement (or the two
-//! machines genuinely diverged), and is reported structurally instead
-//! of panicking.
+//! The thread's retired-state machine (`ThreadState::retired_machine`)
+//! replays the program one instruction per *retirement*: because
+//! retirement is in program order and wrong-path work never retires,
+//! its next step must agree with the record the pipeline carried for
+//! the retiring instruction — fetch PC, control-flow outcome, effective
+//! address, and the architectural result bits. A mismatch means the
+//! pipeline's record stream was corrupted somewhere between fetch and
+//! retirement (or the two machines genuinely diverged), and is reported
+//! structurally instead of panicking.
 
 use crate::check::{DivergenceReport, RetiredEvent};
 use std::collections::VecDeque;
-use ubrc_emu::{ExecRecord, Machine, StepOutcome};
+use ubrc_emu::{EmuError, ExecRecord, StepOutcome};
 
 /// How many retirements the divergence report replays.
 const HISTORY: usize = 8;
 
 pub(crate) struct Oracle {
-    machine: Machine,
     recent: VecDeque<RetiredEvent>,
 }
 
 impl Oracle {
-    /// Builds the oracle as a fresh fork of the pipeline's own machine:
-    /// same (shared) program, initial architectural state, no deep copy
-    /// of the instruction stream.
-    pub(crate) fn for_machine(machine: &Machine) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            machine: machine.fork_fresh(),
             recent: VecDeque::with_capacity(HISTORY),
         }
     }
@@ -54,14 +49,15 @@ impl Oracle {
         })
     }
 
-    /// Steps the oracle machine once and compares the produced record
-    /// with the record the pipeline is retiring.
+    /// Compares the retired-state machine's `step` with the record the
+    /// pipeline is retiring.
     pub(crate) fn check_retire(
         &mut self,
         cycle: u64,
         actual: &ExecRecord,
+        step: Result<StepOutcome, EmuError>,
     ) -> Result<(), Box<DivergenceReport>> {
-        let expected = match self.machine.step() {
+        let expected = match step {
             Ok(StepOutcome::Executed(r)) => r,
             Ok(StepOutcome::Halted) => {
                 return Err(self.report(

@@ -101,9 +101,19 @@ impl Simulator {
                     ways: cache.ways,
                 });
             }
+            if config.backing_read_ports == 0 {
+                return Err(ConfigError::ZeroWidth {
+                    field: "backing_read_ports",
+                });
+            }
         }
         match &config.storage {
             RegStorage::TwoLevel(tl) => {
+                if tl.transfers_per_cycle == 0 {
+                    return Err(ConfigError::ZeroWidth {
+                        field: "transfers_per_cycle",
+                    });
+                }
                 if nthreads > 1 {
                     // Its transfer-eligibility bookkeeping is keyed by a
                     // single program order.
@@ -196,13 +206,7 @@ impl Simulator {
             }
         }
         if let Some(plan) = &config.fault_plan {
-            // Recoverable fault kinds need the cache's protection layer;
-            // non-cached storage has no parity model at all.
-            let protection = match &config.storage {
-                RegStorage::Cached { cache, .. } => cache.protection,
-                _ => ubrc_core::ProtectionConfig::off(),
-            };
-            plan.validate(npregs, protection)
+            plan.validate(npregs, config.storage.protected())
                 .map_err(ConfigError::FaultPlan)?;
         }
         Ok(())
@@ -299,16 +303,11 @@ impl Simulator {
                 ((tid * partition) as u16, ((tid + 1) * partition) as u16)
             };
             let machine = Machine::new(program);
-            // The oracle forks the thread's machine: same shared
-            // program, fresh architectural state — no deep copy of the
-            // instruction stream.
-            let oracle = config.check.oracle.then(|| Oracle::for_machine(&machine));
-            // The machine-check checkpoint is another fork, stepped
-            // once per retirement (see `retire`), so it always sits at
-            // the thread's retired architectural state.
-            let recover = config
-                .recovery
-                .enabled
+            // The retired-state machine forks the thread's machine: same
+            // shared program, fresh architectural state — no deep copy
+            // of the instruction stream. Only the oracle and machine-check
+            // recovery read it.
+            let retired_machine = (config.check.oracle || config.storage.protected())
                 .then(|| Box::new(machine.fork_fresh()));
 
             // Initial architectural state: arch reg i -> preg lo + i,
@@ -359,8 +358,6 @@ impl Simulator {
                 waiting_on_branch: None,
                 wrong_path: false,
                 wp_resolve_seq: None,
-                wp_map_checkpoint: Vec::new(),
-                wp_map_saved: false,
                 wp_ghist: GlobalHistory::new(),
                 wp_ras: ReturnAddressStack::default(),
                 wp_ras_saved: false,
@@ -386,8 +383,8 @@ impl Simulator {
                 sched_base: 0,
                 timed: Vec::new(),
                 store_granules: crate::stage::GranuleMap::default(),
-                oracle,
-                recover,
+                retired_machine,
+                oracle: config.check.oracle.then(Oracle::new),
                 recoveries: 0,
                 machine_checks: 0,
                 last_recovery: None,
@@ -488,11 +485,11 @@ impl Simulator {
                 }
             }
             if core.now - core.last_progress >= watchdog {
-                // With recovery enabled the watchdog escalates once: a
+                // With protection on the watchdog escalates once: a
                 // forced machine-check squash of every live thread (the
                 // stall may be fault-induced state the squash clears).
                 // A second trip is a real deadlock.
-                if core.config.recovery.enabled && !core.forced_recovery {
+                if core.config.storage.protected() && !core.forced_recovery {
                     core.forced_recovery = true;
                     let now = core.now;
                     for tid in 0..core.threads.len() {

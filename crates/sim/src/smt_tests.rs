@@ -6,7 +6,7 @@
 //! crate rather than under `tests/`.
 
 use crate::check::{CheckConfig, ConfigError, SimError};
-use crate::config::{FetchPolicy, FreelistPolicy, RecoveryPolicy, RegStorage, SimConfig};
+use crate::config::{FetchPolicy, FreelistPolicy, RegStorage, SimConfig};
 use crate::{SimResult, Simulator};
 use ubrc_core::{CachePartition, RegCacheConfig};
 use ubrc_isa::Program;
@@ -49,6 +49,15 @@ fn cached(cache: RegCacheConfig) -> SimConfig {
     cfg
 }
 
+/// Whether the thread is on a wrong path whose mispredicted branch has
+/// renamed, so its squash has something to unwind.
+fn branch_renamed(t: &crate::stage::ThreadState) -> bool {
+    t.wrong_path
+        && t.wp_ras_saved
+        && t.wp_resolve_seq
+            .is_some_and(|seq| t.rob.iter().any(|i| i.seq == seq))
+}
+
 /// Squashing thread 0's wrong path must not disturb thread 1's front
 /// end: its rename map, freelist, ROB contents, sequence counter, and
 /// fetch latch are all byte-identical across the squash, and every
@@ -58,7 +67,7 @@ fn squash_on_one_thread_leaves_the_other_untouched() {
     let mut sim = sim(&["bfs", "crc"], SimConfig::paper_default());
     while sim.core.now < 200_000 {
         let t0 = &sim.core.threads[0];
-        if t0.wrong_path && t0.wp_map_saved && t0.wp_ras_saved && sim.core.threads[1].seq > 0 {
+        if branch_renamed(t0) && sim.core.threads[1].seq > 0 {
             break;
         }
         sim.core.cycle();
@@ -212,6 +221,34 @@ fn zero_issue_width_is_rejected() {
         err,
         ConfigError::ZeroWidth {
             field: "issue_width"
+        }
+    );
+}
+
+#[test]
+fn zero_backing_read_ports_are_rejected() {
+    let mut cfg = SimConfig::paper_default();
+    cfg.backing_read_ports = 0;
+    let err = rejected(&["crc"], cfg);
+    assert_eq!(
+        err,
+        ConfigError::ZeroWidth {
+            field: "backing_read_ports"
+        }
+    );
+}
+
+#[test]
+fn zero_two_level_transfer_width_is_rejected() {
+    let mut cfg = spec("two-level");
+    if let RegStorage::TwoLevel(tl) = &mut cfg.storage {
+        tl.transfers_per_cycle = 0;
+    }
+    let err = rejected(&["crc"], cfg);
+    assert_eq!(
+        err,
+        ConfigError::ZeroWidth {
+            field: "transfers_per_cycle"
         }
     );
 }
@@ -415,11 +452,7 @@ fn four_thread_squash_leaves_all_peers_untouched() {
     let mut sim = sim(&["bfs", "crc", "hash", "rle"], SimConfig::paper_default());
     while sim.core.now < 400_000 {
         let t0 = &sim.core.threads[0];
-        if t0.wrong_path
-            && t0.wp_map_saved
-            && t0.wp_ras_saved
-            && sim.core.threads[1..].iter().all(|t| t.seq > 0)
-        {
+        if branch_renamed(t0) && sim.core.threads[1..].iter().all(|t| t.seq > 0) {
             break;
         }
         sim.core.cycle();
@@ -606,9 +639,8 @@ fn machine_check_squashes_mid_epoch_keep_dynamic_caps_consistent() {
         epoch_cycles: 512,
         min_cap: 2,
     };
-    cache.protection = ubrc_core::ProtectionConfig::full();
+    cache.protect = true;
     let mut cfg = cached(cache);
-    cfg.recovery = RecoveryPolicy::enabled();
     cfg.check = CheckConfig::full();
     cfg.fault_plan = Some(crate::inject::FaultPlan::periodic(
         29,
@@ -791,9 +823,8 @@ fn adaptive_epoch_runs_are_deterministic() {
 fn machine_check_squashes_mid_way_reassignment_stay_consistent() {
     let mut cache = RegCacheConfig::use_based(16, 4);
     cache.partition = CachePartition::DynamicWay { epoch_cycles: 512 };
-    cache.protection = ubrc_core::ProtectionConfig::full();
+    cache.protect = true;
     let mut cfg = cached(cache);
-    cfg.recovery = RecoveryPolicy::enabled();
     cfg.check = CheckConfig::full();
     cfg.fault_plan = Some(crate::inject::FaultPlan::periodic(
         29,

@@ -19,9 +19,7 @@
 use crate::config::{FetchPolicy, RegStorage, SimConfig};
 use crate::inject::{FaultKind, FaultPlan};
 use std::str::FromStr;
-use ubrc_core::{
-    CachePartition, EpochAdapt, IndexPolicy, ProtectionConfig, RegCacheConfig, TwoLevelConfig,
-};
+use ubrc_core::{CachePartition, EpochAdapt, IndexPolicy, RegCacheConfig, TwoLevelConfig};
 
 /// The named bases, in the order messages list them.
 const BASES: [&str; 8] = [
@@ -209,17 +207,7 @@ fn apply(cfg: &mut SimConfig, name: &str, key: &str, value: &str) -> Result<(), 
             "partition" => cache.partition = pick(key, value, &PARTITION)?,
             "adapt" => cache.epoch_adapt = pick(key, value, &ADAPT)?,
             "classify" => cache.classify_misses = pick(key, value, &SWITCH)?,
-            // Parity is only useful with the recovery that acts on it,
-            // so one switch sets both.
-            "protect" => {
-                let on = pick(key, value, &SWITCH)?;
-                cache.protection = ProtectionConfig {
-                    cache_parity: on,
-                    counter_parity: on,
-                    backing_parity: on,
-                };
-                cfg.recovery.enabled = on;
-            }
+            "protect" => cache.protect = pick(key, value, &SWITCH)?,
             _ => unreachable!("`{key}` is checked against KEYS"),
         },
         (RegStorage::TwoLevel(tl), "entries") => {
@@ -397,8 +385,7 @@ mod tests {
         let RegStorage::Cached { cache, .. } = cfg.storage else {
             panic!("use-based is cached");
         };
-        assert_eq!(cache.protection, ProtectionConfig::full());
-        assert_eq!(cfg.recovery, crate::RecoveryPolicy::enabled());
+        assert!(cache.protect);
         assert_eq!(
             cfg.fault_plan,
             Some(FaultPlan::periodic(9, 400, FaultKind::FlipBackingWord))

@@ -86,12 +86,12 @@ impl CoreState {
                     let hit = if let Storage::Cached { tracker, .. } = &mut self.storage {
                         let n = self.config.phys_regs;
                         match target {
-                            Some(t) => tracker.corrupt_counter_parity(PhysReg(t)).then_some(t),
+                            Some(t) => tracker.flip_use_counter(PhysReg(t)).then_some(t),
                             None => {
                                 let r = inj.next_u64() as usize;
                                 (0..n)
                                     .map(|k| ((r + k) % n) as u16)
-                                    .find(|&p| tracker.corrupt_counter_parity(PhysReg(p)))
+                                    .find(|&p| tracker.flip_use_counter(PhysReg(p)))
                             }
                         }
                     } else {
@@ -147,104 +147,55 @@ impl CoreState {
     /// for the true latency (those in the shadow were squashed when the
     /// miss was detected).
     fn process_retimes(&mut self, now: u64) {
-        if !self.events.retimes.due(now) {
-            return;
-        }
-        let mut i = 0;
-        let mut next = u64::MAX;
-        while i < self.events.retimes.items.len() {
-            let (t, (p, gen, timing)) = self.events.retimes.items[i];
-            if t == now {
-                self.events.retimes.items.swap_remove(i);
-                if self.preg_gen[p as usize] == gen {
-                    self.preg_time[p as usize] = timing;
-                }
-            } else {
-                next = next.min(t);
-                i += 1;
+        let (preg_gen, preg_time) = (&self.preg_gen, &mut self.preg_time);
+        self.events.retimes.drain_due(now, |(p, gen, timing)| {
+            if preg_gen[p as usize] == gen {
+                preg_time[p as usize] = timing;
             }
-        }
-        // Every survivor was examined exactly once (a swap_remove's
-        // replacement is revisited at the same index), so `next` is the
-        // exact minimum — no second pass needed.
-        self.events.retimes.next_due = next;
+        });
     }
 
     fn process_cache_events(&mut self, now: u64) {
-        let protection = self.protection();
+        let protected = self.config.storage.protected();
         let mut scrubbed: Vec<u16> = Vec::new();
         let Storage::Cached { cache, tracker, .. } = &mut self.storage else {
             return;
         };
+        let (info, preg_gen) = (&self.preg_info, &self.preg_gen);
+        let live = |p: u16, gen: u32| info[p as usize].active && preg_gen[p as usize] == gen;
         // Initial writes the cycle after execution completes.
-        if self.events.writes.due(now) {
-            let mut i = 0;
-            let mut next = u64::MAX;
-            while i < self.events.writes.items.len() {
-                let (t, (p, set, gen)) = self.events.writes.items[i];
-                if t == now {
-                    self.events.writes.items.swap_remove(i);
-                    if self.preg_info[p as usize].active && self.preg_gen[p as usize] == gen {
-                        // The write decision reads the use counter; a
-                        // protected read detects a flipped counter here
-                        // and scrubs it (the write proceeds with the
-                        // conservative scrubbed count).
-                        if protection.counter_parity && !tracker.parity_ok(PhysReg(p)) {
-                            tracker.scrub(PhysReg(p));
-                            scrubbed.push(p);
-                        }
-                        let remaining = tracker.remaining(PhysReg(p));
-                        let pinned = tracker.is_pinned(PhysReg(p));
-                        let bypasses = self.preg_info[p as usize].pre_write_bypasses;
-                        cache.write(PhysReg(p), set, remaining, pinned, bypasses, now);
-                    }
-                } else {
-                    next = next.min(t);
-                    i += 1;
+        self.events.writes.drain_due(now, |(p, set, gen)| {
+            if live(p, gen) {
+                // The write decision reads the use counter; a protected
+                // read detects a flipped counter here and scrubs it (the
+                // write proceeds with the conservative scrubbed count).
+                if protected && !tracker.parity_ok(PhysReg(p)) {
+                    tracker.scrub(PhysReg(p));
+                    scrubbed.push(p);
                 }
+                let remaining = tracker.remaining(PhysReg(p));
+                let pinned = tracker.is_pinned(PhysReg(p));
+                let bypasses = info[p as usize].pre_write_bypasses;
+                cache.write(PhysReg(p), set, remaining, pinned, bypasses, now);
             }
-            self.events.writes.next_due = next;
-        }
+        });
         // Fills completing after a backing-file read.
-        if self.events.fills.due(now) {
-            let mut i = 0;
-            let mut next = u64::MAX;
-            while i < self.events.fills.items.len() {
-                let (t, (p, set, gen)) = self.events.fills.items[i];
-                if t == now {
-                    self.events.fills.items.swap_remove(i);
-                    if self.preg_info[p as usize].active && self.preg_gen[p as usize] == gen {
-                        cache.fill(PhysReg(p), set, now);
-                        if let Some(ck) = self.checker.as_mut() {
-                            ck.on_fill_applied(p, gen);
-                        }
-                    }
-                } else {
-                    next = next.min(t);
-                    i += 1;
+        let checker = &mut self.checker;
+        self.events.fills.drain_due(now, |(p, set, gen)| {
+            if live(p, gen) {
+                cache.fill(PhysReg(p), set, now);
+                if let Some(ck) = checker.as_mut() {
+                    ck.on_fill_applied(p, gen);
                 }
             }
-            self.events.fills.next_due = next;
-        }
+        });
         // Second-stage bypass consumers decrement the entry after the
         // write lands (§3.1: they cannot affect the write decision).
-        if self.events.bypass_decs.due(now) {
-            let mut i = 0;
-            let mut next = u64::MAX;
-            while i < self.events.bypass_decs.items.len() {
-                let (t, (p, set, gen)) = self.events.bypass_decs.items[i];
-                if t <= now {
-                    self.events.bypass_decs.items.swap_remove(i);
-                    if self.preg_info[p as usize].active && self.preg_gen[p as usize] == gen {
-                        cache.bypass_consume(PhysReg(p), set);
-                    }
-                } else {
-                    next = next.min(t);
-                    i += 1;
-                }
+        self.events.bypass_decs.drain_due(now, |(p, set, gen)| {
+            if live(p, gen) {
+                cache.bypass_consume(PhysReg(p), set);
             }
-            self.events.bypass_decs.next_due = next;
-        }
+        });
         for p in scrubbed {
             if let Some(ck) = self.checker.as_mut() {
                 ck.on_scrub(p);

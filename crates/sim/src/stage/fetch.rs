@@ -224,10 +224,10 @@ impl CoreState {
                 let branch_seq = t.seq + t.fetch_latch.queue.len() as u64 - 1;
                 if let (Some(wt), false) = (wrong_target, t.wrong_path) {
                     // Begin wrong-path fetch at the predicted target.
-                    // Checkpoints restore the front end at the squash;
-                    // the rename map is snapshotted when the branch
-                    // dispatches. The RAS checkpoint copies into a
-                    // persistent buffer (no per-branch allocation).
+                    // Checkpoints restore the front end at the squash,
+                    // which unwinds the rename map itself. The RAS
+                    // checkpoint copies into a persistent buffer (no
+                    // per-branch allocation).
                     t.wrong_path = true;
                     t.wp_resolve_seq = Some(branch_seq);
                     t.wp_ghist = t.ghist;

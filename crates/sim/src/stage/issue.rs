@@ -286,7 +286,7 @@ impl CoreState {
         };
 
         // Obtain each source operand: bypass, storage hit, or miss.
-        let protection = self.protection();
+        let protected = self.config.storage.protected();
         let mut counter_scrubs: u32 = 0;
         let mut parity_fill_latency: Option<u64> = None;
         let mut machine_check = false;
@@ -308,7 +308,7 @@ impl CoreState {
                         // decision (§3.1). The consume reads the use
                         // counter, so a protected read detects a
                         // flipped counter and scrubs it first.
-                        if protection.counter_parity && !tracker.parity_ok(PhysReg(p)) {
+                        if protected && !tracker.parity_ok(PhysReg(p)) {
                             tracker.scrub(PhysReg(p));
                             if let Some(ck) = self.checker.as_mut() {
                                 ck.on_scrub(p);
@@ -341,11 +341,10 @@ impl CoreState {
                     // the re-fill from the backing file IS the
                     // recovery (the cache is write-through, so the
                     // backing word is a clean copy).
-                    let parity_fault =
-                        protection.cache_parity && cache.take_parity_fault(PhysReg(p), set, now);
+                    let parity_fault = protected && cache.take_parity_fault(PhysReg(p), set, now);
                     if !cache.read(PhysReg(p), set, now) {
                         operand_paths[slot] = Some(OperandPath::CacheMiss);
-                        if protection.backing_parity && !backing.parity_ok(PhysReg(p)) {
+                        if protected && !backing.parity_ok(PhysReg(p)) {
                             // The architected copy itself is corrupt:
                             // no clean copy exists anywhere, so the
                             // thread takes a machine check (squash and

@@ -101,9 +101,9 @@ impl PregTime {
 /// Deferred timed events with an O(1) "anything due?" fast path, so
 /// quiet cycles skip the scan entirely.
 ///
-/// Firing cycles run the exact same index/`swap_remove` scan the model
-/// has always used (the within-cycle processing order is part of the
-/// golden-snapshot contract); only the no-op scans are elided.
+/// Firing cycles run one index/`swap_remove` scan
+/// ([`EventQueue::drain_due`]); its visit order is part of the
+/// golden-snapshot contract.
 pub(crate) struct EventQueue<T> {
     pub(crate) items: Vec<(u64, T)>,
     pub(crate) next_due: u64,
@@ -124,6 +124,30 @@ impl<T> EventQueue<T> {
 
     pub(crate) fn due(&self, now: u64) -> bool {
         now >= self.next_due
+    }
+
+    /// Removes every event due by `now` and hands it to `fire`, in scan
+    /// order: a `swap_remove` moves the last event into the hole, which
+    /// is visited next. The checker's `event-drain` invariant holds
+    /// that no event is ever overdue, so "due" means due this cycle.
+    pub(crate) fn drain_due(&mut self, now: u64, mut fire: impl FnMut(T)) {
+        if !self.due(now) {
+            return;
+        }
+        let mut i = 0;
+        let mut next = u64::MAX;
+        while i < self.items.len() {
+            let at = self.items[i].0;
+            if at <= now {
+                fire(self.items.swap_remove(i).1);
+            } else {
+                next = next.min(at);
+                i += 1;
+            }
+        }
+        // Every survivor was examined exactly once, so `next` is the
+        // exact minimum — no second pass needed.
+        self.next_due = next;
     }
 
     pub(crate) fn refresh_due(&mut self) {
@@ -299,6 +323,21 @@ impl EventLatch {
             retimes: EventQueue::new(),
         }
     }
+
+    /// Each queue's name, length and earliest due cycle, recomputed
+    /// from its events, for the watchdog dump and the `event-drain`
+    /// invariant.
+    pub(crate) fn summary(&self) -> [(&'static str, usize, Option<u64>); 4] {
+        fn row<T>(name: &'static str, q: &EventQueue<T>) -> (&'static str, usize, Option<u64>) {
+            (name, q.items.len(), q.items.iter().map(|e| e.0).min())
+        }
+        [
+            row("pending_writes", &self.writes),
+            row("pending_fills", &self.fills),
+            row("pending_bypass_decs", &self.bypass_decs),
+            row("pending_retimes", &self.retimes),
+        ]
+    }
 }
 
 /// Issue → issue replay latch: issue groups in these cycles are
@@ -399,8 +438,6 @@ pub(crate) struct ThreadState {
     // resolution.
     pub(crate) wrong_path: bool,
     pub(crate) wp_resolve_seq: Option<u64>,
-    pub(crate) wp_map_checkpoint: Vec<u16>,
-    pub(crate) wp_map_saved: bool,
     pub(crate) wp_ghist: GlobalHistory,
     pub(crate) wp_ras: ReturnAddressStack,
     pub(crate) wp_ras_saved: bool,
@@ -460,16 +497,17 @@ pub(crate) struct ThreadState {
     // iterated), so the hash function cannot affect simulated timing.
     pub(crate) store_granules: GranuleMap,
 
-    /// Lockstep co-simulation oracle: one functional machine per
-    /// thread, replaying that thread's retirement stream.
+    /// A fork of `machine` stepped once per retirement, so it always
+    /// sits exactly at this thread's retired architectural state. The
+    /// oracle checks each retiring record against its step, and a
+    /// machine check restores `machine` from it. `None` unless the
+    /// oracle or protection is on.
+    pub(crate) retired_machine: Option<Box<Machine>>,
+    /// Lockstep co-simulation oracle (`check.oracle`): the recent
+    /// retirements its divergence report replays.
     pub(crate) oracle: Option<Oracle>,
 
-    // Soft-error recovery (`SimConfig::recovery`).
-    /// Machine-check checkpoint: a functional machine stepped once per
-    /// retirement, so it always sits exactly at this thread's retired
-    /// architectural state. Cloned into `machine` to replay from the
-    /// faulting instruction. `None` when recovery is disabled.
-    pub(crate) recover: Option<Box<Machine>>,
+    // Soft-error recovery (protected storage only).
     /// Recoveries performed for this thread (scrubs, re-fills, and
     /// machine checks).
     pub(crate) recoveries: u64,
@@ -603,7 +641,7 @@ pub(crate) struct CoreState {
     pub(crate) error: Option<Box<SimError>>,
     pub(crate) cancel: Option<Arc<AtomicBool>>,
 
-    // Soft-error recovery (`SimConfig::recovery`).
+    // Soft-error recovery (protected storage only).
     /// A backing-word parity error was detected during issue; the
     /// machine-check squash runs after the issue loop releases its
     /// borrows.
@@ -774,15 +812,6 @@ impl CoreState {
         self.recovery_latency.record(latency);
     }
 
-    /// The configured protection mode (all-off unless the storage is a
-    /// protected register cache).
-    pub(crate) fn protection(&self) -> ubrc_core::ProtectionConfig {
-        match &self.config.storage {
-            crate::config::RegStorage::Cached { cache, .. } => cache.protection,
-            _ => ubrc_core::ProtectionConfig::off(),
-        }
-    }
-
     /// Snapshot of the stuck machine for the watchdog report.
     pub(crate) fn diagnostic_dump(&self) -> Box<DiagnosticDump> {
         let rob_head = self
@@ -839,37 +868,16 @@ impl CoreState {
                 )
             })
             .collect();
-        let queue_line = |name: &str, items: usize, next: u64| {
-            let next = if next == u64::MAX {
-                "-".to_string()
-            } else {
-                next.to_string()
-            };
-            format!("{name}: {items} queued, next due {next}")
-        };
-        let event_queues = vec![
-            queue_line(
-                "pending_writes",
-                self.events.writes.items.len(),
-                self.events.writes.next_due,
-            ),
-            queue_line(
-                "pending_fills",
-                self.events.fills.items.len(),
-                self.events.fills.next_due,
-            ),
-            queue_line(
-                "pending_bypass_decs",
-                self.events.bypass_decs.items.len(),
-                self.events.bypass_decs.next_due,
-            ),
-            queue_line(
-                "pending_retimes",
-                self.events.retimes.items.len(),
-                self.events.retimes.next_due,
-            ),
-            format!("squash_cycles: {:?}", self.replay.cycles),
-        ];
+        let mut event_queues: Vec<String> = self
+            .events
+            .summary()
+            .into_iter()
+            .map(|(name, items, next)| {
+                let next = next.map_or("-".to_string(), |t| t.to_string());
+                format!("{name}: {items} queued, next due {next}")
+            })
+            .collect();
+        event_queues.push(format!("squash_cycles: {:?}", self.replay.cycles));
         let (epochs, dynamic_caps) = match &self.storage {
             Storage::Cached { cache, .. } => (
                 cache.stats().epochs,
@@ -1024,35 +1032,26 @@ impl CoreState {
                 }
             }
         }
+        // A squash unwinds the rename map one mapping at a time; a stale
+        // mapping it left behind would name a freed register.
+        for (tid, t) in self.threads.iter().enumerate() {
+            if let Some(&p) = t.map.iter().find(|&&p| !self.preg_info[p as usize].active) {
+                return viol(
+                    Some(tid),
+                    "rename-map-live",
+                    format!("rename map holds p{p}, which is not active"),
+                );
+            }
+        }
         // Event queues drain monotonically: everything due by the cycle
         // just completed must have been consumed by its processor.
-        let queues: [(&str, Option<u64>); 4] = [
-            (
-                "pending_writes",
-                self.events.writes.items.iter().map(|e| e.0).min(),
-            ),
-            (
-                "pending_fills",
-                self.events.fills.items.iter().map(|e| e.0).min(),
-            ),
-            (
-                "pending_bypass_decs",
-                self.events.bypass_decs.items.iter().map(|e| e.0).min(),
-            ),
-            (
-                "pending_retimes",
-                self.events.retimes.items.iter().map(|e| e.0).min(),
-            ),
-        ];
-        for (name, min_due) in queues {
-            if let Some(t) = min_due {
-                if t <= cycle {
-                    return viol(
-                        None,
-                        "event-drain",
-                        format!("{name} still holds an event due at cycle {t}"),
-                    );
-                }
+        for (name, _, min_due) in self.events.summary() {
+            if let Some(t) = min_due.filter(|&t| t <= cycle) {
+                return viol(
+                    None,
+                    "event-drain",
+                    format!("{name} still holds an event due at cycle {t}"),
+                );
             }
         }
         if let Storage::Cached { cache, tracker, .. } = &self.storage {

@@ -218,14 +218,5 @@ impl CoreState {
         t.timed.push(t.sched_base + (t.sched.len() - 1) as u64);
         t.due_hint = t.due_hint.min(now + 1);
         self.window_count += 1;
-
-        // The rename map as of the mispredicted branch is what the
-        // squash restores. Copied into a persistent buffer (no
-        // per-branch allocation).
-        if entry.mispredicted && t.wp_resolve_seq == Some(seq) {
-            t.wp_map_checkpoint.clear();
-            t.wp_map_checkpoint.extend_from_slice(&t.map);
-            t.wp_map_saved = true;
-        }
     }
 }

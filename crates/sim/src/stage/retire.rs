@@ -4,7 +4,7 @@
 //! collection. The retire width is a shared budget, spent across
 //! threads in thread-id order.
 
-use super::{CoreState, PregInfo, PregTime, Status, Storage};
+use super::{CoreState, DynInst, PregInfo, PregTime, Status, Storage};
 use crate::check::SimError;
 use crate::stats::SimResult;
 use crate::trace::Timeline;
@@ -58,17 +58,16 @@ impl CoreState {
                 }
                 t.last_retired_seq = inst.seq;
                 self.last_progress = now;
-                if let Some(oracle) = t.oracle.as_mut() {
-                    if let Err(report) = oracle.check_retire(now, &inst.rec) {
-                        self.error = Some(Box::new(SimError::Divergence(report)));
-                        return;
+                if let Some(m) = t.retired_machine.as_mut() {
+                    // Advancing in lockstep with retirement keeps it
+                    // exactly at the thread's retired state.
+                    let step = m.step();
+                    if let Some(oracle) = t.oracle.as_mut() {
+                        if let Err(report) = oracle.check_retire(now, &inst.rec, step) {
+                            self.error = Some(Box::new(SimError::Divergence(report)));
+                            return;
+                        }
                     }
-                }
-                if let Some(rm) = t.recover.as_mut() {
-                    // The machine-check checkpoint advances in lockstep
-                    // with retirement, so it always sits exactly at the
-                    // thread's architectural (retired) state.
-                    let _ = rm.step();
                 }
                 if let Some(since) = t.recovery_pending_since.take() {
                     // First retirement after a machine-check squash:
@@ -86,18 +85,7 @@ impl CoreState {
                     }
                     break;
                 }
-                // The set-assignment bookkeeping (minimum sums, filtered
-                // round-robin high-use counts) retires with the
-                // producing instruction (§4.2).
-                if let Some(d) = inst.dest {
-                    if let Storage::Cached { assigner, .. } = &mut self.storage {
-                        let info = &self.preg_info[d as usize];
-                        assigner.release(info.set, info.predicted);
-                    }
-                }
-                if let Some(prev) = inst.prev {
-                    self.free_preg(prev, now);
-                }
+                self.free_reg(&inst, true, now);
             }
             if budget == 0 {
                 break;
@@ -105,17 +93,37 @@ impl CoreState {
         }
     }
 
-    fn free_preg(&mut self, p: u16, now: u64) {
+    /// Frees the register `inst` gives up as it leaves the ROB: at
+    /// retirement the value its destination overwrote (`prev`), at a
+    /// squash its own destination. The destination's set-assignment
+    /// bookkeeping (minimum sums, filtered round-robin high-use counts)
+    /// leaves with its producer either way (§4.2), but only a retired
+    /// value trains the degree predictor and records a lifetime: a
+    /// squashed one never completed one.
+    pub(super) fn free_reg(&mut self, inst: &DynInst, retired: bool, now: u64) {
+        let (Some(d), Some(prev)) = (inst.dest, inst.prev) else {
+            return;
+        };
+        if let Storage::Cached { assigner, .. } = &mut self.storage {
+            let info = &self.preg_info[d as usize];
+            assigner.release(info.set, info.predicted);
+        }
+        let p = if retired { prev } else { d };
         let info = self.preg_info[p as usize];
         debug_assert!(info.active, "freeing an inactive preg");
         // A preg always returns to the partition it came from.
         let tid = self.thread_of_preg(p);
-        if info.trainable {
-            self.threads[tid].douse.train(
-                info.producer_pc,
-                info.producer_hist,
-                info.consumers_renamed.min(u8::MAX as u32) as u8,
-            );
+        if retired {
+            if info.trainable {
+                self.threads[tid].douse.train(
+                    info.producer_pc,
+                    info.producer_hist,
+                    info.consumers_renamed.min(u8::MAX as u32) as u8,
+                );
+            }
+            if let Some(lt) = &mut self.lifetimes {
+                lt.record_value(info.alloc_time, info.write_time, info.last_use, now);
+            }
         }
         match &mut self.storage {
             Storage::Cached { cache, tracker, .. } => {
@@ -125,18 +133,16 @@ impl CoreState {
             Storage::TwoLevel { file } => file.release(PhysReg(p)),
             Storage::Monolithic { .. } => {}
         }
-        if let Some(lt) = &mut self.lifetimes {
-            lt.record_value(info.alloc_time, info.write_time, info.last_use, now);
-        }
         if let Some(ck) = self.checker.as_mut() {
             ck.on_clear(p);
         }
         self.preg_info[p as usize] = PregInfo::EMPTY;
         self.preg_time[p as usize] = PregTime::UNKNOWN;
         self.preg_gen[p as usize] = self.preg_gen[p as usize].wrapping_add(1);
-        // In-order retirement guarantees every correct-path consumer
-        // issued before the overwriting instruction retires, so any
-        // waiter left here is a squashed seq — drop it.
+        // Any waiter left here is squashed: a retired value's
+        // correct-path consumers all issued before the overwriting
+        // instruction retired (retirement is in order), and a squashed
+        // value's consumers are younger and squashed with it.
         self.preg_waiters[p as usize].clear();
         match &mut self.shared_pool {
             Some(pool) => {

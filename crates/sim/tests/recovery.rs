@@ -6,7 +6,10 @@
 //! every invalidate/re-fill and machine-check squash.
 
 use proptest::prelude::*;
-use ubrc_sim::{simulate, CheckConfig, FaultKind, FaultPlan, FaultSpec, SimConfig, SimResult};
+use ubrc_sim::{
+    simulate, CheckConfig, ConfigError, FaultKind, FaultPlan, FaultPlanError, FaultSpec, SimConfig,
+    SimError, SimResult,
+};
 use ubrc_workloads::{workload_by_name, Scale};
 
 /// A fully checked `entries`-entry use-based cache, with parity and
@@ -68,6 +71,27 @@ fn backing_faults_escalate_to_machine_check() {
     assert!(r.recoveries >= r.machine_checks);
     assert!(r.recovery_cycles > 0, "machine checks take non-zero time");
     assert!(!r.recovery_latency.is_empty());
+}
+
+#[test]
+fn recoverable_faults_without_protection_are_rejected() {
+    // Parity and the recovery that acts on it are one switch, so a
+    // backing-word campaign either runs protected (above) or is turned
+    // away before construction, with a message naming the switch.
+    let w = workload_by_name("crc", Scale::Tiny).unwrap();
+    let mut cfg = protected_config(8, false);
+    cfg.fault_plan = Some(FaultPlan::periodic(23, 40, FaultKind::FlipBackingWord));
+    let err = simulate(vec![w.assemble().unwrap()], cfg).unwrap_err();
+    let SimError::Config(ConfigError::FaultPlan(e)) = *err else {
+        panic!("expected a fault-plan rejection, got: {err}");
+    };
+    assert_eq!(
+        e,
+        FaultPlanError::RecoverableWithoutProtection {
+            kind: FaultKind::FlipBackingWord
+        }
+    );
+    assert!(e.to_string().contains("protect=on"), "{e}");
 }
 
 #[test]

@@ -60,6 +60,14 @@ echo "== dynamic-way smoke: Tiny quads, DynamicWay + adaptive epochs, oracle on"
 cargo run --release -q -p ubrc-bench --bin experiments -- \
   dynway --scale tiny --check --timeout 300 >/dev/null
 
+echo "== fetch-policy smoke: Tiny pairs, shared freelist, oracle on"
+# The fetchpol experiment is the only one with a shared register pool
+# (FreelistPolicy::Shared), whose registers return to the pool through
+# the same free path as partitioned ones; with --check the invariant
+# checker verifies the pool's ownership and cap accounting every cycle.
+cargo run --release -q -p ubrc-bench --bin experiments -- \
+  fetchpol --scale tiny --check --timeout 300 >/dev/null
+
 echo "== runner ordering: serial and parallel runs print the same tables"
 # Every experiment makes one run_cells call whose results come back in
 # cell order, so one worker and two workers must print byte-identical
