@@ -35,6 +35,28 @@ fn registry_covers_every_paper_table_and_figure() {
 }
 
 #[test]
+fn readme_lists_every_experiment_id() {
+    let readme = include_str!("../../../README.md");
+    let start = readme
+        .find("Experiment ids:")
+        .expect("README lists the experiment ids");
+    let list = &readme[start..];
+    let list = &list[..list.find("\n\n").unwrap_or(list.len())];
+    let listed: Vec<&str> = list
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .flat_map(str::split_whitespace)
+        .collect();
+    for (id, _, _) in registry() {
+        assert!(
+            listed.contains(&id),
+            "README's experiment list omits `{id}`"
+        );
+    }
+}
+
+#[test]
 fn quick_experiments_run_at_tiny_scale() {
     let heavy = [
         "fig6",

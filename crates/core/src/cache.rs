@@ -98,8 +98,8 @@ pub struct RegCacheStats {
     /// Per-thread read misses (see
     /// [`RegCacheStats::thread_read_hits`]).
     pub thread_read_misses: Vec<u64>,
-    /// Epoch boundaries processed ([`CachePartition::DynamicCap`]
-    /// only).
+    /// Epoch boundaries processed ([`CachePartition::DynamicCap`] and
+    /// [`CachePartition::DynamicWay`] only).
     pub epochs: u64,
     /// Entries evicted at epoch boundaries to fit a shrunken quota
     /// (also counted in [`RegCacheStats::evictions`]).
@@ -200,6 +200,22 @@ impl Entry {
     }
 }
 
+/// Why an entry leaves the cache: what [`RegisterCache::remove`] counts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Removal {
+    /// Its physical register was freed (§2.2).
+    Free,
+    /// A protected read found its parity bad; not an eviction.
+    Parity,
+    /// A replacement victim of an insertion.
+    Evict,
+    /// Trimmed or drained by an epoch boundary's repartition.
+    EpochEvict,
+    /// A pinned entry leaving a reassigned way, to be placed again in
+    /// its thread's new block.
+    Migrate,
+}
+
 /// Read-only snapshot of one valid cache entry, for external invariant
 /// checking (the timing simulator's `check` mode audits these against
 /// its own mirror of the use tracker).
@@ -287,22 +303,21 @@ impl RegisterCache {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent geometry, `num_pregs` not divisible by
-    /// `nthreads`, or an infeasible [`RegCacheConfig::partition`] /
-    /// [`RegCacheConfig::epoch_adapt`] combination: ways not divisible
-    /// by the thread count under a way partition, fewer entries than
-    /// threads under an occupancy cap, a zero dynamic epoch, a
-    /// `min_cap` that overcommits the cache, or an
-    /// [`EpochAdapt`](crate::EpochAdapt) with an empty range or a
-    /// static partition. Callers wanting typed errors should validate
-    /// first (the simulator's `try_new_smt` does).
+    /// Panics with the [`RegCacheConfig::validate`] error's message on a
+    /// configuration no `nthreads`-thread cache can be built from, and
+    /// when `nthreads` is zero or does not divide `num_pregs`. Callers
+    /// wanting typed errors should validate first (the simulator's
+    /// `try_new_smt` does).
     pub fn new_smt(config: RegCacheConfig, num_pregs: usize, nthreads: usize) -> Self {
-        let sets = config.sets();
+        if let Err(e) = config.validate(nthreads) {
+            panic!("{e}");
+        }
         assert!(nthreads >= 1, "nthreads must be at least 1");
         assert!(
             num_pregs.is_multiple_of(nthreads),
             "num_pregs must divide evenly across threads"
         );
+        let sets = config.entries / config.ways;
         let partition = PartitionState::new(&config, nthreads);
         let shadow = config.classify_misses.then(|| {
             // The shadow is the fully-associative *shared* baseline: it
@@ -346,16 +361,6 @@ impl RegisterCache {
     /// thread).
     fn thread_of(&self, preg: PhysReg) -> usize {
         preg.0 as usize / self.preg_quota
-    }
-
-    /// The number of SMT threads this cache was built for.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
-    }
-
-    /// Live entries owned by `tid`.
-    pub fn thread_occupancy(&self, tid: usize) -> usize {
-        self.thread_valid[tid]
     }
 
     /// The live-entry cap currently binding thread `tid`, under either
@@ -455,13 +460,44 @@ impl RegisterCache {
         }
     }
 
-    /// Retires one entry's lifetime statistics.
-    fn close_entry(&mut self, e: Entry, now: u64) {
+    /// Takes the valid entry at index `i` out of the cache and returns
+    /// it. Every removal path goes through here, and `cause` decides
+    /// what it counts: a migrating entry keeps its lifetime open, every
+    /// other removal closes it.
+    fn remove(&mut self, i: usize, cause: Removal, now: u64) -> Entry {
+        let e = self.entries[i];
+        debug_assert!(e.valid, "removing an invalid entry");
+        self.entries[i].valid = false;
+        self.valid_count -= 1;
+        self.thread_valid[e.tid as usize] -= 1;
+        match cause {
+            Removal::Migrate => return e,
+            Removal::Free => {}
+            Removal::Parity => self.stats.parity_invalidations += 1,
+            Removal::Evict | Removal::EpochEvict => {
+                self.stats.evictions += 1;
+                if e.uses == 0 && !e.pinned {
+                    self.stats.evictions_zero_use += 1;
+                }
+                if cause == Removal::EpochEvict {
+                    self.stats.epoch_evictions += 1;
+                }
+            }
+        }
         self.stats.entry_lifetime_sum += now.saturating_sub(e.inserted_at);
         self.stats.entry_lifetime_count += 1;
         if e.reads == 0 {
             self.stats.cached_never_read += 1;
         }
+        e
+    }
+
+    /// Installs `e` at index `i`, which must be invalid.
+    fn place(&mut self, i: usize, e: Entry) {
+        debug_assert!(!self.entries[i].valid, "placing over a valid entry");
+        self.entries[i] = e;
+        self.valid_count += 1;
+        self.thread_valid[e.tid as usize] += 1;
     }
 
     /// Picks the way (relative to the set base) holding the minimum
@@ -515,30 +551,24 @@ impl RegisterCache {
                 }
             }
         };
-        let victim = self.entries[base + victim_idx];
-        self.entries[base + victim_idx] = Entry {
-            preg: preg.0,
-            tid: tid as u16,
-            uses,
-            pinned,
-            from_fill,
-            lru: tick,
-            reads: 0,
-            inserted_at: now,
-            valid: true,
-            parity_bad: false,
-        };
-        if victim.valid {
-            self.stats.evictions += 1;
-            if victim.uses == 0 && !victim.pinned {
-                self.stats.evictions_zero_use += 1;
-            }
-            self.close_entry(victim, now);
-            self.thread_valid[victim.tid as usize] -= 1;
-        } else {
-            self.valid_count += 1;
+        if self.entries[base + victim_idx].valid {
+            self.remove(base + victim_idx, Removal::Evict, now);
         }
-        self.thread_valid[tid] += 1;
+        self.place(
+            base + victim_idx,
+            Entry {
+                preg: preg.0,
+                tid: tid as u16,
+                uses,
+                pinned,
+                from_fill,
+                lru: tick,
+                reads: 0,
+                inserted_at: now,
+                valid: true,
+                parity_bad: false,
+            },
+        );
         self.per_preg[preg.0 as usize].ever_cached = true;
         self.stats.cached_events += 1;
         self.note_occupancy(now);
@@ -719,11 +749,7 @@ impl RegisterCache {
             m.remove(tid, preg);
         }
         if let Some(i) = self.find(preg, set) {
-            let e = self.entries[i];
-            self.entries[i].valid = false;
-            self.valid_count -= 1;
-            self.thread_valid[e.tid as usize] -= 1;
-            self.close_entry(e, now);
+            self.remove(i, Removal::Free, now);
             self.note_occupancy(now);
         }
         if let Some(s) = &mut self.shadow {
@@ -774,8 +800,13 @@ impl RegisterCache {
 
     /// Structural self-audit: checks that the cached `valid_count`
     /// matches the entry array, no physical register is resident twice,
-    /// and every counter respects the configured saturation limit.
-    /// Returns a description of the first violated invariant.
+    /// and every counter respects the configured saturation limit; and
+    /// the SMT partition: every entry is tagged with its register's
+    /// thread, each thread's live-entry count matches its entries and
+    /// respects its occupancy cap, every entry sits in a way its thread
+    /// owns, and the dynamic caps and way counts are positive and sum
+    /// to the entries and ways. Returns a description of the first
+    /// violated invariant, naming the thread when it is per-thread.
     ///
     /// # Errors
     ///
@@ -826,10 +857,10 @@ impl RegisterCache {
                 }
             }
         }
-        if per_thread != self.thread_valid {
+        if let Some(t) = (0..self.nthreads).find(|&t| per_thread[t] != self.thread_valid[t]) {
             return Err(format!(
-                "per-thread valid counts {:?} disagree with entries {:?}",
-                self.thread_valid, per_thread
+                "thread {t} is counted {} valid entries but holds {}",
+                self.thread_valid[t], per_thread[t]
             ));
         }
         for (t, &v) in self.thread_valid.iter().enumerate() {
@@ -920,28 +951,9 @@ impl RegisterCache {
         if !self.entries[i].parity_bad {
             return false;
         }
-        let e = self.entries[i];
-        self.entries[i].valid = false;
-        self.valid_count -= 1;
-        self.thread_valid[e.tid as usize] -= 1;
-        self.close_entry(e, now);
-        self.stats.parity_invalidations += 1;
+        self.remove(i, Removal::Parity, now);
         self.note_occupancy(now);
         true
-    }
-
-    /// The partition's current quota state in *entry equivalents*: the
-    /// dynamic caps verbatim, or way counts × sets under
-    /// [`CachePartition::DynamicWay`] (a way's ownership is worth one
-    /// entry per set). Empty for static partitions.
-    fn quota_view(&self) -> Vec<usize> {
-        if let Some(caps) = self.partition.caps() {
-            caps.to_vec()
-        } else if let Some(counts) = self.partition.way_counts() {
-            counts.iter().map(|&c| c * self.sets).collect()
-        } else {
-            Vec::new()
-        }
     }
 
     /// Runs one dynamic-partition epoch boundary at cycle `now`:
@@ -988,7 +1000,6 @@ impl RegisterCache {
             self.epoch_hits[t] = self.stats.thread_read_hits[t];
             self.epoch_misses[t] = self.stats.thread_read_misses[t];
         }
-        let old_caps = self.quota_view();
         let mut pinned = vec![0usize; n];
         for e in self.entries.iter().filter(|e| e.valid && e.pinned) {
             pinned[e.tid as usize] += 1;
@@ -1017,7 +1028,7 @@ impl RegisterCache {
             ways: w,
             sets: self.sets,
         };
-        let (new_caps, new_ways) = match self.partition.epoch_boundary(&cx) {
+        let (caps, ways) = match self.partition.epoch_boundary(&cx) {
             EpochPlan::Caps(caps) => {
                 for (t, &cap) in caps.iter().enumerate().take(n) {
                     while self.thread_valid[t] > cap {
@@ -1029,16 +1040,7 @@ impl RegisterCache {
                             .min_by_key(|(_, e)| self.config.replacement.score(&e.victim_view()))
                             .map(|(i, _)| i)
                             .expect("floors cover every pinned entry");
-                        let e = self.entries[victim];
-                        self.entries[victim].valid = false;
-                        self.valid_count -= 1;
-                        self.thread_valid[t] -= 1;
-                        self.stats.evictions += 1;
-                        if e.uses == 0 && !e.pinned {
-                            self.stats.evictions_zero_use += 1;
-                        }
-                        self.stats.epoch_evictions += 1;
-                        self.close_entry(e, now);
+                        self.remove(victim, Removal::EpochEvict, now);
                     }
                 }
                 (caps, Vec::new())
@@ -1056,14 +1058,11 @@ impl RegisterCache {
             .decay();
         self.stats.epochs += 1;
         EpochFeedback {
-            epoch: self.stats.epochs,
             cycle: now,
             hits,
             misses,
-            occupancy: self.thread_valid.clone(),
-            old_caps,
-            new_caps,
-            new_ways,
+            caps,
+            ways,
         }
     }
 
@@ -1099,18 +1098,10 @@ impl RegisterCache {
                 if owner == e.tid as usize {
                     continue;
                 }
-                self.entries[base + i].valid = false;
-                self.valid_count -= 1;
-                self.thread_valid[e.tid as usize] -= 1;
                 if e.pinned {
-                    migrants.push((s, e));
+                    migrants.push((s, self.remove(base + i, Removal::Migrate, now)));
                 } else {
-                    self.stats.evictions += 1;
-                    if e.uses == 0 {
-                        self.stats.evictions_zero_use += 1;
-                    }
-                    self.stats.epoch_evictions += 1;
-                    self.close_entry(e, now);
+                    self.remove(base + i, Removal::EpochEvict, now);
                 }
             }
         }
@@ -1124,21 +1115,11 @@ impl RegisterCache {
                     let i = self
                         .min_score_way(range.filter(|&i| !self.entries[base + i].pinned), base)
                         .expect("way floors cover every pinned entry");
-                    let v = self.entries[base + i];
-                    self.stats.evictions += 1;
-                    if v.uses == 0 && !v.pinned {
-                        self.stats.evictions_zero_use += 1;
-                    }
-                    self.stats.epoch_evictions += 1;
-                    self.close_entry(v, now);
-                    self.valid_count -= 1;
-                    self.thread_valid[v.tid as usize] -= 1;
+                    self.remove(base + i, Removal::EpochEvict, now);
                     i
                 }
             };
-            self.entries[base + slot] = e;
-            self.valid_count += 1;
-            self.thread_valid[tid] += 1;
+            self.place(base + slot, e);
         }
     }
 }
@@ -1471,7 +1452,7 @@ mod tests {
             );
         }
         assert_eq!(c.occupancy(), 2);
-        assert_eq!(c.thread_occupancy(0), 2);
+        assert_eq!(c.thread_valid[0], 2);
         c.audit().unwrap();
     }
 
@@ -1515,8 +1496,8 @@ mod tests {
         }
         assert!(c.contains(PhysReg(40)));
         assert!(c.contains(PhysReg(41)));
-        assert_eq!(c.thread_occupancy(0), 2);
-        assert_eq!(c.thread_occupancy(1), 2);
+        assert_eq!(c.thread_valid[0], 2);
+        assert_eq!(c.thread_valid[1], 2);
         c.audit().unwrap();
     }
 
@@ -1528,9 +1509,9 @@ mod tests {
             c.produce(PhysReg(p));
             c.write(PhysReg(p), set, 1, false, 0, 1);
         }
-        assert_eq!(c.thread_occupancy(0), 2); // at cap
-                                              // A third insert from thread 0 must evict thread 0's own entry
-                                              // in the target set, leaving total occupancy at the cap.
+        assert_eq!(c.thread_valid[0], 2); // at cap
+                                          // A third insert from thread 0 must evict thread 0's own entry
+                                          // in the target set, leaving total occupancy at the cap.
         c.produce(PhysReg(2));
         assert_eq!(
             c.write(PhysReg(2), 0, 1, false, 0, 2),
@@ -1538,7 +1519,7 @@ mod tests {
         );
         assert!(!c.contains(PhysReg(0)));
         assert!(c.contains(PhysReg(2)));
-        assert_eq!(c.thread_occupancy(0), 2);
+        assert_eq!(c.thread_valid[0], 2);
         c.audit().unwrap();
     }
 
@@ -1556,7 +1537,7 @@ mod tests {
         c.free(PhysReg(1), 1, 2);
         c.produce(PhysReg(2));
         c.write(PhysReg(2), 0, 1, false, 0, 3);
-        assert_eq!(c.thread_occupancy(0), 2);
+        assert_eq!(c.thread_valid[0], 2);
         // At cap, inserting into set 1 where thread 0 owns nothing: drop.
         c.produce(PhysReg(3));
         assert_eq!(c.write(PhysReg(3), 1, 1, false, 0, 4), WriteOutcome::Capped);
@@ -1586,8 +1567,8 @@ mod tests {
             c.write(PhysReg(0), 0, 1, false, 0, 3),
             WriteOutcome::Inserted
         );
-        assert_eq!(c.thread_occupancy(0), 1);
-        assert_eq!(c.thread_occupancy(1), 1);
+        assert_eq!(c.thread_valid[0], 1);
+        assert_eq!(c.thread_valid[1], 1);
         c.audit().unwrap();
     }
 
@@ -1608,10 +1589,7 @@ mod tests {
         let mut duo = smt(CachePartition::Shared, 8, 2);
         assert_eq!(ops(&mut solo), ops(&mut duo));
         assert_eq!(solo.stats().read_hits, duo.stats().read_hits);
-        assert_eq!(
-            duo.thread_occupancy(0) + duo.thread_occupancy(1),
-            duo.occupancy()
-        );
+        assert_eq!(duo.thread_valid[0] + duo.thread_valid[1], duo.occupancy());
         duo.audit().unwrap();
     }
 
@@ -1647,7 +1625,7 @@ mod tests {
         }
         // The fifth write was at cap: it evicted one of thread 1's own
         // entries rather than growing past the quota.
-        assert_eq!(c.thread_occupancy(1), 4);
+        assert_eq!(c.thread_valid[1], 4);
         c.audit().unwrap();
     }
 
@@ -1668,19 +1646,19 @@ mod tests {
             c.produce(PhysReg(p));
             c.write(PhysReg(p), i as u16, 1, false, 0, 6 + i as u64);
         }
-        assert_eq!(c.thread_occupancy(1), 4);
+        assert_eq!(c.thread_valid[1], 4);
+        assert_eq!(c.dynamic_caps(), Some(&[4usize, 4][..]));
         let fb = c.epoch_boundary(64);
         // The partitioner hands the reuse thread the larger quota and
         // conserves the total; thread 1 was trimmed down to its new cap
         // by evicting its own entries.
         assert!(
-            fb.new_caps[0] > fb.new_caps[1],
+            fb.caps[0] > fb.caps[1],
             "reuse thread must win quota: {:?}",
-            fb.new_caps
+            fb.caps
         );
-        assert_eq!(fb.new_caps.iter().sum::<usize>(), 8);
-        assert_eq!(fb.old_caps, vec![4, 4]);
-        assert!(c.thread_occupancy(1) <= fb.new_caps[1]);
+        assert_eq!(fb.caps.iter().sum::<usize>(), 8);
+        assert!(c.thread_valid[1] <= fb.caps[1]);
         assert!(c.stats().epoch_evictions > 0, "trim must evict");
         assert_eq!(c.stats().epochs, 1);
         // The hot values survived the boundary.
@@ -1708,7 +1686,7 @@ mod tests {
         }
         let fb = c.epoch_boundary(64);
         // The quota floor covers every pinned entry, so all three stay.
-        assert!(fb.new_caps[1] >= 3, "floor must cover pins: {fb:?}");
+        assert!(fb.caps[1] >= 3, "floor must cover pins: {fb:?}");
         for p in 40u16..43 {
             assert!(c.contains(PhysReg(p)), "pinned p{p} evicted");
         }
@@ -1727,7 +1705,6 @@ mod tests {
         let fb1 = c.epoch_boundary(64);
         assert_eq!(fb1.hits, vec![3, 0]);
         assert_eq!(fb1.misses, vec![0, 1]);
-        assert_eq!(fb1.epoch, 1);
         assert_eq!(fb1.cycle, 64);
         assert_eq!(fb1.hit_rate(0), Some(1.0));
         assert_eq!(fb1.hit_rate(1), Some(0.0));
@@ -1737,7 +1714,6 @@ mod tests {
         assert_eq!(fb2.hits, vec![1, 0]);
         assert_eq!(fb2.misses, vec![0, 0]);
         assert_eq!(fb2.hit_rate(1), None, "no accesses this epoch");
-        assert_eq!(fb2.epoch, 2);
     }
 
     #[test]
@@ -1751,6 +1727,118 @@ mod tests {
             8,
             2,
         );
+    }
+
+    // --- audit() catches each broken partition invariant --------------
+
+    /// A two-thread cache of `partition` holding p0 and p1 (thread 0)
+    /// and p40 (thread 1), one per set from set 0.
+    fn populated(partition: CachePartition, entries: usize, ways: usize) -> RegisterCache {
+        let mut c = smt(partition, entries, ways);
+        for (set, p) in [0u16, 1, 40].into_iter().enumerate() {
+            c.produce(PhysReg(p));
+            c.write(PhysReg(p), set as u16, 1, false, 0, 1);
+        }
+        c.audit().unwrap();
+        c
+    }
+
+    fn audit_err(c: &RegisterCache) -> String {
+        c.audit()
+            .expect_err("the broken invariant must be reported")
+    }
+
+    #[test]
+    fn audit_reports_an_entry_tagged_with_the_wrong_thread() {
+        let mut c = populated(CachePartition::Shared, 8, 2);
+        let i = c
+            .entries
+            .iter()
+            .position(|e| e.valid && e.preg == 40)
+            .unwrap();
+        c.entries[i].tid = 0;
+        let err = audit_err(&c);
+        assert!(
+            err.contains("p40 tagged thread 0 but partitions to thread 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn audit_reports_a_miscounted_thread() {
+        let mut c = populated(CachePartition::Shared, 8, 2);
+        c.thread_valid[0] -= 1;
+        c.thread_valid[1] += 1;
+        let err = audit_err(&c);
+        assert!(
+            err.contains("thread 0 is counted 1 valid entries but holds 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn audit_reports_a_thread_above_its_occupancy_cap() {
+        let dynamic = CachePartition::DynamicCap {
+            epoch_cycles: 64,
+            min_cap: 1,
+        };
+        let mut c = populated(dynamic, 8, 2);
+        if let PartitionState::Caps { caps, .. } = &mut c.partition {
+            *caps = vec![1, 7];
+        }
+        let err = audit_err(&c);
+        assert!(
+            err.contains("thread 0 holds 2 entries, above its occupancy cap 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn audit_reports_an_entry_outside_its_threads_ways() {
+        // One set of four ways: thread 0 owns ways 0-1, thread 1 ways 2-3.
+        let mut c = smt(CachePartition::WayPartition, 4, 4);
+        c.produce(PhysReg(0));
+        c.write(PhysReg(0), 0, 1, false, 0, 1);
+        c.entries.swap(0, 3);
+        let err = audit_err(&c);
+        assert!(
+            err.contains("p0 (thread 0) resident in way 3, owned by thread 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn audit_reports_dynamic_caps_that_do_not_sum_to_the_entries() {
+        let mut c = dyncap(8, 2);
+        if let PartitionState::Caps { caps, .. } = &mut c.partition {
+            *caps = vec![4, 5];
+        }
+        let err = audit_err(&c);
+        assert!(
+            err.contains("dynamic caps [4, 5] do not sum to 8 entries"),
+            "{err}"
+        );
+        if let PartitionState::Caps { caps, .. } = &mut c.partition {
+            *caps = vec![8, 0];
+        }
+        assert!(audit_err(&c).contains("thread 1 has a zero dynamic cap"));
+    }
+
+    #[test]
+    fn audit_reports_dynamic_way_counts_that_do_not_sum_to_the_ways() {
+        let mut c = smt(CachePartition::DynamicWay { epoch_cycles: 64 }, 8, 4);
+        if let PartitionState::Ways { counts, .. } = &mut c.partition {
+            *counts = vec![2, 1];
+        }
+        let err = audit_err(&c);
+        assert!(
+            err.contains("dynamic way counts [2, 1] do not sum to 4 ways"),
+            "{err}"
+        );
+        if let PartitionState::Ways { counts, .. } = &mut c.partition {
+            *counts = vec![4, 0];
+        }
+        assert!(audit_err(&c).contains("thread 1 owns zero ways"));
     }
 
     #[test]

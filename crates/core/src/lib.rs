@@ -22,9 +22,10 @@
 //!   static way/occupancy partitions, and the dynamic quota
 //!   ([`CachePartition::DynamicCap`]) and whole-way
 //!   ([`CachePartition::DynamicWay`]) partitions with optional adaptive
-//!   epoch pacing ([`EpochAdapt`]);
+//!   epoch pacing ([`EpochAdapt`]); [`RegCacheConfig::validate`] holds
+//!   every geometry and partition rule;
 //! * [`UtilityMonitor`] — per-thread shadow-tag utility monitors and
-//!   the lookahead partitioners that recompute dynamic quotas and way
+//!   the lookahead partitioner that recomputes dynamic quotas and way
 //!   maps at epoch boundaries, reported per epoch as
 //!   [`EpochFeedback`];
 //! * [`BackingFile`] — the multi-cycle backing register file with its
@@ -68,8 +69,8 @@ pub use cache::{EntryView, MissClass, RegCacheStats, RegisterCache, WriteOutcome
 pub use index::{IndexAssigner, IndexPolicy};
 pub use monitor::UtilityMonitor;
 pub use policy::{
-    CachePartition, EpochAdapt, EpochFeedback, InsertionContext, InsertionPolicy, RegCacheConfig,
-    ReplacementPolicy, VictimScore, VictimView,
+    CacheConfigError, CachePartition, EpochAdapt, EpochFeedback, InsertionContext, InsertionPolicy,
+    RegCacheConfig, ReplacementPolicy, VictimScore, VictimView,
 };
 pub use twolevel::{TwoLevelConfig, TwoLevelFile, TwoLevelStats};
 pub use usetrack::UseTracker;

@@ -1,5 +1,5 @@
-//! Shadow-tag utility monitors and the lookahead quota partitioner
-//! behind [`CachePartition::DynamicCap`](crate::CachePartition).
+//! Shadow-tag utility monitors and the lookahead partitioner behind
+//! the dynamic [`CachePartition`](crate::CachePartition)s.
 //!
 //! The design follows Qureshi & Patt's utility-based cache partitioning
 //! (UCP): each SMT thread owns a small *utility monitor* (UMON) — an
@@ -8,7 +8,8 @@
 //! thread would harvest from each additional cache entry. At every
 //! epoch boundary a deterministic *lookahead* partitioner converts the
 //! monitored marginal-utility curves into per-thread occupancy quotas
-//! that always sum to the cache's total entry count.
+//! (or way counts) that always sum to the cache's total entry count (or
+//! associativity).
 //!
 //! # Sampling geometry
 //!
@@ -44,8 +45,9 @@ struct ThreadMonitor {
 /// Per-thread utility monitors for one register cache.
 ///
 /// The cache feeds the monitors from its read/write/free paths (sampled
-/// sets only); [`UtilityMonitor::repartition`] turns the accumulated
-/// counters into the next epoch's per-thread quotas.
+/// sets only); [`UtilityMonitor::repartition_ways`] turns the
+/// accumulated counters into the next epoch's per-thread quotas or way
+/// counts.
 #[derive(Clone, Debug)]
 pub struct UtilityMonitor {
     depth: usize,
@@ -139,88 +141,42 @@ impl UtilityMonitor {
         }
     }
 
-    /// The lookahead partitioner (UCP §4): splits `total` entries into
-    /// per-thread quotas maximizing monitored utility.
+    /// The lookahead partitioner (UCP §4): splits `total` units into
+    /// per-thread counts maximizing monitored utility, where a unit is
+    /// worth `entries_per_unit` entries. [`CachePartition::DynamicCap`]
+    /// splits entries (one entry per unit);
+    /// [`CachePartition::DynamicWay`] splits ways (a way is worth the
+    /// set count — owning a way means owning it in every set).
     ///
     /// Each thread starts at its floor from `floors` (the caller
     /// guarantees `floors` sums to at most `total`). The remaining
-    /// budget is handed out greedily by *marginal utility per entry*:
+    /// budget is handed out greedily by *marginal utility per unit*:
     /// each round scans every `(thread, block size)` pair and grants
-    /// the block with the highest utility gain per entry — the
+    /// the block with the highest utility gain per unit — the
     /// lookahead over block sizes is what lets a thread with a utility
-    /// "cliff" several entries away still win it. Ties favor the
+    /// "cliff" several units away still win it. Ties favor the
     /// lower-numbered thread and the smaller block, so the result is a
     /// pure function of the counters. Budget no curve wants is spread
-    /// round-robin; the returned quotas always sum to exactly `total`.
-    pub fn repartition(&self, total: usize, floors: &[usize]) -> Vec<usize> {
-        let n = floors.len();
-        let mut caps = floors.to_vec();
-        let mut budget = total - caps.iter().sum::<usize>().min(total);
-        while budget > 0 {
-            // (gain, block, tid) of the best marginal-utility step.
-            let mut best: Option<(u64, usize, usize)> = None;
-            for (tid, &cap) in caps.iter().enumerate() {
-                let base = self.utility(tid, cap);
-                for k in 1..=budget {
-                    let gain = self.utility(tid, cap + k) - base;
-                    let better = match best {
-                        None => gain > 0,
-                        // Strictly higher rate wins: gain/k > bg/bk.
-                        Some((bg, bk, _)) => (gain as u128) * bk as u128 > (bg as u128) * k as u128,
-                    };
-                    if better {
-                        best = Some((gain, k, tid));
-                    }
-                }
-            }
-            match best {
-                Some((_, k, tid)) => {
-                    caps[tid] += k;
-                    budget -= k;
-                }
-                None => break, // flat curves: nobody profits further
-            }
-        }
-        // Left-over budget (flat utility everywhere) is spread evenly
-        // so the quotas still account for every entry.
-        let mut t = 0;
-        while budget > 0 {
-            caps[t % n] += 1;
-            budget -= 1;
-            t += 1;
-        }
-        caps
-    }
-
-    /// The lookahead partitioner at *way* granularity, for
-    /// [`CachePartition::DynamicWay`](crate::CachePartition): splits
-    /// `total_ways` ways into per-thread way counts, where a block of
-    /// `k` ways is worth `k × entries_per_way` entries of monitored
-    /// utility (`entries_per_way` is the set count — owning a way means
-    /// owning it in every set).
+    /// round-robin; the returned counts always sum to exactly `total`.
     ///
-    /// Same contract as [`UtilityMonitor::repartition`]: floors are
-    /// honored (the caller guarantees they sum to at most
-    /// `total_ways`), blocks are granted by marginal utility per way
-    /// with ties to the lower thread and smaller block, leftover ways
-    /// are spread round-robin, and the counts always sum to exactly
-    /// `total_ways`.
+    /// [`CachePartition::DynamicCap`]: crate::CachePartition::DynamicCap
+    /// [`CachePartition::DynamicWay`]: crate::CachePartition::DynamicWay
     pub fn repartition_ways(
         &self,
-        total_ways: usize,
-        entries_per_way: usize,
+        total: usize,
+        entries_per_unit: usize,
         floors: &[usize],
     ) -> Vec<usize> {
         let n = floors.len();
         let mut counts = floors.to_vec();
-        let mut budget = total_ways - counts.iter().sum::<usize>().min(total_ways);
+        let mut budget = total - counts.iter().sum::<usize>().min(total);
         while budget > 0 {
             // (gain, block, tid) of the best marginal-utility step.
             let mut best: Option<(u64, usize, usize)> = None;
-            for (tid, &ways) in counts.iter().enumerate() {
-                let base = self.utility(tid, ways * entries_per_way);
+            for (tid, &units) in counts.iter().enumerate() {
+                let base = self.utility(tid, units * entries_per_unit);
                 for k in 1..=budget {
-                    let gain = self.utility(tid, (ways + k) * entries_per_way) - base;
+                    let gain = self.utility(tid, (units + k) * entries_per_unit) - base;
                     let better = match best {
                         None => gain > 0,
                         // Strictly higher rate wins: gain/k > bg/bk.
@@ -239,6 +195,8 @@ impl UtilityMonitor {
                 None => break, // flat curves: nobody profits further
             }
         }
+        // Left-over budget (flat utility everywhere) is spread evenly
+        // so the counts still account for every unit.
         let mut t = 0;
         while budget > 0 {
             counts[t % n] += 1;
@@ -296,7 +254,7 @@ mod tests {
         for p in 100..120u16 {
             m.touch(1, PhysReg(p), 0);
         }
-        let caps = m.repartition(16, &[2, 2]);
+        let caps = m.repartition_ways(16, 1, &[2, 2]);
         assert_eq!(caps.iter().sum::<usize>(), 16);
         assert!(caps[0] > caps[1], "reuse thread must win entries: {caps:?}");
     }
@@ -308,8 +266,8 @@ mod tests {
             m.touch(0, PhysReg(p), 0);
             m.access(0, PhysReg(p), 0);
         }
-        let a = m.repartition(16, &[1, 1, 1, 1]);
-        let b = m.repartition(16, &[1, 1, 1, 1]);
+        let a = m.repartition_ways(16, 1, &[1, 1, 1, 1]);
+        let b = m.repartition_ways(16, 1, &[1, 1, 1, 1]);
         assert_eq!(a, b);
         assert_eq!(a.iter().sum::<usize>(), 16);
         assert!(a.iter().all(|&c| c >= 1));
@@ -318,7 +276,7 @@ mod tests {
     #[test]
     fn flat_curves_spread_the_budget_evenly() {
         let m = UtilityMonitor::new(16, 4);
-        let caps = m.repartition(16, &[1, 1, 1, 1]);
+        let caps = m.repartition_ways(16, 1, &[1, 1, 1, 1]);
         assert_eq!(caps, vec![4, 4, 4, 4]);
     }
 

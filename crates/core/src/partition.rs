@@ -2,10 +2,14 @@
 //!
 //! [`CachePartition`] is the *configuration-level* name of a
 //! partitioning policy — `Copy`, `Eq`, cheap to put in sweep matrices.
-//! [`PartitionState`] is its run-time state (static caps, dynamic
-//! quotas, way counts, epoch pacer), built once at cache construction
-//! by [`PartitionState::new`] and consulted by plain `match`es at three
-//! decision points:
+//! [`PartitionState`] is its run-time state, built once at cache
+//! construction by [`PartitionState::new`] from a configuration
+//! [`RegCacheConfig::validate`] has accepted. The five policies need
+//! three states — shared ways, per-thread entry caps, per-thread way
+//! blocks — because a static partition is its dynamic twin without an
+//! epoch pacer: `OccupancyCap` is `DynamicCap` whose caps never move,
+//! and `WayPartition` is `DynamicWay` whose blocks never move. The state
+//! is consulted by plain `match`es at three decision points:
 //!
 //! 1. **Insertion** ([`PartitionState::admit`] +
 //!    [`PartitionState::victim_ways`]): may this thread place freely,
@@ -20,13 +24,9 @@
 //! 3. **Audit** ([`PartitionState::audit`]): self-consistency of the
 //!    quota state, folded into the cache's structural audit.
 //!
-//! The quota state is also readable (`cap`, `caps`, `way_counts`,
-//! `way_owner`) so the simulator's invariant checker can cross-check
-//! entry placement against epoch-varying ownership.
-//!
-//! Adding a partition policy is adding a [`CachePartition`] variant, a
-//! [`PartitionState`] variant with its match arms here, and a typed
-//! rejection in the simulator's config validation.
+//! Adding a partition policy is adding a [`CachePartition`] variant with
+//! its feasibility rules in [`RegCacheConfig::validate`], and its state
+//! and match arms here.
 
 use crate::monitor::UtilityMonitor;
 use crate::policy::{CachePartition, EpochAdapt, RegCacheConfig};
@@ -80,119 +80,71 @@ pub(crate) enum PartitionState {
     /// [`CachePartition::Shared`] (and every single-thread cache): all
     /// ways compete freely, no quotas, no epochs.
     Shared { ways: usize },
-    /// [`CachePartition::WayPartition`]: thread `t` statically owns ways
-    /// `[t·w, (t+1)·w)` of every set.
-    WayPartition { ways_per_thread: usize },
-    /// [`CachePartition::OccupancyCap`]: shared ways, a static
-    /// `entries / nthreads` live-entry cap per thread.
-    OccupancyCap { ways: usize, cap: usize },
-    /// [`CachePartition::DynamicCap`]: shared ways, per-thread quotas
-    /// recomputed from the utility monitors every epoch.
-    DynamicCap {
+    /// [`CachePartition::OccupancyCap`] and
+    /// [`CachePartition::DynamicCap`]: shared ways, thread `t` holds at
+    /// most `caps[t]` live entries. With a `pacer` the caps are
+    /// recomputed from the utility monitors every epoch, raising each
+    /// toward `min_cap` first.
+    Caps {
         ways: usize,
-        min_cap: usize,
         caps: Vec<usize>,
-        pacer: EpochPacer,
+        min_cap: usize,
+        pacer: Option<EpochPacer>,
     },
+    /// [`CachePartition::WayPartition`] and
     /// [`CachePartition::DynamicWay`]: contiguous per-thread way blocks
-    /// (in thread order), reassigned from the utility monitors every
-    /// epoch. Thread `t` owns `counts[t]` ways, starting at the prefix
-    /// sum of `counts[..t]`.
-    DynamicWay {
+    /// in thread order; thread `t` owns `counts[t]` ways, starting at
+    /// the prefix sum of `counts[..t]`. With a `pacer` the blocks are
+    /// reassigned from the utility monitors every epoch.
+    Ways {
         counts: Vec<usize>,
-        pacer: EpochPacer,
+        pacer: Option<EpochPacer>,
     },
 }
 
 impl PartitionState {
     /// Builds the state implementing `config.partition` for an
-    /// `nthreads`-thread cache. With one thread every policy
-    /// degenerates to [`PartitionState::Shared`] (partitioning is
-    /// inert), preserving the single-thread golden contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an infeasible configuration: a
-    /// [`CachePartition::WayPartition`] or [`CachePartition::DynamicWay`]
-    /// whose ways don't divide by the thread count, an occupancy-capped
-    /// partition with fewer entries than threads, a zero dynamic epoch, a
-    /// [`CachePartition::DynamicCap`] `min_cap` that overcommits the
-    /// cache, or an [`EpochAdapt`] with an empty `[min, max]` range or a
-    /// static partition. Callers wanting typed errors should validate
-    /// first (the simulator's `try_new_smt` does).
+    /// `nthreads`-thread cache; `config` must pass
+    /// [`RegCacheConfig::validate`] for `nthreads`. With one thread
+    /// every policy degenerates to [`PartitionState::Shared`]
+    /// (partitioning is inert), preserving the single-thread golden
+    /// contract.
     pub(crate) fn new(config: &RegCacheConfig, nthreads: usize) -> Self {
-        let ways = config.ways;
+        let (entries, ways) = (config.entries, config.ways);
+        let pacer = |epoch_cycles| Some(EpochPacer::new(epoch_cycles, config.epoch_adapt));
         if nthreads <= 1 {
             return PartitionState::Shared { ways };
         }
-        if let Some(a) = config.epoch_adapt {
-            assert!(
-                config.partition.is_dynamic(),
-                "epoch_adapt requires a dynamic partition"
-            );
-            assert!(
-                a.min_cycles >= 1 && a.min_cycles <= a.max_cycles,
-                "epoch_adapt needs 1 <= min_cycles <= max_cycles"
-            );
-        }
         match config.partition {
             CachePartition::Shared => PartitionState::Shared { ways },
-            CachePartition::WayPartition => {
-                assert!(
-                    ways.is_multiple_of(nthreads),
-                    "WayPartition needs ways divisible by nthreads"
-                );
-                PartitionState::WayPartition {
-                    ways_per_thread: ways / nthreads,
-                }
-            }
-            CachePartition::OccupancyCap => {
-                assert!(
-                    config.entries >= nthreads,
-                    "OccupancyCap needs at least one entry per thread"
-                );
-                PartitionState::OccupancyCap {
-                    ways,
-                    cap: config.entries / nthreads,
-                }
-            }
+            CachePartition::WayPartition => PartitionState::Ways {
+                counts: vec![ways / nthreads; nthreads],
+                pacer: None,
+            },
+            CachePartition::OccupancyCap => PartitionState::Caps {
+                ways,
+                caps: vec![entries / nthreads; nthreads],
+                min_cap: 0,
+                pacer: None,
+            },
             CachePartition::DynamicCap {
                 epoch_cycles,
                 min_cap,
-            } => {
-                assert!(epoch_cycles >= 1, "DynamicCap needs a non-zero epoch");
-                assert!(
-                    config.entries >= nthreads,
-                    "DynamicCap needs at least one entry per thread"
-                );
-                assert!(
-                    min_cap * nthreads <= config.entries,
-                    "DynamicCap min_cap x nthreads exceeds the cache"
-                );
-                // Initial quotas: the even OccupancyCap split, remainder to
-                // the lower-numbered threads so the quotas sum to `entries`
-                // exactly.
-                let caps = (0..nthreads)
-                    .map(|t| config.entries / nthreads + usize::from(t < config.entries % nthreads))
-                    .collect();
-                PartitionState::DynamicCap {
-                    ways,
-                    min_cap,
-                    caps,
-                    pacer: EpochPacer::new(epoch_cycles, config.epoch_adapt),
-                }
-            }
-            CachePartition::DynamicWay { epoch_cycles } => {
-                assert!(epoch_cycles >= 1, "DynamicWay needs a non-zero epoch");
-                assert!(
-                    ways.is_multiple_of(nthreads),
-                    "DynamicWay needs ways divisible by nthreads"
-                );
-                PartitionState::DynamicWay {
-                    counts: vec![ways / nthreads; nthreads],
-                    pacer: EpochPacer::new(epoch_cycles, config.epoch_adapt),
-                }
-            }
+            } => PartitionState::Caps {
+                ways,
+                // Initial quotas: the even OccupancyCap split, remainder
+                // to the lower-numbered threads so the quotas sum to
+                // `entries` exactly.
+                caps: (0..nthreads)
+                    .map(|t| entries / nthreads + usize::from(t < entries % nthreads))
+                    .collect(),
+                min_cap,
+                pacer: pacer(epoch_cycles),
+            },
+            CachePartition::DynamicWay { epoch_cycles } => PartitionState::Ways {
+                counts: vec![ways / nthreads; nthreads],
+                pacer: pacer(epoch_cycles),
+            },
         }
     }
 
@@ -204,8 +156,7 @@ impl PartitionState {
     #[inline]
     pub(crate) fn admit(&self, tid: usize, occupancy: &[usize]) -> bool {
         match self {
-            PartitionState::OccupancyCap { cap, .. } => occupancy[tid] < *cap,
-            PartitionState::DynamicCap { caps, .. } => occupancy[tid] < caps[tid],
+            PartitionState::Caps { caps, .. } => occupancy[tid] < caps[tid],
             _ => true,
         }
     }
@@ -215,11 +166,8 @@ impl PartitionState {
     #[inline]
     pub(crate) fn victim_ways(&self, tid: usize) -> Range<usize> {
         match self {
-            PartitionState::Shared { ways }
-            | PartitionState::OccupancyCap { ways, .. }
-            | PartitionState::DynamicCap { ways, .. } => 0..*ways,
-            PartitionState::WayPartition { ways_per_thread: w } => tid * w..(tid + 1) * w,
-            PartitionState::DynamicWay { counts, .. } => {
+            PartitionState::Shared { ways } | PartitionState::Caps { ways, .. } => 0..*ways,
+            PartitionState::Ways { counts, .. } => {
                 let lo = counts[..tid].iter().sum();
                 lo..lo + counts[tid]
             }
@@ -231,8 +179,7 @@ impl PartitionState {
     #[inline]
     pub(crate) fn cap(&self, tid: usize) -> Option<usize> {
         match self {
-            PartitionState::OccupancyCap { cap, .. } => Some(*cap),
-            PartitionState::DynamicCap { caps, .. } => Some(caps[tid]),
+            PartitionState::Caps { caps, .. } => Some(caps[tid]),
             _ => None,
         }
     }
@@ -242,7 +189,11 @@ impl PartitionState {
     /// count).
     pub(crate) fn caps(&self) -> Option<&[usize]> {
         match self {
-            PartitionState::DynamicCap { caps, .. } => Some(caps),
+            PartitionState::Caps {
+                caps,
+                pacer: Some(_),
+                ..
+            } => Some(caps),
             _ => None,
         }
     }
@@ -251,7 +202,10 @@ impl PartitionState {
     /// always sums to the associativity).
     pub(crate) fn way_counts(&self) -> Option<&[usize]> {
         match self {
-            PartitionState::DynamicWay { counts, .. } => Some(counts),
+            PartitionState::Ways {
+                counts,
+                pacer: Some(_),
+            } => Some(counts),
             _ => None,
         }
     }
@@ -261,8 +215,7 @@ impl PartitionState {
     #[inline]
     pub(crate) fn way_owner(&self, way: usize) -> Option<usize> {
         match self {
-            PartitionState::WayPartition { ways_per_thread } => Some(way / ways_per_thread),
-            PartitionState::DynamicWay { counts, .. } => {
+            PartitionState::Ways { counts, .. } => {
                 let mut end = 0;
                 counts.iter().position(|&c| {
                     end += c;
@@ -278,9 +231,12 @@ impl PartitionState {
     #[inline]
     pub(crate) fn epoch_due(&self, now: u64) -> bool {
         match self {
-            PartitionState::DynamicCap { pacer, .. } | PartitionState::DynamicWay { pacer, .. } => {
-                pacer.due(now)
+            PartitionState::Caps {
+                pacer: Some(pacer), ..
             }
+            | PartitionState::Ways {
+                pacer: Some(pacer), ..
+            } => pacer.due(now),
             _ => false,
         }
     }
@@ -293,10 +249,10 @@ impl PartitionState {
     /// Panics on a static partition, which has no epochs.
     pub(crate) fn epoch_boundary(&mut self, cx: &EpochContext<'_>) -> EpochPlan {
         match self {
-            PartitionState::DynamicCap {
-                min_cap,
+            PartitionState::Caps {
                 caps,
-                pacer,
+                min_cap,
+                pacer: Some(pacer),
                 ..
             } => {
                 // Quota floors guarantee feasibility: every thread keeps
@@ -310,12 +266,15 @@ impl PartitionState {
                     *f += want;
                     extra -= want;
                 }
-                let new_caps = cx.monitor.repartition(cx.entries, &floors);
+                let new_caps = cx.monitor.repartition_ways(cx.entries, 1, &floors);
                 caps.clone_from(&new_caps);
                 pacer.advance(&new_caps);
                 EpochPlan::Caps(new_caps)
             }
-            PartitionState::DynamicWay { counts, pacer } => {
+            PartitionState::Ways {
+                counts,
+                pacer: Some(pacer),
+            } => {
                 // Way floors: every thread keeps at least one way, and
                 // enough ways to hold its pinned entries in the fullest
                 // set (pinned entries are confined to the thread's block
@@ -333,35 +292,32 @@ impl PartitionState {
         }
     }
 
-    /// Self-consistency of the quota state (quota sums, positivity).
-    /// Folded into [`crate::RegisterCache::audit`].
+    /// Self-consistency of the dynamic quota state (quota sums,
+    /// positivity). Folded into [`crate::RegisterCache::audit`].
     ///
     /// # Errors
     ///
     /// Returns `Err(description)` when the quota state is inconsistent.
     pub(crate) fn audit(&self, entries: usize, ways: usize) -> Result<(), String> {
-        match self {
-            PartitionState::DynamicCap { caps, .. } => {
-                if caps.iter().sum::<usize>() != entries {
-                    return Err(format!(
-                        "dynamic caps {caps:?} do not sum to {entries} entries"
-                    ));
-                }
-                if let Some(t) = caps.iter().position(|&c| c == 0) {
-                    return Err(format!("thread {t} has a zero dynamic cap"));
-                }
+        if let Some(caps) = self.caps() {
+            if caps.iter().sum::<usize>() != entries {
+                return Err(format!(
+                    "dynamic caps {caps:?} do not sum to {entries} entries"
+                ));
             }
-            PartitionState::DynamicWay { counts, .. } => {
-                if counts.iter().sum::<usize>() != ways {
-                    return Err(format!(
-                        "dynamic way counts {counts:?} do not sum to {ways} ways"
-                    ));
-                }
-                if let Some(t) = counts.iter().position(|&c| c == 0) {
-                    return Err(format!("thread {t} owns zero ways"));
-                }
+            if let Some(t) = caps.iter().position(|&c| c == 0) {
+                return Err(format!("thread {t} has a zero dynamic cap"));
             }
-            _ => {}
+        }
+        if let Some(counts) = self.way_counts() {
+            if counts.iter().sum::<usize>() != ways {
+                return Err(format!(
+                    "dynamic way counts {counts:?} do not sum to {ways} ways"
+                ));
+            }
+            if let Some(t) = counts.iter().position(|&c| c == 0) {
+                return Err(format!("thread {t} owns zero ways"));
+            }
         }
         Ok(())
     }
@@ -554,17 +510,17 @@ mod tests {
 
     #[test]
     fn audit_rejects_inconsistent_quota_state() {
-        let caps = PartitionState::DynamicCap {
+        let caps = PartitionState::Caps {
             ways: 4,
-            min_cap: 1,
             caps: vec![16, 0],
-            pacer: EpochPacer::new(64, None),
+            min_cap: 1,
+            pacer: Some(EpochPacer::new(64, None)),
         };
         assert!(caps.audit(16, 4).unwrap_err().contains("zero dynamic cap"));
         assert!(caps.audit(12, 4).unwrap_err().contains("do not sum"));
-        let ways = PartitionState::DynamicWay {
+        let ways = PartitionState::Ways {
             counts: vec![3, 0],
-            pacer: EpochPacer::new(64, None),
+            pacer: Some(EpochPacer::new(64, None)),
         };
         assert!(ways.audit(16, 3).unwrap_err().contains("owns zero ways"));
         assert!(ways.audit(16, 4).unwrap_err().contains("do not sum"));
@@ -614,7 +570,7 @@ mod tests {
             max_cycles: 256,
             band: 1,
         });
-        let _ = PartitionState::new(&c, 2);
+        let _ = crate::RegisterCache::new_smt(c, 64, 2);
     }
 
     #[test]
@@ -626,7 +582,7 @@ mod tests {
             max_cycles: 64,
             band: 1,
         });
-        let _ = PartitionState::new(&c, 2);
+        let _ = crate::RegisterCache::new_smt(c, 64, 2);
     }
 
     #[test]
@@ -634,6 +590,6 @@ mod tests {
     fn dynamic_way_rejects_indivisible_ways() {
         let mut c = RegCacheConfig::use_based(9, 3);
         c.partition = CachePartition::DynamicWay { epoch_cycles: 64 };
-        let _ = PartitionState::new(&c, 2);
+        let _ = crate::RegisterCache::new_smt(c, 64, 2);
     }
 }

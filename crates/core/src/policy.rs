@@ -1,3 +1,5 @@
+use std::fmt;
+
 /// Register-cache insertion policy: which produced values get written
 /// into the cache at all.
 ///
@@ -86,29 +88,20 @@ impl ReplacementPolicy {
 /// slot per SMT thread.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EpochFeedback {
-    /// Zero-based index of the epoch that just closed.
-    pub epoch: u64,
     /// Cycle at which the boundary fired.
     pub cycle: u64,
     /// Read hits per thread during the closed epoch.
     pub hits: Vec<u64>,
     /// Read misses per thread during the closed epoch.
     pub misses: Vec<u64>,
-    /// Live cache entries per thread at the boundary (after any
-    /// repartition evictions).
-    pub occupancy: Vec<usize>,
-    /// Per-thread occupancy quotas in force during the closed epoch.
-    /// Under [`CachePartition::DynamicWay`] these are entry-equivalents
+    /// Per-thread occupancy quotas for the epoch now starting. Under
+    /// [`CachePartition::DynamicWay`] these are entry-equivalents
     /// (owned ways × sets), so quota consumers see a uniform scale.
-    pub old_caps: Vec<usize>,
-    /// Per-thread occupancy quotas for the epoch now starting (same
-    /// entry-equivalent convention as
-    /// [`EpochFeedback::old_caps`]).
-    pub new_caps: Vec<usize>,
+    pub caps: Vec<usize>,
     /// Per-thread *way* counts for the epoch now starting — populated
     /// only by [`CachePartition::DynamicWay`] boundaries, empty for
     /// occupancy-quota partitions.
-    pub new_ways: Vec<usize>,
+    pub ways: Vec<usize>,
 }
 
 impl EpochFeedback {
@@ -344,17 +337,88 @@ impl RegCacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (`entries` not divisible
-    /// by `ways`) — note non-power-of-two *set counts* are explicitly
-    /// allowed: decoupled indexing does not require power-of-two caches
-    /// (§4.1).
+    /// Panics if the geometry has no whole number of sets (see
+    /// [`RegCacheConfig::validate`]) — note non-power-of-two *set
+    /// counts* are explicitly allowed: decoupled indexing does not
+    /// require power-of-two caches (§4.1).
     pub fn sets(&self) -> usize {
-        assert!(self.ways >= 1, "ways must be at least 1");
-        assert!(
-            self.entries.is_multiple_of(self.ways),
-            "entries must divide into ways"
-        );
+        // With one thread every partition rule is inert, so this checks
+        // the geometry alone.
+        if let Err(e) = self.validate(1) {
+            panic!("{e}");
+        }
         self.entries / self.ways
+    }
+
+    /// Checks that a cache shared by `nthreads` SMT threads can be
+    /// built from this configuration: the geometry has a whole number
+    /// of sets and, with more than one thread, the [`EpochAdapt`] range
+    /// and the [`CachePartition`] are feasible. Every such rule is
+    /// written here; [`crate::RegisterCache::new_smt`] panics with the
+    /// error's message.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule the configuration breaks.
+    pub fn validate(&self, nthreads: usize) -> Result<(), CacheConfigError> {
+        use CacheConfigError as E;
+        let (entries, ways) = (self.entries, self.ways);
+        if ways == 0 || entries == 0 || !entries.is_multiple_of(ways) {
+            return Err(E::Geometry { entries, ways });
+        }
+        if nthreads <= 1 {
+            // One thread: every partition degenerates to `Shared`.
+            return Ok(());
+        }
+        if let Some(a) = self.epoch_adapt {
+            if a.min_cycles == 0 || a.min_cycles > a.max_cycles {
+                return Err(E::EpochAdaptRange {
+                    min_cycles: a.min_cycles,
+                    max_cycles: a.max_cycles,
+                });
+            }
+            if !self.partition.is_dynamic() {
+                return Err(E::EpochAdaptStatic);
+            }
+        }
+        // Every partition but `Shared` splits either ways or entries
+        // evenly at the start, and a dynamic one re-splits every epoch.
+        let (partition, splits_ways, epoch_cycles) = match self.partition {
+            CachePartition::Shared => return Ok(()),
+            CachePartition::WayPartition => ("WayPartition", true, None),
+            CachePartition::OccupancyCap => ("OccupancyCap", false, None),
+            CachePartition::DynamicCap { epoch_cycles, .. } => {
+                ("DynamicCap", false, Some(epoch_cycles))
+            }
+            CachePartition::DynamicWay { epoch_cycles } => ("DynamicWay", true, Some(epoch_cycles)),
+        };
+        if epoch_cycles == Some(0) {
+            return Err(E::ZeroEpoch { partition });
+        }
+        if splits_ways && !ways.is_multiple_of(nthreads) {
+            return Err(E::WaysIndivisible {
+                partition,
+                ways,
+                nthreads,
+            });
+        }
+        if !splits_ways && entries < nthreads {
+            return Err(E::TooFewEntries {
+                partition,
+                entries,
+                nthreads,
+            });
+        }
+        if let CachePartition::DynamicCap { min_cap, .. } = self.partition {
+            if min_cap.saturating_mul(nthreads) > entries {
+                return Err(E::MinCapTooLarge {
+                    min_cap,
+                    nthreads,
+                    entries,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// True when the configuration is fully associative.
@@ -362,6 +426,123 @@ impl RegCacheConfig {
         self.ways == self.entries
     }
 }
+
+/// A [`RegCacheConfig`] no register cache can be built from, from
+/// [`RegCacheConfig::validate`]. Partition names are the
+/// [`CachePartition`] variants.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CacheConfigError {
+    /// `entries` is not a positive multiple of `ways`, so the cache has
+    /// no whole number of sets.
+    Geometry {
+        /// Configured cache entries.
+        entries: usize,
+        /// Configured associativity.
+        ways: usize,
+    },
+    /// A way partition (`WayPartition`, `DynamicWay`) starts from an
+    /// even way split, so the ways must divide across the threads.
+    WaysIndivisible {
+        /// The partition that needs the split.
+        partition: &'static str,
+        /// Configured associativity.
+        ways: usize,
+        /// Thread count.
+        nthreads: usize,
+    },
+    /// An entry-capped partition (`OccupancyCap`, `DynamicCap`) needs at
+    /// least one entry per thread.
+    TooFewEntries {
+        /// The partition that needs the entries.
+        partition: &'static str,
+        /// Configured cache entries.
+        entries: usize,
+        /// Thread count.
+        nthreads: usize,
+    },
+    /// A dynamic partition (`DynamicCap`, `DynamicWay`) needs a
+    /// repartitioning period of at least one cycle.
+    ZeroEpoch {
+        /// The partition with the zero `epoch_cycles`.
+        partition: &'static str,
+    },
+    /// The `DynamicCap` quota floor cannot be honored for every thread
+    /// at once.
+    MinCapTooLarge {
+        /// Configured per-thread quota floor.
+        min_cap: usize,
+        /// Thread count.
+        nthreads: usize,
+        /// Configured cache entries (`min_cap * nthreads` exceeds it).
+        entries: usize,
+    },
+    /// An [`EpochAdapt`] range must satisfy
+    /// `1 <= min_cycles <= max_cycles`.
+    EpochAdaptRange {
+        /// Configured shortest epoch.
+        min_cycles: u64,
+        /// Configured longest epoch.
+        max_cycles: u64,
+    },
+    /// [`EpochAdapt`] paces repartitions, so it requires a dynamic
+    /// partition.
+    EpochAdaptStatic,
+}
+
+impl fmt::Display for CacheConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CacheConfigError::Geometry { entries, ways } => write!(
+                f,
+                "a register cache of {entries} entries and {ways} ways has no whole \
+                 number of sets: ways must be at least 1 and entries must divide into ways"
+            ),
+            CacheConfigError::WaysIndivisible {
+                partition,
+                ways,
+                nthreads,
+            } => write!(
+                f,
+                "{partition} needs ways divisible by nthreads ({ways} ways, {nthreads} threads)"
+            ),
+            CacheConfigError::TooFewEntries {
+                partition,
+                entries,
+                nthreads,
+            } => write!(
+                f,
+                "{partition} needs at least one entry per thread ({entries} entries, \
+                 {nthreads} threads)"
+            ),
+            CacheConfigError::ZeroEpoch { partition } => {
+                write!(f, "{partition} needs a non-zero epoch")
+            }
+            CacheConfigError::MinCapTooLarge {
+                min_cap,
+                nthreads,
+                entries,
+            } => write!(
+                f,
+                "DynamicCap min_cap x nthreads exceeds the cache ({min_cap} x {nthreads} \
+                 threads > {entries} entries)"
+            ),
+            CacheConfigError::EpochAdaptRange {
+                min_cycles,
+                max_cycles,
+            } => write!(
+                f,
+                "epoch_adapt needs 1 <= min_cycles <= max_cycles (got [{min_cycles}, \
+                 {max_cycles}])"
+            ),
+            CacheConfigError::EpochAdaptStatic => write!(
+                f,
+                "epoch_adapt requires a dynamic partition (DynamicCap or DynamicWay)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CacheConfigError {}
 
 #[cfg(test)]
 mod tests {

@@ -54,8 +54,106 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The value lifecycle the pipeline guarantees: a register is produced
+/// before it is written, written once per value, filled only after its
+/// write, and freed before it is produced again (re-allocating a live
+/// register frees it first, exactly as the rename free-list does).
+struct Lifecycle {
+    live: [bool; NPREGS],
+    written: [bool; NPREGS],
+}
+
+impl Lifecycle {
+    fn new() -> Self {
+        Self {
+            live: [false; NPREGS],
+            written: [false; NPREGS],
+        }
+    }
+
+    /// Applies `op` to every cache in `caches`, each register in the
+    /// set `preg % nsets`, unless the lifecycle rules it out.
+    fn apply(&mut self, caches: &mut [RegisterCache], op: Op, nsets: usize, now: u64) {
+        let i = match op {
+            Op::Init { preg, .. }
+            | Op::Consume { preg }
+            | Op::Write { preg, .. }
+            | Op::Read { preg }
+            | Op::Fill { preg }
+            | Op::Free { preg } => preg as usize,
+        };
+        let (p, set) = (PhysReg(i as u16), (i % nsets) as u16);
+        let (live, written) = (self.live[i], self.written[i]);
+        for cache in caches.iter_mut() {
+            match op {
+                Op::Init { .. } => {
+                    if live {
+                        cache.free(p, set, now);
+                    }
+                    cache.produce(p);
+                }
+                Op::Write {
+                    remaining, pinned, ..
+                } if live && !written => {
+                    cache.write(p, set, remaining, pinned, 0, now);
+                }
+                Op::Read { .. } | Op::Consume { .. } if live => {
+                    cache.read(p, set, now);
+                }
+                Op::Fill { .. } if live && written => cache.fill(p, set, now),
+                Op::Free { .. } if live => cache.free(p, set, now),
+                _ => {}
+            }
+        }
+        match op {
+            Op::Init { .. } => (self.live[i], self.written[i]) = (true, false),
+            Op::Write { .. } if live => self.written[i] = true,
+            Op::Free { .. } => self.live[i] = false,
+            _ => {}
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn static_partitions_are_dynamic_ones_without_epochs(
+        ops in proptest::collection::vec(op_strategy(), 1..300),
+    ) {
+        // Before its first epoch boundary a dynamic partition enforces
+        // the even split its static twin enforces forever, so on
+        // geometries whose entries and ways divide by the thread count
+        // the two make the same decision on every operation.
+        let pairs = [
+            (CachePartition::OccupancyCap, CachePartition::DynamicCap {
+                epoch_cycles: 8,
+                min_cap: 1,
+            }, 16, 2, 4),
+            (CachePartition::WayPartition, CachePartition::DynamicWay { epoch_cycles: 8 }, 16, 4, 2),
+        ];
+        for (fixed, dynamic, entries, ways, nthreads) in pairs {
+            let build = |partition| {
+                let mut cfg = RegCacheConfig::use_based(entries, ways);
+                cfg.partition = partition;
+                RegisterCache::new_smt(cfg, NPREGS, nthreads)
+            };
+            let mut caches = [build(fixed), build(dynamic)];
+            let mut lifecycle = Lifecycle::new();
+            for (now, &op) in ops.iter().enumerate() {
+                lifecycle.apply(&mut caches, op, entries / ways, now as u64 + 1);
+            }
+            let [a, b] = &caches;
+            prop_assert_eq!(
+                format!("{:?}", a.stats()),
+                format!("{:?}", b.stats()),
+                "{:?} and {:?} counted differently",
+                fixed,
+                dynamic
+            );
+            prop_assert_eq!(a.entries().collect::<Vec<_>>(), b.entries().collect::<Vec<_>>());
+        }
+    }
 
     #[test]
     fn use_counters_saturate_and_never_underflow(
@@ -113,47 +211,11 @@ proptest! {
         let cfg = RegCacheConfig::use_based(16, 2);
         let ways = cfg.ways;
         let nsets = cfg.entries / cfg.ways;
-        let mut cache = RegisterCache::new(cfg, NPREGS);
-        let set_of = |preg: u8| (preg as usize % nsets) as u16;
-        let mut live = [false; NPREGS];
-        let mut written = [false; NPREGS];
+        let mut caches = [RegisterCache::new(cfg, NPREGS)];
+        let mut lifecycle = Lifecycle::new();
         for op in ops {
-            let i = match op {
-                Op::Init { preg, .. }
-                | Op::Consume { preg }
-                | Op::Write { preg, .. }
-                | Op::Read { preg }
-                | Op::Fill { preg }
-                | Op::Free { preg } => preg as usize,
-            };
-            let p = PhysReg(i as u16);
-            match op {
-                Op::Init { .. } => {
-                    // Re-allocating a live register frees it first,
-                    // exactly as the rename free-list does.
-                    if live[i] {
-                        cache.free(p, set_of(i as u8), 0);
-                    }
-                    cache.produce(p);
-                    live[i] = true;
-                    written[i] = false;
-                }
-                Op::Write { remaining, pinned, .. } if live[i] && !written[i] => {
-                    cache.write(p, set_of(i as u8), remaining, pinned, 0, 0);
-                    written[i] = true;
-                }
-                Op::Read { .. } | Op::Consume { .. } if live[i] => {
-                    cache.read(p, set_of(i as u8), 0);
-                }
-                Op::Fill { .. } if live[i] && written[i] => {
-                    cache.fill(p, set_of(i as u8), 0);
-                }
-                Op::Free { .. } if live[i] => {
-                    cache.free(p, set_of(i as u8), 0);
-                    live[i] = false;
-                }
-                _ => {}
-            }
+            lifecycle.apply(&mut caches, op, nsets, 0);
+            let cache = &caches[0];
             prop_assert!(cache.audit().is_ok(), "audit failed: {:?}", cache.audit());
             let mut per_set = vec![0usize; nsets];
             for e in cache.entries() {
@@ -209,46 +271,11 @@ proptest! {
         let mut cache = RegisterCache::new_smt(cfg, NPREGS, nthreads);
         let cap = cache.current_cap(0).expect("OccupancyCap mode has a cap");
         prop_assert_eq!(cap, 4);
-        let set_of = |preg: u8| (preg as usize % nsets) as u16;
-        let mut live = [false; NPREGS];
-        let mut written = [false; NPREGS];
+        let mut lifecycle = Lifecycle::new();
         let mut now = 0u64;
         for op in ops {
             now += 1;
-            let i = match op {
-                Op::Init { preg, .. }
-                | Op::Consume { preg }
-                | Op::Write { preg, .. }
-                | Op::Read { preg }
-                | Op::Fill { preg }
-                | Op::Free { preg } => preg as usize,
-            };
-            let p = PhysReg(i as u16);
-            match op {
-                Op::Init { .. } => {
-                    if live[i] {
-                        cache.free(p, set_of(i as u8), now);
-                    }
-                    cache.produce(p);
-                    live[i] = true;
-                    written[i] = false;
-                }
-                Op::Write { remaining, pinned, .. } if live[i] && !written[i] => {
-                    cache.write(p, set_of(i as u8), remaining, pinned, 0, now);
-                    written[i] = true;
-                }
-                Op::Read { .. } | Op::Consume { .. } if live[i] => {
-                    cache.read(p, set_of(i as u8), now);
-                }
-                Op::Fill { .. } if live[i] && written[i] => {
-                    cache.fill(p, set_of(i as u8), now);
-                }
-                Op::Free { .. } if live[i] => {
-                    cache.free(p, set_of(i as u8), now);
-                    live[i] = false;
-                }
-                _ => {}
-            }
+            lifecycle.apply(std::slice::from_mut(&mut cache), op, nsets, now);
             prop_assert!(cache.audit().is_ok(), "audit failed: {:?}", cache.audit());
             let mut per_thread = vec![0usize; nthreads];
             for e in cache.entries() {
@@ -280,51 +307,16 @@ proptest! {
         let nsets = cfg.entries / cfg.ways;
         let entries = cfg.entries;
         let mut cache = RegisterCache::new_smt(cfg, NPREGS, nthreads);
-        let set_of = |preg: u8| (preg as usize % nsets) as u16;
-        let mut live = [false; NPREGS];
-        let mut written = [false; NPREGS];
+        let mut lifecycle = Lifecycle::new();
         let mut now = 0u64;
         for op in ops {
             now += 1;
-            let i = match op {
-                Op::Init { preg, .. }
-                | Op::Consume { preg }
-                | Op::Write { preg, .. }
-                | Op::Read { preg }
-                | Op::Fill { preg }
-                | Op::Free { preg } => preg as usize,
-            };
-            let p = PhysReg(i as u16);
-            match op {
-                Op::Init { .. } => {
-                    if live[i] {
-                        cache.free(p, set_of(i as u8), now);
-                    }
-                    cache.produce(p);
-                    live[i] = true;
-                    written[i] = false;
-                }
-                Op::Write { remaining, pinned, .. } if live[i] && !written[i] => {
-                    cache.write(p, set_of(i as u8), remaining, pinned, 0, now);
-                    written[i] = true;
-                }
-                Op::Read { .. } | Op::Consume { .. } if live[i] => {
-                    cache.read(p, set_of(i as u8), now);
-                }
-                Op::Fill { .. } if live[i] && written[i] => {
-                    cache.fill(p, set_of(i as u8), now);
-                }
-                Op::Free { .. } if live[i] => {
-                    cache.free(p, set_of(i as u8), now);
-                    live[i] = false;
-                }
-                _ => {}
-            }
+            lifecycle.apply(std::slice::from_mut(&mut cache), op, nsets, now);
             if now.is_multiple_of(8) {
                 let fb = cache.epoch_boundary(now);
-                prop_assert_eq!(fb.new_caps.iter().sum::<usize>(), entries);
+                prop_assert_eq!(fb.caps.iter().sum::<usize>(), entries);
                 prop_assert_eq!(
-                    fb.new_caps.as_slice(),
+                    fb.caps.as_slice(),
                     cache.dynamic_caps().expect("DynamicCap mode"),
                     "feedback and installed quotas diverged"
                 );
@@ -363,51 +355,16 @@ proptest! {
         let nsets = cfg.entries / cfg.ways;
         let ways = cfg.ways;
         let mut cache = RegisterCache::new_smt(cfg, NPREGS, nthreads);
-        let set_of = |preg: u8| (preg as usize % nsets) as u16;
-        let mut live = [false; NPREGS];
-        let mut written = [false; NPREGS];
+        let mut lifecycle = Lifecycle::new();
         let mut now = 0u64;
         for op in ops {
             now += 1;
-            let i = match op {
-                Op::Init { preg, .. }
-                | Op::Consume { preg }
-                | Op::Write { preg, .. }
-                | Op::Read { preg }
-                | Op::Fill { preg }
-                | Op::Free { preg } => preg as usize,
-            };
-            let p = PhysReg(i as u16);
-            match op {
-                Op::Init { .. } => {
-                    if live[i] {
-                        cache.free(p, set_of(i as u8), now);
-                    }
-                    cache.produce(p);
-                    live[i] = true;
-                    written[i] = false;
-                }
-                Op::Write { remaining, pinned, .. } if live[i] && !written[i] => {
-                    cache.write(p, set_of(i as u8), remaining, pinned, 0, now);
-                    written[i] = true;
-                }
-                Op::Read { .. } | Op::Consume { .. } if live[i] => {
-                    cache.read(p, set_of(i as u8), now);
-                }
-                Op::Fill { .. } if live[i] && written[i] => {
-                    cache.fill(p, set_of(i as u8), now);
-                }
-                Op::Free { .. } if live[i] => {
-                    cache.free(p, set_of(i as u8), now);
-                    live[i] = false;
-                }
-                _ => {}
-            }
+            lifecycle.apply(std::slice::from_mut(&mut cache), op, nsets, now);
             if now.is_multiple_of(8) {
                 let fb = cache.epoch_boundary(now);
-                prop_assert_eq!(fb.new_ways.iter().sum::<usize>(), ways);
+                prop_assert_eq!(fb.ways.iter().sum::<usize>(), ways);
                 prop_assert_eq!(
-                    fb.new_ways.as_slice(),
+                    fb.ways.as_slice(),
                     cache.way_counts().expect("DynamicWay mode"),
                     "feedback and installed way counts diverged"
                 );

@@ -1,4 +1,5 @@
 use crate::history::GlobalHistory;
+use std::fmt;
 
 /// Configuration of the degree-of-use predictor.
 ///
@@ -35,6 +36,50 @@ impl Default for DouseConfig {
         }
     }
 }
+
+impl DouseConfig {
+    /// Checks that a predictor can be built from this configuration:
+    /// [`DegreeOfUsePredictor::new`] panics with the error's message.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule the configuration breaks.
+    pub fn validate(&self) -> Result<(), DouseConfigError> {
+        if !self.sets.is_power_of_two() {
+            return Err(DouseConfigError::Sets { sets: self.sets });
+        }
+        if self.ways == 0 {
+            return Err(DouseConfigError::ZeroWays);
+        }
+        Ok(())
+    }
+}
+
+/// A [`DouseConfig`] no predictor can be built from, from
+/// [`DouseConfig::validate`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DouseConfigError {
+    /// The set count is not a power of two (the index is a bit mask).
+    Sets {
+        /// Configured set count.
+        sets: usize,
+    },
+    /// The associativity is zero.
+    ZeroWays,
+}
+
+impl fmt::Display for DouseConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DouseConfigError::Sets { sets } => {
+                write!(f, "sets must be a power of two (got {sets})")
+            }
+            DouseConfigError::ZeroWays => write!(f, "ways must be at least 1"),
+        }
+    }
+}
+
+impl std::error::Error for DouseConfigError {}
 
 /// Running accuracy statistics for the predictor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -119,10 +164,12 @@ impl DegreeOfUsePredictor {
     ///
     /// # Panics
     ///
-    /// Panics unless `sets` is a power of two and `ways >= 1`.
+    /// Panics with the [`DouseConfig::validate`] error's message unless
+    /// `sets` is a power of two and `ways >= 1`.
     pub fn new(config: DouseConfig) -> Self {
-        assert!(config.sets.is_power_of_two(), "sets must be a power of two");
-        assert!(config.ways >= 1, "ways must be at least 1");
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         Self {
             entries: vec![Entry::default(); config.sets * config.ways],
             config,

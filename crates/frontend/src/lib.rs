@@ -32,7 +32,7 @@ mod ras;
 mod simple;
 mod yags;
 
-pub use douse::{DegreeOfUsePredictor, DouseConfig, DouseStats};
+pub use douse::{DegreeOfUsePredictor, DouseConfig, DouseConfigError, DouseStats};
 pub use history::GlobalHistory;
 pub use indirect::CascadingIndirect;
 pub use ras::ReturnAddressStack;

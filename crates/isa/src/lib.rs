@@ -39,6 +39,6 @@ mod reg;
 pub use asm::{assemble, assemble_at, AsmError};
 pub use encode::{DecodeInstError, EncodeInstError};
 pub use inst::{AluImmOp, AluOp, BranchCond, CvtDir, ExecClass, FpuOp, Inst, MemWidth};
-pub use listing::{from_image, listing, to_image, ImageError};
+pub use listing::listing;
 pub use program::{Program, DATA_BASE, TEXT_BASE};
 pub use reg::{Reg, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS, RA, SP, ZERO};

@@ -1,16 +1,11 @@
-//! Program listings (disassembly) and a flat binary container format.
+//! Program listings (disassembly).
 //!
 //! The listing renders a [`Program`] the way an `objdump`-style tool
 //! would: addresses, encoded words, mnemonics, and label annotations
-//! from the symbol table. The binary format serializes a program to a
-//! self-contained byte image and back — useful for shipping assembled
-//! workloads without their source.
+//! from the symbol table.
 
-use crate::inst::Inst;
 use crate::program::Program;
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
 use std::fmt::Write as _;
 
 /// Renders a disassembly listing of the text segment.
@@ -50,111 +45,6 @@ pub fn listing(program: &Program) -> String {
     out
 }
 
-/// Error deserializing a [`Program`] image.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ImageError {
-    /// The image is shorter than its header claims.
-    Truncated,
-    /// The magic number is wrong (not a UBRC image).
-    BadMagic,
-    /// An instruction word failed to decode.
-    BadInstruction {
-        /// Index of the bad word in the text segment.
-        index: usize,
-    },
-}
-
-impl fmt::Display for ImageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ImageError::Truncated => write!(f, "image truncated"),
-            ImageError::BadMagic => write!(f, "bad magic number"),
-            ImageError::BadInstruction { index } => {
-                write!(f, "undecodable instruction at text index {index}")
-            }
-        }
-    }
-}
-
-impl Error for ImageError {}
-
-const MAGIC: u32 = 0x5542_5243; // "UBRC"
-
-/// Serializes a program to a flat binary image (symbols are not
-/// preserved; the entry point is).
-///
-/// # Examples
-///
-/// ```
-/// use ubrc_isa::{assemble, from_image, to_image};
-///
-/// let p = assemble("main: li r1, 7\n halt\n")?;
-/// let image = to_image(&p);
-/// let q = from_image(&image).unwrap();
-/// assert_eq!(p.text, q.text);
-/// assert_eq!(p.entry, q.entry);
-/// # Ok::<(), ubrc_isa::AsmError>(())
-/// ```
-pub fn to_image(program: &Program) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&program.text_base.to_le_bytes());
-    out.extend_from_slice(&program.data_base.to_le_bytes());
-    out.extend_from_slice(&program.entry.to_le_bytes());
-    out.extend_from_slice(&(program.text.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(program.data.len() as u64).to_le_bytes());
-    for inst in &program.text {
-        let word = inst
-            .encode()
-            .expect("programs contain encodable instructions");
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-    out.extend_from_slice(&program.data);
-    out
-}
-
-/// Deserializes a program image produced by [`to_image`].
-///
-/// # Errors
-///
-/// Returns [`ImageError`] for truncated input, a wrong magic number, or
-/// undecodable instruction words.
-pub fn from_image(bytes: &[u8]) -> Result<Program, ImageError> {
-    fn take<const N: usize>(bytes: &[u8], off: &mut usize) -> Result<[u8; N], ImageError> {
-        let end = *off + N;
-        let slice = bytes.get(*off..end).ok_or(ImageError::Truncated)?;
-        *off = end;
-        Ok(slice.try_into().expect("length checked"))
-    }
-    let mut off = 0;
-    let magic = u32::from_le_bytes(take::<4>(bytes, &mut off)?);
-    if magic != MAGIC {
-        return Err(ImageError::BadMagic);
-    }
-    let text_base = u64::from_le_bytes(take::<8>(bytes, &mut off)?);
-    let data_base = u64::from_le_bytes(take::<8>(bytes, &mut off)?);
-    let entry = u64::from_le_bytes(take::<8>(bytes, &mut off)?);
-    let text_len = u64::from_le_bytes(take::<8>(bytes, &mut off)?) as usize;
-    let data_len = u64::from_le_bytes(take::<8>(bytes, &mut off)?) as usize;
-    let mut text = Vec::with_capacity(text_len);
-    for index in 0..text_len {
-        let word = u32::from_le_bytes(take::<4>(bytes, &mut off)?);
-        text.push(Inst::decode(word).map_err(|_| ImageError::BadInstruction { index })?);
-    }
-    let data = bytes
-        .get(off..off + data_len)
-        .ok_or(ImageError::Truncated)?
-        .to_vec();
-    Ok(Program {
-        text_base,
-        text,
-        data_base,
-        data,
-        entry,
-        symbols: BTreeMap::new(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,55 +69,5 @@ mod tests {
         assert!(l.contains("ld r2, 0(r1)"));
         assert!(l.contains(">")); // entry marker
         assert!(l.contains("0x00001000"));
-    }
-
-    #[test]
-    fn image_roundtrip_preserves_everything_but_symbols() {
-        let p = sample();
-        let img = to_image(&p);
-        let q = from_image(&img).unwrap();
-        assert_eq!(p.text, q.text);
-        assert_eq!(p.data, q.data);
-        assert_eq!(p.text_base, q.text_base);
-        assert_eq!(p.data_base, q.data_base);
-        assert_eq!(p.entry, q.entry);
-        assert!(q.symbols.is_empty());
-    }
-
-    #[test]
-    fn truncated_image_rejected() {
-        let img = to_image(&sample());
-        for cut in [0, 3, 10, img.len() - 1] {
-            assert!(
-                matches!(from_image(&img[..cut]), Err(ImageError::Truncated)),
-                "cut at {cut} not detected"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut img = to_image(&sample());
-        img[0] ^= 0xff;
-        assert_eq!(from_image(&img), Err(ImageError::BadMagic));
-    }
-
-    #[test]
-    fn bad_instruction_rejected() {
-        let mut img = to_image(&sample());
-        // Corrupt the first instruction word (after the 44-byte
-        // header) to opcode 63.
-        img[44 + 3] = 0xff;
-        assert!(matches!(
-            from_image(&img),
-            Err(ImageError::BadInstruction { index: 0 })
-        ));
-    }
-
-    #[test]
-    fn double_roundtrip_is_stable() {
-        let p = sample();
-        let once = to_image(&from_image(&to_image(&p)).unwrap());
-        assert_eq!(once, to_image(&p));
     }
 }

@@ -1,3 +1,5 @@
+use std::fmt;
+
 /// Geometry of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -14,23 +16,96 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (non-power-of-two line
-    /// size, capacity not divisible into `ways` lines per set).
+    /// Panics with the [`CacheConfig::validate`] error's message if the
+    /// geometry is inconsistent.
     pub fn sets(&self) -> usize {
-        assert!(
-            self.line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        let lines = self.size_bytes / self.line_bytes;
-        assert!(
-            lines.is_multiple_of(self.ways),
-            "capacity must divide into ways"
-        );
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+        self.size_bytes / self.line_bytes / self.ways
+    }
+
+    /// Checks the geometry: a power-of-two line size, a capacity that
+    /// divides into `ways` lines per set, and a power-of-two set count.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule the geometry breaks.
+    pub fn validate(&self) -> Result<(), MemSysConfigError> {
+        let line_bytes = self.line_bytes;
+        if !line_bytes.is_power_of_two() {
+            return Err(MemSysConfigError::LineSize { line_bytes });
+        }
+        let lines = self.size_bytes / line_bytes;
+        if self.ways == 0 || !lines.is_multiple_of(self.ways) {
+            return Err(MemSysConfigError::Ways {
+                size_bytes: self.size_bytes,
+                line_bytes,
+                ways: self.ways,
+            });
+        }
         let sets = lines / self.ways;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        sets
+        if !sets.is_power_of_two() {
+            return Err(MemSysConfigError::Sets { sets });
+        }
+        Ok(())
     }
 }
+
+/// A memory-hierarchy configuration no [`crate::MemSys`] can be built
+/// from, from [`crate::MemSysConfig::validate`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MemSysConfigError {
+    /// A cache's line size is not a power of two.
+    LineSize {
+        /// Configured line size.
+        line_bytes: usize,
+    },
+    /// A cache's capacity does not divide into `ways` lines per set.
+    Ways {
+        /// Configured capacity.
+        size_bytes: usize,
+        /// Configured line size.
+        line_bytes: usize,
+        /// Configured associativity.
+        ways: usize,
+    },
+    /// A cache's set count is not a power of two.
+    Sets {
+        /// The set count the geometry implies.
+        sets: usize,
+    },
+    /// A buffer capacity or the store-buffer drain interval is zero.
+    Zero {
+        /// Name of the zero field.
+        field: &'static str,
+    },
+}
+
+impl fmt::Display for MemSysConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MemSysConfigError::LineSize { line_bytes } => {
+                write!(f, "line size must be a power of two (got {line_bytes})")
+            }
+            MemSysConfigError::Ways {
+                size_bytes,
+                line_bytes,
+                ways,
+            } => write!(
+                f,
+                "capacity must divide into ways ({size_bytes} bytes of {line_bytes}-byte \
+                 lines, {ways} ways)"
+            ),
+            MemSysConfigError::Sets { sets } => {
+                write!(f, "set count must be a power of two (got {sets})")
+            }
+            MemSysConfigError::Zero { field } => write!(f, "{field} must be positive"),
+        }
+    }
+}
+
+impl std::error::Error for MemSysConfigError {}
 
 /// Hit/miss tallies for one cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -1,5 +1,5 @@
 use crate::buffer::LineBuffer;
-use crate::cache::{Cache, CacheConfig};
+use crate::cache::{Cache, CacheConfig, MemSysConfigError};
 use crate::store_buffer::StoreBuffer;
 
 /// Latency and geometry of the full memory hierarchy.
@@ -29,6 +29,28 @@ pub struct MemSysConfig {
 }
 
 impl MemSysConfig {
+    /// Checks that a hierarchy can be built from this configuration:
+    /// both cache geometries ([`CacheConfig::validate`]) and non-zero
+    /// buffer sizes and drain interval. [`MemSys::new`] panics with the
+    /// error's message.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule the configuration breaks.
+    pub fn validate(&self) -> Result<(), MemSysConfigError> {
+        self.l1.validate()?;
+        self.l2.validate()?;
+        let zero = [
+            ("buffer_lines", self.buffer_lines == 0),
+            ("store_buffer_entries", self.store_buffer_entries == 0),
+            ("store_drain_interval", self.store_drain_interval == 0),
+        ];
+        match zero.into_iter().find(|&(_, is_zero)| is_zero) {
+            Some((field, _)) => Err(MemSysConfigError::Zero { field }),
+            None => Ok(()),
+        }
+    }
+
     /// The configuration of Table 1 of the paper.
     pub fn table1() -> Self {
         Self {
@@ -111,8 +133,12 @@ impl MemSys {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent cache geometry.
+    /// Panics with the [`MemSysConfig::validate`] error's message on an
+    /// inconsistent configuration.
     pub fn new(config: MemSysConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         Self {
             l1i: Cache::new(config.l1),
             l1d: Cache::new(config.l1),

@@ -32,6 +32,6 @@ mod hierarchy;
 mod store_buffer;
 
 pub use buffer::LineBuffer;
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig, CacheStats, MemSysConfigError};
 pub use hierarchy::{AccessLevel, MemSys, MemSysConfig, MemSysStats};
 pub use store_buffer::StoreBuffer;

@@ -8,8 +8,10 @@
 //! end of every cycle, but never writes into the timing model.
 
 use std::fmt;
-use ubrc_core::{PhysReg, RegisterCache, UseTracker};
+use ubrc_core::{CacheConfigError, PhysReg, RegisterCache, UseTracker};
 use ubrc_emu::EmuError;
+use ubrc_frontend::DouseConfigError;
+use ubrc_memsys::MemSysConfigError;
 
 /// Runtime-checking configuration (`SimConfig::check`).
 ///
@@ -170,7 +172,8 @@ pub struct DiagnosticDump {
     /// Cycle of the most recent recovery, if any.
     pub last_recovery: Option<u64>,
     /// Dynamic-repartitioning epoch boundaries completed before the
-    /// stall ([`ubrc_core::CachePartition::DynamicCap`] only).
+    /// stall ([`ubrc_core::CachePartition::DynamicCap`] and
+    /// [`ubrc_core::CachePartition::DynamicWay`]).
     pub epochs: u64,
     /// The per-thread occupancy quotas in force when the watchdog
     /// fired (`DynamicCap` only) — a starved quota shows up here.
@@ -285,14 +288,6 @@ pub enum ConfigError {
         /// Architectural registers each thread must map.
         arch_regs: usize,
     },
-    /// The register cache's `entries` is not a positive multiple of its
-    /// `ways`, so it has no whole number of sets.
-    CacheGeometry {
-        /// Configured cache entries.
-        entries: usize,
-        /// Configured cache associativity.
-        ways: usize,
-    },
     /// A width or port count is zero.
     ZeroWidth {
         /// Name of the zero field.
@@ -311,66 +306,6 @@ pub enum ConfigError {
         /// Minimum required (`arch_regs + 1`).
         required: usize,
     },
-    /// [`ubrc_core::CachePartition::WayPartition`] needs the cache ways
-    /// to divide evenly across threads.
-    WayPartitionMismatch {
-        /// Configured cache associativity.
-        ways: usize,
-        /// Thread count.
-        nthreads: usize,
-    },
-    /// [`ubrc_core::CachePartition::OccupancyCap`] needs at least one
-    /// cache entry per thread.
-    OccupancyCapTooSmall {
-        /// Configured cache entries.
-        entries: usize,
-        /// Thread count.
-        nthreads: usize,
-    },
-    /// [`ubrc_core::CachePartition::DynamicCap`] needs a non-zero
-    /// repartitioning period.
-    DynamicCapZeroEpoch,
-    /// [`ubrc_core::CachePartition::DynamicCap`] needs at least one
-    /// cache entry per thread.
-    DynamicCapTooSmall {
-        /// Configured cache entries.
-        entries: usize,
-        /// Thread count.
-        nthreads: usize,
-    },
-    /// The [`ubrc_core::CachePartition::DynamicCap`] quota floor cannot
-    /// be honored for every thread at once.
-    DynamicCapMinCapTooLarge {
-        /// Configured per-thread quota floor.
-        min_cap: usize,
-        /// Thread count.
-        nthreads: usize,
-        /// Configured cache entries (`min_cap * nthreads` exceeds it).
-        entries: usize,
-    },
-    /// [`ubrc_core::CachePartition::DynamicWay`] needs a non-zero
-    /// repartitioning period.
-    DynamicWayZeroEpoch,
-    /// [`ubrc_core::CachePartition::DynamicWay`] starts from an even
-    /// way split, so the ways must divide across the threads.
-    DynamicWayMismatch {
-        /// Configured cache associativity.
-        ways: usize,
-        /// Thread count.
-        nthreads: usize,
-    },
-    /// An [`ubrc_core::EpochAdapt`] range must satisfy
-    /// `1 <= min_cycles <= max_cycles`.
-    EpochAdaptInvalidRange {
-        /// Configured shortest epoch.
-        min_cycles: u64,
-        /// Configured longest epoch.
-        max_cycles: u64,
-    },
-    /// [`ubrc_core::EpochAdapt`] paces repartitions, so it requires a
-    /// dynamic [`ubrc_core::CachePartition`] (`DynamicCap` or
-    /// `DynamicWay`).
-    EpochAdaptStaticPartition,
     /// A [`crate::FreelistPolicy::Shared`] pool reassigns register
     /// ownership dynamically, so a statically thread-partitioned cache
     /// ([`ubrc_core::CachePartition`] other than `Shared`) cannot tag
@@ -384,6 +319,13 @@ pub enum ConfigError {
         /// Architectural registers each thread permanently holds.
         arch_regs: usize,
     },
+    /// The register cache cannot be built: its geometry, partition or
+    /// epoch pacing is infeasible for the thread count.
+    Cache(CacheConfigError),
+    /// The degree-of-use predictor cannot be built.
+    Douse(DouseConfigError),
+    /// The memory hierarchy cannot be built.
+    MemSys(MemSysConfigError),
     /// The fault plan is malformed or incompatible with the protection
     /// configuration (see [`crate::FaultPlanError`]).
     FaultPlan(crate::inject::FaultPlanError),
@@ -408,11 +350,6 @@ impl fmt::Display for ConfigError {
                 "each thread's register partition ({partition}) must exceed the \
                  architectural set ({arch_regs}); raise phys_regs or lower nthreads"
             ),
-            ConfigError::CacheGeometry { entries, ways } => write!(
-                f,
-                "a register cache of {entries} entries and {ways} ways has no whole \
-                 number of sets: entries must be a positive multiple of ways"
-            ),
             ConfigError::ZeroWidth { field } => {
                 write!(f, "{field} must be at least 1")
             }
@@ -428,55 +365,6 @@ impl fmt::Display for ConfigError {
                 "two-level L1 of {l1_entries} entries cannot hold the architectural \
                  state; it needs at least {required} (arch regs + 1 rename target)"
             ),
-            ConfigError::WayPartitionMismatch { ways, nthreads } => write!(
-                f,
-                "CachePartition::WayPartition needs the cache's {ways} ways to divide \
-                 evenly across {nthreads} threads"
-            ),
-            ConfigError::OccupancyCapTooSmall { entries, nthreads } => write!(
-                f,
-                "CachePartition::OccupancyCap needs at least one cache entry per \
-                 thread ({entries} entries < {nthreads} threads)"
-            ),
-            ConfigError::DynamicCapZeroEpoch => write!(
-                f,
-                "CachePartition::DynamicCap needs epoch_cycles of at least 1"
-            ),
-            ConfigError::DynamicCapTooSmall { entries, nthreads } => write!(
-                f,
-                "CachePartition::DynamicCap needs at least one cache entry per \
-                 thread ({entries} entries < {nthreads} threads)"
-            ),
-            ConfigError::DynamicCapMinCapTooLarge {
-                min_cap,
-                nthreads,
-                entries,
-            } => write!(
-                f,
-                "CachePartition::DynamicCap min_cap {min_cap} x {nthreads} threads \
-                 exceeds the cache's {entries} entries"
-            ),
-            ConfigError::DynamicWayZeroEpoch => write!(
-                f,
-                "CachePartition::DynamicWay needs epoch_cycles of at least 1"
-            ),
-            ConfigError::DynamicWayMismatch { ways, nthreads } => write!(
-                f,
-                "CachePartition::DynamicWay needs the cache's {ways} ways to divide \
-                 evenly across {nthreads} threads"
-            ),
-            ConfigError::EpochAdaptInvalidRange {
-                min_cycles,
-                max_cycles,
-            } => write!(
-                f,
-                "EpochAdapt needs 1 <= min_cycles <= max_cycles (got [{min_cycles}, \
-                 {max_cycles}])"
-            ),
-            ConfigError::EpochAdaptStaticPartition => write!(
-                f,
-                "EpochAdapt requires a dynamic partition (DynamicCap or DynamicWay)"
-            ),
             ConfigError::SharedFreelistWithPartitionedCache => write!(
                 f,
                 "FreelistPolicy::Shared requires CachePartition::Shared (dynamic \
@@ -487,6 +375,9 @@ impl fmt::Display for ConfigError {
                 "shared-freelist cap {cap} must exceed the architectural register \
                  count {arch_regs} or rename deadlocks"
             ),
+            ConfigError::Cache(e) => write!(f, "register cache: {e}"),
+            ConfigError::Douse(e) => write!(f, "degree-of-use predictor: {e}"),
+            ConfigError::MemSys(e) => write!(f, "memory hierarchy: {e}"),
             ConfigError::FaultPlan(e) => write!(f, "invalid fault plan: {e}"),
         }
     }
@@ -524,26 +415,18 @@ pub(crate) struct Checker {
     /// parity fault: the mirror comparison is suspended (the *protected
     /// read* is what must catch it) until the recovery scrub resyncs.
     suspect: Vec<bool>,
-    /// Physical registers per thread partition, to attribute per-preg
-    /// violations to the owning hardware thread.
-    partition: usize,
     pub(crate) fill_obligations: Vec<FillObligation>,
 }
 
 impl Checker {
-    pub(crate) fn new(npregs: usize, partition: usize) -> Self {
+    pub(crate) fn new(npregs: usize) -> Self {
         Self {
             remaining: vec![0; npregs],
             pinned: vec![false; npregs],
             active: vec![false; npregs],
             suspect: vec![false; npregs],
-            partition,
             fill_obligations: Vec::new(),
         }
-    }
-
-    fn thread_of(&self, preg: usize) -> Option<usize> {
-        Some(preg / self.partition)
     }
 
     /// Mirrors `UseTracker::init` (clamped remaining + pinned flag).
@@ -616,10 +499,12 @@ impl Checker {
     }
 
     /// Cross-checks the real use tracker against the mirror.
+    /// `thread_of` names the thread that owns a physical register.
     pub(crate) fn check_tracker(
         &self,
         tracker: &UseTracker,
         cycle: u64,
+        thread_of: impl Fn(u16) -> usize,
     ) -> Option<Box<InvariantViolation>> {
         for (i, &active) in self.active.iter().enumerate() {
             let p = PhysReg(i as u16);
@@ -629,7 +514,7 @@ impl Checker {
             if tracker.is_active(p) != active {
                 return Some(Box::new(InvariantViolation {
                     cycle,
-                    thread: self.thread_of(i),
+                    thread: Some(thread_of(i as u16)),
                     invariant: "use-tracker-liveness",
                     detail: format!(
                         "{p}: tracker active={}, mirror active={active}",
@@ -643,7 +528,7 @@ impl Checker {
             if tracker.remaining(p) != self.remaining[i] {
                 return Some(Box::new(InvariantViolation {
                     cycle,
-                    thread: self.thread_of(i),
+                    thread: Some(thread_of(i as u16)),
                     invariant: "use-counter",
                     detail: format!(
                         "{p}: tracker remaining={}, mirror={} (counter corrupted or \
@@ -656,7 +541,7 @@ impl Checker {
             if tracker.is_pinned(p) != self.pinned[i] {
                 return Some(Box::new(InvariantViolation {
                     cycle,
-                    thread: self.thread_of(i),
+                    thread: Some(thread_of(i as u16)),
                     invariant: "use-counter-pin",
                     detail: format!(
                         "{p}: tracker pinned={}, mirror pinned={}",
@@ -669,16 +554,19 @@ impl Checker {
         None
     }
 
-    /// Audits the register cache: internal consistency plus the
-    /// pinned-entry cross-check against the tracker. Fill-installed
-    /// entries are exempt from the pin check — a pinned value evicted
-    /// and later re-fetched legitimately re-enters unpinned with the
-    /// fill default (§3.3).
+    /// Audits the register cache: internal consistency and the SMT
+    /// partition ([`RegisterCache::audit`]) plus the pinned-entry
+    /// cross-check against the tracker. Fill-installed entries are
+    /// exempt from the pin check — a pinned value evicted and later
+    /// re-fetched legitimately re-enters unpinned with the fill default
+    /// (§3.3). `thread_of` names the thread that owns a physical
+    /// register.
     pub(crate) fn check_cache(
         &self,
         cache: &RegisterCache,
         tracker: &UseTracker,
         cycle: u64,
+        thread_of: impl Fn(u16) -> usize,
     ) -> Option<Box<InvariantViolation>> {
         if let Err(detail) = cache.audit() {
             return Some(Box::new(InvariantViolation {
@@ -695,7 +583,7 @@ impl Checker {
             if tracker.is_pinned(e.preg) && !e.pinned {
                 return Some(Box::new(InvariantViolation {
                     cycle,
-                    thread: self.thread_of(e.preg.0 as usize),
+                    thread: Some(thread_of(e.preg.0)),
                     invariant: "pinned-entry",
                     detail: format!(
                         "{}: tracker says pinned but the resident entry (set {}) is not",

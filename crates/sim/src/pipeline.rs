@@ -95,103 +95,33 @@ impl Simulator {
             });
         }
         if let RegStorage::Cached { cache, .. } = &config.storage {
-            if cache.entries == 0 || cache.ways == 0 || !cache.entries.is_multiple_of(cache.ways) {
-                return Err(ConfigError::CacheGeometry {
-                    entries: cache.entries,
-                    ways: cache.ways,
-                });
-            }
+            cache.validate(nthreads).map_err(ConfigError::Cache)?;
             if config.backing_read_ports == 0 {
                 return Err(ConfigError::ZeroWidth {
                     field: "backing_read_ports",
                 });
             }
         }
-        match &config.storage {
-            RegStorage::TwoLevel(tl) => {
-                if tl.transfers_per_cycle == 0 {
-                    return Err(ConfigError::ZeroWidth {
-                        field: "transfers_per_cycle",
-                    });
-                }
-                if nthreads > 1 {
-                    // Its transfer-eligibility bookkeeping is keyed by a
-                    // single program order.
-                    return Err(ConfigError::TwoLevelSmt { nthreads });
-                }
-                if tl.l1_entries <= narch {
-                    return Err(ConfigError::L1TooSmall {
-                        l1_entries: tl.l1_entries,
-                        required: narch + 1,
-                    });
-                }
+        if let RegStorage::TwoLevel(tl) = &config.storage {
+            if tl.transfers_per_cycle == 0 {
+                return Err(ConfigError::ZeroWidth {
+                    field: "transfers_per_cycle",
+                });
             }
-            RegStorage::Cached { cache, .. } if nthreads > 1 => {
-                if let Some(a) = cache.epoch_adapt {
-                    if a.min_cycles == 0 || a.min_cycles > a.max_cycles {
-                        return Err(ConfigError::EpochAdaptInvalidRange {
-                            min_cycles: a.min_cycles,
-                            max_cycles: a.max_cycles,
-                        });
-                    }
-                    if !cache.partition.is_dynamic() {
-                        return Err(ConfigError::EpochAdaptStaticPartition);
-                    }
-                }
-                match cache.partition {
-                    ubrc_core::CachePartition::Shared => {}
-                    ubrc_core::CachePartition::WayPartition => {
-                        if !cache.ways.is_multiple_of(nthreads) {
-                            return Err(ConfigError::WayPartitionMismatch {
-                                ways: cache.ways,
-                                nthreads,
-                            });
-                        }
-                    }
-                    ubrc_core::CachePartition::OccupancyCap => {
-                        if cache.entries < nthreads {
-                            return Err(ConfigError::OccupancyCapTooSmall {
-                                entries: cache.entries,
-                                nthreads,
-                            });
-                        }
-                    }
-                    ubrc_core::CachePartition::DynamicCap {
-                        epoch_cycles,
-                        min_cap,
-                    } => {
-                        if epoch_cycles == 0 {
-                            return Err(ConfigError::DynamicCapZeroEpoch);
-                        }
-                        if cache.entries < nthreads {
-                            return Err(ConfigError::DynamicCapTooSmall {
-                                entries: cache.entries,
-                                nthreads,
-                            });
-                        }
-                        if min_cap * nthreads > cache.entries {
-                            return Err(ConfigError::DynamicCapMinCapTooLarge {
-                                min_cap,
-                                nthreads,
-                                entries: cache.entries,
-                            });
-                        }
-                    }
-                    ubrc_core::CachePartition::DynamicWay { epoch_cycles } => {
-                        if epoch_cycles == 0 {
-                            return Err(ConfigError::DynamicWayZeroEpoch);
-                        }
-                        if !cache.ways.is_multiple_of(nthreads) {
-                            return Err(ConfigError::DynamicWayMismatch {
-                                ways: cache.ways,
-                                nthreads,
-                            });
-                        }
-                    }
-                }
+            if nthreads > 1 {
+                // Its transfer-eligibility bookkeeping is keyed by a
+                // single program order.
+                return Err(ConfigError::TwoLevelSmt { nthreads });
             }
-            _ => {}
+            if tl.l1_entries <= narch {
+                return Err(ConfigError::L1TooSmall {
+                    l1_entries: tl.l1_entries,
+                    required: narch + 1,
+                });
+            }
         }
+        config.douse.validate().map_err(ConfigError::Douse)?;
+        config.memsys.validate().map_err(ConfigError::MemSys)?;
         if let FreelistPolicy::Shared { cap } = config.freelist {
             if cap <= narch {
                 return Err(ConfigError::SharedFreelistCapTooSmall {
@@ -230,10 +160,7 @@ impl Simulator {
         let narch = ubrc_isa::NUM_ARCH_REGS as usize;
         let partition = npregs / nthreads;
 
-        let mut checker = config
-            .check
-            .invariants
-            .then(|| Checker::new(npregs, partition));
+        let mut checker = config.check.invariants.then(|| Checker::new(npregs));
         let injector = config.fault_plan.as_ref().map(Injector::new);
 
         // A shared freelist reassigns register ownership dynamically, so

@@ -7,9 +7,12 @@
 
 use crate::check::{CheckConfig, ConfigError, SimError};
 use crate::config::{FetchPolicy, FreelistPolicy, RegStorage, SimConfig};
+use crate::stage::Storage;
 use crate::{SimResult, Simulator};
-use ubrc_core::{CachePartition, RegCacheConfig};
+use ubrc_core::{CacheConfigError, CachePartition, RegCacheConfig};
+use ubrc_frontend::DouseConfigError;
 use ubrc_isa::Program;
+use ubrc_memsys::MemSysConfigError;
 use ubrc_workloads::{workload_by_name, Scale};
 
 fn programs(names: &[&str]) -> Vec<Program> {
@@ -319,10 +322,11 @@ fn way_partition_with_indivisible_ways_is_rejected() {
     let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(
         err,
-        ConfigError::WayPartitionMismatch {
+        ConfigError::Cache(CacheConfigError::WaysIndivisible {
+            partition: "WayPartition",
             ways: 3,
             nthreads: 2
-        }
+        })
     );
 }
 
@@ -332,10 +336,11 @@ fn occupancy_cap_with_too_few_entries_is_rejected() {
     let err = rejected(&["crc", "rle"], cfg);
     assert_eq!(
         err,
-        ConfigError::OccupancyCapTooSmall {
+        ConfigError::Cache(CacheConfigError::TooFewEntries {
+            partition: "OccupancyCap",
             entries: 1,
             nthreads: 2
-        }
+        })
     );
 }
 
@@ -374,11 +379,47 @@ fn cache_geometry_without_whole_sets_is_rejected() {
     ] {
         for names in [&QUAD[..1], &QUAD[..2], &QUAD] {
             let err = rejected(names, spec(&format!("use-based,{geometry}")));
-            assert_eq!(err, ConfigError::CacheGeometry { entries, ways });
+            assert_eq!(
+                err,
+                ConfigError::Cache(CacheConfigError::Geometry { entries, ways })
+            );
         }
     }
     let msg = rejected(&["crc"], spec("lru,ways=3")).to_string();
     assert!(msg.contains("64 entries and 3 ways"), "{msg}");
+}
+
+#[test]
+fn zero_douse_sets_are_rejected() {
+    let mut cfg = SimConfig::paper_default();
+    cfg.douse.sets = 0;
+    let err = rejected(&["crc"], cfg);
+    assert_eq!(err, ConfigError::Douse(DouseConfigError::Sets { sets: 0 }));
+    assert!(err.to_string().contains("sets must be a power of two"));
+}
+
+#[test]
+fn zero_douse_ways_are_rejected() {
+    let mut cfg = SimConfig::paper_default();
+    cfg.douse.ways = 0;
+    let err = rejected(&["crc"], cfg);
+    assert_eq!(err, ConfigError::Douse(DouseConfigError::ZeroWays));
+}
+
+#[test]
+fn zero_l1_ways_are_rejected() {
+    let mut cfg = SimConfig::paper_default();
+    cfg.memsys.l1.ways = 0;
+    let err = rejected(&["crc"], cfg);
+    assert_eq!(
+        err,
+        ConfigError::MemSys(MemSysConfigError::Ways {
+            size_bytes: 32 << 10,
+            line_bytes: 64,
+            ways: 0
+        })
+    );
+    assert!(err.to_string().contains("capacity must divide into ways"));
 }
 
 #[test]
@@ -554,6 +595,31 @@ fn shared_freelist_cap_binds_and_is_never_exceeded() {
     assert!(capped_stalls, "a 8-rename-register cap must stall dispatch");
 }
 
+/// Under a shared pool a register's thread is its dynamic owner, not
+/// its static `phys_regs / nthreads` slice: p100 lies in thread 1's
+/// architectural block (p64-p127), so a corrupted use counter there is
+/// thread 1's.
+#[test]
+fn checker_names_the_owner_of_a_shared_pool_register() {
+    let mut cfg = SimConfig::paper_default();
+    cfg.freelist = FreelistPolicy::Shared { cap: 128 };
+    cfg.check = CheckConfig::full();
+    let mut sim = sim(&["crc", "rle"], cfg);
+    let Storage::Cached { tracker, .. } = &mut sim.core.storage else {
+        panic!("the paper default is a cached core");
+    };
+    assert!(tracker.corrupt_counter(ubrc_core::PhysReg(100)));
+    let err = sim
+        .run_checked()
+        .expect_err("the corrupted counter is caught");
+    let SimError::Invariant(v) = *err else {
+        panic!("expected an invariant violation, got {err}");
+    };
+    assert_eq!(v.invariant, "use-counter", "{v}");
+    assert_eq!(v.cycle, 0, "{v}");
+    assert_eq!(v.thread, Some(1), "{v}");
+}
+
 // --- Dynamic cache repartitioning ---------------------------------------
 
 fn dyncap_cache() -> RegCacheConfig {
@@ -669,7 +735,12 @@ fn dynamic_cap_zero_epoch_is_rejected() {
         min_cap: 1,
     };
     let err = rejected(&["crc", "rle"], cached(cache));
-    assert_eq!(err, ConfigError::DynamicCapZeroEpoch);
+    assert_eq!(
+        err,
+        ConfigError::Cache(CacheConfigError::ZeroEpoch {
+            partition: "DynamicCap"
+        })
+    );
 }
 
 #[test]
@@ -682,10 +753,11 @@ fn dynamic_cap_with_too_few_entries_is_rejected() {
     let err = rejected(&["crc", "rle"], cached(cache));
     assert_eq!(
         err,
-        ConfigError::DynamicCapTooSmall {
+        ConfigError::Cache(CacheConfigError::TooFewEntries {
+            partition: "DynamicCap",
             entries: 1,
             nthreads: 2
-        }
+        })
     );
 }
 
@@ -699,11 +771,11 @@ fn dynamic_cap_min_cap_too_large_is_rejected() {
     let err = rejected(&["crc", "rle"], cached(cache));
     assert_eq!(
         err,
-        ConfigError::DynamicCapMinCapTooLarge {
+        ConfigError::Cache(CacheConfigError::MinCapTooLarge {
             min_cap: 40,
             nthreads: 2,
             entries: 64
-        }
+        })
     );
     // The message names all three numbers.
     let msg = err.to_string();
@@ -849,7 +921,12 @@ fn dynamic_way_zero_epoch_is_rejected() {
     let mut cache = RegCacheConfig::use_based(64, 8);
     cache.partition = CachePartition::DynamicWay { epoch_cycles: 0 };
     let err = rejected(&["crc", "rle"], cached(cache));
-    assert_eq!(err, ConfigError::DynamicWayZeroEpoch);
+    assert_eq!(
+        err,
+        ConfigError::Cache(CacheConfigError::ZeroEpoch {
+            partition: "DynamicWay"
+        })
+    );
 }
 
 #[test]
@@ -859,10 +936,11 @@ fn dynamic_way_with_indivisible_ways_is_rejected() {
     let err = rejected(&["crc", "rle"], cached(cache));
     assert_eq!(
         err,
-        ConfigError::DynamicWayMismatch {
+        ConfigError::Cache(CacheConfigError::WaysIndivisible {
+            partition: "DynamicWay",
             ways: 3,
             nthreads: 2
-        }
+        })
     );
 }
 
@@ -885,10 +963,10 @@ fn epoch_adapt_with_empty_range_is_rejected() {
     let err = rejected(&["crc", "rle"], cached(cache));
     assert_eq!(
         err,
-        ConfigError::EpochAdaptInvalidRange {
+        ConfigError::Cache(CacheConfigError::EpochAdaptRange {
             min_cycles: 1024,
             max_cycles: 64
-        }
+        })
     );
 }
 
@@ -896,7 +974,7 @@ fn epoch_adapt_with_empty_range_is_rejected() {
 fn epoch_adapt_on_static_partition_is_rejected() {
     let cfg = spec("use-based,ways=4,partition=waypart,adapt=on");
     let err = rejected(&["crc", "rle"], cfg);
-    assert_eq!(err, ConfigError::EpochAdaptStaticPartition);
+    assert_eq!(err, ConfigError::Cache(CacheConfigError::EpochAdaptStatic));
 }
 
 /// The fetch-policy choosers are all deterministic: identical runs

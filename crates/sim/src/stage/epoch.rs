@@ -22,23 +22,14 @@
 //! untouched).
 
 use super::{CoreState, Storage};
-use crate::stats::EpochRecord;
 
 impl CoreState {
     pub(crate) fn epoch_stage(&mut self, now: u64) {
         let Storage::Cached { cache, .. } = &mut self.storage else {
             return;
         };
-        if !cache.epoch_due(now) {
-            return;
+        if cache.epoch_due(now) {
+            self.epoch_timeline.push(cache.epoch_boundary(now));
         }
-        let fb = cache.epoch_boundary(now);
-        self.epoch_timeline.push(EpochRecord {
-            cycle: fb.cycle,
-            caps: fb.new_caps,
-            ways: fb.new_ways,
-            hits: fb.hits,
-            misses: fb.misses,
-        });
     }
 }

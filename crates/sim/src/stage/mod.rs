@@ -629,8 +629,8 @@ pub(crate) struct CoreState {
     pub(crate) lifetimes: Option<LifetimeCollector>,
     pub(crate) trace: Vec<InstTrace>,
     /// One record per completed dynamic-repartitioning epoch boundary
-    /// (`CachePartition::DynamicCap` only; empty otherwise).
-    pub(crate) epoch_timeline: Vec<crate::stats::EpochRecord>,
+    /// (`CachePartition::DynamicCap` and `DynamicWay`; empty otherwise).
+    pub(crate) epoch_timeline: Vec<ubrc_core::EpochFeedback>,
 
     // Runtime checking and fault injection (`SimConfig::check` /
     // `SimConfig::fault_plan`). All observation-only except the
@@ -1055,113 +1055,12 @@ impl CoreState {
             }
         }
         if let Storage::Cached { cache, tracker, .. } = &self.storage {
-            // SMT partition cross-checks, recomputed from the entry
-            // snapshots rather than the cache's own counters (which
-            // `audit()` inside `check_cache` validates separately).
-            if cache.nthreads() > 1 {
-                let mut counts = vec![0usize; cache.nthreads()];
-                for e in cache.entries() {
-                    let owner = self.thread_of_preg(e.preg.0);
-                    if e.tid as usize != owner {
-                        return viol(
-                            Some(owner),
-                            "cache-thread-tag",
-                            format!(
-                                "cache entry for p{} tagged thread {}, but the register \
-                                 belongs to thread {owner}",
-                                e.preg.0, e.tid
-                            ),
-                        );
-                    }
-                    counts[owner] += 1;
-                    // Way containment generalizes over static and
-                    // epoch-varying ownership: the cache names the way's
-                    // *current* owner (WayPartition forever, DynamicWay
-                    // as of the last boundary).
-                    let way = e.way as usize;
-                    if let Some(who) = cache.way_owner(way) {
-                        if who != owner {
-                            return viol(
-                                Some(owner),
-                                "cache-way-containment",
-                                format!(
-                                    "thread {owner}'s p{} resides in way {way} of set {}, \
-                                     currently owned by thread {who}",
-                                    e.preg.0, e.set,
-                                ),
-                            );
-                        }
-                    }
-                }
-                for (tid, &n) in counts.iter().enumerate() {
-                    if n != cache.thread_occupancy(tid) {
-                        return viol(
-                            Some(tid),
-                            "cache-thread-occupancy",
-                            format!(
-                                "{n} resident entries counted but the cache tracks {}",
-                                cache.thread_occupancy(tid)
-                            ),
-                        );
-                    }
-                    // The cap binding *right now*: the static
-                    // OccupancyCap split, or whatever quota the dynamic
-                    // partitioner installed at the last epoch boundary.
-                    if let Some(cap) = cache.current_cap(tid) {
-                        if n > cap {
-                            return viol(
-                                Some(tid),
-                                "cache-occupancy-cap",
-                                format!("{n} resident entries exceed the per-thread cap {cap}"),
-                            );
-                        }
-                    }
-                }
-                if let Some(caps) = cache.dynamic_caps() {
-                    // Cap-sum conservation: the partitioner reassigns
-                    // quota, it never mints or destroys it.
-                    let total: usize = caps.iter().sum();
-                    if total != cache.config().entries {
-                        return viol(
-                            None,
-                            "cache-cap-conservation",
-                            format!(
-                                "dynamic caps {caps:?} sum to {total}, not the cache's {} entries",
-                                cache.config().entries
-                            ),
-                        );
-                    }
-                }
-                if let Some(ways) = cache.way_counts() {
-                    // Way-sum conservation: way reassignment moves
-                    // whole ways between threads, it never mints or
-                    // destroys them (and every thread keeps >= 1).
-                    let total: usize = ways.iter().sum();
-                    if total != cache.config().ways {
-                        return viol(
-                            None,
-                            "cache-way-conservation",
-                            format!(
-                                "dynamic way counts {ways:?} sum to {total}, not the \
-                                 cache's {} ways",
-                                cache.config().ways
-                            ),
-                        );
-                    }
-                    if let Some(t) = ways.iter().position(|&c| c == 0) {
-                        return viol(
-                            Some(t),
-                            "cache-way-conservation",
-                            format!("thread {t} owns zero ways: {ways:?}"),
-                        );
-                    }
-                }
-            }
             if let Some(ck) = &self.checker {
-                if let Some(v) = ck.check_tracker(tracker, cycle) {
+                let thread_of = |p| self.thread_of_preg(p);
+                if let Some(v) = ck.check_tracker(tracker, cycle, thread_of) {
                     return Some(v);
                 }
-                if let Some(v) = ck.check_cache(cache, tracker, cycle) {
+                if let Some(v) = ck.check_cache(cache, tracker, cycle, thread_of) {
                     return Some(v);
                 }
                 for o in &ck.fill_obligations {

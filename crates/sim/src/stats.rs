@@ -1,4 +1,4 @@
-use ubrc_core::{BackingStats, RegCacheStats, TwoLevelStats};
+use ubrc_core::{BackingStats, EpochFeedback, RegCacheStats, TwoLevelStats};
 use ubrc_frontend::DouseStats;
 use ubrc_memsys::MemSysStats;
 use ubrc_stats::Histogram;
@@ -78,38 +78,6 @@ impl LifetimeCollector {
             live_concurrency: Self::sweep(self.live_events, end),
             alloc_concurrency: Self::sweep(self.alloc_events, end),
         }
-    }
-}
-
-/// One dynamic-partition epoch boundary
-/// ([`ubrc_core::CachePartition::DynamicCap`] or
-/// [`ubrc_core::CachePartition::DynamicWay`]), as recorded in
-/// [`SimResult::epoch_timeline`]: the quotas or way map the lookahead
-/// partitioner installed and the raw per-thread hit/miss deltas of the
-/// epoch that just closed (raw counts, so records stay exactly
-/// comparable across runs).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EpochRecord {
-    /// Cycle the boundary fired.
-    pub cycle: u64,
-    /// Per-thread occupancy quotas in force after this boundary (entry
-    /// equivalents — way counts × sets — under `DynamicWay`).
-    pub caps: Vec<usize>,
-    /// Per-thread way counts in force after this boundary
-    /// (`DynamicWay` only; empty under `DynamicCap`).
-    pub ways: Vec<usize>,
-    /// Per-thread register-cache read hits during the closed epoch.
-    pub hits: Vec<u64>,
-    /// Per-thread register-cache read misses during the closed epoch.
-    pub misses: Vec<u64>,
-}
-
-impl EpochRecord {
-    /// The closed epoch's read hit rate for `tid`, or `None` when the
-    /// thread made no cache reads that epoch.
-    pub fn hit_rate(&self, tid: usize) -> Option<f64> {
-        let total = self.hits[tid] + self.misses[tid];
-        (total > 0).then(|| self.hits[tid] as f64 / total as f64)
     }
 }
 
@@ -195,14 +163,17 @@ pub struct SimResult {
     /// Machine checks per hardware thread (sums to `machine_checks`).
     pub thread_machine_checks: Vec<u64>,
     /// Dynamic-repartitioning epoch boundaries completed
-    /// ([`ubrc_core::CachePartition::DynamicCap`] only; 0 otherwise).
+    /// ([`ubrc_core::CachePartition::DynamicCap`] and
+    /// [`ubrc_core::CachePartition::DynamicWay`]; 0 otherwise).
     pub epochs: u64,
     /// Per-thread occupancy quotas in force at the end of the run
     /// (`DynamicCap` only).
     pub final_thread_caps: Option<Vec<usize>>,
-    /// Per-epoch quota and hit-rate timeline (`DynamicCap` only; empty
+    /// One record per epoch boundary, as the register cache reported it:
+    /// the quotas or way map installed and each thread's hits and misses
+    /// over the closed epoch (`DynamicCap` and `DynamicWay`; empty
     /// otherwise).
-    pub epoch_timeline: Vec<EpochRecord>,
+    pub epoch_timeline: Vec<EpochFeedback>,
     /// Register-cache statistics (cached configurations only).
     pub regcache: Option<RegCacheStats>,
     /// Backing-file statistics (cached configurations only).
@@ -320,19 +291,6 @@ mod tests {
         // Cycles with 0 live: [0,10) and [25,30) = 15.
         let zero = h.iter().find(|&(v, _)| v == 0).map(|(_, n)| n);
         assert_eq!(zero, Some(15));
-    }
-
-    #[test]
-    fn epoch_record_hit_rate_needs_accesses() {
-        let r = EpochRecord {
-            cycle: 64,
-            caps: vec![3, 5],
-            ways: Vec::new(),
-            hits: vec![3, 0],
-            misses: vec![1, 0],
-        };
-        assert_eq!(r.hit_rate(0), Some(0.75));
-        assert_eq!(r.hit_rate(1), None);
     }
 
     #[test]

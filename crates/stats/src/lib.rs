@@ -3,8 +3,8 @@
 //! The timing simulator and the experiment harness need a small set of
 //! measurement tools: integer histograms with percentile queries (register
 //! lifetime phases, occupancy CDFs), time-weighted averages (cache
-//! occupancy), running means (bandwidth, miss rates), and plain-text table
-//! rendering for the per-figure reports.
+//! occupancy), geometric means, and plain-text table rendering for the
+//! per-figure reports.
 //!
 //! Everything here is deterministic and allocation-light; the simulator
 //! calls into these types on nearly every cycle.
@@ -31,5 +31,5 @@ mod table;
 
 pub use histogram::{CdfPoint, Histogram};
 pub use json::Json;
-pub use mean::{geomean, Ratio, RunningMean, TimeWeighted};
+pub use mean::{geomean, TimeWeighted};
 pub use table::Table;

@@ -1,143 +1,3 @@
-use std::fmt;
-
-/// An online arithmetic mean over `f64` samples.
-///
-/// # Examples
-///
-/// ```
-/// use ubrc_stats::RunningMean;
-///
-/// let mut m = RunningMean::new();
-/// m.add(1.0);
-/// m.add(3.0);
-/// assert_eq!(m.mean(), Some(2.0));
-/// assert_eq!(m.count(), 2);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RunningMean {
-    sum: f64,
-    count: u64,
-}
-
-impl RunningMean {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, v: f64) {
-        self.sum += v;
-        self.count += 1;
-    }
-
-    /// Number of samples added.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples added.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// The mean, or `None` if no samples have been added.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
-    }
-}
-
-impl fmt::Display for RunningMean {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.mean() {
-            Some(m) => write!(f, "{m:.4} (n={})", self.count),
-            None => write!(f, "n/a (n=0)"),
-        }
-    }
-}
-
-/// A numerator/denominator pair for rates such as miss rates or
-/// accesses-per-cycle.
-///
-/// Keeping the two tallies separate (instead of a float) lets experiments
-/// aggregate across benchmarks exactly, the way the paper averages
-/// per-benchmark rates.
-///
-/// # Examples
-///
-/// ```
-/// use ubrc_stats::Ratio;
-///
-/// let mut misses = Ratio::new();
-/// misses.add(3, 100);
-/// assert_eq!(misses.value(), Some(0.03));
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Ratio {
-    num: u64,
-    den: u64,
-}
-
-impl Ratio {
-    /// Creates a zero/zero ratio.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds to the numerator and denominator.
-    pub fn add(&mut self, num: u64, den: u64) {
-        self.num += num;
-        self.den += den;
-    }
-
-    /// Increments the numerator by `n` (denominator unchanged).
-    pub fn hit(&mut self, n: u64) {
-        self.num += n;
-    }
-
-    /// Increments the denominator by `n` (numerator unchanged).
-    pub fn total(&mut self, n: u64) {
-        self.den += n;
-    }
-
-    /// Numerator.
-    pub fn numerator(&self) -> u64 {
-        self.num
-    }
-
-    /// Denominator.
-    pub fn denominator(&self) -> u64 {
-        self.den
-    }
-
-    /// `num / den`, or `None` when the denominator is zero.
-    pub fn value(&self) -> Option<f64> {
-        if self.den == 0 {
-            None
-        } else {
-            Some(self.num as f64 / self.den as f64)
-        }
-    }
-
-    /// `num / den` as a percentage, or `None` when the denominator is zero.
-    pub fn percent(&self) -> Option<f64> {
-        self.value().map(|v| v * 100.0)
-    }
-}
-
-impl fmt::Display for Ratio {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.value() {
-            Some(v) => write!(f, "{}/{} = {v:.4}", self.num, self.den),
-            None => write!(f, "{}/0 = n/a", self.num),
-        }
-    }
-}
-
 /// A time-weighted average of a piecewise-constant signal, used for
 /// quantities like "average register cache occupancy" where the value is
 /// sampled at irregular update points.
@@ -237,50 +97,6 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_mean_empty() {
-        let m = RunningMean::new();
-        assert_eq!(m.mean(), None);
-        assert_eq!(m.to_string(), "n/a (n=0)");
-    }
-
-    #[test]
-    fn running_mean_accumulates() {
-        let mut m = RunningMean::new();
-        for v in [2.0, 4.0, 6.0] {
-            m.add(v);
-        }
-        assert_eq!(m.mean(), Some(4.0));
-        assert_eq!(m.sum(), 12.0);
-    }
-
-    #[test]
-    fn ratio_zero_denominator_is_none() {
-        let mut r = Ratio::new();
-        r.hit(5);
-        assert_eq!(r.value(), None);
-        assert_eq!(r.percent(), None);
-    }
-
-    #[test]
-    fn ratio_accumulates_exactly() {
-        let mut r = Ratio::new();
-        r.add(1, 4);
-        r.add(1, 4);
-        assert_eq!(r.value(), Some(0.25));
-        assert_eq!(r.percent(), Some(25.0));
-        assert_eq!(r.numerator(), 2);
-        assert_eq!(r.denominator(), 8);
-    }
-
-    #[test]
-    fn ratio_hit_and_total() {
-        let mut r = Ratio::new();
-        r.total(10);
-        r.hit(3);
-        assert_eq!(r.value(), Some(0.3));
-    }
 
     #[test]
     fn time_weighted_average_over_constant_signal() {
