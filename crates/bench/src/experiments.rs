@@ -1130,22 +1130,19 @@ pub fn dynway(scale: Scale) -> Result<Table, SuiteError> {
 /// (round-robin lets a stalled thread hold fetch slots), while the
 /// shared pool trades isolation for rename headroom.
 pub fn fetchpol(scale: Scale) -> Result<Table, SuiteError> {
-    use ubrc_sim::{FetchPolicy, FreelistPolicy};
     let policies = [
-        ("icount (paper)", FetchPolicy::Icount),
-        ("round-robin", FetchPolicy::RoundRobin),
-        ("icount.2.8", FetchPolicy::Icount28),
+        ("icount (paper)", "icount"),
+        ("round-robin", "round-robin"),
+        ("icount.2.8", "icount28"),
     ];
     let freelists = [
-        ("partitioned", FreelistPolicy::Partitioned),
-        ("shared cap=96", FreelistPolicy::Shared { cap: 96 }),
+        ("partitioned", "partitioned"),
+        ("shared cap=96", "shared:96"),
     ];
     let mut rows = Vec::new();
     for (fname, fetch) in policies {
         for (flname, freelist) in freelists {
-            let mut cfg = SimConfig::paper_default();
-            cfg.fetch_policy = fetch;
-            cfg.freelist = freelist;
+            let cfg = spec(&format!("use-based,fetch={fetch},freelist={freelist}"));
             rows.push(((fname, flname), cfg));
         }
     }

@@ -16,7 +16,7 @@
 //!
 //! Fields no key covers are set in Rust on a parsed base.
 
-use crate::config::{FetchPolicy, RegStorage, SimConfig};
+use crate::config::{FetchPolicy, FreelistPolicy, RegStorage, SimConfig};
 use crate::inject::{FaultKind, FaultPlan};
 use std::str::FromStr;
 use ubrc_core::{CachePartition, EpochAdapt, IndexPolicy, RegCacheConfig, TwoLevelConfig};
@@ -125,7 +125,7 @@ const FAULT: [(&str, FaultKind); 3] = [
 ];
 
 /// Every key, in the order messages list them.
-const KEYS: [&str; 10] = [
+const KEYS: [&str; 11] = [
     "entries",
     "ways",
     "index",
@@ -136,6 +136,7 @@ const KEYS: [&str; 10] = [
     "protect",
     "fault",
     "fetch",
+    "freelist",
 ];
 
 /// What `key` accepts, for messages.
@@ -151,6 +152,7 @@ fn accepts(key: &str) -> String {
         "classify" | "protect" => names(&SWITCH),
         "fetch" => names(&FETCH),
         "fault" => format!("KIND:PERIOD:SEED with KIND {}", names(&FAULT)),
+        "freelist" => "partitioned or shared:CAP with CAP a non-negative integer".to_string(),
         _ => "a non-negative integer".to_string(),
     }
 }
@@ -183,11 +185,23 @@ fn fault(value: &str) -> Result<FaultPlan, String> {
     Ok(FaultPlan::periodic(seed, period, kind))
 }
 
+fn freelist(value: &str) -> Result<FreelistPolicy, String> {
+    match value.split_once(':') {
+        None if value == "partitioned" => Ok(FreelistPolicy::Partitioned),
+        Some(("shared", cap)) => cap
+            .parse()
+            .map(|cap| FreelistPolicy::Shared { cap })
+            .map_err(|_| bad_value("freelist", value)),
+        _ => Err(bad_value("freelist", value)),
+    }
+}
+
 /// Applies one `key=value` to a config built from base `name`.
 fn apply(cfg: &mut SimConfig, name: &str, key: &str, value: &str) -> Result<(), String> {
     match (&mut cfg.storage, key) {
         (_, "fetch") => cfg.fetch_policy = pick(key, value, &FETCH)?,
         (_, "fault") => cfg.fault_plan = Some(fault(value)?),
+        (_, "freelist") => cfg.freelist = freelist(value)?,
         (
             RegStorage::Cached {
                 cache,
@@ -220,7 +234,8 @@ fn apply(cfg: &mut SimConfig, name: &str, key: &str, value: &str) -> Result<(), 
         _ => {
             return Err(format!(
                 "key `{key}` does not apply to base `{name}`: a monolithic file \
-                 takes only fetch and fault, and two-level also entries and backing"
+                 takes only fetch, fault and freelist, and two-level also entries \
+                 and backing"
             ))
         }
     }
@@ -234,8 +249,9 @@ fn apply(cfg: &mut SimConfig, name: &str, key: &str, value: &str) -> Result<(), 
 /// `rf-2`, `rf-3` and `two-level`. Keys: `entries`, `ways`, `index`,
 /// `backing` (backing-file, or two-level L2, latency), `partition`,
 /// `adapt`, `classify`, `protect` (full parity plus machine-check
-/// recovery), `fault` (`KIND:PERIOD:SEED`, a periodic fault plan) and
-/// `fetch`. Each key may appear once.
+/// recovery), `fault` (`KIND:PERIOD:SEED`, a periodic fault plan),
+/// `fetch` and `freelist` (`partitioned` or `shared:CAP`). Each key may
+/// appear once.
 ///
 /// ```
 /// use ubrc_sim::SimConfig;
@@ -391,6 +407,27 @@ mod tests {
             Some(FaultPlan::periodic(9, 400, FaultKind::FlipBackingWord))
         );
         assert_eq!(parse("use-based,protect=off"), SimConfig::paper_default());
+    }
+
+    #[test]
+    fn freelist_names_both_register_pools_on_every_base() {
+        assert_eq!(
+            parse("use-based,freelist=partitioned"),
+            SimConfig::paper_default()
+        );
+        for base in BASES {
+            let cfg = parse(&format!("{base},freelist=shared:96"));
+            assert_eq!(cfg.freelist, FreelistPolicy::Shared { cap: 96 }, "{base}");
+        }
+        for bad in ["shared:lots", "shared:", "shared", "partitioned:96"] {
+            let e = format!("use-based,freelist={bad}")
+                .parse::<SimConfig>()
+                .unwrap_err();
+            assert!(
+                e.contains("`freelist`") && e.contains("partitioned or shared:CAP"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

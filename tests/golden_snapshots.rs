@@ -35,7 +35,7 @@ const GOLDEN: &str = include_str!("golden_snapshots.txt");
 /// on one group, then the next group — and the blocks run in order,
 /// which is the row order of the golden file. A new block goes at the
 /// end, so existing rows stay byte-identical.
-const BLOCKS: [(usize, &[(&str, &str)]); 10] = [
+const BLOCKS: [(usize, &[(&str, &str)]); 12] = [
     // The original 96-row matrix: four index policies crossed with both
     // replacement designs.
     (
@@ -162,6 +162,24 @@ const BLOCKS: [(usize, &[(&str, &str)]); 10] = [
     // and release registers through the same path: the 3-cycle monolithic
     // file and the two-level file. Their cache columns are 0.
     (1, &[("rf3", "rf-3"), ("twolevel", "two-level")]),
+    // One shared physical-register pool capped at 96 live registers per
+    // thread (the `fetchpol` experiment's shared freelist), on the pairs
+    // and the quads: pins rename's cap and dry-pool stalls and the
+    // register numbers the pool hands out.
+    (
+        2,
+        &[(
+            "smt2-usebased-pool96",
+            "use-based,freelist=shared:96,classify=on",
+        )],
+    ),
+    (
+        4,
+        &[(
+            "smt4-usebased-pool96",
+            "use-based,freelist=shared:96,classify=on",
+        )],
+    ),
 ];
 
 /// One snapshot row: identity, timing, and miss classification.
@@ -395,7 +413,7 @@ fn sim_results_match_golden_snapshots() {
 /// The runtime checker (lockstep oracle + per-cycle invariants) must be
 /// observation-only: the same cells, checked, must reproduce the
 /// goldens bit for bit. This covers the SMT rows too: one oracle per
-/// thread, plus the partitioned-freelist invariants.
+/// thread, plus the register-pool invariants.
 #[test]
 fn checked_sim_results_match_golden_snapshots() {
     if std::env::var_os("UBRC_BLESS").is_some() || std::env::var_os("UBRC_BLESS_ONLY").is_some() {
