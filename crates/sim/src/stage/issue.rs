@@ -33,9 +33,9 @@ impl CoreState {
     /// and an instruction that fails its ready check at the deadline
     /// simply re-arms itself — so no wake-up is ever lost.
     ///
-    /// A register's waiters are always instructions of the thread that
-    /// owns its partition (maps never hold another thread's pregs), so
-    /// the waiter list stores the bare per-thread seq.
+    /// A register's waiters are always instructions of the thread
+    /// holding it (a thread maps only registers it holds), so the
+    /// waiter list stores the bare per-thread seq.
     fn rearm_wake(&mut self, tid: ThreadId, idx: usize, lower: u64) {
         let slot = self.threads[tid].sched[idx];
         let mut wake = lower.max(slot.earliest_issue);

@@ -1,11 +1,12 @@
 //! Rename/dispatch stage: drains each thread's fetch→rename latch,
 //! renames architectural registers against that thread's map, allocates
-//! destinations from its freelist partition, and inserts into the
+//! destinations from the register pool, and inserts into the
 //! (shared-budget) ROB/window.
 //!
 //! Backpressure: dispatch stops at the shared ROB/window capacity; a
-//! thread whose freelist partition is empty stalls alone, letting the
-//! other thread keep dispatching from the shared width budget.
+//! thread the pool cannot serve (its list is dry or it is at its cap)
+//! stalls alone, letting the other threads keep dispatching from the
+//! shared width budget.
 
 use super::{
     CoreState, DynInst, FetchedEntry, IssueSlot, PregInfo, PregTime, Status, Storage, ThreadId,
@@ -33,14 +34,7 @@ impl CoreState {
                 }
                 let has_dest = front.rec.inst.dest().is_some();
                 if has_dest {
-                    let starved = match &self.shared_pool {
-                        // Shared pool: dry pool stalls everyone, a
-                        // thread at its live-register cap stalls alone.
-                        Some(pool) => pool.free.is_empty() || pool.live[tid] >= pool.cap,
-                        // Only this thread's partition is dry.
-                        None => self.threads[tid].freelist.is_empty(),
-                    };
-                    if starved {
+                    if !self.pool.can_alloc(tid) {
                         self.dispatch_stall_pregs += 1;
                         break;
                     }
@@ -87,22 +81,11 @@ impl CoreState {
             }
         }
 
-        // Destination: allocate from this thread's partition and remap.
+        // Destination: allocate from the pool and remap.
         let mut dest = None;
         let mut prev = None;
         if let Some(r) = rec.inst.dest() {
-            let p = match &mut self.shared_pool {
-                Some(pool) => {
-                    let p = pool.free.pop().expect("dispatch checked the pool");
-                    pool.owner[p as usize] = tid as u16;
-                    pool.live[tid] += 1;
-                    p
-                }
-                None => self.threads[tid]
-                    .freelist
-                    .pop()
-                    .expect("dispatch checked the freelist"),
-            };
+            let p = self.pool.alloc(tid);
             let old = self.threads[tid].map[r.index() as usize];
             self.threads[tid].map[r.index() as usize] = p;
             prev = Some(old);
