@@ -420,11 +420,6 @@ impl RegCacheConfig {
         }
         Ok(())
     }
-
-    /// True when the configuration is fully associative.
-    pub fn is_fully_associative(&self) -> bool {
-        self.ways == self.entries
-    }
 }
 
 /// A [`RegCacheConfig`] no register cache can be built from, from
@@ -573,12 +568,6 @@ mod tests {
         // 48-entry 4-way -> 12 sets: legal under decoupled indexing.
         let c = RegCacheConfig::use_based(48, 4);
         assert_eq!(c.sets(), 12);
-    }
-
-    #[test]
-    fn fully_associative_detection() {
-        assert!(RegCacheConfig::use_based(64, 64).is_fully_associative());
-        assert!(!RegCacheConfig::use_based(64, 4).is_fully_associative());
     }
 
     #[test]

@@ -224,15 +224,6 @@ impl Machine {
         }
     }
 
-    /// Sets floating-point register `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 32`.
-    pub fn set_fp_reg(&mut self, i: u8, v: f64) {
-        self.fp_regs[i as usize] = v;
-    }
-
     fn reg_u64(&self, r: Reg) -> u64 {
         debug_assert!(r.is_int());
         self.int_regs[r.bank_index() as usize]

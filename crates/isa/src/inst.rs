@@ -380,15 +380,6 @@ impl Inst {
         raw.map(|r| r.filter(|r| !r.is_zero()))
     }
 
-    /// True for conditional branches and jumps (anything that can change
-    /// control flow).
-    pub fn is_control(self) -> bool {
-        matches!(
-            self,
-            Inst::Branch { .. } | Inst::Jump { .. } | Inst::JumpReg { .. }
-        )
-    }
-
     /// True for conditional branches only.
     pub fn is_cond_branch(self) -> bool {
         matches!(self, Inst::Branch { .. })
@@ -416,11 +407,6 @@ impl Inst {
     /// (they pop the return address stack).
     pub fn is_return(self) -> bool {
         matches!(self, Inst::JumpReg { link: false, rs, .. } if rs == crate::reg::RA)
-    }
-
-    /// True for indirect (register-target) jumps.
-    pub fn is_indirect(self) -> bool {
-        matches!(self, Inst::JumpReg { .. })
     }
 }
 
@@ -586,7 +572,6 @@ mod tests {
             rs: RA,
         };
         assert!(i.is_return());
-        assert!(i.is_indirect());
         assert_eq!(i.dest(), None);
         assert_eq!(i.sources(), [Some(RA), None]);
     }

@@ -1,5 +1,5 @@
-//! The UBRC instruction set: a 64-bit RISC ISA with a fixed 32-bit
-//! encoding, an assembler, and a disassembler.
+//! The UBRC instruction set: a 64-bit RISC ISA, an assembler, and a
+//! disassembler.
 //!
 //! This crate is the substrate ISA for the reproduction of Butts & Sohi,
 //! *Use-Based Register Caching with Decoupled Indexing* (ISCA 2004). The
@@ -13,7 +13,7 @@
 //! Assemble and inspect a small program:
 //!
 //! ```
-//! use ubrc_isa::{assemble, Inst};
+//! use ubrc_isa::assemble;
 //!
 //! let program = assemble(
 //!     "main: li   r1, 4
@@ -22,22 +22,19 @@
 //!            halt",
 //! )?;
 //! assert_eq!(program.text.len(), 4);
-//! let word = program.text[0].encode()?;
-//! assert_eq!(Inst::decode(word)?, program.text[0]);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! assert_eq!(program.text[1].to_string(), "addi r1, r1, -1");
+//! # Ok::<(), ubrc_isa::AsmError>(())
 //! ```
 
 #![warn(missing_docs)]
 
 mod asm;
-mod encode;
 mod inst;
 mod listing;
 mod program;
 mod reg;
 
 pub use asm::{assemble, assemble_at, AsmError};
-pub use encode::{DecodeInstError, EncodeInstError};
 pub use inst::{AluImmOp, AluOp, BranchCond, CvtDir, ExecClass, FpuOp, Inst, MemWidth};
 pub use listing::listing;
 pub use program::{Program, DATA_BASE, TEXT_BASE};

@@ -1,8 +1,8 @@
 //! Program listings (disassembly).
 //!
 //! The listing renders a [`Program`] the way an `objdump`-style tool
-//! would: addresses, encoded words, mnemonics, and label annotations
-//! from the symbol table.
+//! would: addresses, mnemonics, and label annotations from the symbol
+//! table.
 
 use crate::program::Program;
 use std::collections::BTreeMap;
@@ -35,12 +35,8 @@ pub fn listing(program: &Program) -> String {
                 let _ = writeln!(out, "{name}:");
             }
         }
-        let word = inst
-            .encode()
-            .map(|w| format!("{w:08x}"))
-            .unwrap_or_else(|_| "????????".into());
         let marker = if addr == program.entry { ">" } else { " " };
-        let _ = writeln!(out, "{marker}{addr:#010x}:  {word}  {inst}");
+        let _ = writeln!(out, "{marker}{addr:#010x}:  {inst}");
     }
     out
 }

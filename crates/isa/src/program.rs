@@ -54,16 +54,6 @@ impl Program {
     pub fn symbol(&self, name: &str) -> Option<u64> {
         self.symbols.get(name).copied()
     }
-
-    /// One-past-the-end address of the text segment.
-    pub fn text_end(&self) -> u64 {
-        self.text_base + 4 * self.text.len() as u64
-    }
-
-    /// One-past-the-end address of the data segment.
-    pub fn data_end(&self) -> u64 {
-        self.data_base + self.data.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -83,6 +73,5 @@ mod tests {
         assert_eq!(p.fetch(0x1008), None);
         assert_eq!(p.fetch(0x1002), None);
         assert_eq!(p.fetch(0xff8), None);
-        assert_eq!(p.text_end(), 0x1008);
     }
 }

@@ -89,7 +89,7 @@ impl Reg {
     }
 
     /// The index within the register's own bank (`r5` and `f5` both
-    /// return 5). Used by the instruction encoder's 5-bit fields.
+    /// return 5).
     pub const fn bank_index(self) -> u8 {
         self.0 % NUM_INT_REGS
     }

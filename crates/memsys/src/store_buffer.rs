@@ -61,11 +61,6 @@ impl StoreBuffer {
         self.entries.is_empty()
     }
 
-    /// True when a non-coalescing store would have to stall.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
-    }
-
     /// Attempts to retire a store to `addr` at time `now`. Returns
     /// `false` when the buffer is full and the store does not coalesce
     /// (the caller must stall retirement and retry).

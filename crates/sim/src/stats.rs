@@ -158,8 +158,6 @@ pub struct SimResult {
     pub recovery_cycles: u64,
     /// Distribution of individual recovery latencies in cycles.
     pub recovery_latency: Histogram,
-    /// Recoveries per hardware thread (sums to `recoveries`).
-    pub thread_recoveries: Vec<u64>,
     /// Machine checks per hardware thread (sums to `machine_checks`).
     pub thread_machine_checks: Vec<u64>,
     /// Dynamic-repartitioning epoch boundaries completed
@@ -315,7 +313,6 @@ mod tests {
             machine_checks: 0,
             recovery_cycles: 0,
             recovery_latency: Histogram::new(),
-            thread_recoveries: vec![],
             thread_machine_checks: vec![],
             epochs: 0,
             final_thread_caps: None,

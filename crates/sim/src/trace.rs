@@ -129,11 +129,6 @@ impl Timeline {
         }
         out
     }
-
-    /// Total miss-replay squashes across the traced instructions.
-    pub fn total_replays(&self) -> u32 {
-        self.insts.iter().map(|t| t.replays).sum()
-    }
 }
 
 fn truncate(s: &str, w: usize) -> String {
@@ -195,15 +190,5 @@ mod tests {
     fn empty_timeline_renders_placeholder() {
         let tl = Timeline::default();
         assert_eq!(tl.render(10), "(empty timeline)\n");
-    }
-
-    #[test]
-    fn replays_accumulate() {
-        let mut a = t(0, 0, 12, 15, 16);
-        a.replays = 2;
-        let tl = Timeline {
-            insts: vec![a, t(1, 0, 13, 16, 17)],
-        };
-        assert_eq!(tl.total_replays(), 2);
     }
 }

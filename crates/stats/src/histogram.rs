@@ -28,16 +28,6 @@ pub struct Histogram {
     sum: u128,
 }
 
-/// One point of a cumulative distribution: `fraction` of all samples were
-/// `<= value`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CdfPoint {
-    /// Sample value (inclusive upper bound of the cumulative bucket).
-    pub value: u64,
-    /// Fraction of samples at or below `value`, in `[0, 1]`.
-    pub fraction: f64,
-}
-
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
@@ -127,39 +117,9 @@ impl Histogram {
         self.percentile(50.0)
     }
 
-    /// Number of samples with value `<= v`.
-    pub fn count_le(&self, v: u64) -> u64 {
-        self.buckets.range(..=v).map(|(_, &n)| n).sum()
-    }
-
-    /// Fraction of samples with value `<= v`, or `None` if empty.
-    pub fn fraction_le(&self, v: u64) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.count_le(v) as f64 / self.count as f64)
-        }
-    }
-
     /// Iterates over `(value, count)` buckets in increasing value order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets.iter().map(|(&v, &n)| (v, n))
-    }
-
-    /// The full cumulative distribution, one point per distinct value.
-    ///
-    /// Returns an empty vector when the histogram is empty.
-    pub fn cdf(&self) -> Vec<CdfPoint> {
-        let mut points = Vec::with_capacity(self.buckets.len());
-        let mut seen = 0u64;
-        for (&v, &n) in &self.buckets {
-            seen += n;
-            points.push(CdfPoint {
-                value: v,
-                fraction: seen as f64 / self.count as f64,
-            });
-        }
-        points
     }
 }
 
@@ -207,7 +167,6 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.percentile(90.0), None);
-        assert!(h.cdf().is_empty());
         assert_eq!(h.to_string(), "n=0 (empty)");
     }
 
@@ -249,31 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn count_le_and_fraction() {
-        let h: Histogram = [1u64, 1, 2, 8].into_iter().collect();
-        assert_eq!(h.count_le(0), 0);
-        assert_eq!(h.count_le(1), 2);
-        assert_eq!(h.count_le(2), 3);
-        assert_eq!(h.count_le(100), 4);
-        assert_eq!(h.fraction_le(2), Some(0.75));
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let h: Histogram = [3u64, 1, 4, 1, 5, 9, 2, 6].into_iter().collect();
-        let cdf = h.cdf();
-        assert!(cdf.windows(2).all(|w| w[0].value < w[1].value));
-        assert!(cdf.windows(2).all(|w| w[0].fraction <= w[1].fraction));
-        assert!((cdf.last().unwrap().fraction - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn merge_combines_counts() {
         let mut a: Histogram = [1u64, 2].into_iter().collect();
         let b: Histogram = [2u64, 3].into_iter().collect();
         a.merge(&b);
         assert_eq!(a.count(), 4);
-        assert_eq!(a.count_le(2), 3);
+        assert_eq!(a.iter().collect::<Vec<_>>(), [(1, 1), (2, 2), (3, 1)]);
         assert_eq!(a.sum(), 8);
     }
 

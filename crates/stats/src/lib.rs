@@ -29,7 +29,7 @@ mod json;
 mod mean;
 mod table;
 
-pub use histogram::{CdfPoint, Histogram};
+pub use histogram::Histogram;
 pub use json::Json;
 pub use mean::{geomean, TimeWeighted};
 pub use table::Table;

@@ -32,17 +32,6 @@ proptest! {
     }
 
     #[test]
-    fn cdf_is_monotone_and_complete(
-        samples in proptest::collection::vec(0u64..500, 1..200),
-    ) {
-        let h: Histogram = samples.iter().copied().collect();
-        let cdf = h.cdf();
-        prop_assert!(cdf.windows(2).all(|w| w[0].value < w[1].value));
-        prop_assert!(cdf.windows(2).all(|w| w[0].fraction < w[1].fraction + 1e-12));
-        prop_assert!((cdf.last().unwrap().fraction - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn merge_equals_concatenation(
         a in proptest::collection::vec(0u64..100, 0..100),
         b in proptest::collection::vec(0u64..100, 0..100),

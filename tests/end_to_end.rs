@@ -34,21 +34,6 @@ fn timing_simulation_preserves_architectural_results() {
 }
 
 #[test]
-fn assembled_programs_roundtrip_through_encoding() {
-    // Text -> Inst -> u32 -> Inst for every instruction of every kernel.
-    for w in suite(Scale::Tiny) {
-        let p = w.assemble().unwrap();
-        for (i, inst) in p.text.iter().enumerate() {
-            let word = inst
-                .encode()
-                .unwrap_or_else(|e| panic!("kernel `{}` inst {i} failed to encode: {e}", w.name));
-            let back = ubrc::isa::Inst::decode(word).unwrap();
-            assert_eq!(*inst, back, "kernel `{}` inst {i}", w.name);
-        }
-    }
-}
-
-#[test]
 fn cache_statistics_are_internally_consistent() {
     let w = workload_by_name("qsort", Scale::Small).unwrap();
     let r = run(&w, "use-based,classify=on");
