@@ -7,8 +7,9 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets also lints the tests, benches and examples.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc --no-deps (warnings denied)"
 # Vendored third_party crates are workspace members but not ours to fix.
