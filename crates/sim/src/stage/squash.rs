@@ -70,9 +70,9 @@ impl CoreState {
         t.wp_resolve_seq = None;
         t.wp_ras_saved = false;
         // Restoring the functional machine also discards any
-        // speculation the old machine had entered. `clone_from` reuses
-        // the squashed machine's buffers instead of reallocating the
-        // memory image on every recovery.
+        // speculation the old machine had entered. `clone_from` copies
+        // only the pages the retired machine has mapped, into the
+        // squashed machine's page buffers where it has them too.
         let retired = t
             .retired_machine
             .as_deref()
