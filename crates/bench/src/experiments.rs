@@ -6,8 +6,7 @@
 //! reproduction target and are recorded in EXPERIMENTS.md.
 
 use crate::runner::{kernel_groups, run_cells, Cell, RunOptions, SuiteError};
-use ubrc_core::RegCacheConfig;
-use ubrc_sim::{RegStorage, SimConfig, SimResult};
+use ubrc_sim::{SimConfig, SimResult};
 use ubrc_stats::{geomean, Table};
 use ubrc_workloads::{synthetic::SyntheticSpec, Scale, Workload};
 
@@ -16,16 +15,6 @@ use ubrc_workloads::{synthetic::SyntheticSpec, Scale, Workload};
 /// harness bug.
 fn spec(spec: &str) -> SimConfig {
     spec.parse().unwrap_or_else(|e| panic!("{spec}: {e}"))
-}
-
-/// A spec's config with its register cache tuned in Rust, for the
-/// fields no spec key covers.
-fn tuned(base: &str, tune: impl FnOnce(&mut RegCacheConfig)) -> SimConfig {
-    let mut cfg = spec(base);
-    if let RegStorage::Cached { cache, .. } = &mut cfg.storage {
-        tune(cache);
-    }
-    cfg
 }
 
 /// The three caching schemes the paper compares, at a given geometry
@@ -40,10 +29,6 @@ fn schemes(entries: usize, ways: usize, backing: u32) -> Vec<(&'static str, SimC
             (name, cfg)
         })
         .into()
-}
-
-fn mono_cfg(latency: u32) -> SimConfig {
-    spec(&format!("rf-{latency}"))
 }
 
 /// Table 1: the simulated machine configuration.
@@ -205,12 +190,12 @@ fn ipc_row(t: &mut Table, label: String, res: &[SuiteResult]) {
     t.row(std::iter::once(label).chain(res.iter().map(ipc)));
 }
 
-/// Latencies of the no-cache register-file baselines that close the
-/// fig6, fig11 and fig12 tables.
-const RF_LATENCIES: [u32; 3] = [1, 2, 3];
+/// The 1-, 2- and 3-cycle no-cache register files that close the fig6,
+/// fig11 and fig12 tables.
+const RF_FILES: [&str; 3] = ["rf-1", "rf-2", "rf-3"];
 
 fn rf_rows(t: &mut Table, res: &[SuiteResult]) {
-    for (lat, r) in RF_LATENCIES.iter().zip(res) {
+    for (lat, r) in (1..).zip(res) {
         t.row([format!("RF {lat}-cycle (no cache)"), ipc(r)]);
     }
 }
@@ -218,7 +203,7 @@ fn rf_rows(t: &mut Table, res: &[SuiteResult]) {
 /// Figure 1: median register lifetime phases (empty / live / dead), in
 /// cycles, per benchmark plus the mean of the per-benchmark medians.
 pub fn fig1(scale: Scale) -> Result<Table, SuiteError> {
-    let mut cfg = SimConfig::paper_default();
+    let mut cfg = spec("use-based");
     cfg.collect_lifetimes = true;
     let res = run_suites(&[cfg], scale)?.remove(0);
     let mut t = Table::new(["benchmark", "empty", "live", "dead"]);
@@ -244,7 +229,7 @@ pub fn fig1(scale: Scale) -> Result<Table, SuiteError> {
 /// vs. simultaneously live values (percentile points, aggregated over
 /// the suite).
 pub fn fig2(scale: Scale) -> Result<Table, SuiteError> {
-    let mut cfg = SimConfig::paper_default();
+    let mut cfg = spec("use-based");
     cfg.collect_lifetimes = true;
     let res = run_suites(&[cfg], scale)?.remove(0);
     let mut alloc = ubrc_stats::Histogram::new();
@@ -285,7 +270,7 @@ pub fn fig6(scale: Scale) -> Result<Table, SuiteError> {
                 .map(|ways| spec(&format!("use-based,entries={n},ways={ways},index=standard")))
         })
         .collect();
-    configs.extend(RF_LATENCIES.map(mono_cfg));
+    configs.extend(RF_FILES.map(spec));
     let res = run_suites(&configs, scale)?;
     let (grid, rf) = res.split_at(sizes.len() * 4);
     let mut t = Table::new(["entries", "direct", "2-way", "4-way", "full"]);
@@ -452,7 +437,7 @@ pub fn table2(scale: Scale) -> Result<Table, SuiteError> {
 /// paper reports 57%) and fraction of replacement victims with zero
 /// remaining uses (the paper reports 84%), under the proposed design.
 pub fn charstats(scale: Scale) -> Result<Table, SuiteError> {
-    let res = run_suites(&[SimConfig::paper_default()], scale)?.remove(0);
+    let res = run_suites(&[spec("use-based")], scale)?.remove(0);
     let mut t = Table::new(["benchmark", "bypass%", "zero-use-victims%"]);
     for (name, r) in &res.runs {
         let zero = r
@@ -505,7 +490,7 @@ pub fn fig11(scale: Scale) -> Result<Table, SuiteError> {
             configs.push(spec(&format!("two-level,entries={}", n + 32)));
         }
     }
-    configs.extend(RF_LATENCIES.map(mono_cfg));
+    configs.extend(RF_FILES.map(spec));
     let res = run_suites(&configs, scale)?;
     let mut t = Table::new([
         "entries",
@@ -539,9 +524,9 @@ pub fn fig12(scale: Scale) -> Result<Table, SuiteError> {
         configs.extend(schemes(64, 2, lat).into_iter().map(|(_, cfg)| cfg));
         configs.push(spec(&format!("two-level,backing={lat}")));
     }
-    configs.extend(RF_LATENCIES.map(mono_cfg));
+    configs.extend(RF_FILES.map(spec));
     let res = run_suites(&configs, scale)?;
-    let (grid, rf) = res.split_at(configs.len() - RF_LATENCIES.len());
+    let (grid, rf) = res.split_at(configs.len() - RF_FILES.len());
     let mut t = Table::new([
         "backing-latency",
         "lru",
@@ -558,8 +543,8 @@ pub fn fig12(scale: Scale) -> Result<Table, SuiteError> {
 
 /// §5.3 tuning: the maximum use count (pinning limit) sweep.
 pub fn maxuse(scale: Scale) -> Result<Table, SuiteError> {
-    let rows = [1u8, 2, 3, 5, 6, 7, 9, 12, 15]
-        .map(|max| (max, tuned("use-based", |c| c.max_use_count = max)));
+    let rows =
+        [1u8, 2, 3, 5, 6, 7, 9, 12, 15].map(|max| (max, spec(&format!("use-based,max-use={max}"))));
     let mut t = Table::new(["max-use-count", "geomean-ipc", "miss-rate%"]);
     for (max, res) in run_labelled(rows, scale)? {
         let miss = res
@@ -574,12 +559,7 @@ pub fn maxuse(scale: Scale) -> Result<Table, SuiteError> {
 pub fn defaults(scale: Scale) -> Result<Table, SuiteError> {
     let configs: Vec<SimConfig> = (0u8..=3)
         .flat_map(|unknown| {
-            (0u8..=2).map(move |fill| {
-                tuned("use-based", |c| {
-                    c.unknown_default = unknown;
-                    c.fill_default = fill;
-                })
-            })
+            (0u8..=2).map(move |fill| spec(&format!("use-based,unknown={unknown},fill={fill}")))
         })
         .collect();
     let res = run_suites(&configs, scale)?;
@@ -592,13 +572,7 @@ pub fn defaults(scale: Scale) -> Result<Table, SuiteError> {
 
 /// §5.5 ablation: two-level L1↔L2 transfer bandwidth.
 pub fn twolevel_bw(scale: Scale) -> Result<Table, SuiteError> {
-    let rows = [1u32, 2, 4, 8].map(|bw| {
-        let mut cfg = spec("two-level");
-        if let RegStorage::TwoLevel(tl) = &mut cfg.storage {
-            tl.transfers_per_cycle = bw;
-        }
-        (bw, cfg)
-    });
+    let rows = [1u32, 2, 4, 8].map(|bw| (bw, spec(&format!("two-level,transfers={bw}"))));
     let mut t = Table::new(["transfers/cycle", "geomean-ipc", "rename-stalls"]);
     for (bw, res) in run_labelled(rows, scale)? {
         let stalls: u64 = res.runs.iter().map(|(_, r)| r.dispatch_stall_pregs).sum();
@@ -609,7 +583,7 @@ pub fn twolevel_bw(scale: Scale) -> Result<Table, SuiteError> {
 
 /// §3.3: degree-of-use predictor accuracy and coverage per benchmark.
 pub fn douse_accuracy(scale: Scale) -> Result<Table, SuiteError> {
-    let res = run_suites(&[SimConfig::paper_default()], scale)?.remove(0);
+    let res = run_suites(&[spec("use-based")], scale)?.remove(0);
     let mut t = Table::new(["benchmark", "accuracy%", "coverage%"]);
     for (name, r) in &res.runs {
         t.row_f64(
@@ -639,11 +613,7 @@ pub fn filtered_params(scale: Scale) -> Result<Table, SuiteError> {
     let configs: Vec<SimConfig> = degrees
         .iter()
         .flat_map(|&degree| {
-            (0u32..=2).map(move |skip| {
-                let mut cfg = SimConfig::paper_default();
-                cfg.filter_params = Some((degree, skip));
-                cfg
-            })
+            (0u32..=2).map(move |skip| spec(&format!("use-based,filter={degree}:{skip}")))
         })
         .collect();
     let res = run_suites(&configs, scale)?;
@@ -662,10 +632,7 @@ pub fn bypass_depth(scale: Scale) -> Result<Table, SuiteError> {
     let configs: Vec<SimConfig> = depths
         .iter()
         .flat_map(|&stages| {
-            [SimConfig::paper_default(), mono_cfg(1), mono_cfg(3)].map(|mut cfg| {
-                cfg.bypass_stages = stages;
-                cfg
-            })
+            ["use-based", "rf-1", "rf-3"].map(|base| spec(&format!("{base},bypass={stages}")))
         })
         .collect();
     let res = run_suites(&configs, scale)?;
@@ -694,23 +661,19 @@ pub fn odd_sizes(scale: Scale) -> Result<Table, SuiteError> {
 /// confidence (noisy predictions), and the paper's configuration.
 pub fn robustness(scale: Scale) -> Result<Table, SuiteError> {
     let variants = [
+        ("paper default (2-bit confidence)", "use-based"),
+        // A threshold above the confidence ceiling means the predictor
+        // never supplies a prediction.
         (
-            "paper default (2-bit confidence)",
-            SimConfig::paper_default(),
+            "no predictor (unknown default only)",
+            "use-based,douse-conf=255",
         ),
-        ("no predictor (unknown default only)", {
-            let mut cfg = SimConfig::paper_default();
-            // A threshold above the confidence ceiling means the
-            // predictor never supplies a prediction.
-            cfg.douse.conf_threshold = u8::MAX;
-            cfg
-        }),
-        ("zero-confidence (noisy predictions)", {
-            let mut cfg = SimConfig::paper_default();
-            cfg.douse.conf_threshold = 0;
-            cfg
-        }),
-    ];
+        (
+            "zero-confidence (noisy predictions)",
+            "use-based,douse-conf=0",
+        ),
+    ]
+    .map(|(name, s)| (name, spec(s)));
     let mut t = Table::new(["degree-information", "geomean-ipc", "miss/operand %"]);
     for (name, res) in run_labelled(variants, scale)? {
         let miss = res.mean_of(|r| r.miss_rate_per_operand()).unwrap_or(0.0);
@@ -723,14 +686,10 @@ pub fn robustness(scale: Scale) -> Result<Table, SuiteError> {
 /// paper reuses for register-cache misses) vs. an oracle scheduler.
 pub fn loadspec(scale: Scale) -> Result<Table, SuiteError> {
     let rows = [
-        ("hit-speculation (default)", true),
-        ("oracle wakeup", false),
+        ("hit-speculation (default)", "on"),
+        ("oracle wakeup", "off"),
     ]
-    .map(|(name, on)| {
-        let mut cfg = SimConfig::paper_default();
-        cfg.load_hit_speculation = on;
-        (name, cfg)
-    });
+    .map(|(name, on)| (name, spec(&format!("use-based,load-spec={on}"))));
     let mut t = Table::new(["load scheduling", "geomean-ipc", "mis-speculations"]);
     for (name, res) in run_labelled(rows, scale)? {
         let misses: u64 = res.runs.iter().map(|(_, r)| r.load_miss_speculations).sum();
@@ -743,11 +702,8 @@ pub fn loadspec(scale: Scale) -> Result<Table, SuiteError> {
 /// the 4K-entry predictor of Butts & Sohi MICRO 2002; smaller tables
 /// lose coverage and leave more values on the unknown default).
 pub fn douse_size(scale: Scale) -> Result<Table, SuiteError> {
-    let rows = [16usize, 64, 256, 1024].map(|sets| {
-        let mut cfg = SimConfig::paper_default();
-        cfg.douse.sets = sets;
-        (sets, cfg)
-    });
+    let rows =
+        [16usize, 64, 256, 1024].map(|sets| (sets, spec(&format!("use-based,douse-sets={sets}"))));
     let mut t = Table::new(["entries(4-way)", "geomean-ipc", "accuracy%", "coverage%"]);
     for (sets, res) in run_labelled(rows, scale)? {
         t.row_f64(
@@ -767,11 +723,8 @@ pub fn douse_size(scale: Scale) -> Result<Table, SuiteError> {
 /// Table 1 machine has 128-entry load/store queues; disabling the
 /// model shows how much memory-dependence serialization costs).
 pub fn lsq(scale: Scale) -> Result<Table, SuiteError> {
-    let rows = [("modeled (default)", true), ("ignored", false)].map(|(name, on)| {
-        let mut cfg = SimConfig::paper_default();
-        cfg.model_store_forwarding = on;
-        (name, cfg)
-    });
+    let rows = [("modeled (default)", "on"), ("ignored", "off")]
+        .map(|(name, on)| (name, spec(&format!("use-based,lsq={on}"))));
     let mut t = Table::new(["store->load ordering", "geomean-ipc", "lsq-stall-slots"]);
     for (name, res) in run_labelled(rows, scale)? {
         let stalls: u64 = res.runs.iter().map(|(_, r)| r.store_forward_stalls).sum();
@@ -785,7 +738,7 @@ pub fn lsq(scale: Scale) -> Result<Table, SuiteError> {
 /// the conclusions hold beyond integer code.
 pub fn extended(scale: Scale) -> Result<Table, SuiteError> {
     let mut configs: Vec<SimConfig> = schemes(64, 2, 2).into_iter().map(|(_, c)| c).collect();
-    configs.push(mono_cfg(3));
+    configs.push(spec("rf-3"));
     let kernels = ubrc_workloads::extended_suite(scale)
         .into_iter()
         .map(|w| vec![w])
@@ -803,11 +756,7 @@ pub fn extended(scale: Scale) -> Result<Table, SuiteError> {
 /// §2.2 ablation: "a single read port suffices" for the backing file —
 /// sweep the port count and show the flat curve.
 pub fn backing_ports(scale: Scale) -> Result<Table, SuiteError> {
-    let rows = [1usize, 2, 4].map(|ports| {
-        let mut cfg = SimConfig::paper_default();
-        cfg.backing_read_ports = ports;
-        (ports, cfg)
-    });
+    let rows = [1usize, 2, 4].map(|ports| (ports, spec(&format!("use-based,ports={ports}"))));
     let mut t = Table::new(["read-ports", "geomean-ipc", "contention-cycles"]);
     for (ports, res) in run_labelled(rows, scale)? {
         let contention: u64 = res
@@ -824,18 +773,13 @@ pub fn backing_ports(scale: Scale) -> Result<Table, SuiteError> {
 /// branch predictors (the mis-speculation loop interacts with the
 /// cache's replay loop).
 pub fn predictors(scale: Scale) -> Result<Table, SuiteError> {
-    use ubrc_sim::BranchPredictorKind as B;
     let rows = [
-        ("not-taken", B::NotTaken),
-        ("bimodal 4KB", B::Bimodal),
-        ("gshare 4KB", B::Gshare),
-        ("yags 12KB (paper)", B::Yags),
+        ("not-taken", "not-taken"),
+        ("bimodal 4KB", "bimodal"),
+        ("gshare 4KB", "gshare"),
+        ("yags 12KB (paper)", "yags"),
     ]
-    .map(|(name, kind)| {
-        let mut cfg = SimConfig::paper_default();
-        cfg.branch_predictor = kind;
-        (name, cfg)
-    });
+    .map(|(name, kind)| (name, spec(&format!("use-based,predictor={kind}"))));
     let mut t = Table::new(["predictor", "geomean-ipc", "mispredict%"]);
     for (name, res) in run_labelled(rows, scale)? {
         let mr = res.mean_of(|r| r.branch_mispredict_rate()).unwrap_or(0.0);
@@ -913,7 +857,7 @@ pub fn smt(scale: Scale) -> Result<Table, SuiteError> {
     let variants = [
         ("use-based", spec("use-based")),
         ("lru", spec("lru")),
-        ("no-cache (RF 3-cycle)", mono_cfg(3)),
+        ("no-cache (RF 3-cycle)", spec("rf-3")),
     ];
     let (names, configs): (Vec<&str>, Vec<SimConfig>) = variants.into_iter().unzip();
     let res = run_matrix(
@@ -1184,10 +1128,10 @@ pub fn ehc_sweep(scale: Scale) -> Result<Table, SuiteError> {
         .collect();
     let mut configs = Vec::new();
     for &(entries, ways) in &geometries {
-        let fewest = format!("use-based,entries={entries},ways={ways}");
-        configs.push(spec(&fewest));
-        configs.push(tuned(&fewest, |c| c.fill_default = 1));
-        configs.push(spec(&format!("ehc,entries={entries},ways={ways}")));
+        let geometry = format!("entries={entries},ways={ways}");
+        configs.push(spec(&format!("use-based,{geometry}")));
+        configs.push(spec(&format!("use-based,{geometry},fill=1")));
+        configs.push(spec(&format!("ehc,{geometry}")));
     }
     let res = run_suites(&configs, scale)?;
     let mut t = Table::new([
@@ -1341,7 +1285,7 @@ mod tests {
 
     #[test]
     fn run_matrix_splits_results_per_config_and_set() {
-        let configs = [SimConfig::paper_default(), mono_cfg(3)];
+        let configs = [SimConfig::paper_default(), spec("rf-3")];
         let sets = [kernel_groups(1, Scale::Tiny), kernel_groups(4, Scale::Tiny)];
         let res = run_matrix(&configs, &sets).unwrap();
         assert_eq!(res.len(), 4);

@@ -3,7 +3,7 @@
 //! guards for the experiment harness — if a model change flips one of
 //! these orderings, a headline conclusion of the paper broke.
 
-use ubrc::sim::{simulate, RegStorage, SimConfig};
+use ubrc::sim::{simulate, SimConfig};
 use ubrc::stats::geomean;
 use ubrc::workloads::{suite, Scale};
 
@@ -114,13 +114,7 @@ fn backing_latency_degrades_use_based_gracefully_fig12() {
 
 #[test]
 fn pinning_limit_has_a_knee_maxuse() {
-    let at = |max: u8| {
-        let mut cfg = SimConfig::paper_default();
-        if let RegStorage::Cached { cache, .. } = &mut cfg.storage {
-            cache.max_use_count = max;
-        }
-        geomean_ipc(&cfg)
-    };
+    let at = |max: u8| ipc(&format!("use-based,max-use={max}"));
     let low = at(1);
     let knee = at(7);
     assert!(
