@@ -254,7 +254,10 @@ pub struct SimConfig {
     pub backing_read_ports: usize,
     /// Overrides the filtered round-robin index parameters
     /// `(high_use_degree, skip_above)`; `None` uses the paper's
-    /// defaults (degree > 5, half the associativity).
+    /// defaults (degree > 5, half the associativity). Set only on a
+    /// register cache with [`IndexPolicy::FilteredRoundRobin`]: any
+    /// other storage is rejected with
+    /// [`crate::ConfigError::FilterWithoutFilteredIndex`].
     pub filter_params: Option<(u8, u32)>,
     /// Stop after this many retired instructions (0 = run to halt).
     pub max_instructions: u64,

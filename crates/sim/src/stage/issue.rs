@@ -4,25 +4,83 @@
 //!
 //! The window is shared between threads; select merges each thread's
 //! due instructions oldest-first by the global dispatch `age` stamp.
+//! Each thread's [`SelectCursor`] walks its armed-slot bitmap
+//! ([`ThreadState::armed`]) from `sched_base`, which is age order, and
+//! hands the merge one due slot at a time, so select stops at the issue
+//! width without ordering or even visiting the rest of the backlog.
 
-use super::{CoreState, PregTime, Status, Storage, ThreadId, NO_SRC, SCHED_ISSUED, SCHED_PARKED};
+use super::{
+    CoreState, PregTime, Status, Storage, ThreadId, ThreadState, NO_SRC, SCHED_ISSUED, SCHED_PARKED,
+};
 use crate::config::FuPools;
 use crate::trace::OperandPath;
 use ubrc_core::PhysReg;
 use ubrc_isa::ExecClass;
 
-impl CoreState {
-    /// ROB position of a live instruction in its thread, by per-thread
-    /// seq. Each thread's ROB is sorted by seq but *not* contiguous: a
-    /// wrong-path squash removes the tail without rolling back the seq
-    /// counter, leaving a gap. `None` means retired or squashed.
-    fn rob_index(&self, tid: ThreadId, seq: u64) -> Option<usize> {
-        self.threads[tid]
-            .rob
-            .binary_search_by(|i| i.seq.cmp(&seq))
-            .ok()
+/// One thread's place in the select walk. It visits the thread's armed
+/// slots word by word of [`ThreadState::armed`], oldest first, and
+/// stops at each due one.
+pub(crate) struct SelectCursor {
+    tid: u32,
+    /// Age and window index of the due slot the cursor stands on.
+    age: u64,
+    idx: u32,
+    /// Absolute position of bit 0 of the current word, and the armed
+    /// bits of that word not yet visited.
+    word_pos: u64,
+    bits: u64,
+    /// One past the thread's youngest window position.
+    end: u64,
+    /// The earliest deadline among the armed slots passed as not due.
+    min_wake: u64,
+}
+
+impl SelectCursor {
+    /// A cursor before thread `tid`'s oldest slot.
+    fn new(tid: ThreadId, t: &ThreadState) -> Self {
+        let base = t.sched_base;
+        let bits = if t.sched.is_empty() {
+            0
+        } else {
+            t.armed.word(base) & (u64::MAX << (base % 64))
+        };
+        SelectCursor {
+            tid: tid as u32,
+            age: 0,
+            idx: 0,
+            word_pos: base & !63,
+            bits,
+            end: base + t.sched.len() as u64,
+            min_wake: u64::MAX,
+        }
     }
 
+    /// Moves to the thread's next due slot in age order; `false` once
+    /// no armed slot is left.
+    fn next_due(&mut self, t: &ThreadState, now: u64) -> bool {
+        loop {
+            while self.bits == 0 {
+                self.word_pos += 64;
+                if self.word_pos >= self.end {
+                    return false;
+                }
+                self.bits = t.armed.word(self.word_pos);
+            }
+            let pos = self.word_pos + u64::from(self.bits.trailing_zeros());
+            self.bits &= self.bits - 1;
+            let idx = (pos - t.sched_base) as usize;
+            let s = &t.sched[idx];
+            if s.wake <= now {
+                self.age = s.age;
+                self.idx = idx as u32;
+                return true;
+            }
+            self.min_wake = self.min_wake.min(s.wake);
+        }
+    }
+}
+
+impl CoreState {
     /// Re-arms a waiting instruction's `next_wake` deadline: if a
     /// source's timing is unknown it parks on that register's waiter
     /// list (re-armed when the producer issues); otherwise the deadline
@@ -35,18 +93,20 @@ impl CoreState {
     ///
     /// A register's waiters are always instructions of the thread
     /// holding it (a thread maps only registers it holds), so the
-    /// waiter list stores the bare per-thread seq.
+    /// waiter list stores the slot's window position and age.
     fn rearm_wake(&mut self, tid: ThreadId, idx: usize, lower: u64) {
         let slot = self.threads[tid].sched[idx];
+        let pos = self.threads[tid].sched_base + idx as u64;
         let mut wake = lower.max(slot.earliest_issue);
         loop {
             let mut next = wake;
             for &p in slot.srcs.iter().filter(|&&p| p != NO_SRC) {
                 let pt = self.preg_time[p as usize];
                 if !pt.known {
-                    let seq = self.threads[tid].rob[idx].seq;
-                    self.preg_waiters[p as usize].push(seq);
-                    self.threads[tid].sched[idx].wake = SCHED_PARKED;
+                    self.preg_waiters[p as usize].push((pos, slot.age));
+                    let t = &mut self.threads[tid];
+                    t.sched[idx].wake = SCHED_PARKED;
+                    t.armed.disarm(pos);
                     return;
                 }
                 next = next.max(pt.next_ready_at(next));
@@ -57,35 +117,34 @@ impl CoreState {
             wake = next;
         }
         let t = &mut self.threads[tid];
-        let s = &mut t.sched[idx];
-        s.wake = wake;
-        if !std::mem::replace(&mut s.in_timed, true) {
-            t.timed.push(t.sched_base + idx as u64);
-        }
+        t.sched[idx].wake = wake;
+        t.armed.arm(pos);
         t.due_hint = t.due_hint.min(wake);
     }
 
     /// Un-parks everything waiting on `p`, called when the producer
     /// issues and `p`'s timing becomes known. The deadline is reset
-    /// lazily to the next cycle; the select scan recomputes it from the
+    /// lazily to the next cycle; the select walk recomputes it from the
     /// now-known timing on examination.
     fn wake_preg_waiters(&mut self, p: u16, now: u64) {
         if self.preg_waiters[p as usize].is_empty() {
             return;
         }
         let tid = self.thread_of_preg(p);
+        let t = &mut self.threads[tid];
         let mut waiters = std::mem::take(&mut self.preg_waiters[p as usize]);
-        for seq in waiters.drain(..) {
-            if let Some(idx) = self.rob_index(tid, seq) {
-                let t = &mut self.threads[tid];
-                if t.rob[idx].status == Status::Waiting {
-                    let s = &mut t.sched[idx];
-                    s.wake = now + 1;
-                    if !std::mem::replace(&mut s.in_timed, true) {
-                        t.timed.push(t.sched_base + idx as u64);
-                    }
-                    t.due_hint = t.due_hint.min(now + 1);
-                }
+        for (pos, age) in waiters.drain(..) {
+            // A retired waiter fell below the window, and a squashed
+            // one's position may hold a younger instruction since; ages
+            // are unique, so only the waiter itself matches.
+            let slot = pos.checked_sub(t.sched_base);
+            let Some(s) = slot.and_then(|i| t.sched.get_mut(i as usize)) else {
+                continue;
+            };
+            if s.age == age && s.wake != SCHED_ISSUED {
+                s.wake = now + 1;
+                t.armed.arm(pos);
+                t.due_hint = t.due_hint.min(now + 1);
             }
         }
         // Hand the (empty) buffer back to keep its capacity.
@@ -99,96 +158,53 @@ impl CoreState {
 
         // Select oldest-ready-first across threads, in global dispatch
         // `age` order (with one thread this is exactly the order the
-        // full-window scan visited), filtering each window slice down
-        // to the instructions whose wake deadline has arrived.
-        // Instructions losing a slot to issue width or a full FU pool
-        // keep a due deadline and are re-examined next cycle; a failed
-        // ready check re-arms the deadline.
-        let mut due = std::mem::take(&mut self.due_buf);
+        // full-window scan visited), examining only the instructions
+        // whose wake deadline has arrived. Instructions losing a slot
+        // to issue width or a full FU pool keep a due deadline and are
+        // re-examined next cycle; a failed ready check re-arms the
+        // deadline.
         let mut selected = std::mem::take(&mut self.selected_buf);
-        let mut bounds = std::mem::take(&mut self.due_bounds);
-        due.clear();
+        let mut cursors = std::mem::take(&mut self.cursors);
         selected.clear();
-        bounds.clear();
+        cursors.clear();
         for (tid, t) in self.threads.iter_mut().enumerate() {
             // Nothing in this thread's window can be due yet: skip the
-            // scan outright. `due_hint` is a lower bound, so skipping
+            // walk outright. `due_hint` is a lower bound, so skipping
             // never drops a due instruction.
             if t.due_hint > now {
-                bounds.push(due.len());
                 continue;
             }
-            // Walk only the slots with an armed (finite) deadline.
-            // Every finite `sched` write enters its slot into `timed`,
-            // so no due instruction can hide outside this list; slots
-            // that have since issued or parked are dropped here.
-            let before = due.len();
-            let base = t.sched_base;
-            let mut min_wake = u64::MAX;
-            let mut timed = std::mem::take(&mut t.timed);
-            timed.retain(|&pos| {
-                if pos < base {
-                    return false; // retired off the window's front
-                }
-                let idx = (pos - base) as usize;
-                let s = &mut t.sched[idx];
-                if s.wake >= SCHED_PARKED {
-                    s.in_timed = false;
-                    return false;
-                }
-                if s.wake <= now {
-                    due.push((s.age, tid as u32, idx as u32));
-                } else if s.wake < min_wake {
-                    min_wake = s.wake;
-                }
-                true
-            });
-            t.timed = timed;
-            // `timed` is in deadline-arming order; the merge needs each
-            // thread's run in dispatch (`age`) order. Ages are unique,
-            // so this reproduces exactly the order a front-to-back
-            // window scan would have produced.
-            if due.len() - before > 1 {
-                due[before..].sort_unstable();
+            let mut cursor = SelectCursor::new(tid, t);
+            if cursor.next_due(t, now) {
+                // A due slot may survive the issue loop (lost slot) and
+                // stay due, so the hint must not rise past `now`.
+                t.due_hint = now;
+                cursors.push(cursor);
+            } else {
+                // The cursor passed every armed slot: the exact
+                // minimum governs the next walk.
+                t.due_hint = cursor.min_wake;
             }
-            // Something due this cycle may survive the issue loop (lost
-            // slot) and stay due, so the hint must not rise past `now`;
-            // otherwise the exact minimum governs the next scan.
-            t.due_hint = if due.len() > before { now } else { min_wake };
-            bounds.push(due.len());
         }
-        // Lazy k-way merge of the per-thread age-sorted runs: each
-        // iteration picks the lowest age among the (at most nthreads)
-        // run heads, which visits entries in exactly the order a fully
-        // merged list would — but the loop usually stops at the issue
-        // width, so the tail of the due set is never ordered at all
-        // (the former full `sort_unstable` ordered everything).
-        let mut heads = std::mem::take(&mut self.merge_heads);
-        heads.clear();
-        let mut start = 0;
-        for &end in &bounds {
-            if end > start {
-                heads.push((start, end));
-            }
-            start = end;
-        }
-        self.due_bounds = bounds;
-        loop {
-            if total == self.config.issue_width || heads.is_empty() {
-                break;
-            }
+        // Lazy k-way merge of the per-thread age-ordered cursors: each
+        // step takes the lowest age among the (at most nthreads)
+        // cursors, which visits due slots in exactly the order a fully
+        // merged and sorted list would, and the loop usually stops at
+        // the issue width with most of the backlog never visited.
+        // Advancing a cursor before its slot is examined is safe: the
+        // examination changes only that slot's deadline and bit.
+        while total < self.config.issue_width && !cursors.is_empty() {
             let mut best = 0;
-            for r in 1..heads.len() {
-                if due[heads[r].0].0 < due[heads[best].0].0 {
+            for r in 1..cursors.len() {
+                if cursors[r].age < cursors[best].age {
                     best = r;
                 }
             }
-            let (_, tid, i) = due[heads[best].0];
-            heads[best].0 += 1;
-            if heads[best].0 == heads[best].1 {
-                heads.swap_remove(best);
+            let c = &mut cursors[best];
+            let (tid, i) = (c.tid as usize, c.idx as usize);
+            if !c.next_due(&self.threads[tid], now) {
+                cursors.swap_remove(best);
             }
-            let (tid, i) = (tid as usize, i as usize);
             let slot = &self.threads[tid].sched[i];
             debug_assert_eq!(self.threads[tid].rob[i].status, Status::Waiting);
             let ready = slot.earliest_issue <= now
@@ -226,7 +242,7 @@ impl CoreState {
             total += 1;
             selected.push((inst.seq, tid as u32, i as u32));
         }
-        self.merge_heads = heads;
+        self.cursors = cursors;
 
         if squashing {
             // Register-cache miss in the previous cycle: everything
@@ -266,7 +282,6 @@ impl CoreState {
                 }
             }
         }
-        self.due_buf = due;
         self.selected_buf = selected;
     }
 
@@ -539,6 +554,7 @@ impl CoreState {
         inst.status = Status::Issued;
         inst.exec_done = exec_done;
         t.sched[idx].wake = SCHED_ISSUED;
+        t.armed.disarm(t.sched_base + idx as u64);
         self.window_count -= 1;
         if let Some(t) = self.trace.get_mut(age as usize) {
             t.issue = now;

@@ -97,12 +97,12 @@ impl CoreState {
         removed.clear();
         removed.extend(self.threads[tid].rob.drain(keep..));
         let t = &mut self.threads[tid];
+        // Slots refilled after the squash reuse the same absolute
+        // positions, so no squashed slot may stay armed.
+        for pos in t.sched_base + keep as u64..t.sched_base + t.sched.len() as u64 {
+            t.armed.disarm(pos);
+        }
         t.sched.truncate(keep);
-        // Purge truncated positions eagerly: slots refilled after the
-        // squash reuse the same absolute positions, so a stale `timed`
-        // entry would alias a new instruction.
-        let cut = t.sched_base + keep as u64;
-        t.timed.retain(|&pos| pos < cut);
         for inst in removed.iter().rev() {
             debug_assert_eq!(inst.tid, tid, "squashed another thread's instruction");
             if inst.status == Status::Waiting {

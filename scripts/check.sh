@@ -4,29 +4,44 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --check"
+# Each step's wall time and the total come from bash's SECONDS, so the
+# gate's timings are read off its own output.
+step_name=""
+step_start=0
+step() {
+  if [ -n "$step_name" ]; then
+    echo "-- $step_name: $((SECONDS - step_start))s"
+  fi
+  step_name=$1
+  step_start=$SECONDS
+  if [ -n "$step_name" ]; then
+    echo "== $step_name"
+  fi
+}
+
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --workspace --all-targets -- -D warnings"
+step "cargo clippy --workspace --all-targets -- -D warnings"
 # --all-targets also lints the tests, benches and examples.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo doc --no-deps (warnings denied)"
+step "cargo doc --no-deps (warnings denied)"
 # Vendored third_party crates are workspace members but not ours to fix.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
   --exclude proptest --exclude rand
 
-echo "== tier-1: cargo build --release && cargo test -q"
+step "tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "== workspace tests: every crate's unit, integration and doc tests"
+step "workspace tests: every crate's unit, integration and doc tests"
 # Tier-1 runs only the root package. This step also runs every crate's
 # own suites: the SMT, wrong-path, fault-injection, recovery, runner,
 # ISA and property tests, and the ConfigError rejection tests.
 cargo test --workspace --release -q
 
-echo "== every experiment, serial, parallel and checked: the same tables"
+step "every experiment, serial, parallel and checked: the same tables"
 # Every experiment makes one run_cells call whose results come back in
 # cell order, so one worker and two workers must print byte-identical
 # tables; only the per-experiment wall-clock in each header differs.
@@ -52,4 +67,5 @@ cargo run --release -q -p ubrc-bench --bin experiments -- \
 diff "$serial_out" "$parallel_out"
 diff "$serial_out" "$checked_out"
 
-echo "all checks passed"
+step ""
+echo "all checks passed in ${SECONDS}s"
