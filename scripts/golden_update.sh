@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
-# Golden-snapshot maintenance for tests/golden_snapshots.txt.
+# Golden-snapshot maintenance for tests/golden_snapshots.txt and
+# tests/program_digests.txt.
 #
-# Default: verify the current simulator against the committed goldens
-# and REFUSE to overwrite anything — if rows differ, the diff is shown
-# and the script exits non-zero. Rows are bit-exact cycle counts; a
-# diff means a semantic change to the timing model, which must be a
-# deliberate decision, not a side effect of a refactor.
+# Default: verify the current simulator against the committed goldens,
+# and every bundled program against its committed digest, and REFUSE to
+# overwrite anything — if rows differ, the diff is shown and the script
+# exits non-zero. Golden rows are bit-exact cycle counts; a diff means a
+# semantic change to the timing model, which must be a deliberate
+# decision, not a side effect of a refactor. Digest rows pin each
+# assembled kernel and synthetic program; a diff means a generator or
+# the assembler changed what a program contains.
 #
 # To accept a deliberate change:   scripts/golden_update.sh --bless
-# (re-captures the file, then shows `git diff` of it for review).
+# (re-captures both files, then shows `git diff` of them for review).
 #
 # To regenerate only the rows of one config block (e.g. a new trailing
 # block, or one whose model deliberately changed) while every other row
@@ -17,11 +21,13 @@
 #   scripts/golden_update.sh --only smt2
 #   scripts/golden_update.sh --only minload,smt2   # comma-separated
 #
-# The prefix matches the row's config column.
+# The prefix matches the row's config column. It applies to the golden
+# snapshots only; the digest table is verified or blessed as a whole.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GOLDEN=tests/golden_snapshots.txt
+DIGESTS=tests/program_digests.txt
 BLESS=0
 ONLY=
 case "${1:-}" in
@@ -51,26 +57,27 @@ if [[ -n "$ONLY" ]]; then
 fi
 
 if [[ "$BLESS" == 1 ]]; then
-    echo "== re-capturing $GOLDEN (UBRC_BLESS=1)"
-    UBRC_BLESS=1 cargo test --release --test golden_snapshots -- --nocapture
+    echo "== re-capturing $GOLDEN and $DIGESTS (UBRC_BLESS=1)"
+    UBRC_BLESS=1 cargo test --release --test golden_snapshots --test program_digests \
+        -- --nocapture
     echo "== resulting change (review before committing):"
-    git --no-pager diff --stat -- "$GOLDEN" || true
-    git --no-pager diff -- "$GOLDEN" | head -80 || true
+    git --no-pager diff --stat -- "$GOLDEN" "$DIGESTS" || true
+    git --no-pager diff -- "$GOLDEN" "$DIGESTS" | head -80 || true
     echo "blessed. Re-run '$0' (no flags) to confirm determinism."
     exit 0
 fi
 
-echo "== verifying simulator output against $GOLDEN (no overwrite)"
-if cargo test --release --test golden_snapshots; then
-    echo "goldens are up to date."
+echo "== verifying simulator output against $GOLDEN and programs against $DIGESTS (no overwrite)"
+if cargo test --release --test golden_snapshots --test program_digests; then
+    echo "goldens and digests are up to date."
 else
     cat >&2 <<EOF
 
-Golden snapshots DIFFER from the current simulator output.
-Refusing to overwrite $GOLDEN.
+Golden snapshots or program digests DIFFER from the current output.
+Refusing to overwrite $GOLDEN or $DIGESTS.
 
 If this change is intentional (a deliberate timing-model change, a new
-config row), re-run with:   $0 --bless
+config row, a changed kernel generator), re-run with:   $0 --bless
 and review the diff it prints before committing.
 EOF
     exit 1
