@@ -1,13 +1,14 @@
-//! The twelve benchmark kernels.
+//! The twelve benchmark kernels, and the name table every kernel
+//! lookup builds from.
 //!
 //! Each generator emits assembly plus checks whose expected values come
 //! from a Rust mirror of the same algorithm run on the same
 //! (deterministically generated) data.
 
-use crate::{Check, Workload};
+use crate::{kernels_ext, Check, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use ubrc_isa::DATA_BASE;
 
 /// Problem-size preset for the kernel suite.
@@ -29,7 +30,7 @@ pub enum Scale {
 }
 
 impl Scale {
-    fn pick(self, tiny: usize, small: usize, default: usize) -> usize {
+    pub(crate) fn pick(self, tiny: usize, small: usize, default: usize) -> usize {
         match self {
             Scale::Tiny => tiny,
             Scale::Small => small,
@@ -38,27 +39,64 @@ impl Scale {
     }
 }
 
-/// Builds the full 12-kernel suite at the given scale.
-pub fn suite(scale: Scale) -> Vec<Workload> {
-    vec![
-        qsort(scale),
-        listchase(scale),
-        hash(scale),
-        matmul(scale),
-        crc(scale),
-        fib(scale),
-        bfs(scale),
-        strsearch(scale),
-        rle(scale),
-        bitops(scale),
-        fpmix(scale),
-        dispatch(scale),
-    ]
+/// A kernel's name and its constructor.
+type Kernel = (&'static str, fn(Scale) -> Workload);
+
+/// Every bundled kernel's constructor, by name: the 12-kernel suite in
+/// suite order, then the four extended kernels. Each name is its
+/// workload's [`Workload::name`]. Every lookup below builds only the
+/// kernels it returns.
+const KERNELS: [Kernel; 16] = [
+    ("qsort", qsort),
+    ("listchase", listchase),
+    ("hash", hash),
+    ("matmul", matmul),
+    ("crc", crc),
+    ("fib", fib),
+    ("bfs", bfs),
+    ("strsearch", strsearch),
+    ("rle", rle),
+    ("bitops", bitops),
+    ("fpmix", fpmix),
+    ("dispatch", dispatch),
+    ("sieve", kernels_ext::sieve),
+    ("mandel", kernels_ext::mandel),
+    ("nbody", kernels_ext::nbody),
+    ("spmv", kernels_ext::spmv),
+];
+
+/// How many of [`KERNELS`] make up [`suite`].
+const SUITE_LEN: usize = 12;
+
+fn build(kernels: &[Kernel], scale: Scale) -> Vec<Workload> {
+    kernels.iter().map(|(_, kernel)| kernel(scale)).collect()
 }
 
-/// Looks up a single kernel by name at the given scale.
+/// Builds the full 12-kernel suite at the given scale.
+pub fn suite(scale: Scale) -> Vec<Workload> {
+    build(&KERNELS[..SUITE_LEN], scale)
+}
+
+/// The four extended kernels: sieve, mandel, nbody, spmv (FP and mixed
+/// workloads for the extension experiments; the paper's evaluation is
+/// integer-only, so these stay out of [`suite`]).
+pub fn extended_suite(scale: Scale) -> Vec<Workload> {
+    build(&KERNELS[SUITE_LEN..], scale)
+}
+
+/// The names of all 16 bundled kernels: the suite's, then the extended
+/// kernels'.
+pub fn kernel_names() -> impl Iterator<Item = &'static str> {
+    KERNELS.iter().map(|&(name, _)| name)
+}
+
+/// Builds one kernel of the suite or the extended suite by name at the
+/// given scale.
 pub fn workload_by_name(name: &str, scale: Scale) -> Option<Workload> {
-    suite(scale).into_iter().find(|w| w.name == name)
+    KERNELS
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .map(|(_, kernel)| kernel(scale))
 }
 
 /// Co-schedule pairings for the SMT experiments: the 12-kernel suite
@@ -105,26 +143,60 @@ pub fn kernel_quads(scale: Scale) -> Vec<[Workload; 4]> {
         .collect()
 }
 
-fn quad_list(values: &[u64]) -> String {
-    let mut s = String::new();
-    for chunk in values.chunks(8) {
-        s.push_str(".quad ");
-        let items: Vec<String> = chunk.iter().map(|v| format!("{}", *v as i64)).collect();
-        s.push_str(&items.join(", "));
-        s.push('\n');
-    }
-    s
+/// Lines of one data directive, `per_line` values to a line, written
+/// straight into the surrounding source by `Display`.
+struct DataLines<'a, T> {
+    directive: &'static str,
+    per_line: usize,
+    values: &'a [T],
+    item: fn(&T, &mut fmt::Formatter<'_>) -> fmt::Result,
 }
 
-fn byte_list(values: &[u8]) -> String {
-    let mut s = String::new();
-    for chunk in values.chunks(16) {
-        s.push_str(".byte ");
-        let items: Vec<String> = chunk.iter().map(|v| v.to_string()).collect();
-        s.push_str(&items.join(", "));
-        s.push('\n');
+impl<T> fmt::Display for DataLines<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for chunk in self.values.chunks(self.per_line) {
+            f.write_str(self.directive)?;
+            for (i, v) in chunk.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(", ")?;
+                }
+                (self.item)(v, f)?;
+            }
+            f.write_char('\n')?;
+        }
+        Ok(())
     }
-    s
+}
+
+/// `.quad` lines, eight signed values to a line.
+pub(crate) fn quad_list(values: &[u64]) -> impl fmt::Display + '_ {
+    DataLines {
+        directive: ".quad ",
+        per_line: 8,
+        values,
+        item: |v, f| write!(f, "{}", *v as i64),
+    }
+}
+
+/// `.byte` lines, sixteen values to a line.
+fn byte_list(values: &[u8]) -> impl fmt::Display + '_ {
+    DataLines {
+        directive: ".byte ",
+        per_line: 16,
+        values,
+        item: |v, f| write!(f, "{v}"),
+    }
+}
+
+/// `.double` lines, four values to a line, each in the round-trip
+/// `Debug` form.
+pub(crate) fn double_list(values: &[f64]) -> impl fmt::Display + '_ {
+    DataLines {
+        directive: ".double ",
+        per_line: 4,
+        values,
+        item: |v, f| write!(f, "{v:?}"),
+    }
 }
 
 /// Recursive quicksort (Lomuto partition) over random quadwords, then a
@@ -814,17 +886,6 @@ fn fpmix(scale: Scale) -> Workload {
     }
     let quot = dot / poly;
 
-    let fmt_doubles = |v: &[f64]| -> String {
-        let mut s = String::new();
-        for chunk in v.chunks(4) {
-            s.push_str(".double ");
-            let items: Vec<String> = chunk.iter().map(|x| format!("{x:?}")).collect();
-            s.push_str(&items.join(", "));
-            s.push('\n');
-        }
-        s
-    };
-
     let src = format!(
         ".data\nfa:\n{}\nfb:\n{}\nconsts: .double {c3:?}, {c2:?}, {c1:?}, {c0:?}\n\
 out: .space 24\n.text\n\
@@ -857,8 +918,8 @@ floop:  fld  f1, 0(r1)\n\
         fsd  f11, 8(r5)\n\
         fsd  f12, 16(r5)\n\
         halt\n",
-        fmt_doubles(&a),
-        fmt_doubles(&b),
+        double_list(&a),
+        double_list(&b),
     );
     Workload {
         name: "fpmix",
@@ -1003,7 +1064,34 @@ mod tests {
     #[test]
     fn workload_by_name_finds_kernels() {
         assert!(workload_by_name("qsort", Scale::Tiny).is_some());
+        assert!(workload_by_name("nbody", Scale::Tiny).is_some());
         assert!(workload_by_name("nonesuch", Scale::Tiny).is_none());
+    }
+
+    #[test]
+    fn every_lookup_builds_the_suites_kernels() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Default] {
+            let all: Vec<Workload> = suite(scale)
+                .into_iter()
+                .chain(crate::extended_suite(scale))
+                .collect();
+            assert_eq!(all.len(), 16);
+            let names: Vec<&str> = kernel_names().collect();
+            assert_eq!(names, all.iter().map(|w| w.name).collect::<Vec<_>>());
+            for w in &all {
+                assert_eq!(workload_by_name(w.name, scale).as_ref(), Some(w));
+            }
+            let of = |name: &str| all.iter().find(|w| w.name == name).unwrap();
+            for (a, b) in kernel_pairs(scale) {
+                assert_eq!(&a, of(a.name));
+                assert_eq!(&b, of(b.name));
+            }
+            for quad in kernel_quads(scale) {
+                for w in &quad {
+                    assert_eq!(w, of(w.name));
+                }
+            }
+        }
     }
 
     #[test]

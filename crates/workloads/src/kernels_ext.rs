@@ -1,35 +1,16 @@
 //! Extended kernels beyond the SPECint-stand-in suite: floating-point
 //! and mixed workloads used by the extension experiments (the paper's
-//! evaluation is integer-only, so these stay out of [`crate::suite`]).
+//! evaluation is integer-only, so these stay out of [`crate::suite`];
+//! [`crate::extended_suite`] builds them).
 
+use crate::kernels::{double_list, quad_list, Scale};
 use crate::{Check, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Scale alias re-exported for symmetry with [`crate::suite`].
-pub use crate::kernels::Scale;
-
-/// The four extended kernels: sieve, mandel, nbody, spmv.
-pub fn extended_suite(scale: Scale) -> Vec<Workload> {
-    vec![sieve(scale), mandel(scale), nbody(scale), spmv(scale)]
-}
-
-/// Looks up an extended kernel by name.
-pub fn extended_by_name(name: &str, scale: Scale) -> Option<Workload> {
-    extended_suite(scale).into_iter().find(|w| w.name == name)
-}
-
-fn pick(scale: Scale, tiny: usize, small: usize, default: usize) -> usize {
-    match scale {
-        Scale::Tiny => tiny,
-        Scale::Small => small,
-        Scale::Default => default,
-    }
-}
-
 /// Sieve of Eratosthenes: byte-flag stores with strided access.
-fn sieve(scale: Scale) -> Workload {
-    let n = pick(scale, 64, 512, 4096);
+pub(crate) fn sieve(scale: Scale) -> Workload {
+    let n = scale.pick(64, 512, 4096);
     // Mirror.
     let mut flags = vec![true; n];
     flags[0] = false;
@@ -98,8 +79,8 @@ cloop:  add  r7, r1, r9\n\
 
 /// Fixed-point Mandelbrot escape iteration over a small grid: integer
 /// multiply pressure with data-dependent loop exits.
-fn mandel(scale: Scale) -> Workload {
-    let grid = pick(scale, 4, 10, 24) as i64;
+pub(crate) fn mandel(scale: Scale) -> Workload {
+    let grid = scale.pick(4, 10, 24) as i64;
     let max_iter = 24i64;
     const FRAC: i64 = 12; // fixed-point fraction bits
 
@@ -188,21 +169,10 @@ idone:  add  r24, r24, r16\n\
     }
 }
 
-fn fmt_doubles(v: &[f64]) -> String {
-    let mut s = String::new();
-    for chunk in v.chunks(4) {
-        s.push_str(".double ");
-        let items: Vec<String> = chunk.iter().map(|x| format!("{x:?}")).collect();
-        s.push_str(&items.join(", "));
-        s.push('\n');
-    }
-    s
-}
-
 /// O(n²) gravitational force accumulation (one step, softened):
 /// floating-point divide pressure.
-fn nbody(scale: Scale) -> Workload {
-    let n = pick(scale, 6, 16, 40);
+pub(crate) fn nbody(scale: Scale) -> Workload {
+    let n = scale.pick(6, 16, 40);
     let mut rng = SmallRng::seed_from_u64(0x4E42_000C);
     let xs: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
     let ys: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
@@ -256,8 +226,8 @@ skip:   addi r4, r4, 1\n\
         la   r1, out\n\
         fsd  f10, 0(r1)\n\
         halt\n",
-        fmt_doubles(&xs),
-        fmt_doubles(&ys),
+        double_list(&xs),
+        double_list(&ys),
     );
     Workload {
         name: "nbody",
@@ -273,8 +243,8 @@ skip:   addi r4, r4, 1\n\
 
 /// Sparse matrix-vector product in CSR form: irregular column-index
 /// loads feeding FP accumulation.
-fn spmv(scale: Scale) -> Workload {
-    let rows = pick(scale, 8, 64, 256);
+pub(crate) fn spmv(scale: Scale) -> Workload {
+    let rows = scale.pick(8, 64, 256);
     let nnz_per_row = 4;
     let mut rng = SmallRng::seed_from_u64(0x5350_000D);
     let mut colidx: Vec<u64> = Vec::new();
@@ -298,17 +268,6 @@ fn spmv(scale: Scale) -> Workload {
         }
         total += acc;
     }
-
-    let quad_list = |v: &[u64]| -> String {
-        let mut s = String::new();
-        for chunk in v.chunks(8) {
-            s.push_str(".quad ");
-            let items: Vec<String> = chunk.iter().map(|x| x.to_string()).collect();
-            s.push_str(&items.join(", "));
-            s.push('\n');
-        }
-        s
-    };
 
     let src = format!(
         ".data\nrowptr:\n{}\ncolidx:\n{}\nvals:\n{}\nxvec:\n{}\nout: .space 8\n.text\n\
@@ -343,8 +302,8 @@ rdone:  fadd f10, f10, f1\n\
         halt\n",
         quad_list(&rowptr),
         quad_list(&colidx),
-        fmt_doubles(&vals),
-        fmt_doubles(&x),
+        double_list(&vals),
+        double_list(&x),
     );
     Workload {
         name: "spmv",
@@ -360,7 +319,7 @@ rdone:  fadd f10, f10, f1\n\
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{extended_suite, suite, Scale};
 
     #[test]
     fn extended_kernels_pass_checks_at_all_scales() {
@@ -381,14 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn extended_lookup() {
-        assert!(extended_by_name("nbody", Scale::Tiny).is_some());
-        assert!(extended_by_name("qsort", Scale::Tiny).is_none());
-    }
-
-    #[test]
     fn names_do_not_collide_with_the_main_suite() {
-        let main: Vec<&str> = crate::suite(Scale::Tiny).iter().map(|w| w.name).collect();
+        let main: Vec<&str> = suite(Scale::Tiny).iter().map(|w| w.name).collect();
         for w in extended_suite(Scale::Tiny) {
             assert!(!main.contains(&w.name));
         }
