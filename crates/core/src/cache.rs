@@ -266,13 +266,13 @@ pub struct RegisterCache {
     sets: usize,
     entries: Vec<Entry>,
     tick: u64,
-    valid_count: usize,
     per_preg: Vec<PregState>,
     stats: RegCacheStats,
     shadow: Option<Box<RegisterCache>>,
-    // SMT partitioning: thread count, the evenly-split preg quota used
-    // to derive a preg's owning thread, and live entries per thread.
-    nthreads: usize,
+    // SMT partitioning: the evenly-split preg quota used to derive a
+    // preg's owning thread, and live entries per thread (one slot per
+    // thread, so its length is the thread count and its sum the
+    // occupancy).
     preg_quota: usize,
     thread_valid: Vec<usize>,
     // The run-time state of `config.partition` (see `partition.rs`):
@@ -346,11 +346,9 @@ impl RegisterCache {
             sets,
             entries: vec![Entry::default(); config.entries],
             tick: 0,
-            valid_count: 0,
             per_preg: vec![PregState::default(); num_pregs],
             stats,
             shadow,
-            nthreads,
             preg_quota: num_pregs / nthreads,
             thread_valid: vec![0; nthreads],
             partition,
@@ -423,7 +421,7 @@ impl RegisterCache {
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.valid_count
+        self.thread_valid.iter().sum()
     }
 
     /// Flushes the occupancy integral up to `now`. Call once at the end
@@ -448,7 +446,7 @@ impl RegisterCache {
     }
 
     fn note_occupancy(&mut self, now: u64) {
-        self.stats.occupancy.update(now, self.valid_count as f64);
+        self.stats.occupancy.update(now, self.occupancy() as f64);
         for (t, &v) in self.thread_valid.iter().enumerate() {
             self.stats.thread_occupancy[t].update(now, v as f64);
         }
@@ -481,7 +479,6 @@ impl RegisterCache {
         debug_assert!(e.valid, "removing an invalid entry");
         self.entries[i].valid = false;
         self.per_preg[e.preg as usize].entry = None;
-        self.valid_count -= 1;
         self.thread_valid[e.tid as usize] -= 1;
         match cause {
             Removal::Migrate => return e,
@@ -510,7 +507,6 @@ impl RegisterCache {
         debug_assert!(!self.entries[i].valid, "placing over a valid entry");
         self.entries[i] = e;
         self.per_preg[e.preg as usize].entry = Some(i as u32);
-        self.valid_count += 1;
         self.thread_valid[e.tid as usize] += 1;
     }
 
@@ -667,7 +663,7 @@ impl RegisterCache {
                 e.uses = e.uses.saturating_sub(1);
             }
             self.stats.read_hits += 1;
-            if self.nthreads > 1 {
+            if self.thread_valid.len() > 1 {
                 self.stats.thread_read_hits[tid] += 1;
             }
             if let Some(s) = &mut self.shadow {
@@ -676,7 +672,7 @@ impl RegisterCache {
             return true;
         }
         self.stats.read_misses += 1;
-        if self.nthreads > 1 {
+        if self.thread_valid.len() > 1 {
             self.stats.thread_read_misses[tid] += 1;
         }
         let class = self.classify_miss(preg);
@@ -806,17 +802,16 @@ impl RegisterCache {
             })
     }
 
-    /// Structural self-audit: checks that the cached `valid_count`
-    /// matches the entry array, no physical register is resident twice,
-    /// each resident register's entry index points at its entry and no
-    /// other register is indexed, and every counter respects the
-    /// configured saturation limit; and
-    /// the SMT partition: every entry is tagged with its register's
-    /// thread, each thread's live-entry count matches its entries and
-    /// respects its occupancy cap, every entry sits in a way its thread
-    /// owns, and the dynamic caps and way counts are positive and sum
-    /// to the entries and ways. Returns a description of the first
-    /// violated invariant, naming the thread when it is per-thread.
+    /// Structural self-audit: checks that no physical register is
+    /// resident twice, each resident register's entry index points at
+    /// its entry and no other register is indexed, and every counter
+    /// respects the configured saturation limit; and the SMT partition:
+    /// every entry is tagged with its register's thread, each thread's
+    /// live-entry count matches its entries and respects its occupancy
+    /// cap, every entry sits in a way its thread owns, and the dynamic
+    /// caps and way counts are positive and sum to the entries and
+    /// ways. Returns a description of the first violated invariant,
+    /// naming the thread when it is per-thread.
     ///
     /// # Errors
     ///
@@ -824,14 +819,8 @@ impl RegisterCache {
     /// (only possible after external corruption, e.g. fault injection).
     pub fn audit(&self) -> Result<(), String> {
         let live = self.entries.iter().filter(|e| e.valid).count();
-        if live != self.valid_count {
-            return Err(format!(
-                "valid_count {} disagrees with {} live entries",
-                self.valid_count, live
-            ));
-        }
         let mut seen = vec![false; self.per_preg.len()];
-        let mut per_thread = vec![0usize; self.nthreads];
+        let mut per_thread = vec![0usize; self.thread_valid.len()];
         let w = self.config.ways;
         for (i, e) in self.entries.iter().enumerate().filter(|(_, e)| e.valid) {
             let p = e.preg as usize;
@@ -879,7 +868,7 @@ impl RegisterCache {
                 "{indexed} registers indexed as resident but {live} entries are live"
             ));
         }
-        if let Some(t) = (0..self.nthreads).find(|&t| per_thread[t] != self.thread_valid[t]) {
+        if let Some(t) = (0..per_thread.len()).find(|&t| per_thread[t] != self.thread_valid[t]) {
             return Err(format!(
                 "thread {t} is counted {} valid entries but holds {}",
                 self.thread_valid[t], per_thread[t]
@@ -904,16 +893,16 @@ impl RegisterCache {
     /// upset could leave. Returns the victim's tag, or `None` when the
     /// cache is empty.
     pub fn corrupt_metadata(&mut self, nth: usize) -> Option<PhysReg> {
-        if self.valid_count == 0 {
+        let valid = self.occupancy();
+        if valid == 0 {
             return None;
         }
-        let target = nth % self.valid_count;
         let e = self
             .entries
             .iter_mut()
             .filter(|e| e.valid)
-            .nth(target)
-            .expect("target < valid_count");
+            .nth(nth % valid)
+            .expect("nth % occupancy names a valid entry");
         e.pinned = false;
         e.uses = 255;
         Some(PhysReg(e.preg))
@@ -926,16 +915,16 @@ impl RegisterCache {
     /// the backing file. Returns the victim's tag, or `None` when the
     /// cache is empty.
     pub fn corrupt_data(&mut self, nth: usize) -> Option<PhysReg> {
-        if self.valid_count == 0 {
+        let valid = self.occupancy();
+        if valid == 0 {
             return None;
         }
-        let target = nth % self.valid_count;
         let e = self
             .entries
             .iter_mut()
             .filter(|e| e.valid)
-            .nth(target)
-            .expect("target < valid_count");
+            .nth(nth % valid)
+            .expect("nth % occupancy names a valid entry");
         e.parity_bad = true;
         Some(PhysReg(e.preg))
     }
@@ -1005,10 +994,10 @@ impl RegisterCache {
     /// cache; the simulator only schedules the epoch stage when it is.
     pub fn epoch_boundary(&mut self, now: u64) -> EpochFeedback {
         assert!(
-            self.nthreads > 1 && self.config.partition.is_dynamic(),
+            self.thread_valid.len() > 1 && self.config.partition.is_dynamic(),
             "epoch_boundary on a non-dynamic cache"
         );
-        let n = self.nthreads;
+        let n = self.thread_valid.len();
         let w = self.config.ways;
         let mut hits = vec![0u64; n];
         let mut misses = vec![0u64; n];

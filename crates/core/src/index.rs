@@ -31,6 +31,12 @@ pub enum IndexPolicy {
 /// physical register is freed, [`IndexAssigner::release`] retires the
 /// assignment so the policies' bookkeeping stays balanced.
 ///
+/// That bookkeeping is one per-set `load`: each live assignment adds a
+/// weight that depends on the policy — its predicted uses under
+/// minimum, one under min-load, one per high-use value under filtered
+/// round-robin, and nothing under standard and round-robin indexing,
+/// which never read it.
+///
 /// # Examples
 ///
 /// ```
@@ -46,19 +52,15 @@ pub struct IndexAssigner {
     policy: IndexPolicy,
     sets: usize,
     cursor: usize,
-    /// Minimum policy: per-set sum of predicted uses.
-    use_sums: Vec<u64>,
-    /// Min-load policy: per-set count of live assignments (maintained
-    /// for every policy; only min-load reads it).
-    occupancy: Vec<u32>,
-    /// Filtered round-robin: per-set count of high-use values.
-    high_use_counts: Vec<u32>,
+    /// Per set, the summed [`IndexAssigner::weight`] of its live
+    /// assignments.
+    load: Vec<u64>,
     /// Filtered round-robin: predicted degree above which a value is
     /// "high-use".
     high_use_degree: u8,
     /// Filtered round-robin: sets with more high-use values than this
     /// are skipped.
-    skip_above: u32,
+    skip_above: u64,
 }
 
 /// Predicted degree above which a value counts as "high-use" for the
@@ -79,11 +81,9 @@ impl IndexAssigner {
             policy,
             sets,
             cursor: 0,
-            use_sums: vec![0; sets],
-            occupancy: vec![0; sets],
-            high_use_counts: vec![0; sets],
+            load: vec![0; sets],
             high_use_degree: HIGH_USE_THRESHOLD,
-            skip_above: (ways / 2) as u32,
+            skip_above: (ways / 2) as u64,
         }
     }
 
@@ -92,12 +92,23 @@ impl IndexAssigner {
     /// the associativity). Used by the ablation experiments.
     pub fn set_filter_params(&mut self, high_use_degree: u8, skip_above: u32) {
         self.high_use_degree = high_use_degree;
-        self.skip_above = skip_above;
+        self.skip_above = u64::from(skip_above);
     }
 
     /// The policy in use.
     pub fn policy(&self) -> IndexPolicy {
         self.policy
+    }
+
+    /// What one assignment of a value with `predicted_uses` predicted
+    /// consumers adds to its set's load under the configured policy.
+    fn weight(&self, predicted_uses: u8) -> u64 {
+        match self.policy {
+            IndexPolicy::Standard | IndexPolicy::RoundRobin => 0,
+            IndexPolicy::Minimum => u64::from(predicted_uses),
+            IndexPolicy::MinLoad => 1,
+            IndexPolicy::FilteredRoundRobin => u64::from(predicted_uses > self.high_use_degree),
+        }
     }
 
     /// Chooses the cache set for a value produced into `preg` with
@@ -111,14 +122,15 @@ impl IndexAssigner {
                 self.cursor = (self.cursor + 1) % self.sets;
                 s
             }
-            IndexPolicy::Minimum => {
-                // Scan from a rotating start so ties do not cluster
-                // consecutive values into the lowest-numbered set.
+            IndexPolicy::Minimum | IndexPolicy::MinLoad => {
+                // The least-loaded set, scanning from a rotating start
+                // so ties do not cluster consecutive values into the
+                // lowest-numbered set.
                 let start = self.cursor;
                 let mut best = start;
                 for k in 0..self.sets {
                     let s = (start + k) % self.sets;
-                    if self.use_sums[s] < self.use_sums[best] {
+                    if self.load[s] < self.load[best] {
                         best = s;
                     }
                 }
@@ -126,11 +138,10 @@ impl IndexAssigner {
                 best
             }
             IndexPolicy::FilteredRoundRobin => {
-                let threshold = self.skip_above;
                 let mut s = self.cursor;
                 let mut picked = None;
                 for _ in 0..self.sets {
-                    if self.high_use_counts[s] <= threshold {
+                    if self.load[s] <= self.skip_above {
                         picked = Some(s);
                         break;
                     }
@@ -142,26 +153,8 @@ impl IndexAssigner {
                 self.cursor = (s + 1) % self.sets;
                 s
             }
-            IndexPolicy::MinLoad => {
-                // Same rotating-start tie-break as `Minimum`, scanning
-                // live-assignment counts instead of predicted-use sums.
-                let start = self.cursor;
-                let mut best = start;
-                for k in 0..self.sets {
-                    let s = (start + k) % self.sets;
-                    if self.occupancy[s] < self.occupancy[best] {
-                        best = s;
-                    }
-                }
-                self.cursor = (start + 1) % self.sets;
-                best
-            }
         };
-        self.use_sums[set] += predicted_uses as u64;
-        self.occupancy[set] += 1;
-        if predicted_uses > self.high_use_degree {
-            self.high_use_counts[set] += 1;
-        }
+        self.load[set] += self.weight(predicted_uses);
         set as u16
     }
 
@@ -170,11 +163,7 @@ impl IndexAssigner {
     /// [`IndexAssigner::assign`].
     pub fn release(&mut self, set: u16, predicted_uses: u8) {
         let set = set as usize % self.sets;
-        self.use_sums[set] = self.use_sums[set].saturating_sub(predicted_uses as u64);
-        self.occupancy[set] = self.occupancy[set].saturating_sub(1);
-        if predicted_uses > self.high_use_degree {
-            self.high_use_counts[set] = self.high_use_counts[set].saturating_sub(1);
-        }
+        self.load[set] = self.load[set].saturating_sub(self.weight(predicted_uses));
     }
 
     /// Number of sets being assigned over.
@@ -270,7 +259,7 @@ mod tests {
             // Degree 5 is NOT high-use (threshold is > 5).
             a.assign(PhysReg(i), 5);
         }
-        assert_eq!(a.high_use_counts, vec![0, 0]);
+        assert_eq!(a.load, vec![0, 0]);
     }
 
     #[test]
@@ -294,13 +283,172 @@ mod tests {
         // After releasing every assignment the counts return to zero.
         a.release(0, 1);
         a.release(1, 1);
-        assert_eq!(a.occupancy, vec![0, 0]);
+        assert_eq!(a.load, vec![0, 0]);
+    }
+
+    /// The assigner's bookkeeping before it kept one load per set, as
+    /// it was: three per-set tallies updated on every assignment and
+    /// release, and each policy's choice over the one it reads.
+    struct ThreeTallies {
+        policy: IndexPolicy,
+        sets: usize,
+        cursor: usize,
+        use_sums: Vec<u64>,
+        occupancy: Vec<u32>,
+        high_use_counts: Vec<u32>,
+        high_use_degree: u8,
+        skip_above: u32,
+    }
+
+    impl ThreeTallies {
+        fn new(policy: IndexPolicy, sets: usize, ways: usize) -> Self {
+            Self {
+                policy,
+                sets,
+                cursor: 0,
+                use_sums: vec![0; sets],
+                occupancy: vec![0; sets],
+                high_use_counts: vec![0; sets],
+                high_use_degree: HIGH_USE_THRESHOLD,
+                skip_above: (ways / 2) as u32,
+            }
+        }
+
+        fn assign(&mut self, preg: PhysReg, predicted_uses: u8) -> u16 {
+            let set = match self.policy {
+                IndexPolicy::Standard => preg.0 as usize % self.sets,
+                IndexPolicy::RoundRobin => {
+                    let s = self.cursor;
+                    self.cursor = (self.cursor + 1) % self.sets;
+                    s
+                }
+                IndexPolicy::Minimum => {
+                    let start = self.cursor;
+                    let mut best = start;
+                    for k in 0..self.sets {
+                        let s = (start + k) % self.sets;
+                        if self.use_sums[s] < self.use_sums[best] {
+                            best = s;
+                        }
+                    }
+                    self.cursor = (start + 1) % self.sets;
+                    best
+                }
+                IndexPolicy::FilteredRoundRobin => {
+                    let threshold = self.skip_above;
+                    let mut s = self.cursor;
+                    let mut picked = None;
+                    for _ in 0..self.sets {
+                        if self.high_use_counts[s] <= threshold {
+                            picked = Some(s);
+                            break;
+                        }
+                        s = (s + 1) % self.sets;
+                    }
+                    let s = picked.unwrap_or(self.cursor);
+                    self.cursor = (s + 1) % self.sets;
+                    s
+                }
+                IndexPolicy::MinLoad => {
+                    let start = self.cursor;
+                    let mut best = start;
+                    for k in 0..self.sets {
+                        let s = (start + k) % self.sets;
+                        if self.occupancy[s] < self.occupancy[best] {
+                            best = s;
+                        }
+                    }
+                    self.cursor = (start + 1) % self.sets;
+                    best
+                }
+            };
+            self.use_sums[set] += predicted_uses as u64;
+            self.occupancy[set] += 1;
+            if predicted_uses > self.high_use_degree {
+                self.high_use_counts[set] += 1;
+            }
+            set as u16
+        }
+
+        fn release(&mut self, set: u16, predicted_uses: u8) {
+            let set = set as usize % self.sets;
+            self.use_sums[set] = self.use_sums[set].saturating_sub(predicted_uses as u64);
+            self.occupancy[set] = self.occupancy[set].saturating_sub(1);
+            if predicted_uses > self.high_use_degree {
+                self.high_use_counts[set] = self.high_use_counts[set].saturating_sub(1);
+            }
+        }
+    }
+
+    /// Seeded random streams of assignments and out-of-order releases,
+    /// with varied geometries and filter parameters: for every policy
+    /// the one per-set load chooses exactly the sets the three tallies
+    /// chose, and returns to zero once every assignment is released.
+    #[test]
+    fn one_load_chooses_as_the_three_tallies_did() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let policies = [
+            IndexPolicy::Standard,
+            IndexPolicy::RoundRobin,
+            IndexPolicy::Minimum,
+            IndexPolicy::FilteredRoundRobin,
+            IndexPolicy::MinLoad,
+        ];
+        for policy in policies {
+            for seed in 0..24u64 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let sets = [1, 2, 3, 8, 32][rng.random_range(0..5usize)];
+                let ways = [1, 2, 4, 8][rng.random_range(0..4usize)];
+                let mut a = IndexAssigner::new(policy, sets, ways);
+                let mut b = ThreeTallies::new(policy, sets, ways);
+                if seed % 2 == 1 {
+                    let degree = rng.random_range(0..12u8);
+                    let skip = rng.random_range(0..5u32);
+                    a.set_filter_params(degree, skip);
+                    (b.high_use_degree, b.skip_above) = (degree, skip);
+                }
+                let mut live: Vec<(u16, u8)> = Vec::new();
+                for step in 0..3000 {
+                    // Grow the live set early on, then hover around it.
+                    if live.is_empty() || rng.random_range(0..100u32) < 55 {
+                        let preg = PhysReg(rng.random_range(0..512u16));
+                        let uses = if rng.random_bool(0.05) {
+                            u8::MAX
+                        } else {
+                            rng.random_range(0..16u8)
+                        };
+                        let set = a.assign(preg, uses);
+                        assert_eq!(
+                            set,
+                            b.assign(preg, uses),
+                            "{policy:?} seed {seed} step {step}: sets differ"
+                        );
+                        live.push((set, uses));
+                    } else {
+                        let (set, uses) = live.swap_remove(rng.random_range(0..live.len()));
+                        a.release(set, uses);
+                        b.release(set, uses);
+                    }
+                }
+                while !live.is_empty() {
+                    let (set, uses) = live.swap_remove(rng.random_range(0..live.len()));
+                    a.release(set, uses);
+                    b.release(set, uses);
+                }
+                assert!(
+                    a.load.iter().all(|&l| l == 0),
+                    "{policy:?} seed {seed}: load left after every release: {:?}",
+                    a.load
+                );
+            }
+        }
     }
 
     #[test]
     fn release_saturates_at_zero() {
         let mut a = IndexAssigner::new(IndexPolicy::Minimum, 2, 2);
         a.release(0, 9); // never assigned; must not underflow
-        assert_eq!(a.use_sums[0], 0);
+        assert_eq!(a.load[0], 0);
     }
 }

@@ -323,17 +323,16 @@ impl PartitionState {
     }
 }
 
-/// Epoch pacing for the dynamic partitions: fixed-period (byte-identical
-/// to the original `now % epoch_cycles` gate) or [`EpochAdapt`]-driven
-/// variable-length epochs.
+/// Epoch pacing for the dynamic partitions: fixed-period (a boundary
+/// at every multiple of `epoch_cycles`) or [`EpochAdapt`]-driven
+/// variable-length epochs. Both schedule one boundary at a time, `len`
+/// cycles after the last; only an adaptive pacer changes `len`.
 #[derive(Clone, Debug)]
 pub(crate) struct EpochPacer {
-    /// The configured base period.
-    base: u64,
     adapt: Option<EpochAdapt>,
-    /// Current period (== `base` when not adapting).
+    /// Current period: the configured one unless adapting.
     len: u64,
-    /// Next boundary cycle (adaptive mode only).
+    /// Next boundary cycle.
     next: u64,
     /// The allocation installed at the previous boundary, for the
     /// agreement test.
@@ -347,7 +346,6 @@ impl EpochPacer {
             None => epoch_cycles,
         };
         Self {
-            base: epoch_cycles,
             adapt,
             len,
             next: len,
@@ -355,32 +353,28 @@ impl EpochPacer {
         }
     }
 
+    /// Never at cycle 0: a zero-length epoch never fires.
     fn due(&self, now: u64) -> bool {
-        match self.adapt {
-            // The fixed-period gate: never at cycle 0, then every
-            // `base`th cycle.
-            None => now != 0 && now.is_multiple_of(self.base),
-            Some(_) => now != 0 && now == self.next,
-        }
+        now != 0 && now == self.next
     }
 
-    /// Records the allocation a boundary installed and schedules the
-    /// next boundary: agreement within the hysteresis band doubles the
-    /// period, disagreement halves it, both clamped to `[min, max]`.
+    /// Schedules the next boundary after the one that installed
+    /// `alloc`. An adaptive pacer first re-sizes the period: agreement
+    /// with the previous allocation within the hysteresis band doubles
+    /// it, disagreement halves it, both clamped to `[min, max]`.
     fn advance(&mut self, alloc: &[usize]) {
-        let Some(a) = self.adapt else {
-            return;
-        };
-        let agreed = self
-            .last_alloc
-            .as_deref()
-            .is_some_and(|prev| l1_distance(prev, alloc) <= a.band);
-        self.len = if agreed {
-            self.len.saturating_mul(2).clamp(a.min_cycles, a.max_cycles)
-        } else {
-            (self.len / 2).clamp(a.min_cycles, a.max_cycles)
-        };
-        self.last_alloc = Some(alloc.to_vec());
+        if let Some(a) = self.adapt {
+            let agreed = self
+                .last_alloc
+                .as_deref()
+                .is_some_and(|prev| l1_distance(prev, alloc) <= a.band);
+            self.len = if agreed {
+                self.len.saturating_mul(2).clamp(a.min_cycles, a.max_cycles)
+            } else {
+                (self.len / 2).clamp(a.min_cycles, a.max_cycles)
+            };
+            self.last_alloc = Some(alloc.to_vec());
+        }
         self.next += self.len;
     }
 }
@@ -445,20 +439,35 @@ mod tests {
         assert_eq!(p.victim_ways(1), 0..4);
     }
 
+    /// Closing each boundary as it falls due, as the simulator's epoch
+    /// stage does, a fixed period fires on every multiple of it.
     #[test]
-    fn dynamic_cap_paces_fixed_epochs_like_the_modulo_gate() {
-        let p = PartitionState::new(
+    fn dynamic_cap_paces_fixed_epochs_every_period() {
+        let mut p = PartitionState::new(
             &cfg(CachePartition::DynamicCap {
                 epoch_cycles: 64,
                 min_cap: 1,
             }),
             2,
         );
-        assert!(!p.epoch_due(0));
-        assert!(!p.epoch_due(63));
-        assert!(p.epoch_due(64));
-        assert!(p.epoch_due(128));
         assert_eq!(p.caps(), Some(&[8usize, 8][..]));
+        let m = UtilityMonitor::new(16, 2);
+        let cx = EpochContext {
+            monitor: &m,
+            pinned: &[0, 0],
+            pinned_per_set_max: &[0, 0],
+            entries: 16,
+            ways: 4,
+            sets: 4,
+        };
+        let mut fired = Vec::new();
+        for now in 0..=200 {
+            if p.epoch_due(now) {
+                fired.push(now);
+                p.epoch_boundary(&cx);
+            }
+        }
+        assert_eq!(fired, [64, 128, 192]);
     }
 
     #[test]

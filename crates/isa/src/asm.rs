@@ -27,6 +27,7 @@ use crate::inst::{AluImmOp, AluOp, BranchCond, CvtDir, FpuOp, Inst, MemWidth};
 use crate::program::{Program, DATA_BASE, TEXT_BASE};
 use crate::reg::Reg;
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -90,7 +91,8 @@ impl<'s> Operand<'s> {
 }
 
 /// The most operands any instruction reads. Further operands are
-/// parsed, so a malformed one is still an error, and then ignored.
+/// parsed, so a malformed one is still an error, and counted, so they
+/// are reported as surplus.
 const MAX_OPERANDS: usize = 3;
 
 #[derive(Clone, Debug, PartialEq)]
@@ -110,7 +112,9 @@ enum Stmt<'s> {
     Inst {
         /// As written; matched without regard to ASCII case.
         mnemonic: &'s str,
+        /// The first `len` operands written, up to [`MAX_OPERANDS`].
         operands: [Operand<'s>; MAX_OPERANDS],
+        /// How many operands are written.
         len: usize,
     },
 }
@@ -370,8 +374,8 @@ fn parse(source: &str) -> Result<Parsed<'_>, AsmError> {
                 let op = parse_operand(t, line)?;
                 if len < MAX_OPERANDS {
                     operands[len] = op;
-                    len += 1;
                 }
+                len += 1;
             }
         }
         stmts.push((
@@ -406,6 +410,25 @@ fn inst_size(mnemonic: &str, operands: &[Operand<'_>]) -> usize {
         };
     }
     1
+}
+
+/// An instruction's operands as pass 2 reads them. It notes how many
+/// the mnemonic reads, so one written past those is an error rather
+/// than dropped.
+struct Operands<'a> {
+    given: &'a [Operand<'a>],
+    read: Cell<usize>,
+}
+
+impl<'a> Operands<'a> {
+    fn get(&self, i: usize) -> Option<&Operand<'a>> {
+        self.read.set(self.read.get().max(i + 1));
+        self.given.get(i)
+    }
+
+    fn first(&self) -> Option<&Operand<'a>> {
+        self.get(0)
+    }
 }
 
 struct Emitter<'a> {
@@ -527,14 +550,14 @@ impl Emitter<'_> {
         Ok(())
     }
 
-    fn alu(&self, op: AluOp, ops: &[Operand<'_>], line: usize) -> Result<Inst, AsmError> {
+    fn alu(&self, op: AluOp, ops: &Operands<'_>, line: usize) -> Result<Inst, AsmError> {
         let rd = self.want_reg(ops.first(), line)?;
         let rs = self.want_reg(ops.get(1), line)?;
         let rt = self.want_reg(ops.get(2), line)?;
         Ok(Inst::Alu { op, rd, rs, rt })
     }
 
-    fn alu_imm(&self, op: AluImmOp, ops: &[Operand<'_>], line: usize) -> Result<Inst, AsmError> {
+    fn alu_imm(&self, op: AluImmOp, ops: &Operands<'_>, line: usize) -> Result<Inst, AsmError> {
         let rd = self.want_reg(ops.first(), line)?;
         let rs = self.want_reg(ops.get(1), line)?;
         let imm = self.want_imm16(ops.get(2), line)?;
@@ -545,7 +568,7 @@ impl Emitter<'_> {
         &self,
         width: MemWidth,
         signed: bool,
-        ops: &[Operand<'_>],
+        ops: &Operands<'_>,
         line: usize,
     ) -> Result<Inst, AsmError> {
         let rd = self.want_reg(ops.first(), line)?;
@@ -559,7 +582,7 @@ impl Emitter<'_> {
         })
     }
 
-    fn store(&self, width: MemWidth, ops: &[Operand<'_>], line: usize) -> Result<Inst, AsmError> {
+    fn store(&self, width: MemWidth, ops: &Operands<'_>, line: usize) -> Result<Inst, AsmError> {
         let src = self.want_reg(ops.first(), line)?;
         let (off, base) = self.want_mem(ops.get(1), line)?;
         Ok(Inst::Store {
@@ -574,7 +597,7 @@ impl Emitter<'_> {
         &self,
         cond: BranchCond,
         swap: bool,
-        ops: &[Operand<'_>],
+        ops: &Operands<'_>,
         line: usize,
     ) -> Result<Inst, AsmError> {
         let a = self.want_reg(ops.first(), line)?;
@@ -589,7 +612,7 @@ impl Emitter<'_> {
         &self,
         cond: BranchCond,
         zero_first: bool,
-        ops: &[Operand<'_>],
+        ops: &Operands<'_>,
         line: usize,
     ) -> Result<Inst, AsmError> {
         let r = self.want_reg(ops.first(), line)?;
@@ -599,7 +622,7 @@ impl Emitter<'_> {
         Ok(Inst::Branch { cond, rs, rt, off })
     }
 
-    fn fpu(&self, op: FpuOp, ops: &[Operand<'_>], line: usize) -> Result<Inst, AsmError> {
+    fn fpu(&self, op: FpuOp, ops: &Operands<'_>, line: usize) -> Result<Inst, AsmError> {
         let rd = self.want_reg(ops.first(), line)?;
         let rs = self.want_reg(ops.get(1), line)?;
         let rt = self.want_reg(ops.get(2), line)?;
@@ -607,14 +630,14 @@ impl Emitter<'_> {
     }
 
     /// A two-register form: `rd, rs`.
-    fn rd_rs(&self, ops: &[Operand<'_>], line: usize) -> Result<(Reg, Reg), AsmError> {
+    fn rd_rs(&self, ops: &Operands<'_>, line: usize) -> Result<(Reg, Reg), AsmError> {
         Ok((
             self.want_reg(ops.first(), line)?,
             self.want_reg(ops.get(1), line)?,
         ))
     }
 
-    fn emit(&mut self, mnemonic: &str, ops: &[Operand<'_>], line: usize) -> Result<(), AsmError> {
+    fn emit(&mut self, mnemonic: &str, ops: &Operands<'_>, line: usize) -> Result<(), AsmError> {
         // Copied only for the rare mnemonic written with upper case.
         let lower: Cow<'_, str> = if mnemonic.bytes().any(|b| b.is_ascii_uppercase()) {
             mnemonic.to_ascii_lowercase().into()
@@ -797,7 +820,7 @@ impl Emitter<'_> {
                 let before = self.out.len();
                 self.emit_li(rd, v, line)?;
                 // Keep the size promised by pass 1.
-                while self.out.len() < before + inst_size(name, ops) {
+                while self.out.len() < before + inst_size(name, ops.given) {
                     self.out.push(Inst::Nop);
                 }
                 return Ok(());
@@ -880,7 +903,7 @@ pub fn assemble_at(source: &str, text_base: u64, data_base: u64) -> Result<Progr
                 if !in_text {
                     return err(*line, "instruction outside .text");
                 }
-                text_len += inst_size(mnemonic, &operands[..*len]) as u64;
+                text_len += inst_size(mnemonic, &operands[..(*len).min(MAX_OPERANDS)]) as u64;
             }
             Stmt::Values { width, items } => data_len += (width * items.len()) as u64,
             Stmt::Space(n) => data_len += n,
@@ -902,7 +925,24 @@ pub fn assemble_at(source: &str, text_base: u64, data_base: u64) -> Result<Progr
                 mnemonic,
                 operands,
                 len,
-            } => emitter.emit(mnemonic, &operands[..*len], *line)?,
+            } => {
+                let ops = Operands {
+                    given: &operands[..(*len).min(MAX_OPERANDS)],
+                    read: Cell::new(0),
+                };
+                emitter.emit(mnemonic, &ops, *line)?;
+                let read = ops.read.get();
+                if *len > read {
+                    return err(
+                        *line,
+                        format!(
+                            "`{}` takes {read} operand{}, not {len}",
+                            mnemonic.to_ascii_lowercase(),
+                            if read == 1 { "" } else { "s" }
+                        ),
+                    );
+                }
+            }
             Stmt::Values {
                 width,
                 items: range,

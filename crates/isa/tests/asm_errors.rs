@@ -164,3 +164,26 @@ fn duplicate_data_and_text_labels_collide() {
     let e = err_of(".data\nx: .quad 1\n.text\nx: nop\n");
     assert!(e.msg.contains("duplicate"));
 }
+
+#[test]
+fn surplus_operands_are_rejected_on_their_line() {
+    // Each line alone is one too many for its mnemonic; a valid line
+    // above it shows the error lands on the surplus line itself.
+    for (src, msg) in [
+        ("add r1, r2, r3, r4", "`add` takes 3 operands, not 4"),
+        ("addi r2, r0, 5, 6", "`addi` takes 3 operands, not 4"),
+        ("halt r9", "`halt` takes 0 operands, not 1"),
+        ("ret ra", "`ret` takes 0 operands, not 1"),
+        ("jr r1, r2", "`jr` takes 1 operand, not 2"),
+    ] {
+        let e = err_of(&format!("main: nop\n{src}\nhalt\n"));
+        assert_eq!(e.line, 2, "wrong line for {src:?}");
+        assert_eq!(e.msg, msg, "{src:?}");
+    }
+    // Surplus operands are still parsed first: a malformed one is
+    // reported as such.
+    let e = err_of("main: add r1, r2, r3, 8(r99)\n");
+    assert!(e.msg.contains("bad base register"), "{}", e.msg);
+    // The exact operand count assembles, upper-case mnemonics included.
+    assert!(assemble("main: ADD r1, r2, r3\nret\nhalt\n").is_ok());
+}

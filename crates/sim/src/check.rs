@@ -11,6 +11,7 @@ use std::fmt;
 use ubrc_core::{CacheConfigError, PhysReg, RegisterCache, UseTracker};
 use ubrc_emu::EmuError;
 use ubrc_frontend::DouseConfigError;
+use ubrc_isa::Inst;
 use ubrc_memsys::MemSysConfigError;
 
 /// Runtime-checking configuration (`SimConfig::check`).
@@ -61,8 +62,8 @@ pub struct RetiredEvent {
     pub cycle: u64,
     /// Fetch address.
     pub pc: u64,
-    /// Disassembly.
-    pub asm: String,
+    /// The instruction, disassembled only when a report is displayed.
+    pub inst: Inst,
 }
 
 /// The pipeline retired an instruction whose architectural record
@@ -105,7 +106,7 @@ impl fmt::Display for DivergenceReport {
             writeln!(
                 f,
                 "    seq {:>8} @ cycle {:>8}  pc {:#08x}  {}",
-                e.seq, e.cycle, e.pc, e.asm
+                e.seq, e.cycle, e.pc, e.inst
             )?;
         }
         Ok(())

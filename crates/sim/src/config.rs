@@ -42,7 +42,7 @@ pub enum FetchPolicy {
 /// How physical registers are divided between SMT threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FreelistPolicy {
-    /// Each thread owns a fixed `phys_regs / nthreads` slice of the
+    /// Each thread owns a fixed `phys_regs / threads` slice of the
     /// register file (the default; what the golden rows pin).
     #[default]
     Partitioned,
@@ -231,7 +231,9 @@ pub struct SimConfig {
     pub window_entries: usize,
     /// Reorder-buffer entries.
     pub rob_entries: usize,
-    /// Physical registers.
+    /// Physical registers. Shared by every hardware thread, so it must
+    /// divide evenly between the co-scheduled programs and leave each
+    /// thread's slice more registers than the architectural set.
     pub phys_regs: usize,
     /// Front-end depth in cycles from fetch to window entry
     /// (4 fetch + 2 decode + 3 rename + 2 dispatch = 11).
@@ -291,13 +293,6 @@ pub struct SimConfig {
     /// at all. Wall-time-only instrumentation — enabling it never
     /// changes the simulated timing.
     pub profile: bool,
-    /// Hardware thread contexts (SMT). Set by
-    /// [`crate::Simulator::try_new_smt`] to the number of co-scheduled
-    /// programs; 1 for the classic single-threaded core. The physical
-    /// register file is partitioned evenly between contexts, so
-    /// `phys_regs` must divide by `nthreads` and leave each partition
-    /// more registers than the architectural set.
-    pub nthreads: usize,
     /// SMT fetch-thread selection (ignored with one thread).
     pub fetch_policy: FetchPolicy,
     /// Physical-register pool organization across threads (ignored with
@@ -334,7 +329,6 @@ impl SimConfig {
             check: CheckConfig::default(),
             fault_plan: None,
             profile: false,
-            nthreads: 1,
             fetch_policy: FetchPolicy::Icount,
             freelist: FreelistPolicy::Partitioned,
         }

@@ -107,7 +107,7 @@ impl Oracle {
             seq: actual.seq,
             cycle,
             pc: actual.pc,
-            asm: actual.inst.to_string(),
+            inst: actual.inst,
         });
         Ok(())
     }

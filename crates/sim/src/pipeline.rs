@@ -179,7 +179,6 @@ impl Simulator {
 
     /// Builds a simulator co-scheduling one program per hardware
     /// thread (one program is the classic single-threaded core).
-    /// `config.nthreads` is overwritten with the program count;
     /// `config.freelist` divides the physical registers between the
     /// contexts.
     ///
@@ -187,10 +186,9 @@ impl Simulator {
     ///
     /// Returns the first [`ConfigError`] the `(programs, config)`
     /// combination violates.
-    pub fn try_new_smt(programs: Vec<Program>, mut config: SimConfig) -> Result<Self, ConfigError> {
+    pub fn try_new_smt(programs: Vec<Program>, config: SimConfig) -> Result<Self, ConfigError> {
         Self::validate_smt(programs.len(), &config)?;
         let nthreads = programs.len();
-        config.nthreads = nthreads;
         let npregs = config.phys_regs;
         let narch = ubrc_isa::NUM_ARCH_REGS as usize;
 
@@ -231,7 +229,6 @@ impl Simulator {
                 file: TwoLevelFile::new(*tl, npregs),
             },
         };
-        let read_latency = config.storage.read_latency();
 
         let mut preg_time = vec![PregTime::UNKNOWN; npregs];
         let mut preg_info = vec![PregInfo::EMPTY; npregs];
@@ -291,11 +288,9 @@ impl Simulator {
                 halted: false,
                 fetch_resume: 0,
                 waiting_on_branch: None,
-                wrong_path: false,
-                wp_resolve_seq: None,
+                wrong_path: None,
                 wp_ghist: GlobalHistory::new(),
                 wp_ras: ReturnAddressStack::default(),
-                wp_ras_saved: false,
                 fetch_latch: FetchLatch::new(),
                 ghist: GlobalHistory::new(),
                 branch_pred: match config.branch_predictor {
@@ -312,7 +307,6 @@ impl Simulator {
                 rob: VecDeque::new(),
                 sched: VecDeque::new(),
                 due_hint: 0,
-                sched_base: 0,
                 armed: ArmedSlots::default(),
                 store_granules: crate::stage::GranuleMap::default(),
                 retired_machine,
@@ -332,10 +326,7 @@ impl Simulator {
             last_fetch_tid: nthreads - 1,
             now: 0,
             age: 0,
-            retired: 0,
             last_progress: 0,
-            halted: false,
-            wp_squashed: 0,
             preg_time,
             preg_info,
             window_count: 0,
@@ -344,32 +335,18 @@ impl Simulator {
             selected_buf: Vec::new(),
             squash_buf: Vec::new(),
             storage,
-            read_latency,
             events: EventLatch::new(),
             replay: ReplayLatch::new(),
             preg_gen: vec![0; npregs],
-            load_replay_squashes: 0,
-            store_forward_stalls: 0,
             memsys,
-            cond_branches: 0,
-            branch_mispredicts: 0,
-            indirect_branches: 0,
-            indirect_mispredicts: 0,
-            replayed: 0,
-            miss_events: 0,
-            dispatch_stall_pregs: 0,
-            operands_bypassed: 0,
-            operands_from_storage: 0,
+            result: SimResult::default(),
             lifetimes,
             trace: Vec::new(),
-            epoch_timeline: Vec::new(),
             checker,
             injector,
             error: None,
             cancel: None,
             pending_machine_check: None,
-            recovery_cycles: 0,
-            recovery_latency: ubrc_stats::Histogram::new(),
             forced_recovery: false,
             profiler: config.profile.then(|| Box::new(StageProfiler::new())),
             config,
@@ -403,7 +380,7 @@ impl Simulator {
             core.config.max_instructions
         };
         let watchdog = core.config.check.watchdog_cycles.max(1);
-        while !core.halted && core.retired < budget {
+        while !core.halted() && core.retired() < budget {
             core.cycle();
             if let Some(e) = core.error.take() {
                 return Err(e);

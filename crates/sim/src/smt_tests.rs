@@ -73,9 +73,7 @@ fn assert_slices_contained(sim: &Simulator) {
 /// renamed, so its squash has something to unwind.
 fn branch_renamed(t: &crate::stage::ThreadState) -> bool {
     t.wrong_path
-        && t.wp_ras_saved
-        && t.wp_resolve_seq
-            .is_some_and(|seq| t.rob.iter().any(|i| i.seq == seq))
+        .is_some_and(|seq| t.rob.iter().any(|i| i.seq == seq))
 }
 
 /// Squashing thread 0's wrong path must not disturb thread 1's front
@@ -94,7 +92,7 @@ fn squash_on_one_thread_leaves_the_other_untouched() {
         assert!(sim.core.error.is_none(), "clean run expected");
     }
     let branch_seq = sim.core.threads[0]
-        .wp_resolve_seq
+        .wrong_path
         .expect("bfs must go wrong-path within the budget");
 
     let t1 = &sim.core.threads[1];
@@ -119,8 +117,7 @@ fn squash_on_one_thread_leaves_the_other_untouched() {
     assert_eq!(t1.seq, snap_seq);
 
     let t0 = &sim.core.threads[0];
-    assert!(!t0.wrong_path);
-    assert!(t0.wp_resolve_seq.is_none());
+    assert!(t0.wrong_path.is_none());
     assert!(t0.rob.iter().all(|i| i.seq <= branch_seq));
     assert_slices_contained(&sim);
 }
@@ -142,14 +139,14 @@ fn freelist_exhaustion_stalls_without_stealing() {
     let mut cfg = SimConfig::paper_default();
     cfg.phys_regs = 144; // two partitions of 72: 64 arch + 8 rename regs
     let mut sim = sim(&["bfs", "hash"], cfg);
-    while !sim.core.halted && sim.core.now < 2_000_000 {
+    while !sim.core.halted() && sim.core.now < 2_000_000 {
         sim.core.cycle();
         assert!(sim.core.error.is_none(), "clean run expected");
         assert_slices_contained(&sim);
     }
-    assert!(sim.core.halted, "both threads must run to completion");
+    assert!(sim.core.halted(), "both threads must run to completion");
     assert!(
-        sim.core.dispatch_stall_pregs > 0,
+        sim.core.result.dispatch_stall_pregs > 0,
         "a 8-rename-reg partition must hit freelist exhaustion"
     );
     let retired: Vec<u64> = sim.core.threads.iter().map(|t| t.retired).collect();
@@ -507,14 +504,14 @@ fn assert_checked_matches_unchecked(cfg: SimConfig) {
 #[test]
 fn four_threads_keep_partition_containment_to_completion() {
     let mut sim = sim(&QUAD, SimConfig::paper_default());
-    while !sim.core.halted && sim.core.now < 4_000_000 {
+    while !sim.core.halted() && sim.core.now < 4_000_000 {
         sim.core.cycle();
         assert!(sim.core.error.is_none(), "clean run expected");
         if sim.core.now.is_multiple_of(1024) {
             assert_slices_contained(&sim);
         }
     }
-    assert!(sim.core.halted, "all four threads must run to completion");
+    assert!(sim.core.halted(), "all four threads must run to completion");
     assert_eq!(sim.core.threads.len(), 4);
     assert!(sim.core.threads.iter().all(|t| t.retired > 0));
 }
@@ -534,7 +531,7 @@ fn four_thread_squash_leaves_all_peers_untouched() {
         assert!(sim.core.error.is_none(), "clean run expected");
     }
     let branch_seq = sim.core.threads[0]
-        .wp_resolve_seq
+        .wrong_path
         .expect("bfs must go wrong-path within the budget");
 
     let snaps: Vec<_> = (1..4)
@@ -568,7 +565,7 @@ fn four_thread_squash_leaves_all_peers_untouched() {
         assert_eq!(t.seq, *seq);
     }
     let t0 = &sim.core.threads[0];
-    assert!(!t0.wrong_path);
+    assert!(t0.wrong_path.is_none());
     assert!(t0.rob.iter().all(|i| i.seq <= branch_seq));
 }
 
@@ -619,7 +616,7 @@ fn shared_freelist_cap_binds_and_is_never_exceeded() {
     cfg.freelist = FreelistPolicy::Shared { cap: 72 };
     let mut sim = sim(&["bfs", "hash"], cfg);
     let mut capped_stalls = false;
-    while !sim.core.halted && sim.core.now < 4_000_000 {
+    while !sim.core.halted() && sim.core.now < 4_000_000 {
         sim.core.cycle();
         assert!(sim.core.error.is_none(), "clean run expected");
         let pool = &sim.core.pool;
@@ -627,11 +624,11 @@ fn shared_freelist_cap_binds_and_is_never_exceeded() {
         for (tid, &live) in pool.live.iter().enumerate() {
             assert!(live <= pool.cap, "thread {tid} exceeded the live cap");
         }
-        if sim.core.dispatch_stall_pregs > 0 {
+        if sim.core.result.dispatch_stall_pregs > 0 {
             capped_stalls = true;
         }
     }
-    assert!(sim.core.halted, "both threads must run to completion");
+    assert!(sim.core.halted(), "both threads must run to completion");
     assert!(capped_stalls, "a 8-rename-register cap must stall dispatch");
 }
 
@@ -672,7 +669,7 @@ fn checker_reports_armed_bits_that_disagree_with_deadlines() {
     let slots = |t: &crate::stage::ThreadState| {
         let pos = |want: fn(u64) -> bool| {
             let i = t.sched.iter().position(|s| want(s.wake))?;
-            Some(t.sched_base + i as u64)
+            Some(t.retired + i as u64)
         };
         Some((
             pos(|w| w == crate::stage::SCHED_ISSUED)?,
@@ -730,10 +727,11 @@ fn dynamic_cap_epochs_fire_and_conserve_the_cache() {
         "the quad must outlive one 2048-cycle epoch"
     );
     assert_eq!(result.epoch_timeline.len() as u64, result.epochs);
-    let caps = result
-        .final_thread_caps
-        .as_ref()
-        .expect("DynamicCap reports final quotas");
+    let caps = &result
+        .epoch_timeline
+        .last()
+        .expect("DynamicCap reports its quotas")
+        .caps;
     assert_eq!(caps.len(), 4);
     assert_eq!(
         caps.iter().sum::<usize>(),
@@ -763,7 +761,6 @@ fn dynamic_cap_runs_are_deterministic() {
     assert_eq!(a.thread_retired, b.thread_retired);
     assert_eq!(a.miss_events, b.miss_events);
     assert_eq!(a.epochs, b.epochs);
-    assert_eq!(a.final_thread_caps, b.final_thread_caps);
     assert_eq!(a.epoch_timeline, b.epoch_timeline);
     assert!(
         a.epochs > 0,
@@ -800,9 +797,11 @@ fn machine_check_squashes_mid_epoch_keep_dynamic_caps_consistent() {
         r.epochs > 0,
         "squashes must interleave with epoch boundaries"
     );
-    let caps = r
-        .final_thread_caps
-        .expect("DynamicCap reports final quotas");
+    let caps = &r
+        .epoch_timeline
+        .last()
+        .expect("DynamicCap reports its quotas")
+        .caps;
     assert_eq!(caps.iter().sum::<usize>(), 16, "squashes leaked quota");
     assert!(r.thread_retired.iter().all(|&t| t > 0));
 }

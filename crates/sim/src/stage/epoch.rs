@@ -29,7 +29,7 @@ impl CoreState {
             return;
         };
         if cache.epoch_due(now) {
-            self.epoch_timeline.push(cache.epoch_boundary(now));
+            self.result.epoch_timeline.push(cache.epoch_boundary(now));
         }
     }
 }

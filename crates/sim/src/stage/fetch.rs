@@ -140,7 +140,7 @@ impl CoreState {
                 line = Some(this_line);
             }
             let mut rec = self.take_record(tid).expect("peeked");
-            let on_wrong_path = self.threads[tid].wrong_path;
+            let on_wrong_path = self.threads[tid].wrong_path.is_some();
             if let Some(inj) = self.injector.as_mut() {
                 if inj.armed_for(FaultKind::CorruptRecord) && !on_wrong_path {
                     if let Some(v) = rec.dest_val.filter(|_| rec.inst != Inst::Halt) {
@@ -161,13 +161,13 @@ impl CoreState {
             let mut wrong_target: Option<u64> = None;
             match rec.inst {
                 Inst::Branch { off, .. } => {
-                    self.cond_branches += 1;
+                    self.result.cond_branches += 1;
                     let t = &mut self.threads[tid];
                     let pred = t.branch_pred.predict(rec.pc, t.ghist);
                     t.branch_pred.update(rec.pc, t.ghist, rec.taken, pred);
                     t.ghist.push(rec.taken);
                     if pred != rec.taken {
-                        self.branch_mispredicts += 1;
+                        self.result.branch_mispredicts += 1;
                         mispredicted = true;
                         wrong_target = Some(if rec.taken {
                             rec.pc + 4 // predicted not-taken: fall through
@@ -187,7 +187,7 @@ impl CoreState {
                     end_block = true;
                 }
                 Inst::JumpReg { .. } => {
-                    self.indirect_branches += 1;
+                    self.result.indirect_branches += 1;
                     let t = &mut self.threads[tid];
                     let predicted_target = if rec.inst.is_return() {
                         t.ras.pop()
@@ -199,7 +199,7 @@ impl CoreState {
                         t.ras.push(rec.pc + 4);
                     }
                     if predicted_target != Some(rec.next_pc) {
-                        self.indirect_mispredicts += 1;
+                        self.result.indirect_mispredicts += 1;
                         mispredicted = true;
                         wrong_target = predicted_target;
                     }
@@ -216,23 +216,21 @@ impl CoreState {
                 fetch_cycle: now,
                 hist,
                 mispredicted,
-                wrong_path: t.wrong_path,
+                wrong_path: on_wrong_path,
             });
             if mispredicted {
                 // The seq the branch will get at rename: the thread's
                 // latch renames FIFO with consecutive per-thread seqs.
                 let branch_seq = t.seq + t.fetch_latch.queue.len() as u64 - 1;
-                if let (Some(wt), false) = (wrong_target, t.wrong_path) {
+                if let (Some(wt), false) = (wrong_target, on_wrong_path) {
                     // Begin wrong-path fetch at the predicted target.
                     // Checkpoints restore the front end at the squash,
                     // which unwinds the rename map itself. The RAS
                     // checkpoint copies into a persistent buffer (no
                     // per-branch allocation).
-                    t.wrong_path = true;
-                    t.wp_resolve_seq = Some(branch_seq);
+                    t.wrong_path = Some(branch_seq);
                     t.wp_ghist = t.ghist;
                     t.wp_ras.copy_from(&t.ras);
-                    t.wp_ras_saved = true;
                     t.peeked = None;
                     t.machine.enter_speculation(wt);
                 } else {
@@ -244,7 +242,7 @@ impl CoreState {
                 break;
             }
             if is_halt {
-                if !t.wrong_path {
+                if !on_wrong_path {
                     t.halt_fetched = true;
                 }
                 break;

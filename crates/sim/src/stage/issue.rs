@@ -5,12 +5,14 @@
 //! The window is shared between threads; select merges each thread's
 //! due instructions oldest-first by the global dispatch `age` stamp.
 //! Each thread's [`SelectCursor`] walks its armed-slot bitmap
-//! ([`ThreadState::armed`]) from `sched_base`, which is age order, and
-//! hands the merge one due slot at a time, so select stops at the issue
-//! width without ordering or even visiting the rest of the backlog.
+//! ([`ThreadState::armed`]) from its oldest slot, which is age order,
+//! and hands the merge one due slot at a time, so select stops at the
+//! issue width without ordering or even visiting the rest of the
+//! backlog.
 
 use super::{
-    CoreState, PregTime, Status, Storage, ThreadId, ThreadState, NO_SRC, SCHED_ISSUED, SCHED_PARKED,
+    CoreState, IssueSlot, PregTime, Storage, ThreadId, ThreadState, NOT_ISSUED, NO_SRC,
+    SCHED_ISSUED, SCHED_PARKED,
 };
 use crate::config::FuPools;
 use crate::trace::OperandPath;
@@ -38,7 +40,7 @@ pub(crate) struct SelectCursor {
 impl SelectCursor {
     /// A cursor before thread `tid`'s oldest slot.
     fn new(tid: ThreadId, t: &ThreadState) -> Self {
-        let base = t.sched_base;
+        let base = t.retired;
         let bits = if t.sched.is_empty() {
             0
         } else {
@@ -68,7 +70,7 @@ impl SelectCursor {
             }
             let pos = self.word_pos + u64::from(self.bits.trailing_zeros());
             self.bits &= self.bits - 1;
-            let idx = (pos - t.sched_base) as usize;
+            let idx = (pos - t.retired) as usize;
             let s = &t.sched[idx];
             if s.wake <= now {
                 self.age = s.age;
@@ -96,7 +98,7 @@ impl CoreState {
     /// waiter list stores the slot's window position and age.
     fn rearm_wake(&mut self, tid: ThreadId, idx: usize, lower: u64) {
         let slot = self.threads[tid].sched[idx];
-        let pos = self.threads[tid].sched_base + idx as u64;
+        let pos = self.threads[tid].retired + idx as u64;
         let mut wake = lower.max(slot.earliest_issue);
         loop {
             let mut next = wake;
@@ -137,7 +139,7 @@ impl CoreState {
             // A retired waiter fell below the window, and a squashed
             // one's position may hold a younger instruction since; ages
             // are unique, so only the waiter itself matches.
-            let slot = pos.checked_sub(t.sched_base);
+            let slot = pos.checked_sub(t.retired);
             let Some(s) = slot.and_then(|i| t.sched.get_mut(i as usize)) else {
                 continue;
             };
@@ -206,7 +208,7 @@ impl CoreState {
                 cursors.swap_remove(best);
             }
             let slot = &self.threads[tid].sched[i];
-            debug_assert_eq!(self.threads[tid].rob[i].status, Status::Waiting);
+            debug_assert_eq!(self.threads[tid].rob[i].exec_done, NOT_ISSUED);
             let ready = slot.earliest_issue <= now
                 && slot
                     .srcs
@@ -228,14 +230,15 @@ impl CoreState {
                         .find(|&&(sseq, _)| sseq < inst.seq)
                         .is_some_and(|&(_, done)| done.is_none_or(|d| d > now));
                     if blocking {
-                        self.store_forward_stalls += 1;
+                        self.result.store_forward_stalls += 1;
                         continue;
                     }
                 }
             }
             let inst = &self.threads[tid].rob[i];
-            let pool = FuPools::pool_index(inst.class);
-            if pool_used[pool] == self.config.fu.size(inst.class) {
+            let class = inst.rec.inst.class();
+            let pool = FuPools::pool_index(class);
+            if pool_used[pool] == self.config.fu.size(class) {
                 continue;
             }
             pool_used[pool] += 1;
@@ -249,7 +252,7 @@ impl CoreState {
             // issuing now replays (§5.2). The slots are consumed but no
             // effects occur; independents may reissue next cycle (their
             // deadlines stay due).
-            self.replayed += selected.len() as u64;
+            self.result.replayed += selected.len() as u64;
             for &(_, tid, i) in &selected {
                 let slot = &mut self.threads[tid as usize].sched[i as usize];
                 slot.earliest_issue = now + 1;
@@ -286,19 +289,19 @@ impl CoreState {
     }
 
     fn issue_one(&mut self, tid: ThreadId, idx: usize, now: u64) {
-        let (srcs, class, rec, fetch_cycle, mispredicted, dest, seq, age) = {
+        let (rec, fetch_cycle, mispredicted, dest, seq) = {
             let inst = &self.threads[tid].rob[idx];
             (
-                inst.srcs,
-                inst.class,
                 inst.rec,
                 inst.fetch_cycle,
                 inst.mispredicted,
                 inst.dest,
                 inst.seq,
-                inst.age,
             )
         };
+        let IssueSlot { srcs, age, .. } = self.threads[tid].sched[idx];
+        let class = rec.inst.class();
+        let rl = self.config.storage.read_latency() as u64;
 
         // Obtain each source operand: bypass, storage hit, or miss.
         let protected = self.config.storage.protected();
@@ -307,14 +310,10 @@ impl CoreState {
         let mut machine_check = false;
         let mut miss_avail: u64 = 0;
         let mut operand_paths: [Option<OperandPath>; 2] = [None, None];
-        for (slot, p) in srcs
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.map(|p| (i, p)))
-        {
+        for (slot, p) in srcs.into_iter().enumerate().filter(|&(_, p)| p != NO_SRC) {
             let t = self.preg_time[p as usize];
             if t.on_bypass(now) {
-                self.operands_bypassed += 1;
+                self.result.operands_bypassed += 1;
                 operand_paths[slot] = Some(OperandPath::Bypass((now - t.bypass_start) as u8));
                 let stage = now - t.bypass_start;
                 if let Storage::Cached { tracker, .. } = &mut self.storage {
@@ -345,7 +344,7 @@ impl CoreState {
                 }
             } else {
                 // Storage path.
-                self.operands_from_storage += 1;
+                self.result.operands_from_storage += 1;
                 operand_paths[slot] = Some(OperandPath::Storage);
                 if let Storage::Cached { cache, backing, .. } = &mut self.storage {
                     let set = self.preg_info[p as usize].set;
@@ -380,7 +379,7 @@ impl CoreState {
                         }
                         self.preg_time[p as usize].storage_avail = avail + 1;
                         self.replay.mark(now + 1);
-                        self.miss_events += 1;
+                        self.result.miss_events += 1;
                         miss_avail = miss_avail.max(avail);
                         if parity_fault {
                             // Recovery latency: the cycles this
@@ -397,7 +396,7 @@ impl CoreState {
             let info = &mut self.preg_info[p as usize];
             info.consumers_outstanding = info.consumers_outstanding.saturating_sub(1);
             if self.lifetimes.is_some() {
-                let read_at = now + self.read_latency as u64 + 1;
+                let read_at = now + rl + 1;
                 info.last_use = info.last_use.max(read_at);
             }
             if info.consumers_outstanding == 0 {
@@ -425,7 +424,7 @@ impl CoreState {
         // Effective issue time: delayed by the latest miss (the value
         // arrives at `avail`; execution begins the next cycle).
         let eff_issue = if miss_avail > 0 {
-            now.max(miss_avail.saturating_sub(self.read_latency as u64))
+            now.max(miss_avail.saturating_sub(rl))
         } else {
             now
         };
@@ -440,7 +439,6 @@ impl CoreState {
         } else {
             class.latency()
         };
-        let rl = self.read_latency as u64;
         let exec_done = eff_issue + rl + x as u64;
 
         // Load-hit speculation (21264-style, the model the paper reuses
@@ -488,7 +486,7 @@ impl CoreState {
                 let detect = bypass_end;
                 self.replay.mark(bypass_start);
                 self.replay.mark(detect);
-                self.load_replay_squashes += 1;
+                self.result.load_miss_speculations += 1;
                 let real_bypass_start = eff_issue + x as u64;
                 let real_bypass_end = real_bypass_start + self.config.bypass_stages as u64 - 1;
                 let real_storage = match &self.storage {
@@ -525,7 +523,7 @@ impl CoreState {
         if mispredicted {
             let mut resume =
                 (exec_done + 1).max(fetch_cycle + self.config.min_branch_penalty as u64);
-            if self.threads[tid].wp_resolve_seq == Some(seq) {
+            if self.threads[tid].wrong_path == Some(seq) {
                 self.squash_wrong_path(tid, seq, now);
             }
             if let Storage::TwoLevel { file } = &mut self.storage {
@@ -550,11 +548,9 @@ impl CoreState {
             }
         }
         let t = &mut self.threads[tid];
-        let inst = &mut t.rob[idx];
-        inst.status = Status::Issued;
-        inst.exec_done = exec_done;
+        t.rob[idx].exec_done = exec_done;
         t.sched[idx].wake = SCHED_ISSUED;
-        t.armed.disarm(t.sched_base + idx as u64);
+        t.armed.disarm(t.retired + idx as u64);
         self.window_count -= 1;
         if let Some(t) = self.trace.get_mut(age as usize) {
             t.issue = now;

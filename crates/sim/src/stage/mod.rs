@@ -34,7 +34,7 @@ use crate::check::{Checker, DiagnosticDump, InvariantViolation, SimError};
 use crate::config::{FreelistPolicy, SimConfig};
 use crate::inject::Injector;
 use crate::oracle::Oracle;
-use crate::stats::LifetimeCollector;
+use crate::stats::{LifetimeCollector, SimResult};
 use crate::trace::InstTrace;
 use issue::SelectCursor;
 use std::collections::VecDeque;
@@ -45,7 +45,6 @@ use ubrc_emu::{ExecRecord, Machine};
 use ubrc_frontend::{
     CascadingIndirect, DegreeOfUsePredictor, DirectionPredictor, GlobalHistory, ReturnAddressStack,
 };
-use ubrc_isa::ExecClass;
 use ubrc_memsys::MemSys;
 
 /// Per-value timing: when consumers may issue against this physical
@@ -222,33 +221,26 @@ impl PregInfo {
     };
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Status {
-    Waiting,
-    Issued,
-}
-
+/// An in-flight instruction's ROB entry. Its age and sources live in
+/// its lockstep [`IssueSlot`], its thread is the ROB holding it, and
+/// its execution class is `rec.inst.class()`.
 #[derive(Clone, Debug)]
 pub(crate) struct DynInst {
-    /// Owning hardware thread context.
-    pub(crate) tid: ThreadId,
     /// Per-thread sequence number (the thread's program order).
     pub(crate) seq: u64,
-    /// Global dispatch-order stamp, unique across threads: the age used
-    /// for cross-thread oldest-first issue and trace indexing. Equal to
-    /// `seq` in single-threaded runs.
-    pub(crate) age: u64,
     pub(crate) rec: ExecRecord,
-    pub(crate) class: ExecClass,
-    pub(crate) srcs: [Option<u16>; 2],
     pub(crate) dest: Option<u16>,
     pub(crate) prev: Option<u16>,
-    pub(crate) status: Status,
+    /// Cycle the result is ready, or [`NOT_ISSUED`].
     pub(crate) exec_done: u64,
     pub(crate) fetch_cycle: u64,
     pub(crate) mispredicted: bool,
     pub(crate) wrong_path: bool,
 }
+
+/// [`DynInst::exec_done`] sentinel for an instruction that has not
+/// issued: later than every cycle, so it never looks complete.
+pub(crate) const NOT_ISSUED: u64 = u64::MAX;
 
 #[derive(Clone, Debug)]
 pub(crate) struct FetchedEntry {
@@ -400,21 +392,22 @@ pub(crate) struct IssueSlot {
     /// Wake deadline: the earliest cycle the instruction's operands
     /// could be ready, or [`SCHED_ISSUED`] / [`SCHED_PARKED`].
     pub(crate) wake: u64,
-    /// Mirror of [`DynInst::age`] for oldest-first select.
+    /// Global dispatch-order stamp, unique across threads: the age used
+    /// for cross-thread oldest-first select and trace indexing. Equal
+    /// to the instruction's `seq` in single-threaded runs.
     pub(crate) age: u64,
     /// Earliest cycle issue is permitted; replay squashes push it
     /// forward.
     pub(crate) earliest_issue: u64,
-    /// Source pregs ([`NO_SRC`] for an unused operand slot), mirroring
-    /// [`DynInst::srcs`] for the ready check.
+    /// Source pregs ([`NO_SRC`] for an unused operand slot).
     pub(crate) srcs: [u16; 2],
 }
 
 /// The select walk's armed-slot bitmap: one bit per window slot, set
 /// exactly while the slot holds a finite wake deadline. Bits are kept
-/// over absolute window positions (`sched_base + index`), so retirement
-/// never shifts them, and walking the set bits from `sched_base` visits
-/// a thread's armed slots in age order.
+/// over absolute window positions (the thread's `retired` count plus
+/// the slot's index), so retirement never shifts them, and walking the
+/// set bits from `retired` visits a thread's armed slots in age order.
 ///
 /// The words form a ring whose length is a power of two: position
 /// `pos` is bit `pos % 64` of word `pos / 64` modulo the ring. The ring
@@ -487,8 +480,12 @@ pub(crate) struct ThreadState {
     pub(crate) peeked: Option<ExecRecord>,
 
     /// Next per-thread sequence number (the thread's program order;
-    /// cross-thread age ordering uses `DynInst::age`).
+    /// cross-thread age ordering uses `IssueSlot::age`).
     pub(crate) seq: u64,
+    /// Instructions retired, which is also the absolute window position
+    /// of `sched[0]` / `rob[0]`: `armed` and `preg_waiters` name slots
+    /// by absolute position (`retired + index`), so retirement pops
+    /// never shift them.
     pub(crate) retired: u64,
     pub(crate) last_retired_seq: u64,
     pub(crate) halted: bool,
@@ -497,14 +494,14 @@ pub(crate) struct ThreadState {
     pub(crate) fetch_resume: u64,
     /// Seq of an unresolved mispredicted control inst stalling fetch.
     pub(crate) waiting_on_branch: Option<u64>,
-    // Wrong-path (speculative) fetch state: set when fetch follows a
-    // mispredicted branch's predicted target; cleared by the squash at
-    // resolution.
-    pub(crate) wrong_path: bool,
-    pub(crate) wp_resolve_seq: Option<u64>,
+    /// Wrong-path (speculative) fetch: the seq of the mispredicted
+    /// branch whose predicted target fetch is following, set when fetch
+    /// turns onto that path and cleared by the squash at the branch's
+    /// resolution. `wp_ghist` and `wp_ras` hold the front end as it
+    /// stood at the branch.
+    pub(crate) wrong_path: Option<u64>,
     pub(crate) wp_ghist: GlobalHistory,
     pub(crate) wp_ras: ReturnAddressStack,
-    pub(crate) wp_ras_saved: bool,
     pub(crate) fetch_latch: FetchLatch,
     pub(crate) ghist: GlobalHistory,
     pub(crate) branch_pred: DirectionPredictor,
@@ -527,11 +524,6 @@ pub(crate) struct ThreadState {
     /// (nothing can be due); every write of a finite deadline lowers
     /// it, and a walk that finds nothing due sets it exactly.
     pub(crate) due_hint: u64,
-    /// Absolute window position of `sched[0]` / `rob[0]`: a monotonic
-    /// counter of retired instructions. `armed` and `preg_waiters`
-    /// name slots by absolute position (`sched_base + index`), so
-    /// retirement pops never shift them.
-    pub(crate) sched_base: u64,
     /// The slots holding a finite wake deadline, one bit each: armed by
     /// rename, `rearm_wake` and `wake_preg_waiters`, disarmed when the
     /// slot issues, parks or is squashed. The select walk visits only
@@ -658,14 +650,9 @@ pub(crate) struct CoreState {
 
     pub(crate) now: u64,
     /// Global dispatch-order counter: stamps every renamed instruction
-    /// with a cross-thread age (`DynInst::age`).
+    /// with a cross-thread age (`IssueSlot::age`).
     pub(crate) age: u64,
-    /// Total retirements across all threads (budget + IPC).
-    pub(crate) retired: u64,
     pub(crate) last_progress: u64,
-    /// All threads halted.
-    pub(crate) halted: bool,
-    pub(crate) wp_squashed: u64,
 
     // Shared per-value bookkeeping, indexed by physical register (each
     // register is held by one thread at a time; see `RegPool`).
@@ -702,7 +689,6 @@ pub(crate) struct CoreState {
     // Storage under test (shared: the register cache, backing file, and
     // set assigner serve both threads' values).
     pub(crate) storage: Storage,
-    pub(crate) read_latency: u32,
 
     // Inter-stage latches (see module docs). The event and replay
     // latches are shared: a register-cache miss squashes the whole
@@ -710,27 +696,16 @@ pub(crate) struct CoreState {
     pub(crate) events: EventLatch,
     pub(crate) replay: ReplayLatch,
     pub(crate) preg_gen: Vec<u32>,
-    pub(crate) load_replay_squashes: u64,
-
-    pub(crate) store_forward_stalls: u64,
 
     pub(crate) memsys: MemSys,
 
     // Statistics.
-    pub(crate) cond_branches: u64,
-    pub(crate) branch_mispredicts: u64,
-    pub(crate) indirect_branches: u64,
-    pub(crate) indirect_mispredicts: u64,
-    pub(crate) replayed: u64,
-    pub(crate) miss_events: u64,
-    pub(crate) dispatch_stall_pregs: u64,
-    pub(crate) operands_bypassed: u64,
-    pub(crate) operands_from_storage: u64,
+    /// The run's counters and series (branch and operand counts, replay
+    /// and recovery tallies, the epoch timeline), accumulated in place;
+    /// [`CoreState::finish`] fills in the rest.
+    pub(crate) result: SimResult,
     pub(crate) lifetimes: Option<LifetimeCollector>,
     pub(crate) trace: Vec<InstTrace>,
-    /// One record per completed dynamic-repartitioning epoch boundary
-    /// (`CachePartition::DynamicCap` and `DynamicWay`; empty otherwise).
-    pub(crate) epoch_timeline: Vec<ubrc_core::EpochFeedback>,
 
     // Runtime checking and fault injection (`SimConfig::check` /
     // `SimConfig::fault_plan`). All observation-only except the
@@ -746,11 +721,6 @@ pub(crate) struct CoreState {
     /// machine-check squash runs after the issue loop releases its
     /// borrows.
     pub(crate) pending_machine_check: Option<ThreadId>,
-    /// Total cycles attributed to recovery (fill round-trips and
-    /// machine-check replays).
-    pub(crate) recovery_cycles: u64,
-    /// Distribution of individual recovery latencies.
-    pub(crate) recovery_latency: ubrc_stats::Histogram,
     /// The watchdog already spent its one forced recovery squash; the
     /// next trip is a real deadlock.
     pub(crate) forced_recovery: bool,
@@ -891,6 +861,16 @@ impl CoreState {
         self.pool.owner[p as usize] as ThreadId
     }
 
+    /// Total retirements across all threads (budget + IPC).
+    pub(crate) fn retired(&self) -> u64 {
+        self.threads.iter().map(|t| t.retired).sum()
+    }
+
+    /// All threads halted.
+    pub(crate) fn halted(&self) -> bool {
+        self.threads.iter().all(|t| t.halted)
+    }
+
     /// Total ROB occupancy across all thread slices (the shared ROB
     /// capacity applies to the sum).
     #[inline]
@@ -904,8 +884,8 @@ impl CoreState {
         let t = &mut self.threads[tid];
         t.recoveries += 1;
         t.last_recovery = Some(now);
-        self.recovery_cycles += latency;
-        self.recovery_latency.record(latency);
+        self.result.recovery_cycles += latency;
+        self.result.recovery_latency.record(latency);
     }
 
     /// Snapshot of the stuck machine for the watchdog report.
@@ -923,11 +903,15 @@ impl CoreState {
                         "-".to_string()
                     };
                     format!(
-                        "t{tid} seq {:>8} pc {:#08x} `{}` {:?} earliest_issue {} wake {}",
+                        "t{tid} seq {:>8} pc {:#08x} `{}` {} earliest_issue {} wake {}",
                         inst.seq,
                         inst.rec.pc,
                         inst.rec.inst,
-                        inst.status,
+                        if inst.exec_done == NOT_ISSUED {
+                            "Waiting"
+                        } else {
+                            "Issued"
+                        },
                         slot.earliest_issue,
                         deadline
                     )
@@ -954,7 +938,11 @@ impl CoreState {
                     t.fetch_latch.queue.len(),
                     self.pool.free[self.pool.list(tid)].len(),
                     if t.halted { ", halted" } else { "" },
-                    if t.wrong_path { ", wrong-path" } else { "" },
+                    if t.wrong_path.is_some() {
+                        ", wrong-path"
+                    } else {
+                        ""
+                    },
                     if t.waiting_on_branch.is_some() {
                         ", waiting-on-branch"
                     } else {
@@ -984,7 +972,7 @@ impl CoreState {
         Box::new(DiagnosticDump {
             cycle: self.now,
             last_progress: self.last_progress,
-            retired: self.retired,
+            retired: self.retired(),
             fetch_queue: self.threads.iter().map(|t| t.fetch_latch.queue.len()).sum(),
             window_count: self.window_count,
             threads,
@@ -1029,8 +1017,8 @@ impl CoreState {
             }
             let mut armed = 0;
             for (i, (inst, slot)) in t.rob.iter().zip(&t.sched).enumerate() {
-                waiting += usize::from(inst.status == Status::Waiting);
-                let pos = t.sched_base + i as u64;
+                waiting += usize::from(inst.exec_done == NOT_ISSUED);
+                let pos = t.retired + i as u64;
                 let finite = slot.wake < SCHED_PARKED;
                 armed += u32::from(finite);
                 if finite != t.armed.contains(pos) {
@@ -1198,6 +1186,14 @@ mod tests {
             ],
             "the within-cycle stage order is part of the golden-snapshot contract"
         );
+    }
+
+    /// The ROB entry repeats nothing its lockstep issue slot holds, and
+    /// the slot stays within half a cache line.
+    #[test]
+    fn rob_entry_and_issue_slot_stay_small() {
+        assert!(std::mem::size_of::<DynInst>() <= 112);
+        assert_eq!(std::mem::size_of::<IssueSlot>(), 32);
     }
 
     /// Filling a window slot by slot as rename does, from position 127

@@ -9,7 +9,7 @@
 //! shared width budget.
 
 use super::{
-    CoreState, DynInst, FetchedEntry, IssueSlot, PregInfo, PregTime, Status, Storage, ThreadId,
+    CoreState, DynInst, FetchedEntry, IssueSlot, PregInfo, PregTime, Storage, ThreadId, NOT_ISSUED,
     NO_SRC,
 };
 use crate::trace::InstTrace;
@@ -35,12 +35,12 @@ impl CoreState {
                 let has_dest = front.rec.inst.dest().is_some();
                 if has_dest {
                     if !self.pool.can_alloc(tid) {
-                        self.dispatch_stall_pregs += 1;
+                        self.result.dispatch_stall_pregs += 1;
                         break;
                     }
                     if let Storage::TwoLevel { file } = &self.storage {
                         if file.free_count() == 0 {
-                            self.dispatch_stall_pregs += 1;
+                            self.result.dispatch_stall_pregs += 1;
                             return;
                         }
                     }
@@ -70,11 +70,11 @@ impl CoreState {
         self.age += 1;
 
         // Sources: current mappings in this thread's map table.
-        let mut srcs = [None, None];
+        let mut srcs = [NO_SRC; 2];
         for (slot, src) in rec.inst.sources().into_iter().enumerate() {
             if let Some(r) = src {
                 let p = self.threads[tid].map[r.index() as usize];
-                srcs[slot] = Some(p);
+                srcs[slot] = p;
                 let info = &mut self.preg_info[p as usize];
                 info.consumers_renamed += 1;
                 info.consumers_outstanding += 1;
@@ -177,16 +177,11 @@ impl CoreState {
         }
         let t = &mut self.threads[tid];
         t.rob.push_back(DynInst {
-            tid,
             seq,
-            age,
             rec,
-            class: rec.inst.class(),
-            srcs,
             dest,
             prev,
-            status: Status::Waiting,
-            exec_done: u64::MAX,
+            exec_done: NOT_ISSUED,
             fetch_cycle: entry.fetch_cycle,
             mispredicted: entry.mispredicted,
             wrong_path: entry.wrong_path,
@@ -195,10 +190,10 @@ impl CoreState {
             wake: now + 1,
             age,
             earliest_issue: now + 1,
-            srcs: srcs.map(|s| s.unwrap_or(NO_SRC)),
+            srcs,
         });
-        t.armed.fit(t.sched_base, &t.sched);
-        t.armed.arm(t.sched_base + (t.sched.len() - 1) as u64);
+        t.armed.fit(t.retired, &t.sched);
+        t.armed.arm(t.retired + (t.sched.len() - 1) as u64);
         t.due_hint = t.due_hint.min(now + 1);
         self.window_count += 1;
     }

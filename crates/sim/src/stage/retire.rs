@@ -4,7 +4,7 @@
 //! collection. The retire width is a shared budget, spent across
 //! threads in thread-id order.
 
-use super::{CoreState, DynInst, PregInfo, PregTime, Status, Storage};
+use super::{CoreState, DynInst, PregInfo, PregTime, Storage};
 use crate::check::SimError;
 use crate::stats::SimResult;
 use crate::trace::Timeline;
@@ -21,7 +21,7 @@ impl CoreState {
                 let Some(head) = self.threads[tid].rob.front() else {
                     break;
                 };
-                if head.status != Status::Issued || head.exec_done > now {
+                if head.exec_done > now {
                     break;
                 }
                 if head.rec.inst.is_store() {
@@ -36,11 +36,9 @@ impl CoreState {
                 }
                 let t = &mut self.threads[tid];
                 let inst = t.rob.pop_front().expect("checked non-empty");
-                t.sched.pop_front();
-                t.sched_base += 1;
+                let slot = t.sched.pop_front().expect("sched is in lockstep with rob");
                 debug_assert!(!inst.wrong_path, "a wrong-path instruction retired");
                 budget -= 1;
-                self.retired += 1;
                 t.retired += 1;
                 if self.config.model_store_forwarding && inst.rec.inst.is_store() {
                     // Younger loads are now ordered by the store buffer
@@ -53,7 +51,7 @@ impl CoreState {
                         }
                     }
                 }
-                if let Some(tr) = self.trace.get_mut(inst.age as usize) {
+                if let Some(tr) = self.trace.get_mut(slot.age as usize) {
                     tr.retire = now;
                 }
                 t.last_retired_seq = inst.seq;
@@ -75,14 +73,11 @@ impl CoreState {
                     // back to a retirement) is complete; book its
                     // observed latency.
                     let lat = now - since;
-                    self.recovery_cycles += lat;
-                    self.recovery_latency.record(lat);
+                    self.result.recovery_cycles += lat;
+                    self.result.recovery_latency.record(lat);
                 }
                 if inst.rec.inst == Inst::Halt {
                     t.halted = true;
-                    if self.threads.iter().all(|t| t.halted) {
-                        self.halted = true;
-                    }
                     break;
                 }
                 self.free_reg(&inst, true, now);
@@ -145,21 +140,21 @@ impl CoreState {
         self.preg_waiters[p as usize].clear();
     }
 
-    /// Collects the end-of-run results, consuming the core. Storage
-    /// statistics are moved out, not copied.
+    /// Collects the end-of-run results, consuming the core. The run's
+    /// counters are already in `result`; storage statistics are moved
+    /// out, not copied.
     pub(crate) fn finish(self) -> SimResult {
         let now = self.now;
-        let (regcache, backing, twolevel, final_thread_caps) = match self.storage {
+        let (regcache, backing, twolevel) = match self.storage {
             Storage::Cached {
                 mut cache, backing, ..
             } => {
                 cache.finalize(now);
                 let b = *backing.stats();
-                let caps = cache.dynamic_caps().map(|c| c.to_vec());
-                (Some(cache.into_stats()), Some(b), None, caps)
+                (Some(cache.into_stats()), Some(b), None)
             }
-            Storage::TwoLevel { file } => (None, None, Some(*file.stats()), None),
-            Storage::Monolithic { .. } => (None, None, None, None),
+            Storage::TwoLevel { file } => (None, None, Some(*file.stats())),
+            Storage::Monolithic { .. } => (None, None, None),
         };
         // Per-thread predictors train independently; the headline
         // stats are the sum over contexts.
@@ -171,30 +166,17 @@ impl CoreState {
                 unknown: acc.unknown + s.unknown,
             }
         });
+        let thread_retired: Vec<u64> = self.threads.iter().map(|t| t.retired).collect();
+        let thread_machine_checks: Vec<u64> =
+            self.threads.iter().map(|t| t.machine_checks).collect();
         SimResult {
             cycles: now,
-            retired: self.retired,
-            thread_retired: self.threads.iter().map(|t| t.retired).collect(),
-            cond_branches: self.cond_branches,
-            branch_mispredicts: self.branch_mispredicts,
-            indirect_branches: self.indirect_branches,
-            indirect_mispredicts: self.indirect_mispredicts,
-            replayed: self.replayed,
-            miss_events: self.miss_events,
-            dispatch_stall_pregs: self.dispatch_stall_pregs,
-            operands_bypassed: self.operands_bypassed,
-            operands_from_storage: self.operands_from_storage,
-            store_forward_stalls: self.store_forward_stalls,
-            wrong_path_squashed: self.wp_squashed,
-            load_miss_speculations: self.load_replay_squashes,
+            retired: thread_retired.iter().sum(),
+            thread_retired,
             recoveries: self.threads.iter().map(|t| t.recoveries).sum(),
-            machine_checks: self.threads.iter().map(|t| t.machine_checks).sum(),
-            recovery_cycles: self.recovery_cycles,
-            recovery_latency: self.recovery_latency,
-            thread_machine_checks: self.threads.iter().map(|t| t.machine_checks).collect(),
+            machine_checks: thread_machine_checks.iter().sum(),
+            thread_machine_checks,
             epochs: regcache.as_ref().map_or(0, |c| c.epochs),
-            final_thread_caps,
-            epoch_timeline: self.epoch_timeline,
             regcache,
             backing,
             twolevel,
@@ -203,6 +185,7 @@ impl CoreState {
             lifetimes: self.lifetimes.map(|lt| lt.finalize(now)),
             timeline: (!self.trace.is_empty()).then_some(Timeline { insts: self.trace }),
             profile: self.profiler.map(|p| p.finish()),
+            ..self.result
         }
     }
 }

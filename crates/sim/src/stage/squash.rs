@@ -4,7 +4,7 @@
 //! its rename map; every inter-stage latch holding the squashed work is
 //! cleared here, and no other thread's state is touched.
 
-use super::{CoreState, Status, ThreadId};
+use super::{CoreState, ThreadId, NO_SRC, SCHED_ISSUED};
 
 /// Cycles a machine-checked thread's front end stays quiesced before it
 /// refetches: the pipeline drain and the restore from its retired state.
@@ -24,21 +24,22 @@ impl CoreState {
             rob.range(keep..).all(|i| i.wrong_path),
             "squashed a correct-path instruction"
         );
-        self.wp_squashed += (rob.len() - keep) as u64;
+        self.result.wrong_path_squashed += (rob.len() - keep) as u64;
         self.unwind_rob(tid, keep, now);
 
         // Restore this thread's front end to the branch point.
         let t = &mut self.threads[tid];
+        assert_eq!(
+            t.wrong_path.take(),
+            Some(branch_seq),
+            "the squash resolves the wrong path fetch follows"
+        );
         t.ghist = t.wp_ghist;
-        assert!(t.wp_ras_saved, "RAS checkpoint saved");
         std::mem::swap(&mut t.ras, &mut t.wp_ras);
-        t.wp_ras_saved = false;
         debug_assert!(t.fetch_latch.queue.iter().all(|e| e.wrong_path));
         t.fetch_latch.queue.clear();
         t.peeked = None;
         t.machine.abort_speculation();
-        t.wrong_path = false;
-        t.wp_resolve_seq = None;
         if t.waiting_on_branch.is_some_and(|w| w > branch_seq) {
             // An inner wrong-path misprediction was stalling fetch; it
             // no longer exists.
@@ -66,9 +67,7 @@ impl CoreState {
         t.halt_fetched = false;
         t.stream_done = false;
         t.waiting_on_branch = None;
-        t.wrong_path = false;
-        t.wp_resolve_seq = None;
-        t.wp_ras_saved = false;
+        t.wrong_path = None;
         // Restoring the functional machine also discards any
         // speculation the old machine had entered. `clone_from` copies
         // only the pages the retired machine has mapped, into the
@@ -93,28 +92,26 @@ impl CoreState {
     /// so the rename map ends as it stood after the youngest kept
     /// instruction renamed.
     fn unwind_rob(&mut self, tid: ThreadId, keep: usize, now: u64) {
-        let mut removed = std::mem::take(&mut self.squash_buf);
-        removed.clear();
-        removed.extend(self.threads[tid].rob.drain(keep..));
         let t = &mut self.threads[tid];
-        // Slots refilled after the squash reuse the same absolute
-        // positions, so no squashed slot may stay armed.
-        for pos in t.sched_base + keep as u64..t.sched_base + t.sched.len() as u64 {
-            t.armed.disarm(pos);
-        }
-        t.sched.truncate(keep);
-        for inst in removed.iter().rev() {
-            debug_assert_eq!(inst.tid, tid, "squashed another thread's instruction");
-            if inst.status == Status::Waiting {
+        for (i, slot) in t.sched.range(keep..).enumerate() {
+            // Slots refilled after the squash reuse the same absolute
+            // positions, so no squashed slot may stay armed.
+            t.armed.disarm(t.retired + (keep + i) as u64);
+            if slot.wake != SCHED_ISSUED {
                 self.window_count -= 1;
-                // Issued instructions already consumed their reads.
-                for p in inst.srcs.iter().flatten() {
-                    let info = &mut self.preg_info[*p as usize];
-                    if info.active {
-                        info.consumers_outstanding = info.consumers_outstanding.saturating_sub(1);
-                    }
+                // Issued instructions already consumed their reads. A
+                // source's producer is older, so none is freed yet.
+                for &p in slot.srcs.iter().filter(|&&p| p != NO_SRC) {
+                    let info = &mut self.preg_info[p as usize];
+                    info.consumers_outstanding = info.consumers_outstanding.saturating_sub(1);
                 }
             }
+        }
+        t.sched.truncate(keep);
+        let mut removed = std::mem::take(&mut self.squash_buf);
+        removed.clear();
+        removed.extend(t.rob.drain(keep..));
+        for inst in removed.iter().rev() {
             if self.config.model_store_forwarding && inst.rec.inst.is_store() {
                 let granule = inst.rec.mem_addr.expect("store has an address") / 8;
                 let granules = &mut self.threads[tid].store_granules;
@@ -149,8 +146,7 @@ mod tests {
     /// After any cycle on which the core is back on the correct path,
     /// no wrong-path state survives in any latch: the fetch→rename
     /// latch holds only correct-path entries, the ROB holds no
-    /// wrong-path instructions, and the RAS checkpoint has been
-    /// released.
+    /// wrong-path instructions.
     #[test]
     fn squash_clears_wrong_path_state_from_every_latch() {
         let w = workload_by_name("bfs", Scale::Tiny).unwrap();
@@ -159,14 +155,14 @@ mod tests {
                 .unwrap();
         let mut last_squashed = 0;
         let mut squash_cycles = 0;
-        while !sim.core.halted && sim.core.now < 200_000 {
+        while !sim.core.halted() && sim.core.now < 200_000 {
             sim.core.cycle();
-            if sim.core.wp_squashed > last_squashed {
-                last_squashed = sim.core.wp_squashed;
+            if sim.core.result.wrong_path_squashed > last_squashed {
+                last_squashed = sim.core.result.wrong_path_squashed;
                 squash_cycles += 1;
             }
             let t = &sim.core.threads[0];
-            if !t.wrong_path {
+            if t.wrong_path.is_none() {
                 assert!(
                     t.fetch_latch.queue.iter().all(|e| !e.wrong_path),
                     "wrong-path entry left in the fetch latch after squash"
@@ -175,11 +171,9 @@ mod tests {
                     t.rob.iter().all(|i| !i.wrong_path),
                     "wrong-path instruction left in the ROB after squash"
                 );
-                assert!(!t.wp_ras_saved, "RAS checkpoint not released");
-                assert!(t.wp_resolve_seq.is_none());
             }
         }
-        assert!(sim.core.halted, "bfs should run to completion");
+        assert!(sim.core.halted(), "bfs should run to completion");
         assert!(squash_cycles > 0, "bfs must mispredict at least once");
     }
 }

@@ -109,7 +109,7 @@ impl StageProfile {
 }
 
 /// Results of one timing-simulation run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SimResult {
     /// Total cycles simulated.
     pub cycles: u64,
@@ -164,9 +164,6 @@ pub struct SimResult {
     /// ([`ubrc_core::CachePartition::DynamicCap`] and
     /// [`ubrc_core::CachePartition::DynamicWay`]; 0 otherwise).
     pub epochs: u64,
-    /// Per-thread occupancy quotas in force at the end of the run
-    /// (`DynamicCap` only).
-    pub final_thread_caps: Option<Vec<usize>>,
     /// One record per epoch boundary, as the register cache reported it:
     /// the quotas or way map installed and each thread's hits and misses
     /// over the closed epoch (`DynamicCap` and `DynamicWay`; empty
@@ -299,32 +296,9 @@ mod tests {
             thread_retired: vec![250],
             cond_branches: 10,
             branch_mispredicts: 1,
-            indirect_branches: 0,
-            indirect_mispredicts: 0,
-            replayed: 0,
-            miss_events: 0,
-            dispatch_stall_pregs: 0,
             operands_bypassed: 30,
             operands_from_storage: 10,
-            store_forward_stalls: 0,
-            wrong_path_squashed: 0,
-            load_miss_speculations: 0,
-            recoveries: 0,
-            machine_checks: 0,
-            recovery_cycles: 0,
-            recovery_latency: Histogram::new(),
-            thread_machine_checks: vec![],
-            epochs: 0,
-            final_thread_caps: None,
-            epoch_timeline: Vec::new(),
-            regcache: None,
-            backing: None,
-            twolevel: None,
-            douse: DouseStats::default(),
-            memsys: MemSysStats::default(),
-            lifetimes: None,
-            timeline: None,
-            profile: None,
+            ..SimResult::default()
         };
         assert_eq!(r.ipc(), 2.5);
         assert_eq!(r.branch_mispredict_rate(), Some(0.1));

@@ -31,6 +31,12 @@ step "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
   --exclude proptest --exclude rand
 
+step "build: release binaries and every test binary"
+# Compiling here, in a step of its own, leaves the steps below timing
+# their tests and runs rather than the build they would otherwise start.
+cargo build --release --workspace --bins
+cargo test --workspace --release --no-run -q
+
 step "tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
