@@ -13,8 +13,8 @@
 //! oracle + per-cycle invariant checker) for every simulation;
 //! `--timeout SECS` gives each simulation cell a wall-clock budget,
 //! after which it is cancelled and reported as a typed timeout. Both
-//! reach the runner through the `UBRC_CHECK` / `UBRC_TIMEOUT_SECS`
-//! environment variables, so they compose with every experiment.
+//! go to every experiment, and to the trajectory, as one
+//! `ubrc_bench::RunOptions`.
 //!
 //! Selected experiments run one after another, in registry order, and
 //! each prints its table as soon as it finishes. Within an experiment,
@@ -22,17 +22,16 @@
 //! which runs them on at most `UBRC_BENCH_WORKERS` threads (default:
 //! the machine's available parallelism).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use ubrc_bench::experiments::registry;
-use ubrc_bench::pipeline_trajectory;
+use ubrc_bench::{pipeline_trajectory, RunOptions};
 use ubrc_workloads::Scale;
 
 struct Cli {
     which: Option<String>,
     scale: Scale,
     json: Option<String>,
-    check: bool,
-    timeout: Option<u64>,
+    opts: RunOptions,
     list: bool,
 }
 
@@ -41,8 +40,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         which: None,
         scale: Scale::Default,
         json: None,
-        check: false,
-        timeout: None,
+        opts: RunOptions::default(),
         list: false,
     };
     let mut i = 0;
@@ -72,12 +70,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 };
                 cli.json = Some(path);
             }
-            "--check" => cli.check = true,
+            "--check" => cli.opts.check = true,
             "--list" => cli.list = true,
             "--timeout" => {
                 i += 1;
-                cli.timeout = match args.get(i).and_then(|v| v.parse::<u64>().ok()) {
-                    Some(s) if s > 0 => Some(s),
+                cli.opts.timeout = match args.get(i).and_then(|v| v.parse::<u64>().ok()) {
+                    Some(s) if s > 0 => Some(Duration::from_secs(s)),
                     _ => return Err("--timeout needs a positive integer of seconds".into()),
                 };
             }
@@ -97,14 +95,6 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     });
-
-    // The runner picks these up per cell (`RunOptions::from_env`).
-    if cli.check {
-        std::env::set_var("UBRC_CHECK", "1");
-    }
-    if let Some(secs) = cli.timeout {
-        std::env::set_var("UBRC_TIMEOUT_SECS", secs.to_string());
-    }
 
     let reg = registry();
     if cli.list {
@@ -150,7 +140,7 @@ fn main() {
     let mut failed = false;
     for (id, desc, f) in &selected {
         let t0 = Instant::now();
-        match f(scale) {
+        match f(scale, &cli.opts) {
             Ok(table) => {
                 let secs = t0.elapsed().as_secs_f64();
                 println!("## {id} — {desc}  [scale={scale:?}, {secs:.1}s]");
@@ -166,7 +156,7 @@ fn main() {
     if let Some(path) = cli.json {
         // Partial results are still written: a failing cell appears as
         // an error object in the document, and the run exits non-zero.
-        let out = pipeline_trajectory(scale);
+        let out = pipeline_trajectory(scale, &cli.opts);
         let body = format!("{}\n", out.doc);
         if let Err(e) = std::fs::write(&path, body) {
             eprintln!("cannot write `{path}`: {e}");
@@ -220,6 +210,17 @@ mod tests {
             assert_eq!(cli.which.as_deref(), Some("fig7"));
         }
         assert_eq!(parse(&["fig7"]).unwrap().scale, Scale::Default);
+    }
+
+    #[test]
+    fn check_and_timeout_are_the_run_options() {
+        let cli = parse(&["fig7", "--check", "--timeout", "5"]).unwrap();
+        assert!(cli.opts.check);
+        assert_eq!(cli.opts.timeout, Some(Duration::from_secs(5)));
+        let err = parse(&["fig7", "--timeout", "0"])
+            .err()
+            .expect("zero rejected");
+        assert_eq!(err, "--timeout needs a positive integer of seconds");
     }
 
     #[test]

@@ -171,13 +171,16 @@ fn report(r: &SimResult) {
             tl.recovered_regs.to_string(),
         ]);
     }
-    t.row([
-        "degree-of-use accuracy".to_string(),
-        r.douse
-            .accuracy()
-            .map(|v| format!("{:.1}%", v * 100.0))
-            .unwrap_or_else(|| "-".into()),
-    ]);
+    if r.regcache.is_some() {
+        // Only the register cache predicts degrees of use.
+        t.row([
+            "degree-of-use accuracy".to_string(),
+            r.douse
+                .accuracy()
+                .map(|v| format!("{:.1}%", v * 100.0))
+                .unwrap_or_else(|| "-".into()),
+        ]);
+    }
     println!("{t}");
 }
 

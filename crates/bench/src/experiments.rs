@@ -137,6 +137,7 @@ impl SuiteResult {
 fn run_matrix(
     configs: &[SimConfig],
     sets: &[Vec<Vec<Workload>>],
+    opts: &RunOptions,
 ) -> Result<Vec<SuiteResult>, SuiteError> {
     let cells: Vec<Cell<'_>> = configs
         .iter()
@@ -147,7 +148,7 @@ fn run_matrix(
             })
         })
         .collect();
-    let mut outcomes = cells.iter().zip(run_cells(&cells, &RunOptions::from_env()));
+    let mut outcomes = cells.iter().zip(run_cells(&cells, opts));
     let mut out = Vec::with_capacity(configs.len() * sets.len());
     for _ in configs {
         for set in sets {
@@ -163,8 +164,12 @@ fn run_matrix(
 }
 
 /// [`run_matrix`] over the single-thread kernel suite.
-fn run_suites(configs: &[SimConfig], scale: Scale) -> Result<Vec<SuiteResult>, SuiteError> {
-    run_matrix(configs, &[kernel_groups(1, scale)])
+fn run_suites(
+    configs: &[SimConfig],
+    scale: Scale,
+    opts: &RunOptions,
+) -> Result<Vec<SuiteResult>, SuiteError> {
+    run_matrix(configs, &[kernel_groups(1, scale)], opts)
 }
 
 /// [`run_suites`] over labelled configs: each label with its config's
@@ -172,11 +177,12 @@ fn run_suites(configs: &[SimConfig], scale: Scale) -> Result<Vec<SuiteResult>, S
 fn run_labelled<L>(
     rows: impl IntoIterator<Item = (L, SimConfig)>,
     scale: Scale,
+    opts: &RunOptions,
 ) -> Result<Vec<(L, SuiteResult)>, SuiteError> {
     let (labels, configs): (Vec<L>, Vec<SimConfig>) = rows.into_iter().unzip();
     Ok(labels
         .into_iter()
-        .zip(run_suites(&configs, scale)?)
+        .zip(run_suites(&configs, scale, opts)?)
         .collect())
 }
 
@@ -202,10 +208,10 @@ fn rf_rows(t: &mut Table, res: &[SuiteResult]) {
 
 /// Figure 1: median register lifetime phases (empty / live / dead), in
 /// cycles, per benchmark plus the mean of the per-benchmark medians.
-pub fn fig1(scale: Scale) -> Result<Table, SuiteError> {
+pub fn fig1(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let mut cfg = spec("use-based");
     cfg.collect_lifetimes = true;
-    let res = run_suites(&[cfg], scale)?.remove(0);
+    let res = run_suites(&[cfg], scale, opts)?.remove(0);
     let mut t = Table::new(["benchmark", "empty", "live", "dead"]);
     let (mut es, mut ls, mut ds) = (0.0, 0.0, 0.0);
     for (name, r) in &res.runs {
@@ -228,10 +234,10 @@ pub fn fig1(scale: Scale) -> Result<Table, SuiteError> {
 /// Figure 2: cumulative distributions of allocated physical registers
 /// vs. simultaneously live values (percentile points, aggregated over
 /// the suite).
-pub fn fig2(scale: Scale) -> Result<Table, SuiteError> {
+pub fn fig2(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let mut cfg = spec("use-based");
     cfg.collect_lifetimes = true;
-    let res = run_suites(&[cfg], scale)?.remove(0);
+    let res = run_suites(&[cfg], scale, opts)?.remove(0);
     let mut alloc = ubrc_stats::Histogram::new();
     let mut live = ubrc_stats::Histogram::new();
     for (_, r) in &res.runs {
@@ -261,7 +267,7 @@ pub fn fig2(scale: Scale) -> Result<Table, SuiteError> {
 /// Figure 6: geometric-mean IPC vs. cache size and organization
 /// (standard indexing, use-based policies), with the no-cache register
 /// file baselines.
-pub fn fig6(scale: Scale) -> Result<Table, SuiteError> {
+pub fn fig6(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let sizes = [16usize, 32, 48, 64, 80, 96, 128];
     let mut configs: Vec<SimConfig> = sizes
         .iter()
@@ -271,7 +277,7 @@ pub fn fig6(scale: Scale) -> Result<Table, SuiteError> {
         })
         .collect();
     configs.extend(RF_FILES.map(spec));
-    let res = run_suites(&configs, scale)?;
+    let res = run_suites(&configs, scale, opts)?;
     let (grid, rf) = res.split_at(sizes.len() * 4);
     let mut t = Table::new(["entries", "direct", "2-way", "4-way", "full"]);
     for (n, row) in sizes.iter().zip(grid.chunks(4)) {
@@ -283,7 +289,7 @@ pub fn fig6(scale: Scale) -> Result<Table, SuiteError> {
 
 /// Figure 7: decoupled indexing policies vs. associativity (64-entry
 /// use-based cache).
-pub fn fig7(scale: Scale) -> Result<Table, SuiteError> {
+pub fn fig7(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let policies = [
         ("preg (standard)", "standard"),
         ("round-robin", "round-robin"),
@@ -297,7 +303,7 @@ pub fn fig7(scale: Scale) -> Result<Table, SuiteError> {
             [1, 2, 4].map(|ways| spec(&format!("use-based,ways={ways},index={index}")))
         })
         .collect();
-    let res = run_suites(&configs, scale)?;
+    let res = run_suites(&configs, scale, opts)?;
     let mut t = Table::new(["policy", "direct", "2-way", "4-way"]);
     for ((name, _), row) in policies.iter().zip(res.chunks(3)) {
         ipc_row(&mut t, name.to_string(), row);
@@ -330,7 +336,7 @@ fn miss_breakdown_row(label: &str, res: &SuiteResult, t: &mut Table) {
 /// Figure 8: per-operand miss-rate breakdown (not-written / capacity /
 /// conflict) for the three schemes under standard and filtered
 /// round-robin indexing. 64-entry, 2-way.
-pub fn fig8(scale: Scale) -> Result<Table, SuiteError> {
+pub fn fig8(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let mut rows = Vec::new();
     for name in ["lru", "non-bypass", "use-based"] {
         for (iname, index) in [("standard", "standard"), ("filtered-rr", "filtered")] {
@@ -345,7 +351,7 @@ pub fn fig8(scale: Scale) -> Result<Table, SuiteError> {
         "conflict%",
         "total%",
     ]);
-    for (label, res) in run_labelled(rows, scale)? {
+    for (label, res) in run_labelled(rows, scale, opts)? {
         miss_breakdown_row(&label, &res, &mut t);
     }
     Ok(t)
@@ -353,7 +359,7 @@ pub fn fig8(scale: Scale) -> Result<Table, SuiteError> {
 
 /// Figure 9: average access bandwidth (accesses per cycle) to the
 /// register cache and the backing file.
-pub fn fig9(scale: Scale) -> Result<Table, SuiteError> {
+pub fn fig9(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let mut t = Table::new([
         "scheme",
         "cache-read",
@@ -361,7 +367,7 @@ pub fn fig9(scale: Scale) -> Result<Table, SuiteError> {
         "file-read",
         "file-write",
     ]);
-    for (name, res) in run_labelled(schemes(64, 2, 2), scale)? {
+    for (name, res) in run_labelled(schemes(64, 2, 2), scale, opts)? {
         t.row_f64(
             name,
             [
@@ -378,14 +384,14 @@ pub fn fig9(scale: Scale) -> Result<Table, SuiteError> {
 
 /// Figure 10: filtering effects — % of cached values never read, % of
 /// initial writes filtered, % of retired values never cached.
-pub fn fig10(scale: Scale) -> Result<Table, SuiteError> {
+pub fn fig10(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let mut t = Table::new([
         "scheme",
         "cached-never-read%",
         "writes-filtered%",
         "never-cached%",
     ]);
-    for (name, res) in run_labelled(schemes(64, 2, 2), scale)? {
+    for (name, res) in run_labelled(schemes(64, 2, 2), scale, opts)? {
         let pct = |f: &dyn Fn(&ubrc_core::RegCacheStats) -> Option<f64>| {
             res.mean_of(|r| r.regcache.as_ref().and_then(f).map(|v| v * 100.0))
                 .unwrap_or(0.0)
@@ -404,10 +410,10 @@ pub fn fig10(scale: Scale) -> Result<Table, SuiteError> {
 }
 
 /// Table 2: comparison of register cache metrics.
-pub fn table2(scale: Scale) -> Result<Table, SuiteError> {
+pub fn table2(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let mut t = Table::new(["average", "lru", "non-bypass", "use-based"]);
     let mut cols: Vec<[f64; 4]> = Vec::new();
-    for (_, res) in run_labelled(schemes(64, 2, 2), scale)? {
+    for (_, res) in run_labelled(schemes(64, 2, 2), scale, opts)? {
         let m = |f: &dyn Fn(&ubrc_core::RegCacheStats, &SimResult) -> Option<f64>| {
             res.mean_of(|r| r.regcache.as_ref().and_then(|c| f(c, r)))
                 .unwrap_or(0.0)
@@ -436,8 +442,8 @@ pub fn table2(scale: Scale) -> Result<Table, SuiteError> {
 /// §3 characterization: fraction of operands supplied by bypass (the
 /// paper reports 57%) and fraction of replacement victims with zero
 /// remaining uses (the paper reports 84%), under the proposed design.
-pub fn charstats(scale: Scale) -> Result<Table, SuiteError> {
-    let res = run_suites(&[spec("use-based")], scale)?.remove(0);
+pub fn charstats(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
+    let res = run_suites(&[spec("use-based")], scale, opts)?.remove(0);
     let mut t = Table::new(["benchmark", "bypass%", "zero-use-victims%"]);
     for (name, r) in &res.runs {
         let zero = r
@@ -476,7 +482,7 @@ pub fn charstats(scale: Scale) -> Result<Table, SuiteError> {
 
 /// Figure 11: geometric-mean IPC vs. cache/L1 size for the three
 /// caching schemes (plus 4-way use-based) and the two-level file.
-pub fn fig11(scale: Scale) -> Result<Table, SuiteError> {
+pub fn fig11(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let sizes = [16usize, 32, 48, 64, 96, 128];
     // The two-level L1 must exceed the architectural register count
     // ("at least one more register than the number of architected
@@ -491,7 +497,7 @@ pub fn fig11(scale: Scale) -> Result<Table, SuiteError> {
         }
     }
     configs.extend(RF_FILES.map(spec));
-    let res = run_suites(&configs, scale)?;
+    let res = run_suites(&configs, scale, opts)?;
     let mut t = Table::new([
         "entries",
         "lru",
@@ -517,7 +523,7 @@ pub fn fig11(scale: Scale) -> Result<Table, SuiteError> {
 
 /// Figure 12: geometric-mean IPC vs. backing-file (or two-level L2)
 /// latency. 64-entry caches, 96-entry two-level L1.
-pub fn fig12(scale: Scale) -> Result<Table, SuiteError> {
+pub fn fig12(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let latencies = 1u32..=6;
     let mut configs = Vec::new();
     for lat in latencies.clone() {
@@ -525,7 +531,7 @@ pub fn fig12(scale: Scale) -> Result<Table, SuiteError> {
         configs.push(spec(&format!("two-level,backing={lat}")));
     }
     configs.extend(RF_FILES.map(spec));
-    let res = run_suites(&configs, scale)?;
+    let res = run_suites(&configs, scale, opts)?;
     let (grid, rf) = res.split_at(configs.len() - RF_FILES.len());
     let mut t = Table::new([
         "backing-latency",
@@ -542,11 +548,11 @@ pub fn fig12(scale: Scale) -> Result<Table, SuiteError> {
 }
 
 /// §5.3 tuning: the maximum use count (pinning limit) sweep.
-pub fn maxuse(scale: Scale) -> Result<Table, SuiteError> {
+pub fn maxuse(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let rows =
         [1u8, 2, 3, 5, 6, 7, 9, 12, 15].map(|max| (max, spec(&format!("use-based,max-use={max}"))));
     let mut t = Table::new(["max-use-count", "geomean-ipc", "miss-rate%"]);
-    for (max, res) in run_labelled(rows, scale)? {
+    for (max, res) in run_labelled(rows, scale, opts)? {
         let miss = res
             .mean_of(|r| r.regcache.as_ref().and_then(|c| c.miss_rate()))
             .unwrap_or(0.0);
@@ -556,13 +562,13 @@ pub fn maxuse(scale: Scale) -> Result<Table, SuiteError> {
 }
 
 /// §5.3 tuning: unknown-default × fill-default grid.
-pub fn defaults(scale: Scale) -> Result<Table, SuiteError> {
+pub fn defaults(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let configs: Vec<SimConfig> = (0u8..=3)
         .flat_map(|unknown| {
             (0u8..=2).map(move |fill| spec(&format!("use-based,unknown={unknown},fill={fill}")))
         })
         .collect();
-    let res = run_suites(&configs, scale)?;
+    let res = run_suites(&configs, scale, opts)?;
     let mut t = Table::new(["unknown\\fill", "fill=0", "fill=1", "fill=2"]);
     for (unknown, row) in (0u8..=3).zip(res.chunks(3)) {
         ipc_row(&mut t, format!("unknown={unknown}"), row);
@@ -571,10 +577,10 @@ pub fn defaults(scale: Scale) -> Result<Table, SuiteError> {
 }
 
 /// §5.5 ablation: two-level L1↔L2 transfer bandwidth.
-pub fn twolevel_bw(scale: Scale) -> Result<Table, SuiteError> {
+pub fn twolevel_bw(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let rows = [1u32, 2, 4, 8].map(|bw| (bw, spec(&format!("two-level,transfers={bw}"))));
     let mut t = Table::new(["transfers/cycle", "geomean-ipc", "rename-stalls"]);
-    for (bw, res) in run_labelled(rows, scale)? {
+    for (bw, res) in run_labelled(rows, scale, opts)? {
         let stalls: u64 = res.runs.iter().map(|(_, r)| r.dispatch_stall_pregs).sum();
         t.row([bw.to_string(), ipc(&res), stalls.to_string()]);
     }
@@ -582,8 +588,8 @@ pub fn twolevel_bw(scale: Scale) -> Result<Table, SuiteError> {
 }
 
 /// §3.3: degree-of-use predictor accuracy and coverage per benchmark.
-pub fn douse_accuracy(scale: Scale) -> Result<Table, SuiteError> {
-    let res = run_suites(&[spec("use-based")], scale)?.remove(0);
+pub fn douse_accuracy(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
+    let res = run_suites(&[spec("use-based")], scale, opts)?.remove(0);
     let mut t = Table::new(["benchmark", "accuracy%", "coverage%"]);
     for (name, r) in &res.runs {
         t.row_f64(
@@ -608,7 +614,7 @@ pub fn douse_accuracy(scale: Scale) -> Result<Table, SuiteError> {
 
 /// §4.2 ablation: filtered round-robin parameters (high-use degree
 /// threshold × per-set skip threshold).
-pub fn filtered_params(scale: Scale) -> Result<Table, SuiteError> {
+pub fn filtered_params(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let degrees = [3u8, 5, 7];
     let configs: Vec<SimConfig> = degrees
         .iter()
@@ -616,7 +622,7 @@ pub fn filtered_params(scale: Scale) -> Result<Table, SuiteError> {
             (0u32..=2).map(move |skip| spec(&format!("use-based,filter={degree}:{skip}")))
         })
         .collect();
-    let res = run_suites(&configs, scale)?;
+    let res = run_suites(&configs, scale, opts)?;
     let mut t = Table::new(["high-use>", "skip>0", "skip>1", "skip>2"]);
     for (degree, row) in degrees.iter().zip(res.chunks(3)) {
         ipc_row(&mut t, degree.to_string(), row);
@@ -627,7 +633,7 @@ pub fn filtered_params(scale: Scale) -> Result<Table, SuiteError> {
 /// Extension (motivated by §1's citation of Ahuja et al. on incomplete
 /// bypassing): how the bypass-network depth interacts with each
 /// register storage organization.
-pub fn bypass_depth(scale: Scale) -> Result<Table, SuiteError> {
+pub fn bypass_depth(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let depths = [1u32, 2, 3];
     let configs: Vec<SimConfig> = depths
         .iter()
@@ -635,7 +641,7 @@ pub fn bypass_depth(scale: Scale) -> Result<Table, SuiteError> {
             ["use-based", "rf-1", "rf-3"].map(|base| spec(&format!("{base},bypass={stages}")))
         })
         .collect();
-    let res = run_suites(&configs, scale)?;
+    let res = run_suites(&configs, scale, opts)?;
     let mut t = Table::new(["bypass-stages", "use-based", "RF-1", "RF-3"]);
     for (stages, row) in depths.iter().zip(res.chunks(3)) {
         ipc_row(&mut t, stages.to_string(), row);
@@ -647,10 +653,10 @@ pub fn bypass_depth(scale: Scale) -> Result<Table, SuiteError> {
 /// non-power-of-two-sized caches" — sweep odd sizes around the design
 /// point (standard indexing cannot express these set counts cleanly;
 /// the assigner handles them natively).
-pub fn odd_sizes(scale: Scale) -> Result<Table, SuiteError> {
+pub fn odd_sizes(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let rows = [40usize, 48, 56, 64, 72, 88].map(|n| (n, spec(&format!("use-based,entries={n}"))));
     let mut t = Table::new(["entries(2-way)", "sets", "geomean-ipc"]);
-    for (n, res) in run_labelled(rows, scale)? {
+    for (n, res) in run_labelled(rows, scale, opts)? {
         t.row([n.to_string(), (n / 2).to_string(), ipc(&res)]);
     }
     Ok(t)
@@ -659,7 +665,7 @@ pub fn odd_sizes(scale: Scale) -> Result<Table, SuiteError> {
 /// §3.4 robustness: performance when the degree-of-use information is
 /// degraded — predictor disabled (unknown default only), hair-trigger
 /// confidence (noisy predictions), and the paper's configuration.
-pub fn robustness(scale: Scale) -> Result<Table, SuiteError> {
+pub fn robustness(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let variants = [
         ("paper default (2-bit confidence)", "use-based"),
         // A threshold above the confidence ceiling means the predictor
@@ -675,7 +681,7 @@ pub fn robustness(scale: Scale) -> Result<Table, SuiteError> {
     ]
     .map(|(name, s)| (name, spec(s)));
     let mut t = Table::new(["degree-information", "geomean-ipc", "miss/operand %"]);
-    for (name, res) in run_labelled(variants, scale)? {
+    for (name, res) in run_labelled(variants, scale, opts)? {
         let miss = res.mean_of(|r| r.miss_rate_per_operand()).unwrap_or(0.0);
         t.row_f64(name, [res.geomean_ipc(), miss * 100.0], 4);
     }
@@ -684,14 +690,14 @@ pub fn robustness(scale: Scale) -> Result<Table, SuiteError> {
 
 /// Extension: cost of load-hit speculation (the 21264 mechanism the
 /// paper reuses for register-cache misses) vs. an oracle scheduler.
-pub fn loadspec(scale: Scale) -> Result<Table, SuiteError> {
+pub fn loadspec(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let rows = [
         ("hit-speculation (default)", "on"),
         ("oracle wakeup", "off"),
     ]
     .map(|(name, on)| (name, spec(&format!("use-based,load-spec={on}"))));
     let mut t = Table::new(["load scheduling", "geomean-ipc", "mis-speculations"]);
-    for (name, res) in run_labelled(rows, scale)? {
+    for (name, res) in run_labelled(rows, scale, opts)? {
         let misses: u64 = res.runs.iter().map(|(_, r)| r.load_miss_speculations).sum();
         t.row([name.to_string(), ipc(&res), misses.to_string()]);
     }
@@ -701,11 +707,11 @@ pub fn loadspec(scale: Scale) -> Result<Table, SuiteError> {
 /// Extension: degree-of-use predictor capacity sweep (the paper uses
 /// the 4K-entry predictor of Butts & Sohi MICRO 2002; smaller tables
 /// lose coverage and leave more values on the unknown default).
-pub fn douse_size(scale: Scale) -> Result<Table, SuiteError> {
+pub fn douse_size(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let rows =
         [16usize, 64, 256, 1024].map(|sets| (sets, spec(&format!("use-based,douse-sets={sets}"))));
     let mut t = Table::new(["entries(4-way)", "geomean-ipc", "accuracy%", "coverage%"]);
-    for (sets, res) in run_labelled(rows, scale)? {
+    for (sets, res) in run_labelled(rows, scale, opts)? {
         t.row_f64(
             &format!("{}", sets * 4),
             [
@@ -722,11 +728,11 @@ pub fn douse_size(scale: Scale) -> Result<Table, SuiteError> {
 /// Extension: cost of store→load ordering through the LSQ (the
 /// Table 1 machine has 128-entry load/store queues; disabling the
 /// model shows how much memory-dependence serialization costs).
-pub fn lsq(scale: Scale) -> Result<Table, SuiteError> {
+pub fn lsq(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let rows = [("modeled (default)", "on"), ("ignored", "off")]
         .map(|(name, on)| (name, spec(&format!("use-based,lsq={on}"))));
     let mut t = Table::new(["store->load ordering", "geomean-ipc", "lsq-stall-slots"]);
-    for (name, res) in run_labelled(rows, scale)? {
+    for (name, res) in run_labelled(rows, scale, opts)? {
         let stalls: u64 = res.runs.iter().map(|(_, r)| r.store_forward_stalls).sum();
         t.row([name.to_string(), ipc(&res), stalls.to_string()]);
     }
@@ -736,14 +742,14 @@ pub fn lsq(scale: Scale) -> Result<Table, SuiteError> {
 /// Extension: the extended (FP/mixed) kernels under each register
 /// storage organization — the paper evaluates SPECint only; this checks
 /// the conclusions hold beyond integer code.
-pub fn extended(scale: Scale) -> Result<Table, SuiteError> {
+pub fn extended(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let mut configs: Vec<SimConfig> = schemes(64, 2, 2).into_iter().map(|(_, c)| c).collect();
     configs.push(spec("rf-3"));
     let kernels = ubrc_workloads::extended_suite(scale)
         .into_iter()
         .map(|w| vec![w])
         .collect();
-    let res = run_matrix(&configs, &[kernels])?;
+    let res = run_matrix(&configs, &[kernels], opts)?;
     let mut t = Table::new(["kernel", "lru", "non-bypass", "use-based", "RF-3"]);
     for (i, (name, _)) in res[0].runs.iter().enumerate() {
         let mut row = vec![name.clone()];
@@ -755,10 +761,10 @@ pub fn extended(scale: Scale) -> Result<Table, SuiteError> {
 
 /// §2.2 ablation: "a single read port suffices" for the backing file —
 /// sweep the port count and show the flat curve.
-pub fn backing_ports(scale: Scale) -> Result<Table, SuiteError> {
+pub fn backing_ports(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let rows = [1usize, 2, 4].map(|ports| (ports, spec(&format!("use-based,ports={ports}"))));
     let mut t = Table::new(["read-ports", "geomean-ipc", "contention-cycles"]);
-    for (ports, res) in run_labelled(rows, scale)? {
+    for (ports, res) in run_labelled(rows, scale, opts)? {
         let contention: u64 = res
             .runs
             .iter()
@@ -772,7 +778,7 @@ pub fn backing_ports(scale: Scale) -> Result<Table, SuiteError> {
 /// Front-end ablation: the register cache under different conditional
 /// branch predictors (the mis-speculation loop interacts with the
 /// cache's replay loop).
-pub fn predictors(scale: Scale) -> Result<Table, SuiteError> {
+pub fn predictors(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let rows = [
         ("not-taken", "not-taken"),
         ("bimodal 4KB", "bimodal"),
@@ -781,7 +787,7 @@ pub fn predictors(scale: Scale) -> Result<Table, SuiteError> {
     ]
     .map(|(name, kind)| (name, spec(&format!("use-based,predictor={kind}"))));
     let mut t = Table::new(["predictor", "geomean-ipc", "mispredict%"]);
-    for (name, res) in run_labelled(rows, scale)? {
+    for (name, res) in run_labelled(rows, scale, opts)? {
         let mr = res.mean_of(|r| r.branch_mispredict_rate()).unwrap_or(0.0);
         t.row_f64(name, [res.geomean_ipc(), mr * 100.0], 4);
     }
@@ -791,7 +797,7 @@ pub fn predictors(scale: Scale) -> Result<Table, SuiteError> {
 /// Extension: miss rate of the three schemes under synthetic programs
 /// with controlled degree-of-use distributions (not in the paper; shows
 /// directly that use-based management keys on the distribution).
-pub fn synthetic_sweep(_scale: Scale) -> Result<Table, SuiteError> {
+pub fn synthetic_sweep(_scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let specs = [
         ("single-use-heavy", SyntheticSpec::single_use_heavy(11)),
         ("high-use", SyntheticSpec::high_use(11)),
@@ -799,7 +805,7 @@ pub fn synthetic_sweep(_scale: Scale) -> Result<Table, SuiteError> {
     ];
     let configs: Vec<SimConfig> = schemes(64, 2, 2).into_iter().map(|(_, c)| c).collect();
     let programs = specs.iter().map(|(_, spec)| vec![spec.build()]).collect();
-    let res = run_matrix(&configs, &[programs])?;
+    let res = run_matrix(&configs, &[programs], opts)?;
     let mut t = Table::new([
         "distribution",
         "lru-miss%",
@@ -830,7 +836,7 @@ pub fn synthetic_sweep(_scale: Scale) -> Result<Table, SuiteError> {
 /// evidence the degree prediction undercounted (after Vakil Ghahani et
 /// al., "Making Belady-Inspired Replacement Policies More Effective
 /// Using Expected Hit Count").
-pub fn ehc(scale: Scale) -> Result<Table, SuiteError> {
+pub fn ehc(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let rows = [
         ("lru", "lru,index=filtered"),
         ("fewest-uses (paper)", "use-based"),
@@ -838,7 +844,7 @@ pub fn ehc(scale: Scale) -> Result<Table, SuiteError> {
     ]
     .map(|(name, base)| (name, spec(base)));
     let mut t = Table::new(["replacement", "geomean-ipc", "miss/operand %"]);
-    for (name, res) in run_labelled(rows, scale)? {
+    for (name, res) in run_labelled(rows, scale, opts)? {
         let miss = res.mean_of(|r| r.miss_rate_per_operand()).unwrap_or(0.0);
         t.row_f64(name, [res.geomean_ipc(), miss * 100.0], 4);
     }
@@ -853,7 +859,7 @@ pub fn ehc(scale: Scale) -> Result<Table, SuiteError> {
 /// threads double the pressure on the shared register cache without
 /// doubling its capacity, so the fewest-uses-vs-LRU gap should *widen*
 /// relative to the 1-thread column.
-pub fn smt(scale: Scale) -> Result<Table, SuiteError> {
+pub fn smt(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let variants = [
         ("use-based", spec("use-based")),
         ("lru", spec("lru")),
@@ -863,6 +869,7 @@ pub fn smt(scale: Scale) -> Result<Table, SuiteError> {
     let res = run_matrix(
         &configs,
         &[kernel_groups(1, scale), kernel_groups(2, scale)],
+        opts,
     )?;
     let mut t = Table::new(["scheme", "1T-geomean-ipc", "2T-geomean-ipc", "2T/1T"]);
     for (name, pair) in names.into_iter().zip(res.chunks(2)) {
@@ -911,6 +918,7 @@ fn fairness_vs_shared(baseline: &SuiteResult, run: &SuiteResult) -> f64 {
 /// alongside the aggregate ratio.
 fn partition_matrix(
     scale: Scale,
+    opts: &RunOptions,
     ways: usize,
     partitions: &[(&str, &str)],
 ) -> Result<Table, SuiteError> {
@@ -921,7 +929,7 @@ fn partition_matrix(
             configs.push(spec(&format!("{scheme},ways={ways},{keys}")));
         }
     }
-    let res = run_matrix(&configs, &[kernel_groups(4, scale)])?;
+    let res = run_matrix(&configs, &[kernel_groups(4, scale)], opts)?;
     let mut t = Table::new([
         "scheme",
         "partition",
@@ -952,9 +960,10 @@ fn partition_matrix(
 /// its siblings; the partition policies trade that interference against
 /// lower effective capacity per thread, and the `vs-shared` column
 /// shows which effect wins for each replacement scheme.
-pub fn smt4(scale: Scale) -> Result<Table, SuiteError> {
+pub fn smt4(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     partition_matrix(
         scale,
+        opts,
         4,
         &[
             ("shared", "partition=shared"),
@@ -973,7 +982,7 @@ pub fn smt4(scale: Scale) -> Result<Table, SuiteError> {
 /// per-recovery latency distribution (merged across kernels). The two
 /// fault-free rows pin the zero-overhead claim: `protected` must match
 /// `unprotected` exactly.
-pub fn soft(scale: Scale) -> Result<Table, SuiteError> {
+pub fn soft(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let mut rows: Vec<(String, SimConfig)> = vec![
         ("unprotected".into(), spec("use-based")),
         ("protected, fault-free".into(), spec("use-based,protect=on")),
@@ -992,12 +1001,12 @@ pub fn soft(scale: Scale) -> Result<Table, SuiteError> {
         "p50-latency",
         "p99-latency",
     ]);
-    for (name, res) in run_labelled(rows, scale)? {
+    for (name, res) in run_labelled(rows, scale, opts)? {
         let mut latency = ubrc_stats::Histogram::new();
         let (mut recoveries, mut machine_checks) = (0u64, 0u64);
         for (_, r) in &res.runs {
             recoveries += r.recoveries;
-            machine_checks += r.machine_checks;
+            machine_checks += r.machine_checks();
             latency.merge(&r.recovery_latency);
         }
         let pct = |p: f64| {
@@ -1027,9 +1036,10 @@ pub fn soft(scale: Scale) -> Result<Table, SuiteError> {
 /// Static occupancy capping pays for isolation with capacity
 /// (`vs-shared` < 1); the dynamic row should close most of that gap by
 /// granting quota where the monitors see marginal hits.
-pub fn ucp(scale: Scale) -> Result<Table, SuiteError> {
+pub fn ucp(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     partition_matrix(
         scale,
+        opts,
         4,
         &[
             ("shared", "partition=shared"),
@@ -1051,9 +1061,10 @@ pub fn ucp(scale: Scale) -> Result<Table, SuiteError> {
 /// hard-isolation property of `WayPartition` (no set ever mixes
 /// threads) while tracking phase behavior, so its row should land
 /// between `dynamic-cap` and the static split's isolation tax.
-pub fn dynway(scale: Scale) -> Result<Table, SuiteError> {
+pub fn dynway(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     partition_matrix(
         scale,
+        opts,
         8,
         &[
             ("shared", "partition=shared"),
@@ -1073,7 +1084,7 @@ pub fn dynway(scale: Scale) -> Result<Table, SuiteError> {
 /// use-based cache. ICOUNT's advantage should grow with thread count
 /// (round-robin lets a stalled thread hold fetch slots), while the
 /// shared pool trades isolation for rename headroom.
-pub fn fetchpol(scale: Scale) -> Result<Table, SuiteError> {
+pub fn fetchpol(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let policies = [
         ("icount (paper)", "icount"),
         ("round-robin", "round-robin"),
@@ -1094,6 +1105,7 @@ pub fn fetchpol(scale: Scale) -> Result<Table, SuiteError> {
     let res = run_matrix(
         &configs,
         &[kernel_groups(2, scale), kernel_groups(4, scale)],
+        opts,
     )?;
     let mut t = Table::new([
         "fetch-policy",
@@ -1121,7 +1133,7 @@ pub fn fetchpol(scale: Scale) -> Result<Table, SuiteError> {
 /// associativity shows where the distinction matters: the scorer-side
 /// floor should help most where fills are frequent (small caches) and
 /// wash out as capacity grows.
-pub fn ehc_sweep(scale: Scale) -> Result<Table, SuiteError> {
+pub fn ehc_sweep(scale: Scale, opts: &RunOptions) -> Result<Table, SuiteError> {
     let geometries: Vec<(usize, usize)> = [32usize, 64, 96]
         .into_iter()
         .flat_map(|entries| [2usize, 4].map(|ways| (entries, ways)))
@@ -1133,7 +1145,7 @@ pub fn ehc_sweep(scale: Scale) -> Result<Table, SuiteError> {
         configs.push(spec(&format!("use-based,{geometry},fill=1")));
         configs.push(spec(&format!("ehc,{geometry}")));
     }
-    let res = run_suites(&configs, scale)?;
+    let res = run_suites(&configs, scale, opts)?;
     let mut t = Table::new([
         "entries",
         "ways",
@@ -1153,11 +1165,11 @@ pub fn ehc_sweep(scale: Scale) -> Result<Table, SuiteError> {
 /// order. The harness binary and the smoke tests iterate this. A
 /// failing run reports the offending workload via [`SuiteError`]
 /// instead of unwinding through the harness.
-pub type ExperimentFn = fn(Scale) -> Result<Table, SuiteError>;
+pub type ExperimentFn = fn(Scale, &RunOptions) -> Result<Table, SuiteError>;
 
 /// The experiment registry.
 pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
-    fn table1_entry(_: Scale) -> Result<Table, SuiteError> {
+    fn table1_entry(_: Scale, _: &RunOptions) -> Result<Table, SuiteError> {
         Ok(table1())
     }
     vec![
@@ -1287,7 +1299,7 @@ mod tests {
     fn run_matrix_splits_results_per_config_and_set() {
         let configs = [SimConfig::paper_default(), spec("rf-3")];
         let sets = [kernel_groups(1, Scale::Tiny), kernel_groups(4, Scale::Tiny)];
-        let res = run_matrix(&configs, &sets).unwrap();
+        let res = run_matrix(&configs, &sets, &RunOptions::default()).unwrap();
         assert_eq!(res.len(), 4);
         for per_config in res.chunks(2) {
             let (suite, quads) = (&per_config[0], &per_config[1]);
@@ -1316,7 +1328,7 @@ mod tests {
         let mut bad = SimConfig::paper_default();
         bad.phys_regs = 8; // fewer physical than architectural registers
         let configs = [SimConfig::paper_default(), bad];
-        let err = run_suites(&configs, Scale::Tiny)
+        let err = run_suites(&configs, Scale::Tiny, &RunOptions::default())
             .err()
             .expect("the second config is rejected");
         assert_eq!(err.workload, "qsort");

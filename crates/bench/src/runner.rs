@@ -90,10 +90,9 @@ impl fmt::Display for SuiteFailure {
     }
 }
 
-/// Per-run options for the runner, normally derived from the
-/// environment (which is how the `experiments` binary's `--check` and
-/// `--timeout` flags reach every cell without threading a parameter
-/// through every experiment signature).
+/// Per-run options for the runner: the `experiments` binary's
+/// `--check` and `--timeout` flags, handed to every experiment beside
+/// its [`ubrc_workloads::Scale`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunOptions {
     /// Enable full runtime checking ([`CheckConfig::full`]) on every
@@ -102,22 +101,6 @@ pub struct RunOptions {
     /// Wall-clock budget per cell; a cell still running at the deadline
     /// is cancelled and reported as [`SuiteFailure::Timeout`].
     pub timeout: Option<Duration>,
-}
-
-impl RunOptions {
-    /// Reads `UBRC_CHECK` (any non-empty value other than `0`) and
-    /// `UBRC_TIMEOUT_SECS` (integer seconds).
-    pub fn from_env() -> Self {
-        let timeout = std::env::var("UBRC_TIMEOUT_SECS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&s| s > 0)
-            .map(Duration::from_secs);
-        Self {
-            check: std::env::var("UBRC_CHECK").is_ok_and(|v| !v.is_empty() && v != "0"),
-            timeout,
-        }
-    }
 }
 
 /// Maximum simulations running at once (defaults to the machine's

@@ -119,7 +119,7 @@ pub struct TrajectoryOutcome {
 /// `{"name", "error": {"kind", "message"}}` objects and are counted in
 /// [`TrajectoryOutcome::failed`], while aggregate statistics cover the
 /// cells that completed.
-pub fn pipeline_trajectory(scale: Scale) -> TrajectoryOutcome {
+pub fn pipeline_trajectory(scale: Scale, opts: &RunOptions) -> TrajectoryOutcome {
     let matrix = TRAJECTORY
         .iter()
         .map(|&(name, threads, spec)| {
@@ -127,7 +127,7 @@ pub fn pipeline_trajectory(scale: Scale) -> TrajectoryOutcome {
             (name, threads, cfg)
         })
         .collect();
-    trajectory_over(matrix, scale)
+    trajectory_over(matrix, scale, opts)
 }
 
 /// Runs each `(name, threads, config)` entry over the kernel suite's
@@ -136,9 +136,9 @@ pub fn pipeline_trajectory(scale: Scale) -> TrajectoryOutcome {
 fn trajectory_over(
     matrix: Vec<(&'static str, usize, SimConfig)>,
     scale: Scale,
+    opts: &RunOptions,
 ) -> TrajectoryOutcome {
     let t_total = Instant::now();
-    let opts = RunOptions::from_env();
     let mut configs = Vec::new();
     let mut total_insts: u64 = 0;
     let mut total_failed = 0usize;
@@ -152,7 +152,7 @@ fn trajectory_over(
                 config: &cfg,
             })
             .collect();
-        let outcomes = run_cells(&cells, &opts);
+        let outcomes = run_cells(&cells, opts);
         let wall = t0.elapsed().as_secs_f64();
         let ok: Vec<&SimResult> = outcomes.iter().flatten().collect();
         let failed = outcomes.len() - ok.len();
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn trajectory_document_has_the_published_schema() {
-        let out = pipeline_trajectory(Scale::Tiny);
+        let out = pipeline_trajectory(Scale::Tiny, &RunOptions::default());
         assert_eq!(out.failed, 0);
         let s = out.doc.to_string();
         assert!(s.starts_with(&format!(r#"{{"schema":"{SCHEMA}""#)));
@@ -283,7 +283,7 @@ mod tests {
             ("good", 1, SimConfig::paper_default()),
             ("broken", 1, broken),
         ];
-        let out = trajectory_over(matrix, Scale::Tiny);
+        let out = trajectory_over(matrix, Scale::Tiny, &RunOptions::default());
         assert_eq!(out.failed, 12);
         let s = out.doc.to_string();
         assert!(s.contains(r#""name":"good""#));

@@ -6,6 +6,7 @@
 //! runs `experiments all --scale tiny`).
 
 use ubrc_bench::experiments::registry;
+use ubrc_bench::RunOptions;
 use ubrc_workloads::Scale;
 
 #[test]
@@ -70,7 +71,8 @@ fn quick_experiments_run_at_tiny_scale() {
         if heavy.contains(&id) {
             continue;
         }
-        let table = f(Scale::Tiny).unwrap_or_else(|e| panic!("experiment `{id}` failed: {e}"));
+        let table = f(Scale::Tiny, &RunOptions::default())
+            .unwrap_or_else(|e| panic!("experiment `{id}` failed: {e}"));
         assert!(!table.is_empty(), "experiment `{id}` produced no rows");
         let text = table.to_string();
         assert!(

@@ -74,8 +74,6 @@ pub struct DivergenceReport {
     pub cycle: u64,
     /// Dynamic sequence number of the divergent instruction.
     pub seq: u64,
-    /// Its ROB slot at retirement (always the head).
-    pub rob_slot: usize,
     /// Fetch address according to the pipeline.
     pub pc: u64,
     /// Disassembly of the pipeline's instruction.
@@ -95,8 +93,8 @@ impl fmt::Display for DivergenceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "co-simulation divergence at cycle {}: seq {} (rob slot {}) pc {:#x} `{}`",
-            self.cycle, self.seq, self.rob_slot, self.pc, self.asm
+            "co-simulation divergence at cycle {}: seq {} pc {:#x} `{}`",
+            self.cycle, self.seq, self.pc, self.asm
         )?;
         writeln!(f, "  field    {}", self.field)?;
         writeln!(f, "  expected {}", self.expected)?;
@@ -433,7 +431,6 @@ pub(crate) struct FillObligation {
 pub(crate) struct Checker {
     remaining: Vec<u8>,
     pinned: Vec<bool>,
-    active: Vec<bool>,
     /// Registers whose real counter carries an injected-but-undetected
     /// parity fault: the mirror comparison is suspended (the *protected
     /// read* is what must catch it) until the recovery scrub resyncs.
@@ -446,7 +443,6 @@ impl Checker {
         Self {
             remaining: vec![0; npregs],
             pinned: vec![false; npregs],
-            active: vec![false; npregs],
             suspect: vec![false; npregs],
             fill_obligations: Vec::new(),
         }
@@ -457,13 +453,13 @@ impl Checker {
         let i = preg as usize;
         self.remaining[i] = remaining;
         self.pinned[i] = pinned;
-        self.active[i] = true;
     }
 
-    /// Mirrors `UseTracker::consume`.
+    /// Mirrors `UseTracker::consume` (of a live value: a freed
+    /// register's mirror reads zero, unpinned).
     pub(crate) fn on_consume(&mut self, preg: u16) {
         let i = preg as usize;
-        if self.active[i] && !self.pinned[i] {
+        if !self.pinned[i] {
             self.remaining[i] = self.remaining[i].saturating_sub(1);
         }
     }
@@ -474,7 +470,6 @@ impl Checker {
         let i = preg as usize;
         self.remaining[i] = 0;
         self.pinned[i] = false;
-        self.active[i] = false;
         self.suspect[i] = false;
         self.fill_obligations.retain(|o| o.preg != preg);
     }
@@ -521,31 +516,33 @@ impl Checker {
         }
     }
 
-    /// Cross-checks the real use tracker against the mirror.
-    /// `thread_of` names the thread that owns a physical register.
+    /// Cross-checks the real use tracker against the mirror, and its
+    /// liveness against the register pool's (`held`). `thread_of` names
+    /// the thread that owns a physical register.
     pub(crate) fn check_tracker(
         &self,
         tracker: &UseTracker,
+        held: &[bool],
         cycle: u64,
         thread_of: impl Fn(u16) -> usize,
     ) -> Option<Box<InvariantViolation>> {
-        for (i, &active) in self.active.iter().enumerate() {
+        for (i, &live) in held.iter().enumerate() {
             let p = PhysReg(i as u16);
             if self.suspect[i] {
                 continue;
             }
-            if tracker.is_active(p) != active {
+            if tracker.is_active(p) != live {
                 return Some(Box::new(InvariantViolation {
                     cycle,
                     thread: Some(thread_of(i as u16)),
                     invariant: "use-tracker-liveness",
                     detail: format!(
-                        "{p}: tracker active={}, mirror active={active}",
+                        "{p}: tracker active={}, pool holds it={live}",
                         tracker.is_active(p)
                     ),
                 }));
             }
-            if !active {
+            if !live {
                 continue;
             }
             if tracker.remaining(p) != self.remaining[i] {

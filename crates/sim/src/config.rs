@@ -250,7 +250,8 @@ pub struct SimConfig {
     pub memsys: MemSysConfig,
     /// Conditional branch predictor style.
     pub branch_predictor: BranchPredictorKind,
-    /// Degree-of-use predictor.
+    /// The register cache's degree-of-use predictor, one per thread
+    /// (cached storage only: the other organizations predict nothing).
     pub douse: DouseConfig,
     /// Backing-file shared read ports (the paper's design uses 1).
     pub backing_read_ports: usize,

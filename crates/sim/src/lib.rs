@@ -50,7 +50,7 @@ pub use config::{
 };
 pub use inject::{FaultKind, FaultPlan, FaultPlanError, FaultSpec, PeriodicFault};
 pub use pipeline::Simulator;
-pub use stats::{LifetimeCollector, LifetimeStats, SimResult};
+pub use stats::{LifetimeStats, SimResult};
 pub use trace::{InstTrace, OperandPath, Timeline};
 
 use ubrc_isa::Program;

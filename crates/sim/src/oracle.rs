@@ -39,7 +39,6 @@ impl Oracle {
         Box::new(DivergenceReport {
             cycle,
             seq: actual.seq,
-            rob_slot: 0,
             pc: actual.pc,
             asm: actual.inst.to_string(),
             field,

@@ -41,16 +41,14 @@ use crate::config::{BranchPredictorKind, FreelistPolicy, RegStorage, SimConfig};
 use crate::inject::Injector;
 use crate::oracle::Oracle;
 use crate::stage::{
-    ArmedSlots, CoreState, EventLatch, FetchLatch, PregInfo, PregTime, RegPool, ReplayLatch,
-    StageProfiler, Storage, ThreadState, NO_SRC,
+    ArmedSlots, CachedStorage, CachedValue, CoreState, EventLatch, FetchLatch, PregTime, RegPool,
+    ReplayLatch, StageProfiler, Storage, ThreadState, TwoLevelValue, NO_SRC,
 };
 use crate::stats::{LifetimeCollector, SimResult};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use ubrc_core::{
-    BackingFile, IndexAssigner, IndexPolicy, PhysReg, RegisterCache, TwoLevelFile, UseTracker,
-};
+use ubrc_core::{BackingFile, IndexAssigner, IndexPolicy, RegisterCache, TwoLevelFile, UseTracker};
 use ubrc_emu::Machine;
 use ubrc_frontend::{
     Bimodal, CascadingIndirect, DegreeOfUsePredictor, DirectionPredictor, GlobalHistory, Gshare,
@@ -118,6 +116,8 @@ impl Simulator {
         }
         if let RegStorage::Cached { cache, .. } = &config.storage {
             cache.validate(nthreads).map_err(ConfigError::Cache)?;
+            // Only the register cache builds degree-of-use predictors.
+            config.douse.validate().map_err(ConfigError::Douse)?;
             if config.backing_read_ports == 0 {
                 return Err(ConfigError::ZeroWidth {
                     field: "backing_read_ports",
@@ -155,7 +155,6 @@ impl Simulator {
                 });
             }
         }
-        config.douse.validate().map_err(ConfigError::Douse)?;
         config.memsys.validate().map_err(ConfigError::MemSys)?;
         if let FreelistPolicy::Shared { cap } = config.freelist {
             if cap <= narch {
@@ -192,14 +191,12 @@ impl Simulator {
         let npregs = config.phys_regs;
         let narch = ubrc_isa::NUM_ARCH_REGS as usize;
 
-        let mut checker = config.check.invariants.then(|| Checker::new(npregs));
+        let checker = config.check.invariants.then(|| Checker::new(npregs));
         let injector = config.fault_plan.as_ref().map(Injector::new);
-        let mut pool = RegPool::new(config.freelist, npregs, nthreads);
+        let pool = RegPool::new(config.freelist, npregs, nthreads);
 
-        let mut storage = match &config.storage {
-            RegStorage::Monolithic { write_latency, .. } => Storage::Monolithic {
-                write_latency: *write_latency,
-            },
+        let storage = match &config.storage {
+            RegStorage::Monolithic { .. } => Storage::Monolithic,
             RegStorage::Cached {
                 cache,
                 index,
@@ -210,7 +207,7 @@ impl Simulator {
                 if let Some((degree, skip)) = config.filter_params {
                     assigner.set_filter_params(degree, skip);
                 }
-                Storage::Cached {
+                Storage::Cached(CachedStorage {
                     // The cache splits pregs between threads statically,
                     // so it sees one thread per pool list: a shared list
                     // hands any register to any thread.
@@ -223,17 +220,18 @@ impl Simulator {
                     ),
                     assigner,
                     tracker: UseTracker::new(npregs),
-                }
+                    douse: vec![DegreeOfUsePredictor::new(config.douse); nthreads],
+                    values: vec![CachedValue::default(); npregs],
+                })
             }
             RegStorage::TwoLevel(tl) => Storage::TwoLevel {
                 file: TwoLevelFile::new(*tl, npregs),
+                values: vec![TwoLevelValue::default(); npregs],
             },
         };
 
-        let mut preg_time = vec![PregTime::UNKNOWN; npregs];
-        let mut preg_info = vec![PregInfo::EMPTY; npregs];
         let mut threads = Vec::with_capacity(nthreads);
-        for (tid, program) in programs.into_iter().enumerate() {
+        for program in programs {
             let machine = Machine::new(program);
             // The retired-state machine forks the thread's machine: same
             // shared program, fresh architectural state — no deep copy
@@ -241,43 +239,6 @@ impl Simulator {
             // recovery read it.
             let retired_machine = (config.check.oracle || config.storage.protected())
                 .then(|| Box::new(machine.fork_fresh()));
-
-            // Initial architectural state: the thread's first `narch`
-            // pops, a block of consecutive registers (validate_smt
-            // leaves room for every thread's block).
-            let map: Vec<u16> = (0..narch).map(|_| pool.alloc(tid)).collect();
-            for &p in &map {
-                preg_time[p as usize] = PregTime::ANCIENT;
-                preg_info[p as usize] = PregInfo {
-                    active: true,
-                    ..PregInfo::EMPTY
-                };
-                match &mut storage {
-                    Storage::Cached {
-                        cache,
-                        assigner,
-                        tracker,
-                        ..
-                    } => {
-                        cache.produce(PhysReg(p));
-                        tracker.init(PhysReg(p), Some(0), 0, u8::MAX);
-                        if let Some(ck) = checker.as_mut() {
-                            ck.on_init(p, 0, false);
-                        }
-                        let set = assigner.assign(PhysReg(p), 1);
-                        preg_info[p as usize].set = set;
-                        preg_info[p as usize].predicted = 1;
-                    }
-                    Storage::TwoLevel { file } => {
-                        // try_new_smt validated l1_entries > narch, so
-                        // the architectural state always fits.
-                        let allocated = file.try_allocate(PhysReg(p));
-                        assert!(allocated, "validated L1 rejected arch state");
-                    }
-                    Storage::Monolithic { .. } => {}
-                }
-            }
-
             threads.push(ThreadState {
                 machine,
                 stream_done: false,
@@ -301,9 +262,8 @@ impl Simulator {
                 },
                 ras: ReturnAddressStack::default(),
                 indirect: CascadingIndirect::default(),
-                douse: DegreeOfUsePredictor::new(config.douse),
                 halt_fetched: false,
-                map,
+                map: Vec::with_capacity(narch),
                 rob: VecDeque::new(),
                 sched: VecDeque::new(),
                 due_hint: 0,
@@ -318,17 +278,18 @@ impl Simulator {
             });
         }
 
-        let lifetimes = config.collect_lifetimes.then(LifetimeCollector::new);
+        let lifetimes = config
+            .collect_lifetimes
+            .then(|| LifetimeCollector::new(npregs));
         let memsys = MemSys::new(config.memsys);
-        let core = CoreState {
+        let mut core = CoreState {
             threads,
             pool,
             last_fetch_tid: nthreads - 1,
             now: 0,
             age: 0,
             last_progress: 0,
-            preg_time,
-            preg_info,
+            preg_time: vec![PregTime::UNKNOWN; npregs],
             window_count: 0,
             preg_waiters: vec![Vec::new(); npregs],
             cursors: Vec::new(),
@@ -351,6 +312,17 @@ impl Simulator {
             profiler: config.profile.then(|| Box::new(StageProfiler::new())),
             config,
         };
+        // Initial architectural state: each thread's first `narch` pops,
+        // a block of consecutive registers (validate_smt leaves room for
+        // every thread's block), readable from storage from the start.
+        for tid in 0..nthreads {
+            for _ in 0..narch {
+                let p = core.pool.alloc(tid);
+                core.preg_time[p as usize] = PregTime::ANCIENT;
+                core.storage.produce(p, None, core.checker.as_mut());
+                core.threads[tid].map.push(p);
+            }
+        }
         Ok(Self { core })
     }
 

@@ -437,6 +437,15 @@ fn zero_douse_sets_are_rejected() {
     let err = rejected(&["crc"], cfg);
     assert_eq!(err, ConfigError::Douse(DouseConfigError::Sets { sets: 0 }));
     assert!(err.to_string().contains("sets must be a power of two"));
+    // Only the register cache builds a predictor, so only it checks one.
+    for base in ["rf-3", "two-level"] {
+        let mut cfg = spec(base);
+        cfg.douse.sets = 0;
+        assert!(
+            Simulator::try_new_smt(programs(&["crc"]), cfg).is_ok(),
+            "{base}"
+        );
+    }
 }
 
 #[test]
@@ -642,10 +651,10 @@ fn checker_names_the_owner_of_a_shared_pool_register() {
     cfg.freelist = FreelistPolicy::Shared { cap: 128 };
     cfg.check = CheckConfig::full();
     let mut sim = sim(&["crc", "rle"], cfg);
-    let Storage::Cached { tracker, .. } = &mut sim.core.storage else {
+    let Storage::Cached(c) = &mut sim.core.storage else {
         panic!("the paper default is a cached core");
     };
-    assert!(tracker.corrupt_counter(ubrc_core::PhysReg(100)));
+    assert!(c.tracker.corrupt_counter(ubrc_core::PhysReg(100)));
     let err = sim
         .run_checked()
         .expect_err("the corrupted counter is caught");
@@ -792,7 +801,10 @@ fn machine_check_squashes_mid_epoch_keep_dynamic_caps_consistent() {
     ));
     let r = crate::simulate(programs(&QUAD), cfg)
         .expect("faulted dynamically-capped run recovers cleanly");
-    assert!(r.machine_checks > 0, "no backing fault reached a miss read");
+    assert!(
+        r.machine_checks() > 0,
+        "no backing fault reached a miss read"
+    );
     assert!(
         r.epochs > 0,
         "squashes must interleave with epoch boundaries"
@@ -984,7 +996,10 @@ fn machine_check_squashes_mid_way_reassignment_stay_consistent() {
     ));
     let r = crate::simulate(programs(&QUAD), cfg)
         .expect("faulted dynamically-way-partitioned run recovers cleanly");
-    assert!(r.machine_checks > 0, "no backing fault reached a miss read");
+    assert!(
+        r.machine_checks() > 0,
+        "no backing fault reached a miss read"
+    );
     assert!(
         r.epochs > 0,
         "squashes must interleave with way reassignment"

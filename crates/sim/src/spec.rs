@@ -340,6 +340,9 @@ fn keys() -> [Key; 23] {
         Key::named("protect", CACHED, &SWITCH, |cfg, on| {
             cache(cfg).protect = on
         }),
+        // The degree-of-use predictor is the register cache's (§3.3).
+        Key::integer("douse-sets", CACHED, |cfg, n| cfg.douse.sets = n),
+        Key::integer("douse-conf", CACHED, |cfg, n| cfg.douse.conf_threshold = n),
         Key::integer("transfers", TWO_LEVEL, |cfg, n| {
             two_level(cfg).transfers_per_cycle = n
         }),
@@ -362,8 +365,6 @@ fn keys() -> [Key; 23] {
         Key::named("predictor", EVERY, &PREDICTOR, |cfg, p| {
             cfg.branch_predictor = p
         }),
-        Key::integer("douse-sets", EVERY, |cfg, n| cfg.douse.sets = n),
-        Key::integer("douse-conf", EVERY, |cfg, n| cfg.douse.conf_threshold = n),
         Key::named("load-spec", EVERY, &SWITCH, |cfg, on| {
             cfg.load_hit_speculation = on
         }),
@@ -632,7 +633,8 @@ mod tests {
             "use-based,entries=32,ways=4,index=standard,backing=3,max-use=5",
             "lru,unknown=2,fill=1,filter=3:1,ports=2,classify=on",
             "ehc,partition=dynway,adapt=on,protect=on,fault=cache-data:400:9,fetch=round-robin",
-            "rf-3,freelist=shared:96,predictor=gshare,douse-sets=64,douse-conf=0",
+            "rf-3,freelist=shared:96,predictor=gshare",
+            "non-bypass,douse-sets=64,douse-conf=0",
             "rf-1,load-spec=off,lsq=off,bypass=3",
         ];
         let mut covered = Vec::new();
@@ -714,7 +716,7 @@ mod tests {
     fn mistakes_name_the_key_and_what_it_accepts() {
         let indexes = one_of(&INDEX);
         let predictors = one_of(&PREDICTOR);
-        let cases: [(&str, &[&str]); 17] = [
+        let cases: [(&str, &[&str]); 19] = [
             ("lru-ish", &["`lru-ish`", "use-based, lru"]),
             ("use-based,colour=red", &["`colour`", "entries, ways"]),
             ("use-based,index=diagonal", &["`index`", &indexes]),
@@ -731,6 +733,11 @@ mod tests {
             ("rf-1,filter=3:1", &["`filter`", "`rf-1`"]),
             ("two-level,fill=1", &["`fill`", "`two-level`", "ehc"]),
             ("two-level,ports=2", &["`ports`", "`two-level`"]),
+            (
+                "rf-3,douse-sets=16",
+                &["`douse-sets`", "`rf-3`", "use-based, lru, non-bypass, ehc"],
+            ),
+            ("two-level,douse-conf=0", &["`douse-conf`", "`two-level`"]),
             (
                 "use-based,transfers=2",
                 &["`transfers`", "`use-based`", "two-level"],

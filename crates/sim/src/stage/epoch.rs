@@ -25,11 +25,11 @@ use super::{CoreState, Storage};
 
 impl CoreState {
     pub(crate) fn epoch_stage(&mut self, now: u64) {
-        let Storage::Cached { cache, .. } = &mut self.storage else {
+        let Storage::Cached(c) = &mut self.storage else {
             return;
         };
-        if cache.epoch_due(now) {
-            self.result.epoch_timeline.push(cache.epoch_boundary(now));
+        if c.cache.epoch_due(now) {
+            self.result.epoch_timeline.push(c.cache.epoch_boundary(now));
         }
     }
 }

@@ -39,17 +39,17 @@ impl CoreState {
             let landed = match inj.armed[i].kind {
                 FaultKind::FlipUsePrediction => {
                     let r = inj.next_u64() as usize;
-                    if let Storage::Cached { tracker, .. } = &mut self.storage {
+                    if let Storage::Cached(c) = &mut self.storage {
                         let n = self.config.phys_regs;
-                        (0..n).any(|k| tracker.corrupt_counter(PhysReg(((r + k) % n) as u16)))
+                        (0..n).any(|k| c.tracker.corrupt_counter(PhysReg(((r + k) % n) as u16)))
                     } else {
                         false
                     }
                 }
                 FaultKind::CorruptReplacement => {
                     let r = inj.next_u64() as usize;
-                    if let Storage::Cached { cache, .. } = &mut self.storage {
-                        cache.corrupt_metadata(r).is_some()
+                    if let Storage::Cached(c) = &mut self.storage {
+                        c.cache.corrupt_metadata(r).is_some()
                     } else {
                         false
                     }
@@ -68,10 +68,10 @@ impl CoreState {
                 // bad; detected (and the entry invalidated and
                 // re-filled) at the next protected read.
                 FaultKind::FlipCacheData => {
-                    if let Storage::Cached { cache, .. } = &mut self.storage {
+                    if let Storage::Cached(c) = &mut self.storage {
                         match target {
-                            Some(t) => cache.corrupt_preg_data(PhysReg(t)),
-                            None => cache.corrupt_data(inj.next_u64() as usize).is_some(),
+                            Some(t) => c.cache.corrupt_preg_data(PhysReg(t)),
+                            None => c.cache.corrupt_data(inj.next_u64() as usize).is_some(),
                         }
                     } else {
                         false
@@ -83,15 +83,15 @@ impl CoreState {
                 // until the scrub, since the corruption is *supposed*
                 // to go unnoticed until then.
                 FaultKind::FlipUseCounter => {
-                    let hit = if let Storage::Cached { tracker, .. } = &mut self.storage {
+                    let hit = if let Storage::Cached(c) = &mut self.storage {
                         let n = self.config.phys_regs;
                         match target {
-                            Some(t) => tracker.flip_use_counter(PhysReg(t)).then_some(t),
+                            Some(t) => c.tracker.flip_use_counter(PhysReg(t)).then_some(t),
                             None => {
                                 let r = inj.next_u64() as usize;
                                 (0..n)
                                     .map(|k| ((r + k) % n) as u16)
-                                    .find(|&p| tracker.flip_use_counter(PhysReg(p)))
+                                    .find(|&p| c.tracker.flip_use_counter(PhysReg(p)))
                             }
                         }
                     } else {
@@ -110,19 +110,16 @@ impl CoreState {
                 // file is the architected copy. Lands on an active
                 // register so the fault is reachable by a read.
                 FaultKind::FlipBackingWord => {
-                    if let Storage::Cached { backing, .. } = &mut self.storage {
+                    if let Storage::Cached(c) = &mut self.storage {
                         let n = self.config.phys_regs;
+                        let held = &self.pool.held;
                         match target {
-                            Some(t) => {
-                                self.preg_info[t as usize].active
-                                    && backing.corrupt_word(PhysReg(t))
-                            }
+                            Some(t) => held[t as usize] && c.backing.corrupt_word(PhysReg(t)),
                             None => {
                                 let r = inj.next_u64() as usize;
-                                (0..n).map(|k| ((r + k) % n) as u16).any(|p| {
-                                    self.preg_info[p as usize].active
-                                        && backing.corrupt_word(PhysReg(p))
-                                })
+                                (0..n)
+                                    .map(|k| ((r + k) % n) as u16)
+                                    .any(|p| held[p as usize] && c.backing.corrupt_word(PhysReg(p)))
                             }
                         }
                     } else {
@@ -158,32 +155,33 @@ impl CoreState {
     fn process_cache_events(&mut self, now: u64) {
         let protected = self.config.storage.protected();
         let mut scrubbed: Vec<u16> = Vec::new();
-        let Storage::Cached { cache, tracker, .. } = &mut self.storage else {
+        let Storage::Cached(c) = &mut self.storage else {
             return;
         };
-        let (info, preg_gen) = (&self.preg_info, &self.preg_gen);
-        let live = |p: u16, gen: u32| info[p as usize].active && preg_gen[p as usize] == gen;
+        let (held, preg_gen) = (&self.pool.held, &self.preg_gen);
+        let live = |p: u16, gen: u32| held[p as usize] && preg_gen[p as usize] == gen;
         // Initial writes the cycle after execution completes.
-        self.events.writes.drain_due(now, |(p, set, gen)| {
+        self.events.writes.drain_due(now, |(p, gen)| {
             if live(p, gen) {
                 // The write decision reads the use counter; a protected
                 // read detects a flipped counter here and scrubs it (the
                 // write proceeds with the conservative scrubbed count).
-                if protected && !tracker.parity_ok(PhysReg(p)) {
-                    tracker.scrub(PhysReg(p));
+                if protected && !c.tracker.parity_ok(PhysReg(p)) {
+                    c.tracker.scrub(PhysReg(p));
                     scrubbed.push(p);
                 }
-                let remaining = tracker.remaining(PhysReg(p));
-                let pinned = tracker.is_pinned(PhysReg(p));
-                let bypasses = info[p as usize].pre_write_bypasses;
-                cache.write(PhysReg(p), set, remaining, pinned, bypasses, now);
+                let uses = c.tracker.remaining(PhysReg(p));
+                let pinned = c.tracker.is_pinned(PhysReg(p));
+                let v = c.values[p as usize];
+                c.cache
+                    .write(PhysReg(p), v.set, uses, pinned, v.pre_write_bypasses, now);
             }
         });
         // Fills completing after a backing-file read.
         let checker = &mut self.checker;
-        self.events.fills.drain_due(now, |(p, set, gen)| {
+        self.events.fills.drain_due(now, |(p, gen)| {
             if live(p, gen) {
-                cache.fill(PhysReg(p), set, now);
+                c.cache.fill(PhysReg(p), c.values[p as usize].set, now);
                 if let Some(ck) = checker.as_mut() {
                     ck.on_fill_applied(p, gen);
                 }
@@ -191,9 +189,9 @@ impl CoreState {
         });
         // Second-stage bypass consumers decrement the entry after the
         // write lands (§3.1: they cannot affect the write decision).
-        self.events.bypass_decs.drain_due(now, |(p, set, gen)| {
+        self.events.bypass_decs.drain_due(now, |(p, gen)| {
             if live(p, gen) {
-                cache.bypass_consume(PhysReg(p), set);
+                c.cache.bypass_consume(PhysReg(p), c.values[p as usize].set);
             }
         });
         for p in scrubbed {

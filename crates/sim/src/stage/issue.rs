@@ -14,7 +14,7 @@ use super::{
     CoreState, IssueSlot, PregTime, Storage, ThreadId, ThreadState, NOT_ISSUED, NO_SRC,
     SCHED_ISSUED, SCHED_PARKED,
 };
-use crate::config::FuPools;
+use crate::config::{FuPools, RegStorage};
 use crate::trace::OperandPath;
 use ubrc_core::PhysReg;
 use ubrc_isa::ExecClass;
@@ -316,38 +316,37 @@ impl CoreState {
                 self.result.operands_bypassed += 1;
                 operand_paths[slot] = Some(OperandPath::Bypass((now - t.bypass_start) as u8));
                 let stage = now - t.bypass_start;
-                if let Storage::Cached { tracker, .. } = &mut self.storage {
+                if let Storage::Cached(c) = &mut self.storage {
                     if stage == 0 {
                         // First-stage bypass: visible to the write
                         // decision (§3.1). The consume reads the use
                         // counter, so a protected read detects a
                         // flipped counter and scrubs it first.
-                        if protected && !tracker.parity_ok(PhysReg(p)) {
-                            tracker.scrub(PhysReg(p));
+                        if protected && !c.tracker.parity_ok(PhysReg(p)) {
+                            c.tracker.scrub(PhysReg(p));
                             if let Some(ck) = self.checker.as_mut() {
                                 ck.on_scrub(p);
                             }
                             counter_scrubs += 1;
                         }
-                        tracker.consume(PhysReg(p));
-                        self.preg_info[p as usize].pre_write_bypasses += 1;
+                        c.tracker.consume(PhysReg(p));
+                        c.values[p as usize].pre_write_bypasses += 1;
                         if let Some(ck) = self.checker.as_mut() {
                             ck.on_consume(p);
                         }
                     } else {
                         // Later stage: decrement the cache entry once
                         // the write has landed.
-                        let set = self.preg_info[p as usize].set;
                         let gen = self.preg_gen[p as usize];
-                        self.events.bypass_decs.push(t.storage_avail, (p, set, gen));
+                        self.events.bypass_decs.push(t.storage_avail, (p, gen));
                     }
                 }
             } else {
                 // Storage path.
                 self.result.operands_from_storage += 1;
                 operand_paths[slot] = Some(OperandPath::Storage);
-                if let Storage::Cached { cache, backing, .. } = &mut self.storage {
-                    let set = self.preg_info[p as usize].set;
+                if let Storage::Cached(c) = &mut self.storage {
+                    let set = c.values[p as usize].set;
                     operand_paths[slot] = Some(OperandPath::CacheHit);
                     // A protected read checks the entry's parity tag
                     // first: a flipped data bit invalidates the entry,
@@ -355,10 +354,10 @@ impl CoreState {
                     // the re-fill from the backing file IS the
                     // recovery (the cache is write-through, so the
                     // backing word is a clean copy).
-                    let parity_fault = protected && cache.take_parity_fault(PhysReg(p), set, now);
-                    if !cache.read(PhysReg(p), set, now) {
+                    let parity_fault = protected && c.cache.take_parity_fault(PhysReg(p), set, now);
+                    if !c.cache.read(PhysReg(p), set, now) {
                         operand_paths[slot] = Some(OperandPath::CacheMiss);
-                        if protected && !backing.parity_ok(PhysReg(p)) {
+                        if protected && !c.backing.parity_ok(PhysReg(p)) {
                             // The architected copy itself is corrupt:
                             // no clean copy exists anywhere, so the
                             // thread takes a machine check (squash and
@@ -366,14 +365,14 @@ impl CoreState {
                             // word is rewritten when the producer
                             // re-executes; scrub the tag now so the
                             // replayed read passes.
-                            backing.scrub(PhysReg(p));
+                            c.backing.scrub(PhysReg(p));
                             machine_check = true;
                         }
                         // Miss (Figure 3 star): file read through the
                         // single port, after the producer's write.
-                        let avail = backing.read(PhysReg(p), now + 1);
+                        let avail = c.backing.read(PhysReg(p), now + 1);
                         let gen = self.preg_gen[p as usize];
-                        self.events.fills.push(avail, (p, set, gen));
+                        self.events.fills.push(avail, (p, gen));
                         if let Some(ck) = self.checker.as_mut() {
                             ck.on_fill_scheduled(p, gen, avail);
                         }
@@ -390,20 +389,17 @@ impl CoreState {
                     }
                 }
             }
-            // Common consumer bookkeeping. The value is actually read
-            // when the consumer enters execute (issue + storage read),
-            // which is what the live-time statistics measure.
-            let info = &mut self.preg_info[p as usize];
-            info.consumers_outstanding = info.consumers_outstanding.saturating_sub(1);
-            if self.lifetimes.is_some() {
-                let read_at = now + rl + 1;
-                info.last_use = info.last_use.max(read_at);
+            // The value is actually read when the consumer enters
+            // execute (issue + storage read), which is what the
+            // live-time statistics measure.
+            if let Some(lt) = &mut self.lifetimes {
+                lt.read(p, now + rl + 1);
             }
-            if info.consumers_outstanding == 0 {
-                if let Some(rseq) = info.reassigned_seq {
-                    if let Storage::TwoLevel { file } = &mut self.storage {
-                        file.mark_eligible(PhysReg(p), rseq);
-                    }
+            if let Storage::TwoLevel { file, values } = &mut self.storage {
+                let v = &mut values[p as usize];
+                v.unread = v.unread.saturating_sub(1);
+                if let (0, Some(rseq)) = (v.unread, v.reassigned) {
+                    file.mark_eligible(PhysReg(p), rseq);
                 }
             }
         }
@@ -456,15 +452,15 @@ impl CoreState {
             };
             let bypass_start = eff_issue + adv_x;
             let bypass_end = bypass_start + self.config.bypass_stages as u64 - 1;
-            let storage_avail = match &self.storage {
+            let storage_avail = match self.config.storage {
                 // A monolithic file's value is readable only after the
                 // full write completes AND a full read can start after
                 // it: consumers in between stall (the issue-restriction
                 // gap of §2.2 that grows with file latency).
-                Storage::Monolithic { write_latency } => {
-                    eff_issue + adv_x + rl + *write_latency as u64
+                RegStorage::Monolithic { write_latency, .. } => {
+                    eff_issue + adv_x + rl + write_latency as u64
                 }
-                Storage::Cached { .. } | Storage::TwoLevel { .. } => bypass_end + 1,
+                RegStorage::Cached { .. } | RegStorage::TwoLevel(_) => bypass_end + 1,
             };
             self.preg_time[d as usize] = PregTime {
                 known: true,
@@ -489,8 +485,10 @@ impl CoreState {
                 self.result.load_miss_speculations += 1;
                 let real_bypass_start = eff_issue + x as u64;
                 let real_bypass_end = real_bypass_start + self.config.bypass_stages as u64 - 1;
-                let real_storage = match &self.storage {
-                    Storage::Monolithic { write_latency } => exec_done + *write_latency as u64,
+                let real_storage = match self.config.storage {
+                    RegStorage::Monolithic { write_latency, .. } => {
+                        exec_done + write_latency as u64
+                    }
                     _ => real_bypass_end + 1,
                 };
                 let real = PregTime {
@@ -503,17 +501,13 @@ impl CoreState {
                     .retimes
                     .push(detect, (d, self.preg_gen[d as usize], real));
             }
-            let collect_lifetimes = self.lifetimes.is_some();
-            let info = &mut self.preg_info[d as usize];
-            if collect_lifetimes {
-                info.write_time = exec_done;
-                info.last_use = info.last_use.max(exec_done);
+            if let Some(lt) = &mut self.lifetimes {
+                lt.write(d, exec_done);
             }
-            let set = info.set;
-            if let Storage::Cached { backing, .. } = &mut self.storage {
-                backing.write(PhysReg(d), exec_done + 1);
+            if let Storage::Cached(c) = &mut self.storage {
+                c.backing.write(PhysReg(d), exec_done + 1);
                 let gen = self.preg_gen[d as usize];
-                self.events.writes.push(exec_done + 1, (d, set, gen));
+                self.events.writes.push(exec_done + 1, (d, gen));
             }
         }
 
@@ -526,7 +520,7 @@ impl CoreState {
             if self.threads[tid].wrong_path == Some(seq) {
                 self.squash_wrong_path(tid, seq, now);
             }
-            if let Storage::TwoLevel { file } = &mut self.storage {
+            if let Storage::TwoLevel { file, .. } = &mut self.storage {
                 // Values speculatively moved to the L2 by wrong-path
                 // reassignments return during the refill.
                 let count = file.on_mispredict(seq);

@@ -40,7 +40,7 @@ use issue::SelectCursor;
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use ubrc_core::{BackingFile, IndexAssigner, RegisterCache, TwoLevelFile, UseTracker};
+use ubrc_core::{BackingFile, IndexAssigner, PhysReg, RegisterCache, TwoLevelFile, UseTracker};
 use ubrc_emu::{ExecRecord, Machine};
 use ubrc_frontend::{
     CascadingIndirect, DegreeOfUsePredictor, DirectionPredictor, GlobalHistory, ReturnAddressStack,
@@ -185,42 +185,6 @@ pub(crate) type GranuleMap = std::collections::HashMap<
     std::hash::BuildHasherDefault<GranuleHasher>,
 >;
 
-/// Per-value lifecycle bookkeeping.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PregInfo {
-    pub(crate) producer_pc: u64,
-    pub(crate) producer_hist: GlobalHistory,
-    pub(crate) trainable: bool,
-    pub(crate) consumers_renamed: u32,
-    pub(crate) consumers_outstanding: u32,
-    pub(crate) set: u16,
-    pub(crate) predicted: u8,
-    pub(crate) pre_write_bypasses: u32,
-    pub(crate) alloc_time: u64,
-    pub(crate) write_time: u64,
-    pub(crate) last_use: u64,
-    pub(crate) reassigned_seq: Option<u64>,
-    pub(crate) active: bool,
-}
-
-impl PregInfo {
-    pub(crate) const EMPTY: PregInfo = PregInfo {
-        producer_pc: 0,
-        producer_hist: GlobalHistory::new(),
-        trainable: false,
-        consumers_renamed: 0,
-        consumers_outstanding: 0,
-        set: 0,
-        predicted: 0,
-        pre_write_bypasses: 0,
-        alloc_time: 0,
-        write_time: 0,
-        last_use: 0,
-        reassigned_seq: None,
-        active: false,
-    };
-}
-
 /// An in-flight instruction's ROB entry. Its age and sources live in
 /// its lockstep [`IssueSlot`], its thread is the ROB holding it, and
 /// its execution class is `rec.inst.class()`.
@@ -254,24 +218,104 @@ pub(crate) struct FetchedEntry {
     pub(crate) wrong_path: bool,
 }
 
+/// What the register cache keeps of a value beside its use counter:
+/// its set, the bypasses its write decision sees (§3.1), and what its
+/// degree-of-use entry trains on when it dies (§3.3).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CachedValue {
+    pub(crate) set: u16,
+    pub(crate) pre_write_bypasses: u32,
+    /// Consumers renamed against the value: its actual degree of use.
+    pub(crate) consumers: u32,
+    /// The producer's pc and global history; `None` for initial
+    /// architectural state and wrong-path values, which never complete
+    /// a real lifetime (their *reads* still pollute use counts, §3.4).
+    pub(crate) producer: Option<(u64, GlobalHistory)>,
+}
+
+/// What the two-level file's transfer eligibility (§5.5) needs of a
+/// value: its renamed consumers yet to read it, and the instruction
+/// that reassigned its architectural register.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct TwoLevelValue {
+    pub(crate) unread: u32,
+    pub(crate) reassigned: Option<u64>,
+}
+
+/// The register cache over its backing file (§2.2), with the
+/// degree-of-use machinery that decides what it keeps (§3.3).
+pub(crate) struct CachedStorage {
+    pub(crate) cache: RegisterCache,
+    pub(crate) backing: BackingFile,
+    pub(crate) assigner: IndexAssigner,
+    pub(crate) tracker: UseTracker,
+    /// One degree-of-use predictor per thread.
+    pub(crate) douse: Vec<DegreeOfUsePredictor>,
+    /// Indexed by physical register.
+    pub(crate) values: Vec<CachedValue>,
+}
+
 // One `Storage` exists per simulator and it is accessed on every
-// operand read in the issue loop; boxing the cached variants would
+// operand read in the issue loop; boxing the cached variant would
 // trade this one-time size imbalance for a pointer chase on the hot
 // path.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Storage {
-    Monolithic {
-        write_latency: u32,
-    },
-    Cached {
-        cache: RegisterCache,
-        backing: BackingFile,
-        assigner: IndexAssigner,
-        tracker: UseTracker,
-    },
+    Monolithic,
+    Cached(CachedStorage),
     TwoLevel {
         file: TwoLevelFile,
+        /// Indexed by physical register.
+        values: Vec<TwoLevelValue>,
     },
+}
+
+impl Storage {
+    /// Gives the new value in `p` its storage: a two-level L1 register,
+    /// or the register cache's use count, set and predictor context.
+    /// `producer` is the renaming thread and fetched instruction, or
+    /// `None` for initial architectural state, which is written, owes
+    /// no uses, and weighs one predicted use in its set's load.
+    pub(crate) fn produce(
+        &mut self,
+        p: u16,
+        producer: Option<(ThreadId, &FetchedEntry)>,
+        checker: Option<&mut Checker>,
+    ) {
+        let preg = PhysReg(p);
+        match self {
+            Storage::Monolithic => {}
+            Storage::TwoLevel { file, values } => {
+                // Dispatch checks the free count; validation fits the
+                // architectural state.
+                assert!(file.try_allocate(preg), "no free L1 register");
+                values[p as usize] = TwoLevelValue::default();
+            }
+            Storage::Cached(c) => {
+                let mut value = CachedValue::default();
+                let uses = match producer {
+                    None => {
+                        c.tracker.init(preg, Some(0), 0, u8::MAX);
+                        1
+                    }
+                    Some((tid, e)) => {
+                        let cfg = c.cache.config();
+                        let prediction = c.douse[tid].predict(e.rec.pc, e.hist);
+                        c.tracker
+                            .init(preg, prediction, cfg.unknown_default, cfg.max_use_count);
+                        value.producer = (!e.wrong_path).then_some((e.rec.pc, e.hist));
+                        c.tracker.predicted(preg)
+                    }
+                };
+                if let Some(ck) = checker {
+                    ck.on_init(p, c.tracker.remaining(preg), c.tracker.is_pinned(preg));
+                }
+                value.set = c.assigner.assign(preg, uses);
+                c.values[p as usize] = value;
+                c.cache.produce(preg);
+            }
+        }
+    }
 }
 
 /// Fetch → rename latch: fetched records maturing through the front
@@ -293,15 +337,16 @@ impl FetchLatch {
 /// schedules them against future cycles; the execute stage drains the
 /// due ones at the top of each cycle.
 pub(crate) struct EventLatch {
-    /// Initial cache writes: time -> (preg, set, generation). The
-    /// generation guards against a physical register being freed and
-    /// reallocated before a stale event fires (possible when a producer
-    /// retires in the same cycle its cache write is scheduled).
-    pub(crate) writes: EventQueue<(u16, u16, u32)>,
+    /// Initial cache writes: time -> (preg, generation); the value's
+    /// set is the cache's [`CachedValue::set`]. The generation guards
+    /// against a physical register being freed and reallocated before a
+    /// stale event fires (possible when a producer retires in the same
+    /// cycle its cache write is scheduled).
+    pub(crate) writes: EventQueue<(u16, u32)>,
     /// Fills completing after a backing-file read.
-    pub(crate) fills: EventQueue<(u16, u16, u32)>,
+    pub(crate) fills: EventQueue<(u16, u32)>,
     /// Second-stage bypass decrements applied after the write lands.
-    pub(crate) bypass_decs: EventQueue<(u16, u16, u32)>,
+    pub(crate) bypass_decs: EventQueue<(u16, u32)>,
     /// Load-hit speculation: detect_time -> (preg, gen, true timing) —
     /// the destination's advertised timing is corrected at detection.
     pub(crate) retimes: EventQueue<(u16, u32, PregTime)>,
@@ -469,7 +514,7 @@ impl ArmedSlots {
 }
 
 /// One hardware thread context: everything the SMT front end
-/// replicates (fetch stream, predictors, checkpoints, rename map) or
+/// replicates (fetch stream, branch predictors, checkpoints, rename map) or
 /// partitions (ROB slice), per the sharing matrix in DESIGN.md. The
 /// register pool, issue window budget, execute units, register cache,
 /// backing file, and memory hierarchy stay shared in [`CoreState`].
@@ -507,7 +552,6 @@ pub(crate) struct ThreadState {
     pub(crate) branch_pred: DirectionPredictor,
     pub(crate) ras: ReturnAddressStack,
     pub(crate) indirect: CascadingIndirect,
-    pub(crate) douse: DegreeOfUsePredictor,
     pub(crate) halt_fetched: bool,
 
     // Rename (replicated map over the core's register pool).
@@ -578,6 +622,8 @@ pub(crate) struct RegPool {
     /// thread's own list; a register on a shared list names its last
     /// holder, or thread 0.
     pub(crate) owner: Vec<u16>,
+    /// preg -> whether it holds a live value (allocated, not yet freed).
+    pub(crate) held: Vec<bool>,
     /// Live registers per thread (architectural mappings included).
     pub(crate) live: Vec<usize>,
     /// Per-thread cap on `live`.
@@ -602,6 +648,7 @@ impl RegPool {
                 })
                 .collect(),
             owner: (0..npregs).map(|p| (p / slice) as u16).collect(),
+            held: vec![false; npregs],
             live: vec![0; nthreads],
             cap,
         }
@@ -622,12 +669,15 @@ impl RegPool {
         let l = self.list(tid);
         let p = self.free[l].pop().expect("rename checked can_alloc");
         self.owner[p as usize] = tid as u16;
+        self.held[p as usize] = true;
         self.live[tid] += 1;
         p
     }
 
     /// Returns `p` to its holder's list, and names the holder.
     pub(crate) fn release(&mut self, p: u16) -> ThreadId {
+        debug_assert!(self.held[p as usize], "freeing an inactive preg");
+        self.held[p as usize] = false;
         let tid = self.owner[p as usize] as ThreadId;
         self.live[tid] -= 1;
         let l = self.list(tid);
@@ -654,10 +704,11 @@ pub(crate) struct CoreState {
     pub(crate) age: u64,
     pub(crate) last_progress: u64,
 
-    // Shared per-value bookkeeping, indexed by physical register (each
-    // register is held by one thread at a time; see `RegPool`).
+    // Shared per-value timing, indexed by physical register (each
+    // register is held by one thread at a time; see `RegPool`). What
+    // else a value needs lives with the storage or the collector that
+    // reads it.
     pub(crate) preg_time: Vec<PregTime>,
-    pub(crate) preg_info: Vec<PregInfo>,
 
     // Shared issue-window occupancy across all threads' ROB slices.
     pub(crate) window_count: usize,
@@ -687,7 +738,8 @@ pub(crate) struct CoreState {
     pub(crate) squash_buf: Vec<DynInst>,
 
     // Storage under test (shared: the register cache, backing file, and
-    // set assigner serve both threads' values).
+    // set assigner serve every thread's values; only the degree-of-use
+    // predictors inside it are per thread).
     pub(crate) storage: Storage,
 
     // Inter-stage latches (see module docs). The event and replay
@@ -850,7 +902,7 @@ impl CoreState {
     /// The two-level file's background transfer engine advances at the
     /// end of every cycle.
     fn storage_tick(&mut self, _now: u64) {
-        if let Storage::TwoLevel { file } = &mut self.storage {
+        if let Storage::TwoLevel { file, .. } = &mut self.storage {
             file.tick();
         }
     }
@@ -962,12 +1014,9 @@ impl CoreState {
             })
             .collect();
         event_queues.push(format!("squash_cycles: {:?}", self.replay.cycles));
-        let (epochs, dynamic_caps) = match &self.storage {
-            Storage::Cached { cache, .. } => (
-                cache.stats().epochs,
-                cache.dynamic_caps().map(|c| c.to_vec()),
-            ),
-            _ => (0, None),
+        let dynamic_caps = match &self.storage {
+            Storage::Cached(c) => c.cache.dynamic_caps().map(<[usize]>::to_vec),
+            _ => None,
         };
         Box::new(DiagnosticDump {
             cycle: self.now,
@@ -981,7 +1030,7 @@ impl CoreState {
             recoveries: self.threads.iter().map(|t| t.recoveries).sum(),
             machine_checks: self.threads.iter().map(|t| t.machine_checks).sum(),
             last_recovery: self.threads.iter().filter_map(|t| t.last_recovery).max(),
-            epochs,
+            epochs: self.result.epoch_timeline.len() as u64,
             dynamic_caps,
         })
     }
@@ -1065,8 +1114,8 @@ impl CoreState {
         // its own, only registers it holds.
         let pool = &self.pool;
         let mut live = vec![0usize; self.threads.len()];
-        for (p, info) in self.preg_info.iter().enumerate() {
-            if info.active {
+        for (p, &held) in pool.held.iter().enumerate() {
+            if held {
                 live[self.thread_of_preg(p as u16)] += 1;
             }
         }
@@ -1088,13 +1137,13 @@ impl CoreState {
         }
         let total_live: usize = live.iter().sum();
         let free: usize = pool.free.iter().map(Vec::len).sum();
-        if total_live + free != self.preg_info.len() {
+        if total_live + free != pool.held.len() {
             return viol(
                 None,
                 "pool-accounting",
                 format!(
                     "{total_live} live + {free} free != {} physical registers",
-                    self.preg_info.len()
+                    pool.held.len()
                 ),
             );
         }
@@ -1116,7 +1165,7 @@ impl CoreState {
         // A squash unwinds the rename map one mapping at a time; a stale
         // mapping it left behind would name a freed register.
         for (tid, t) in self.threads.iter().enumerate() {
-            if let Some(&p) = t.map.iter().find(|&&p| !self.preg_info[p as usize].active) {
+            if let Some(&p) = t.map.iter().find(|&&p| !pool.held[p as usize]) {
                 return viol(
                     Some(tid),
                     "rename-map-live",
@@ -1135,19 +1184,19 @@ impl CoreState {
                 );
             }
         }
-        if let Storage::Cached { cache, tracker, .. } = &self.storage {
+        if let Storage::Cached(c) = &self.storage {
             if let Some(ck) = &self.checker {
                 let thread_of = |p| self.thread_of_preg(p);
-                if let Some(v) = ck.check_tracker(tracker, cycle, thread_of) {
+                if let Some(v) = ck.check_tracker(&c.tracker, &pool.held, cycle, thread_of) {
                     return Some(v);
                 }
-                if let Some(v) = ck.check_cache(cache, tracker, cycle, thread_of) {
+                if let Some(v) = ck.check_cache(&c.cache, &c.tracker, cycle, thread_of) {
                     return Some(v);
                 }
                 for o in &ck.fill_obligations {
                     if o.due <= cycle
                         && self.preg_gen[o.preg as usize] == o.gen
-                        && self.preg_info[o.preg as usize].active
+                        && pool.held[o.preg as usize]
                     {
                         return viol(
                             Some(self.thread_of_preg(o.preg)),

@@ -9,8 +9,7 @@
 //! shared width budget.
 
 use super::{
-    CoreState, DynInst, FetchedEntry, IssueSlot, PregInfo, PregTime, Storage, ThreadId, NOT_ISSUED,
-    NO_SRC,
+    CoreState, DynInst, FetchedEntry, IssueSlot, PregTime, Storage, ThreadId, NOT_ISSUED, NO_SRC,
 };
 use crate::trace::InstTrace;
 use ubrc_core::PhysReg;
@@ -38,7 +37,7 @@ impl CoreState {
                         self.result.dispatch_stall_pregs += 1;
                         break;
                     }
-                    if let Storage::TwoLevel { file } = &self.storage {
+                    if let Storage::TwoLevel { file, .. } = &self.storage {
                         if file.free_count() == 0 {
                             self.result.dispatch_stall_pregs += 1;
                             return;
@@ -75,9 +74,11 @@ impl CoreState {
             if let Some(r) = src {
                 let p = self.threads[tid].map[r.index() as usize];
                 srcs[slot] = p;
-                let info = &mut self.preg_info[p as usize];
-                info.consumers_renamed += 1;
-                info.consumers_outstanding += 1;
+                match &mut self.storage {
+                    Storage::Cached(c) => c.values[p as usize].consumers += 1,
+                    Storage::TwoLevel { values, .. } => values[p as usize].unread += 1,
+                    Storage::Monolithic => {}
+                }
             }
         }
 
@@ -93,62 +94,20 @@ impl CoreState {
 
             // The old value's architectural name is gone: transfer
             // eligibility (two-level) begins once consumers drain.
-            let old_info = &mut self.preg_info[old as usize];
-            old_info.reassigned_seq = Some(seq);
-            if old_info.consumers_outstanding == 0 {
-                if let Storage::TwoLevel { file } = &mut self.storage {
+            if let Storage::TwoLevel { file, values } = &mut self.storage {
+                let v = &mut values[old as usize];
+                v.reassigned = Some(seq);
+                if v.unread == 0 {
                     file.mark_eligible(PhysReg(old), seq);
                 }
             }
 
-            // Degree-of-use prediction for the new value.
-            let prediction = self.threads[tid].douse.predict(rec.pc, entry.hist);
             self.preg_time[p as usize] = PregTime::UNKNOWN;
-            let mut info = PregInfo {
-                producer_pc: rec.pc,
-                producer_hist: entry.hist,
-                // Wrong-path values never complete a real lifetime, so
-                // they do not train the degree predictor (their *reads*
-                // of correct-path values still pollute use counts, as
-                // in §3.4).
-                trainable: !entry.wrong_path,
-                alloc_time: now,
-                active: true,
-                ..PregInfo::EMPTY
-            };
-            match &mut self.storage {
-                Storage::Cached {
-                    cache,
-                    assigner,
-                    tracker,
-                    ..
-                } => {
-                    let cfg = *cache.config();
-                    tracker.init(
-                        PhysReg(p),
-                        prediction,
-                        cfg.unknown_default,
-                        cfg.max_use_count,
-                    );
-                    let degree = tracker.predicted(PhysReg(p));
-                    if let Some(ck) = self.checker.as_mut() {
-                        ck.on_init(
-                            p,
-                            tracker.remaining(PhysReg(p)),
-                            tracker.is_pinned(PhysReg(p)),
-                        );
-                    }
-                    info.predicted = degree;
-                    info.set = assigner.assign(PhysReg(p), degree);
-                    cache.produce(PhysReg(p));
-                }
-                Storage::TwoLevel { file } => {
-                    let ok = file.try_allocate(PhysReg(p));
-                    debug_assert!(ok, "dispatch checked the L1 free count");
-                }
-                Storage::Monolithic { .. } => {}
+            if let Some(lt) = &mut self.lifetimes {
+                lt.alloc(p, now);
             }
-            self.preg_info[p as usize] = info;
+            self.storage
+                .produce(p, Some((tid, &entry)), self.checker.as_mut());
         }
 
         if (age as usize) < self.config.trace_instructions {

@@ -4,7 +4,7 @@
 //! collection. The retire width is a shared budget, spent across
 //! threads in thread-id order.
 
-use super::{CoreState, DynInst, PregInfo, PregTime, Storage};
+use super::{CoreState, DynInst, PregTime, Storage};
 use crate::check::SimError;
 use crate::stats::SimResult;
 use crate::trace::Timeline;
@@ -90,8 +90,7 @@ impl CoreState {
 
     /// Frees the register `inst` gives up as it leaves the ROB: at
     /// retirement the value its destination overwrote (`prev`), at a
-    /// squash its own destination. The destination's set-assignment
-    /// bookkeeping (minimum sums, filtered round-robin high-use counts)
+    /// squash its own destination. The destination's set assignment
     /// leaves with its producer either way (§4.2), but only a retired
     /// value trains the degree predictor and records a lifetime: a
     /// squashed one never completed one.
@@ -99,38 +98,30 @@ impl CoreState {
         let (Some(d), Some(prev)) = (inst.dest, inst.prev) else {
             return;
         };
-        if let Storage::Cached { assigner, .. } = &mut self.storage {
-            let info = &self.preg_info[d as usize];
-            assigner.release(info.set, info.predicted);
-        }
         let p = if retired { prev } else { d };
-        let info = self.preg_info[p as usize];
-        debug_assert!(info.active, "freeing an inactive preg");
         let tid = self.pool.release(p);
-        if retired {
-            if info.trainable {
-                self.threads[tid].douse.train(
-                    info.producer_pc,
-                    info.producer_hist,
-                    info.consumers_renamed.min(u8::MAX as u32) as u8,
-                );
-            }
-            if let Some(lt) = &mut self.lifetimes {
-                lt.record_value(info.alloc_time, info.write_time, info.last_use, now);
-            }
-        }
         match &mut self.storage {
-            Storage::Cached { cache, tracker, .. } => {
-                cache.free(PhysReg(p), info.set, now);
-                tracker.clear(PhysReg(p));
+            Storage::Cached(c) => {
+                // The tracker still holds the degree `d`'s set was
+                // assigned for.
+                let degree = c.tracker.predicted(PhysReg(d));
+                c.assigner.release(c.values[d as usize].set, degree);
+                let v = c.values[p as usize];
+                if let Some((pc, hist)) = v.producer.filter(|_| retired) {
+                    c.douse[tid].train(pc, hist, v.consumers.min(u8::MAX as u32) as u8);
+                }
+                c.cache.free(PhysReg(p), v.set, now);
+                c.tracker.clear(PhysReg(p));
             }
-            Storage::TwoLevel { file } => file.release(PhysReg(p)),
-            Storage::Monolithic { .. } => {}
+            Storage::TwoLevel { file, .. } => file.release(PhysReg(p)),
+            Storage::Monolithic => {}
+        }
+        if let Some(lt) = self.lifetimes.as_mut().filter(|_| retired) {
+            lt.free(p, now);
         }
         if let Some(ck) = self.checker.as_mut() {
             ck.on_clear(p);
         }
-        self.preg_info[p as usize] = PregInfo::EMPTY;
         self.preg_time[p as usize] = PregTime::UNKNOWN;
         self.preg_gen[p as usize] = self.preg_gen[p as usize].wrapping_add(1);
         // Any waiter left here is squashed: a retired value's
@@ -145,38 +136,30 @@ impl CoreState {
     /// out, not copied.
     pub(crate) fn finish(self) -> SimResult {
         let now = self.now;
+        let mut douse = DouseStats::default();
         let (regcache, backing, twolevel) = match self.storage {
-            Storage::Cached {
-                mut cache, backing, ..
-            } => {
-                cache.finalize(now);
-                let b = *backing.stats();
-                (Some(cache.into_stats()), Some(b), None)
+            Storage::Cached(mut c) => {
+                c.cache.finalize(now);
+                // Per-thread predictors train independently; the
+                // headline stats are the sum over contexts.
+                for s in c.douse.iter().map(|p| p.stats()) {
+                    douse.predicted += s.predicted;
+                    douse.correct += s.correct;
+                    douse.unknown += s.unknown;
+                }
+                (Some(c.cache.into_stats()), Some(*c.backing.stats()), None)
             }
-            Storage::TwoLevel { file } => (None, None, Some(*file.stats())),
-            Storage::Monolithic { .. } => (None, None, None),
+            Storage::TwoLevel { file, .. } => (None, None, Some(*file.stats())),
+            Storage::Monolithic => (None, None, None),
         };
-        // Per-thread predictors train independently; the headline
-        // stats are the sum over contexts.
-        let douse = self.threads.iter().fold(DouseStats::default(), |acc, t| {
-            let s = t.douse.stats();
-            DouseStats {
-                predicted: acc.predicted + s.predicted,
-                correct: acc.correct + s.correct,
-                unknown: acc.unknown + s.unknown,
-            }
-        });
         let thread_retired: Vec<u64> = self.threads.iter().map(|t| t.retired).collect();
-        let thread_machine_checks: Vec<u64> =
-            self.threads.iter().map(|t| t.machine_checks).collect();
         SimResult {
             cycles: now,
             retired: thread_retired.iter().sum(),
             thread_retired,
             recoveries: self.threads.iter().map(|t| t.recoveries).sum(),
-            machine_checks: thread_machine_checks.iter().sum(),
-            thread_machine_checks,
-            epochs: regcache.as_ref().map_or(0, |c| c.epochs),
+            thread_machine_checks: self.threads.iter().map(|t| t.machine_checks).collect(),
+            epochs: self.result.epoch_timeline.len() as u64,
             regcache,
             backing,
             twolevel,

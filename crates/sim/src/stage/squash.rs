@@ -4,7 +4,7 @@
 //! its rename map; every inter-stage latch holding the squashed work is
 //! cleared here, and no other thread's state is touched.
 
-use super::{CoreState, ThreadId, NO_SRC, SCHED_ISSUED};
+use super::{CoreState, Storage, ThreadId, NO_SRC, SCHED_ISSUED};
 
 /// Cycles a machine-checked thread's front end stays quiesced before it
 /// refetches: the pipeline drain and the restore from its retired state.
@@ -101,9 +101,11 @@ impl CoreState {
                 self.window_count -= 1;
                 // Issued instructions already consumed their reads. A
                 // source's producer is older, so none is freed yet.
-                for &p in slot.srcs.iter().filter(|&&p| p != NO_SRC) {
-                    let info = &mut self.preg_info[p as usize];
-                    info.consumers_outstanding = info.consumers_outstanding.saturating_sub(1);
+                if let Storage::TwoLevel { values, .. } = &mut self.storage {
+                    for &p in slot.srcs.iter().filter(|&&p| p != NO_SRC) {
+                        let v = &mut values[p as usize];
+                        v.unread = v.unread.saturating_sub(1);
+                    }
                 }
             }
         }
@@ -126,9 +128,8 @@ impl CoreState {
                 // The architectural name reverts to the old value: every
                 // younger writer of `r` is already unwound.
                 self.threads[tid].map[r.index() as usize] = prev;
-                let pi = &mut self.preg_info[prev as usize];
-                if pi.active {
-                    pi.reassigned_seq = None;
+                if let Storage::TwoLevel { values, .. } = &mut self.storage {
+                    values[prev as usize].reassigned = None;
                 }
             }
             self.free_reg(inst, false, now);

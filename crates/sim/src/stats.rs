@@ -20,27 +20,52 @@ pub struct LifetimeStats {
     pub alloc_concurrency: Histogram,
 }
 
-/// Collects per-value lifetime events during simulation; the
-/// distributions are built in one sweep at the end.
+/// Collects per-value lifetime events during simulation
+/// ([`crate::SimConfig::collect_lifetimes`]); the distributions are
+/// built in one sweep at the end.
 #[derive(Clone, Debug, Default)]
-pub struct LifetimeCollector {
+pub(crate) struct LifetimeCollector {
     empty: Histogram,
     live: Histogram,
     dead: Histogram,
     live_events: Vec<(u64, i64)>,
     alloc_events: Vec<(u64, i64)>,
+    /// Per physical register, its value's allocation, write and last
+    /// read cycles (all 0 for the initial architectural state).
+    stamps: Vec<[u64; 3]>,
 }
 
 impl LifetimeCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty collector for `num_pregs` physical registers.
+    pub(crate) fn new(num_pregs: usize) -> Self {
+        Self {
+            stamps: vec![[0; 3]; num_pregs],
+            ..Self::default()
+        }
     }
 
-    /// Records one value's lifetime when its physical register is
-    /// freed. `alloc <= write <= last_use <= free` is expected; the
-    /// phases saturate at zero otherwise.
-    pub fn record_value(&mut self, alloc: u64, write: u64, last_use: u64, free: u64) {
+    /// A new value takes `p` at cycle `now`.
+    pub(crate) fn alloc(&mut self, p: u16, now: u64) {
+        self.stamps[p as usize] = [now, 0, 0];
+    }
+
+    /// The value in `p` is written at cycle `at`.
+    pub(crate) fn write(&mut self, p: u16, at: u64) {
+        self.stamps[p as usize][1] = at;
+        self.read(p, at);
+    }
+
+    /// A consumer reads the value in `p` at cycle `at`.
+    pub(crate) fn read(&mut self, p: u16, at: u64) {
+        let last_use = &mut self.stamps[p as usize][2];
+        *last_use = (*last_use).max(at);
+    }
+
+    /// Records the lifetime of the value in `p`, which dies at cycle
+    /// `free` as its overwriter retires. `alloc <= write <= last_use <=
+    /// free` is expected; the phases saturate at zero otherwise.
+    pub(crate) fn free(&mut self, p: u16, free: u64) {
+        let [alloc, write, last_use] = self.stamps[p as usize];
         self.empty.record(write.saturating_sub(alloc));
         self.live.record(last_use.saturating_sub(write));
         self.dead.record(free.saturating_sub(last_use));
@@ -70,7 +95,7 @@ impl LifetimeCollector {
     }
 
     /// Builds the final distributions for a run that ended at `end`.
-    pub fn finalize(self, end: u64) -> LifetimeStats {
+    pub(crate) fn finalize(self, end: u64) -> LifetimeStats {
         LifetimeStats {
             empty: self.empty,
             live: self.live,
@@ -147,22 +172,21 @@ pub struct SimResult {
     /// shadow, like a register-cache miss).
     pub load_miss_speculations: u64,
     /// Soft-error recoveries completed (entry invalidate + re-fill,
-    /// counter scrubs, and machine checks; see `machine_checks` for
-    /// the escalated subset).
+    /// counter scrubs, and machine checks; see
+    /// [`SimResult::machine_checks`] for the escalated subset).
     pub recoveries: u64,
-    /// Machine-check squash-and-replay recoveries (backing-file faults
-    /// and forced watchdog recoveries).
-    pub machine_checks: u64,
     /// Total cycles spent in recovery (re-fill waits plus
     /// squash-to-first-retirement replay latencies).
     pub recovery_cycles: u64,
     /// Distribution of individual recovery latencies in cycles.
     pub recovery_latency: Histogram,
-    /// Machine checks per hardware thread (sums to `machine_checks`).
+    /// Machine-check squash-and-replay recoveries (backing-file faults
+    /// and forced watchdog recoveries) per hardware thread.
     pub thread_machine_checks: Vec<u64>,
     /// Dynamic-repartitioning epoch boundaries completed
     /// ([`ubrc_core::CachePartition::DynamicCap`] and
-    /// [`ubrc_core::CachePartition::DynamicWay`]; 0 otherwise).
+    /// [`ubrc_core::CachePartition::DynamicWay`]; 0 otherwise): the
+    /// length of `epoch_timeline`.
     pub epochs: u64,
     /// One record per epoch boundary, as the register cache reported it:
     /// the quotas or way map installed and each thread's hits and misses
@@ -175,7 +199,8 @@ pub struct SimResult {
     pub backing: Option<BackingStats>,
     /// Two-level file statistics (two-level configuration only).
     pub twolevel: Option<TwoLevelStats>,
-    /// Degree-of-use predictor statistics.
+    /// Degree-of-use predictor statistics (cached configurations only;
+    /// the default otherwise).
     pub douse: DouseStats,
     /// Memory hierarchy statistics.
     pub memsys: MemSysStats,
@@ -189,6 +214,11 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// Machine checks over every hardware thread.
+    pub fn machine_checks(&self) -> u64 {
+        self.thread_machine_checks.iter().sum()
+    }
+
     /// Retired instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -263,8 +293,11 @@ mod tests {
 
     #[test]
     fn lifetime_phases_saturate() {
-        let mut c = LifetimeCollector::new();
-        c.record_value(10, 15, 20, 30);
+        let mut c = LifetimeCollector::new(1);
+        c.alloc(0, 10);
+        c.write(0, 15);
+        c.read(0, 20);
+        c.free(0, 30);
         let s = c.finalize(40);
         assert_eq!(s.empty.median(), Some(5));
         assert_eq!(s.live.median(), Some(5));
@@ -273,10 +306,14 @@ mod tests {
 
     #[test]
     fn concurrency_sweep_counts_overlap() {
-        let mut c = LifetimeCollector::new();
+        let mut c = LifetimeCollector::new(2);
         // Two values live during [10,20) and [15,25).
-        c.record_value(10, 10, 20, 20);
-        c.record_value(15, 15, 25, 25);
+        for (p, start) in [(0, 10), (1, 15)] {
+            c.alloc(p, start);
+            c.write(p, start);
+            c.read(p, start + 10);
+            c.free(p, start + 10);
+        }
         let s = c.finalize(30);
         // Cycles with 2 live: [15,20) = 5 cycles.
         let h = &s.live_concurrency;

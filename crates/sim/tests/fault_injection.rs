@@ -51,10 +51,7 @@ fn checker_catches_a_flipped_use_counter() {
         run_with_fault(64, FaultPlan::single(11, 50, FaultKind::FlipUsePrediction)).unwrap_err();
     match *err {
         SimError::Invariant(v) => {
-            assert!(
-                v.invariant.starts_with("use-counter") || v.invariant == "pinned-entry",
-                "unexpected invariant: {v}"
-            );
+            assert_eq!(v.invariant, "use-counter", "unexpected invariant: {v}");
             assert_eq!(v.cycle, 50);
         }
         other => panic!("expected an invariant violation, got: {other}"),
@@ -73,10 +70,7 @@ fn checker_catches_corrupted_replacement_metadata() {
     .unwrap_err();
     match *err {
         SimError::Invariant(v) => {
-            assert!(
-                v.invariant == "cache-audit" || v.invariant == "pinned-entry",
-                "unexpected invariant: {v}"
-            );
+            assert_eq!(v.invariant, "cache-audit", "unexpected invariant: {v}");
         }
         other => panic!("expected an invariant violation, got: {other}"),
     }

@@ -158,6 +158,19 @@ fn degree_predictor_reaches_high_accuracy_on_loops() {
     assert!(acc > 0.9, "degree-of-use accuracy {acc} below expectation");
 }
 
+/// The degree-of-use predictor belongs to the register cache: the
+/// monolithic and two-level files build none, so they train nothing.
+#[test]
+fn only_the_register_cache_predicts_degrees_of_use() {
+    let w = workload_by_name("qsort", Scale::Tiny).unwrap();
+    for base in ["rf-3", "two-level"] {
+        assert_eq!(run(&w, spec(base)).douse, Default::default(), "{base}");
+    }
+    let cached = run(&w, SimConfig::paper_default()).douse;
+    assert_ne!(cached, Default::default());
+    assert!(cached.predicted > 0 && cached.unknown > 0, "{cached:?}");
+}
+
 #[test]
 fn two_level_file_stalls_when_l1_is_tiny() {
     let w = workload_by_name("crc", Scale::Tiny).unwrap();

@@ -42,7 +42,7 @@ fn cache_data_faults_are_detected_and_refilled() {
     // own parity-invalidation counter.
     let r = run_protected(64, FaultPlan::periodic(21, 50, FaultKind::FlipCacheData));
     assert!(r.recoveries > 0, "no cache-data fault was ever detected");
-    assert_eq!(r.machine_checks, 0, "cache faults must not escalate");
+    assert_eq!(r.machine_checks(), 0, "cache faults must not escalate");
     let c = r.regcache.expect("cached config");
     assert!(c.parity_invalidations > 0);
     assert_eq!(c.parity_invalidations, r.recoveries);
@@ -57,7 +57,7 @@ fn use_counter_faults_are_scrubbed() {
     // proves both detection and re-synchronization.
     let r = run_protected(64, FaultPlan::periodic(22, 50, FaultKind::FlipUseCounter));
     assert!(r.recoveries > 0, "no counter fault was ever detected");
-    assert_eq!(r.machine_checks, 0, "counter faults must not escalate");
+    assert_eq!(r.machine_checks(), 0, "counter faults must not escalate");
 }
 
 #[test]
@@ -67,8 +67,8 @@ fn backing_faults_escalate_to_machine_check() {
     // squash and replay the thread from its last retirement. A tiny
     // cache guarantees the miss reads that reach the backing file.
     let r = run_protected(8, FaultPlan::periodic(23, 40, FaultKind::FlipBackingWord));
-    assert!(r.machine_checks > 0, "no backing fault reached a read");
-    assert!(r.recoveries >= r.machine_checks);
+    assert!(r.machine_checks() > 0, "no backing fault reached a read");
+    assert!(r.recoveries >= r.machine_checks());
     assert!(r.recovery_cycles > 0, "machine checks take non-zero time");
     assert!(!r.recovery_latency.is_empty());
 }
@@ -103,7 +103,7 @@ fn recovery_preserves_the_architectural_result() {
     let clean = simulate(vec![w.assemble().unwrap()], protected_config(8, true)).unwrap();
     let faulted = run_protected(8, FaultPlan::periodic(24, 30, FaultKind::FlipBackingWord));
     assert_eq!(clean.retired, faulted.retired);
-    assert!(faulted.machine_checks > 0);
+    assert!(faulted.machine_checks() > 0);
     assert!(faulted.cycles >= clean.cycles, "recovery is not free");
 }
 
@@ -117,7 +117,7 @@ fn protection_off_with_no_faults_is_byte_identical() {
     assert_eq!(base.cycles, prot.cycles);
     assert_eq!(base.retired, prot.retired);
     assert_eq!(prot.recoveries, 0);
-    assert_eq!(prot.machine_checks, 0);
+    assert_eq!(prot.machine_checks(), 0);
 }
 
 #[test]
