@@ -6,7 +6,7 @@
 //! experiments <id|all> [--scale tiny|small|default] [--json [PATH]]
 //!             [--check] [--timeout SECS]
 //! experiments --json            # trajectory only -> BENCH_pipeline.json
-//! experiments --list            # print available experiment ids
+//! experiments --list            # print available experiment ids (alone)
 //! ```
 //!
 //! `--check` turns on full runtime checking (lockstep co-simulation
@@ -85,6 +85,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
         i += 1;
+    }
+    if cli.list && args.len() > 1 {
+        // Listing runs nothing, so any other argument would be dropped.
+        return Err(format!(
+            "--list takes no other arguments (got `{}`)",
+            args.join(" ")
+        ));
     }
     Ok(cli)
 }
@@ -229,6 +236,24 @@ mod tests {
             .err()
             .expect("unknown flag rejected");
         assert_eq!(err, "unexpected argument `--retries`");
+    }
+
+    #[test]
+    fn list_stands_alone() {
+        assert!(parse(&["--list"]).unwrap().list);
+        for args in [
+            &["fig6", "--list"][..],
+            &["--list", "--scale", "tiny"],
+            &["fig6", "--list", "--scale", "tiny"],
+            &["--list", "--check"],
+            &["--list", "--list"],
+        ] {
+            let err = parse(args).err().expect("extra arguments rejected");
+            assert_eq!(
+                err,
+                format!("--list takes no other arguments (got `{}`)", args.join(" "))
+            );
+        }
     }
 
     #[test]

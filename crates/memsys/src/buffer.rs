@@ -21,7 +21,8 @@ use std::collections::VecDeque;
 pub struct LineBuffer {
     lines: VecDeque<u64>,
     capacity: usize,
-    line_bytes: u64,
+    /// log2 of the line size.
+    line_shift: u32,
 }
 
 impl LineBuffer {
@@ -41,12 +42,12 @@ impl LineBuffer {
         Self {
             lines: VecDeque::with_capacity(capacity),
             capacity,
-            line_bytes: line_bytes as u64,
+            line_shift: line_bytes.trailing_zeros(),
         }
     }
 
     fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes
+        addr >> self.line_shift
     }
 
     /// Number of buffered lines.

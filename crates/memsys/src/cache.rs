@@ -128,11 +128,20 @@ impl CacheStats {
     }
 }
 
+/// One way of a set: the line address it holds and the tick of its
+/// last access or fill. Every access and fill stamps a tick of at least
+/// 1, so `lru == 0` marks an invalid (never filled) way, and an invalid
+/// way is always the least recently used.
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
     tag: u64,
     lru: u64,
-    valid: bool,
+}
+
+impl Line {
+    fn holds(&self, line: u64) -> bool {
+        self.lru != 0 && self.tag == line
+    }
 }
 
 /// A set-associative cache directory with true-LRU replacement.
@@ -155,6 +164,8 @@ pub struct Cache {
     config: CacheConfig,
     lines: Vec<Line>, // sets * ways
     sets: usize,
+    /// log2 of the line size.
+    line_shift: u32,
     tick: u64,
     stats: CacheStats,
 }
@@ -171,6 +182,7 @@ impl Cache {
             config,
             lines: vec![Line::default(); sets * config.ways],
             sets,
+            line_shift: config.line_bytes.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -187,7 +199,7 @@ impl Cache {
     }
 
     fn line_addr(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes as u64
+        addr >> self.line_shift
     }
 
     fn set_of(&self, line: u64) -> usize {
@@ -203,7 +215,7 @@ impl Cache {
         let ways = self.config.ways;
         let tick = self.tick;
         for l in &mut self.lines[set * ways..(set + 1) * ways] {
-            if l.valid && l.tag == line {
+            if l.holds(line) {
                 l.lru = tick;
                 self.stats.hits += 1;
                 return true;
@@ -220,7 +232,7 @@ impl Cache {
         let ways = self.config.ways;
         self.lines[set * ways..(set + 1) * ways]
             .iter()
-            .any(|l| l.valid && l.tag == line)
+            .any(|l| l.holds(line))
     }
 
     /// Installs the line containing `addr`, evicting LRU if needed.
@@ -233,35 +245,18 @@ impl Cache {
         let ways = self.config.ways;
         let tick = self.tick;
         let slice = &mut self.lines[set * ways..(set + 1) * ways];
-        if let Some(l) = slice.iter_mut().find(|l| l.valid && l.tag == line) {
+        if let Some(l) = slice.iter_mut().find(|l| l.holds(line)) {
             l.lru = tick; // already resident
             return None;
         }
-        let victim = slice
-            .iter_mut()
-            .min_by_key(|l| (l.valid, l.lru))
-            .expect("ways >= 1");
-        let evicted = victim
-            .valid
-            .then_some(victim.tag * self.config.line_bytes as u64);
+        // The first invalid way, else the least recently used one.
+        let victim = slice.iter_mut().min_by_key(|l| l.lru).expect("ways >= 1");
+        let evicted = (victim.lru != 0).then_some(victim.tag << self.line_shift);
         *victim = Line {
             tag: line,
             lru: tick,
-            valid: true,
         };
         evicted
-    }
-
-    /// Invalidates the line containing `addr`, if resident.
-    pub fn invalidate(&mut self, addr: u64) {
-        let line = self.line_addr(addr);
-        let set = self.set_of(line);
-        let ways = self.config.ways;
-        for l in &mut self.lines[set * ways..(set + 1) * ways] {
-            if l.valid && l.tag == line {
-                l.valid = false;
-            }
-        }
     }
 }
 
@@ -323,11 +318,39 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
+    fn a_line_is_a_tag_and_a_tick() {
+        assert_eq!(std::mem::size_of::<Line>(), 16);
+    }
+
+    #[test]
+    fn invalid_ways_fill_before_any_valid_way_is_evicted() {
+        // 4 ways, one set: the first four distinct lines take the four
+        // invalid ways, however recently the resident ones were used.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 256,
+            line_bytes: 64,
+            ways: 4,
+        });
+        for addr in [0x000, 0x040, 0x080, 0x0c0] {
+            assert_eq!(c.fill(addr), None, "{addr:#x} evicted a valid line");
+            c.access(0x000);
+        }
+        for addr in [0x000, 0x040, 0x080, 0x0c0] {
+            assert!(c.probe(addr), "{addr:#x} not resident");
+        }
+        // Only now is a valid way evicted: the least recently used.
+        assert_eq!(c.fill(0x100), Some(0x040));
+    }
+
+    #[test]
+    fn fill_returns_the_evicted_lines_byte_address() {
+        // A line address above the set bits: line 0x2a1 of the 2-set
+        // cache maps to set 1, and its byte address is 0xa840.
         let mut c = tiny();
+        c.fill(0xa840);
         c.fill(0x40);
-        c.invalidate(0x40);
-        assert!(!c.probe(0x40));
+        assert_eq!(c.fill(0xc0), Some(0xa840));
+        assert_eq!(c.fill(0x1c0), Some(0x40));
     }
 
     #[test]

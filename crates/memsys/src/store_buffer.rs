@@ -22,7 +22,8 @@ use std::collections::VecDeque;
 pub struct StoreBuffer {
     entries: VecDeque<(u64, u64)>, // (line, enqueue time)
     capacity: usize,
-    line_bytes: u64,
+    /// log2 of the line size.
+    line_shift: u32,
     drain_interval: u64,
     last_drain: u64,
 }
@@ -45,7 +46,7 @@ impl StoreBuffer {
         Self {
             entries: VecDeque::with_capacity(capacity),
             capacity,
-            line_bytes: line_bytes as u64,
+            line_shift: line_bytes.trailing_zeros(),
             drain_interval,
             last_drain: 0,
         }
@@ -65,7 +66,7 @@ impl StoreBuffer {
     /// `false` when the buffer is full and the store does not coalesce
     /// (the caller must stall retirement and retry).
     pub fn push(&mut self, addr: u64, now: u64) -> bool {
-        let line = addr / self.line_bytes;
+        let line = addr >> self.line_shift;
         if self.entries.iter().any(|&(l, _)| l == line) {
             return true; // coalesced
         }
@@ -84,7 +85,7 @@ impl StoreBuffer {
         while !self.entries.is_empty() && now.saturating_sub(self.last_drain) >= self.drain_interval
         {
             let (line, _) = self.entries.pop_front().expect("non-empty");
-            out.push(line * self.line_bytes);
+            out.push(line << self.line_shift);
             self.last_drain += self.drain_interval;
         }
         if self.entries.is_empty() {
@@ -96,7 +97,7 @@ impl StoreBuffer {
     /// True when a load from `addr` would be forwarded from a buffered
     /// (not yet drained) store line.
     pub fn probe(&self, addr: u64) -> bool {
-        let line = addr / self.line_bytes;
+        let line = addr >> self.line_shift;
         self.entries.iter().any(|&(l, _)| l == line)
     }
 }

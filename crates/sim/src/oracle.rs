@@ -5,10 +5,13 @@
 //! retirement is in program order and wrong-path work never retires,
 //! its next step must agree with the record the pipeline carried for
 //! the retiring instruction — fetch PC, control-flow outcome, effective
-//! address, and the architectural result bits. A mismatch means the
-//! pipeline's record stream was corrupted somewhere between fetch and
-//! retirement (or the two machines genuinely diverged), and is reported
-//! structurally instead of panicking.
+//! address, and the architectural result bits. The pipeline's window
+//! entries keep only what timing reads, so the oracle keeps each
+//! entry's full record beside it, in lockstep with the thread's window.
+//! A mismatch means the pipeline's record stream was corrupted
+//! somewhere between fetch and retirement (or the two machines
+//! genuinely diverged), and is reported structurally instead of
+//! panicking.
 
 use crate::check::{DivergenceReport, RetiredEvent};
 use std::collections::VecDeque;
@@ -18,12 +21,16 @@ use ubrc_emu::{EmuError, ExecRecord, StepOutcome};
 const HISTORY: usize = 8;
 
 pub(crate) struct Oracle {
+    /// The fetched record of each entry of the thread's window, in the
+    /// same order: fetch pushes, retirement pops, a squash truncates.
+    pub(crate) records: VecDeque<ExecRecord>,
     recent: VecDeque<RetiredEvent>,
 }
 
 impl Oracle {
     pub(crate) fn new() -> Self {
         Self {
+            records: VecDeque::new(),
             recent: VecDeque::with_capacity(HISTORY),
         }
     }
@@ -48,14 +55,15 @@ impl Oracle {
         })
     }
 
-    /// Compares the retired-state machine's `step` with the record the
-    /// pipeline is retiring.
+    /// Takes the record of the window's head, which is retiring, and
+    /// compares it with the retired-state machine's `step`.
     pub(crate) fn check_retire(
         &mut self,
         cycle: u64,
-        actual: &ExecRecord,
         step: Result<StepOutcome, EmuError>,
     ) -> Result<(), Box<DivergenceReport>> {
+        let record = self.records.pop_front();
+        let actual = &record.expect("the oracle keeps a record per window entry");
         let expected = match step {
             Ok(StepOutcome::Executed(r)) => r,
             Ok(StepOutcome::Halted) => {

@@ -41,8 +41,8 @@ use crate::config::{BranchPredictorKind, FreelistPolicy, RegStorage, SimConfig};
 use crate::inject::Injector;
 use crate::oracle::Oracle;
 use crate::stage::{
-    ArmedSlots, CachedStorage, CachedValue, CoreState, EventLatch, FetchLatch, PregTime, RegPool,
-    ReplayLatch, StageProfiler, Storage, ThreadState, TwoLevelValue, NO_SRC,
+    ArmedSlots, CachedStorage, CachedValue, CoreState, EventLatch, PregTime, RegPool, ReplayLatch,
+    StageProfiler, Storage, ThreadState, TwoLevelValue, NO_SRC,
 };
 use crate::stats::{LifetimeCollector, SimResult};
 use std::collections::VecDeque;
@@ -252,7 +252,6 @@ impl Simulator {
                 wrong_path: None,
                 wp_ghist: GlobalHistory::new(),
                 wp_ras: ReturnAddressStack::default(),
-                fetch_latch: FetchLatch::new(),
                 ghist: GlobalHistory::new(),
                 branch_pred: match config.branch_predictor {
                     BranchPredictorKind::NotTaken => DirectionPredictor::AlwaysNotTaken,
@@ -264,7 +263,8 @@ impl Simulator {
                 indirect: CascadingIndirect::default(),
                 halt_fetched: false,
                 map: Vec::with_capacity(narch),
-                rob: VecDeque::new(),
+                window: VecDeque::new(),
+                renamed: 0,
                 sched: VecDeque::new(),
                 due_hint: 0,
                 armed: ArmedSlots::default(),
@@ -294,7 +294,6 @@ impl Simulator {
             preg_waiters: vec![Vec::new(); npregs],
             cursors: Vec::new(),
             selected_buf: Vec::new(),
-            squash_buf: Vec::new(),
             storage,
             events: EventLatch::new(),
             replay: ReplayLatch::new(),

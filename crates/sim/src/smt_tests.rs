@@ -70,10 +70,11 @@ fn assert_slices_contained(sim: &Simulator) {
 }
 
 /// Whether the thread is on a wrong path whose mispredicted branch has
-/// renamed, so its squash has something to unwind.
+/// renamed, so its squash has something to unwind. Only the renamed
+/// prefix of the window has sequence numbers.
 fn branch_renamed(t: &crate::stage::ThreadState) -> bool {
     t.wrong_path
-        .is_some_and(|seq| t.rob.iter().any(|i| i.seq == seq))
+        .is_some_and(|seq| t.rob().any(|i| i.seq == seq))
 }
 
 /// Squashing thread 0's wrong path must not disturb thread 1's front
@@ -98,8 +99,8 @@ fn squash_on_one_thread_leaves_the_other_untouched() {
     let t1 = &sim.core.threads[1];
     let snap_map = t1.map.clone();
     let snap_freelist = sim.core.pool.free[1].clone();
-    let snap_rob: Vec<u64> = t1.rob.iter().map(|i| i.seq).collect();
-    let snap_latch = t1.fetch_latch.queue.len();
+    let snap_rob: Vec<u64> = t1.rob().map(|i| i.seq).collect();
+    let snap_latch = t1.latch_len();
     let snap_seq = t1.seq;
 
     let now = sim.core.now;
@@ -111,14 +112,14 @@ fn squash_on_one_thread_leaves_the_other_untouched() {
         sim.core.pool.free[1], snap_freelist,
         "thread 1 free list changed"
     );
-    let rob_after: Vec<u64> = t1.rob.iter().map(|i| i.seq).collect();
+    let rob_after: Vec<u64> = t1.rob().map(|i| i.seq).collect();
     assert_eq!(rob_after, snap_rob, "thread 1 ROB changed");
-    assert_eq!(t1.fetch_latch.queue.len(), snap_latch);
+    assert_eq!(t1.latch_len(), snap_latch);
     assert_eq!(t1.seq, snap_seq);
 
     let t0 = &sim.core.threads[0];
     assert!(t0.wrong_path.is_none());
-    assert!(t0.rob.iter().all(|i| i.seq <= branch_seq));
+    assert!(t0.rob().all(|i| i.seq <= branch_seq));
     assert_slices_contained(&sim);
 }
 
@@ -549,8 +550,8 @@ fn four_thread_squash_leaves_all_peers_untouched() {
             (
                 t.map.clone(),
                 sim.core.pool.free[tid].clone(),
-                t.rob.iter().map(|i| i.seq).collect::<Vec<_>>(),
-                t.fetch_latch.queue.len(),
+                t.rob().map(|i| i.seq).collect::<Vec<_>>(),
+                t.latch_len(),
                 t.seq,
             )
         })
@@ -568,14 +569,14 @@ fn four_thread_squash_leaves_all_peers_untouched() {
             "thread {} free list changed",
             tid + 1
         );
-        let rob_after: Vec<u64> = t.rob.iter().map(|i| i.seq).collect();
+        let rob_after: Vec<u64> = t.rob().map(|i| i.seq).collect();
         assert_eq!(&rob_after, rob, "thread {} ROB changed", tid + 1);
-        assert_eq!(t.fetch_latch.queue.len(), *latch);
+        assert_eq!(t.latch_len(), *latch);
         assert_eq!(t.seq, *seq);
     }
     let t0 = &sim.core.threads[0];
     assert!(t0.wrong_path.is_none());
-    assert!(t0.rob.iter().all(|i| i.seq <= branch_seq));
+    assert!(t0.rob().all(|i| i.seq <= branch_seq));
 }
 
 /// 4-thread way partitioning: checked ≡ unchecked, and the checker's
@@ -704,6 +705,52 @@ fn checker_reports_armed_bits_that_disagree_with_deadlines() {
     assert!(sim.core.check_invariants().is_none(), "restored");
     sim.core.threads[1].armed.disarm(armed);
     expect_violation(&sim);
+}
+
+/// The window's shape invariants: a renamed boundary that outruns the
+/// issue slots breaks `sched-rob-lockstep`, and an unrenamed tail past
+/// the latch's capacity, or an oracle record queue shorter than the
+/// window, breaks `fetch-latch`, each reported against its thread.
+#[test]
+fn checker_reports_a_window_out_of_shape() {
+    let mut cfg = SimConfig::paper_default();
+    cfg.check = CheckConfig::full();
+    let mut sim = sim(&["qsort", "rle"], cfg);
+    while sim.core.threads[1].latch_len() == 0 {
+        sim.core.cycle();
+        assert!(sim.core.check_invariants().is_none(), "clean before");
+        assert!(sim.core.now < 10_000, "thread 1 never fetched");
+    }
+    let expect_violation = |sim: &Simulator, invariant: &str, detail: &str| {
+        let v = sim.core.check_invariants().expect("the shape is caught");
+        assert_eq!(v.invariant, invariant, "{v}");
+        assert_eq!(v.thread, Some(1), "{v}");
+        assert!(v.detail.contains(detail), "{v}");
+    };
+    sim.core.threads[1].renamed += 1;
+    expect_violation(&sim, "sched-rob-lockstep", "renamed of");
+    sim.core.threads[1].renamed -= 1;
+
+    let record = sim.core.threads[1]
+        .oracle
+        .as_mut()
+        .expect("full checking keeps records")
+        .records
+        .pop_back()
+        .expect("one per window entry");
+    expect_violation(&sim, "fetch-latch", "oracle records");
+    let t = &mut sim.core.threads[1];
+    t.oracle.as_mut().expect("kept").records.push_back(record);
+    assert!(sim.core.check_invariants().is_none(), "restored");
+
+    let cap = sim.core.latch_cap();
+    let t = &mut sim.core.threads[1];
+    let tail = t.window.back().expect("fetched").clone();
+    while t.latch_len() <= cap {
+        t.window.push_back(tail.clone());
+        t.oracle.as_mut().expect("kept").records.push_back(record);
+    }
+    expect_violation(&sim, "fetch-latch", "unrenamed entries exceed");
 }
 
 // --- Dynamic cache repartitioning ---------------------------------------

@@ -1,11 +1,12 @@
 //! Fetch stage: picks a hardware thread with an ICOUNT-style chooser,
 //! pulls its records from the functional emulator through the I-cache
-//! model, runs the (per-thread) branch predictors, and feeds the
-//! thread's fetch→rename latch. Begins wrong-path fetch at mispredicted
+//! model, runs the (per-thread) branch predictors, and appends each
+//! fetched instruction to the thread's window, whose unrenamed tail is
+//! the fetch → rename latch. Begins wrong-path fetch at mispredicted
 //! branches (checkpointing that thread's front end) and back-pressures
 //! on a full latch.
 
-use super::{CoreState, FetchedEntry, ThreadId};
+use super::{CoreState, DynInst, ThreadId, NOT_ISSUED};
 use crate::check::SimError;
 use crate::config::FetchPolicy;
 use crate::inject::FaultKind;
@@ -50,26 +51,25 @@ impl CoreState {
 
     /// Whether thread `tid` can fetch this cycle.
     fn fetch_eligible(&self, tid: ThreadId, now: u64) -> bool {
-        let queue_cap = self.config.fetch_width * (self.config.frontend_stages as usize + 1);
         let t = &self.threads[tid];
         !t.halt_fetched
             && t.waiting_on_branch.is_none()
             && now >= t.fetch_resume
-            && t.fetch_latch.queue.len() < queue_cap
+            && t.latch_len() < self.latch_cap()
     }
 
     /// ICOUNT-style fetch chooser (fewest in-flight instructions):
     /// among the threads able to fetch this cycle, pick the one with
-    /// the fewest instructions between fetch and retirement (fetch
-    /// latch + ROB), breaking ties toward the lower thread id. A pure
-    /// function of architectural state — seedless, so replays are
+    /// the fewest instructions between fetch and retirement (its
+    /// window's length), breaking ties toward the lower thread id. A
+    /// pure function of architectural state — seedless, so replays are
     /// bit-identical.
     fn choose_fetch_thread(&self, now: u64) -> Option<ThreadId> {
         self.threads
             .iter()
             .enumerate()
             .filter(|&(tid, _)| self.fetch_eligible(tid, now))
-            .min_by_key(|&(tid, t)| (t.fetch_latch.queue.len() + t.rob.len(), tid))
+            .min_by_key(|&(tid, t)| (t.window.len(), tid))
             .map(|(tid, _)| tid)
     }
 
@@ -110,7 +110,7 @@ impl CoreState {
                     .iter()
                     .enumerate()
                     .filter(|&(tid, _)| tid != first && self.fetch_eligible(tid, now))
-                    .min_by_key(|&(tid, t)| (t.fetch_latch.queue.len() + t.rob.len(), tid))
+                    .min_by_key(|&(tid, t)| (t.window.len(), tid))
                     .map(|(tid, _)| tid)
                 {
                     self.fetch_thread(second, now);
@@ -120,26 +120,34 @@ impl CoreState {
     }
 
     fn fetch_thread(&mut self, tid: ThreadId, now: u64) {
-        let queue_cap = self.config.fetch_width * (self.config.frontend_stages as usize + 1);
+        let latch_cap = self.latch_cap();
+        // Validation keeps the line size a power of two.
+        let line_shift = self.config.memsys.l1.line_bytes.trailing_zeros();
         let mut line: Option<u64> = None;
         for _ in 0..self.config.fetch_width {
-            if self.threads[tid].fetch_latch.queue.len() >= queue_cap {
+            if self.threads[tid].latch_len() >= latch_cap {
                 break;
             }
-            // Model the I-cache at line granularity.
-            let Some(rec) = self.peek_record(tid) else {
+            // The emulator runs one record ahead of fetch, so a record
+            // an I-cache miss stalls stays peeked for the refetch.
+            if self.threads[tid].peeked.is_none() {
+                self.threads[tid].peeked = self.next_record(tid);
+            }
+            // Model the I-cache at line granularity, on the peeked
+            // record in place.
+            let Some(pc) = self.threads[tid].peeked.as_ref().map(|r| r.pc) else {
                 break;
             };
-            let this_line = rec.pc / self.config.memsys.l1.line_bytes as u64;
+            let this_line = pc >> line_shift;
             if line != Some(this_line) {
-                let extra = self.memsys.fetch_latency(rec.pc);
+                let extra = self.memsys.fetch_latency(pc);
                 if extra > 0 {
                     self.threads[tid].fetch_resume = now + extra as u64;
                     break;
                 }
                 line = Some(this_line);
             }
-            let mut rec = self.take_record(tid).expect("peeked");
+            let mut rec = self.threads[tid].peeked.take().expect("filled");
             let on_wrong_path = self.threads[tid].wrong_path.is_some();
             if let Some(inj) = self.injector.as_mut() {
                 if inj.armed_for(FaultKind::CorruptRecord) && !on_wrong_path {
@@ -210,18 +218,26 @@ impl CoreState {
 
             let is_halt = rec.inst == Inst::Halt;
             let t = &mut self.threads[tid];
-            t.fetch_latch.queue.push_back(FetchedEntry {
-                rec,
-                ready_at: now + self.config.frontend_stages as u64,
+            t.window.push_back(DynInst {
+                seq: 0,
+                pc: rec.pc,
+                inst: rec.inst,
+                mem_addr: rec.mem_addr,
+                exec_done: NOT_ISSUED,
                 fetch_cycle: now,
                 hist,
+                dest: None,
+                prev: None,
                 mispredicted,
                 wrong_path: on_wrong_path,
             });
+            if let Some(o) = t.oracle.as_mut() {
+                o.records.push_back(rec);
+            }
             if mispredicted {
                 // The seq the branch will get at rename: the thread's
                 // latch renames FIFO with consecutive per-thread seqs.
-                let branch_seq = t.seq + t.fetch_latch.queue.len() as u64 - 1;
+                let branch_seq = t.seq + t.latch_len() as u64 - 1;
                 if let (Some(wt), false) = (wrong_target, on_wrong_path) {
                     // Begin wrong-path fetch at the predicted target.
                     // Checkpoints restore the front end at the squash,
@@ -252,19 +268,6 @@ impl CoreState {
             }
         }
     }
-
-    // Small one-record lookahead buffer for fetch.
-    fn peek_record(&mut self, tid: ThreadId) -> Option<ExecRecord> {
-        if self.threads[tid].peeked.is_none() {
-            self.threads[tid].peeked = self.next_record(tid);
-        }
-        self.threads[tid].peeked
-    }
-
-    fn take_record(&mut self, tid: ThreadId) -> Option<ExecRecord> {
-        self.peek_record(tid);
-        self.threads[tid].peeked.take()
-    }
 }
 
 #[cfg(test)]
@@ -274,9 +277,9 @@ mod tests {
     use ubrc_workloads::{workload_by_name, Scale};
 
     /// Fetch back-pressures on the fetch→rename latch: with dispatch
-    /// stalled by a tiny ROB, the latch fills to exactly
-    /// `fetch_width * (frontend_stages + 1)` entries and no further,
-    /// and the ROB itself never exceeds its capacity.
+    /// stalled by a tiny ROB, the window's unrenamed tail fills to
+    /// exactly `fetch_width * (frontend_stages + 1)` entries and no
+    /// further, and the ROB itself never exceeds its capacity.
     #[test]
     fn fetch_stops_at_the_latch_capacity_when_dispatch_stalls() {
         let w = workload_by_name("crc", Scale::Tiny).unwrap();
@@ -288,9 +291,9 @@ mod tests {
         for _ in 0..2_000 {
             sim.core.cycle();
             let t = &sim.core.threads[0];
-            latch_peak = latch_peak.max(t.fetch_latch.queue.len());
-            assert!(t.fetch_latch.queue.len() <= cap, "latch overflow");
-            assert!(t.rob.len() <= 4, "dispatch ignored the ROB cap");
+            latch_peak = latch_peak.max(t.latch_len());
+            assert!(t.latch_len() <= cap, "latch overflow");
+            assert!(t.renamed <= 4, "dispatch ignored the ROB cap");
         }
         assert_eq!(
             latch_peak, cap,

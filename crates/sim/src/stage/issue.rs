@@ -11,7 +11,7 @@
 //! backlog.
 
 use super::{
-    CoreState, IssueSlot, PregTime, Storage, ThreadId, ThreadState, NOT_ISSUED, NO_SRC,
+    CoreState, DynInst, IssueSlot, PregTime, Storage, ThreadId, ThreadState, NOT_ISSUED, NO_SRC,
     SCHED_ISSUED, SCHED_PARKED,
 };
 use crate::config::{FuPools, RegStorage};
@@ -208,7 +208,7 @@ impl CoreState {
                 cursors.swap_remove(best);
             }
             let slot = &self.threads[tid].sched[i];
-            debug_assert_eq!(self.threads[tid].rob[i].exec_done, NOT_ISSUED);
+            debug_assert_eq!(self.threads[tid].window[i].exec_done, NOT_ISSUED);
             let ready = slot.earliest_issue <= now
                 && slot
                     .srcs
@@ -218,9 +218,9 @@ impl CoreState {
                 self.rearm_wake(tid, i, now + 1);
                 continue;
             }
-            let inst = &self.threads[tid].rob[i];
-            if self.config.model_store_forwarding && inst.rec.inst.is_load() {
-                let granule = inst.rec.mem_addr.expect("load has an address") / 8;
+            let inst = &self.threads[tid].window[i];
+            if self.config.model_store_forwarding && inst.inst.is_load() {
+                let granule = inst.mem_addr.expect("load has an address") / 8;
                 if let Some(stores) = self.threads[tid].store_granules.get(&granule) {
                     // The youngest store older than this load is the
                     // one it forwards from; it must have executed.
@@ -235,8 +235,8 @@ impl CoreState {
                     }
                 }
             }
-            let inst = &self.threads[tid].rob[i];
-            let class = inst.rec.inst.class();
+            let inst = &self.threads[tid].window[i];
+            let class = inst.inst.class();
             let pool = FuPools::pool_index(class);
             if pool_used[pool] == self.config.fu.size(class) {
                 continue;
@@ -267,11 +267,8 @@ impl CoreState {
                 // thread's ROB tail; later selections pointing into it
                 // are gone.
                 let (tid, i) = (tid as usize, i as usize);
-                if self.threads[tid]
-                    .rob
-                    .get(i)
-                    .is_none_or(|inst| inst.seq != seq)
-                {
+                let t = &self.threads[tid];
+                if i >= t.renamed || t.window[i].seq != seq {
                     continue;
                 }
                 self.issue_one(tid, i, now);
@@ -289,18 +286,17 @@ impl CoreState {
     }
 
     fn issue_one(&mut self, tid: ThreadId, idx: usize, now: u64) {
-        let (rec, fetch_cycle, mispredicted, dest, seq) = {
-            let inst = &self.threads[tid].rob[idx];
-            (
-                inst.rec,
-                inst.fetch_cycle,
-                inst.mispredicted,
-                inst.dest,
-                inst.seq,
-            )
-        };
+        let DynInst {
+            seq,
+            inst,
+            mem_addr,
+            fetch_cycle,
+            dest,
+            mispredicted,
+            ..
+        } = self.threads[tid].window[idx];
         let IssueSlot { srcs, age, .. } = self.threads[tid].sched[idx];
-        let class = rec.inst.class();
+        let class = inst.class();
         let rl = self.config.storage.read_latency() as u64;
 
         // Obtain each source operand: bypass, storage hit, or miss.
@@ -428,7 +424,7 @@ impl CoreState {
         // Execution latency; loads consult the memory hierarchy.
         let mut load_missed = false;
         let x = if class == ExecClass::Load {
-            let addr = rec.mem_addr.expect("load has an address");
+            let addr = mem_addr.expect("load has an address");
             let real = self.memsys.load_latency(addr, now);
             load_missed = real > ExecClass::Load.latency();
             real
@@ -533,8 +529,8 @@ impl CoreState {
             }
         }
 
-        if self.config.model_store_forwarding && rec.inst.is_store() {
-            let granule = rec.mem_addr.expect("store has an address") / 8;
+        if self.config.model_store_forwarding && inst.is_store() {
+            let granule = mem_addr.expect("store has an address") / 8;
             if let Some(stores) = self.threads[tid].store_granules.get_mut(&granule) {
                 if let Some(entry) = stores.iter_mut().find(|e| e.0 == seq) {
                     entry.1 = Some(exec_done);
@@ -542,7 +538,7 @@ impl CoreState {
             }
         }
         let t = &mut self.threads[tid];
-        t.rob[idx].exec_done = exec_done;
+        t.window[idx].exec_done = exec_done;
         t.sched[idx].wake = SCHED_ISSUED;
         t.armed.disarm(t.retired + idx as u64);
         self.window_count -= 1;

@@ -6,11 +6,14 @@
 //! [`CoreState`]. Stages communicate only through `CoreState` fields
 //! and the explicit inter-stage latches:
 //!
-//! * [`FetchLatch`] — fetch → rename: the in-flight front-end queue
-//!   (entries mature for `frontend_stages` cycles before rename may
-//!   consume them; a full queue back-pressures fetch);
-//! * the ROB + `sched` issue-slot array — rename → issue: the issue
-//!   window itself;
+//! * each thread's window ([`ThreadState::window`]) — fetch → rename →
+//!   retire: every in-flight instruction, held once from fetch to
+//!   retirement or squash. Its first `renamed` entries are the ROB;
+//!   the rest are the fetch → rename latch, whose entries mature for
+//!   `frontend_stages` cycles before rename fills them in place, and
+//!   a full latch back-pressures fetch;
+//! * the `sched` issue-slot array, in lockstep with the ROB — rename →
+//!   issue: the issue window itself;
 //! * [`EventLatch`] — issue → execute: deferred timed events (cache
 //!   writes, fills, late bypass decrements, load retimes) that the
 //!   issue stage schedules and the execute stage drains;
@@ -45,6 +48,7 @@ use ubrc_emu::{ExecRecord, Machine};
 use ubrc_frontend::{
     CascadingIndirect, DegreeOfUsePredictor, DirectionPredictor, GlobalHistory, ReturnAddressStack,
 };
+use ubrc_isa::Inst;
 use ubrc_memsys::MemSys;
 
 /// Per-value timing: when consumers may issue against this physical
@@ -185,38 +189,36 @@ pub(crate) type GranuleMap = std::collections::HashMap<
     std::hash::BuildHasherDefault<GranuleHasher>,
 >;
 
-/// An in-flight instruction's ROB entry. Its age and sources live in
-/// its lockstep [`IssueSlot`], its thread is the ROB holding it, and
-/// its execution class is `rec.inst.class()`.
+/// An in-flight instruction, held once in its thread's window from
+/// fetch to retirement or squash. Fetch writes it; rename fills `seq`,
+/// `dest` and `prev` in place and pushes its lockstep [`IssueSlot`],
+/// which holds its age and sources. Its thread is the window holding
+/// it, its execution class is `inst.class()`, and it reaches rename
+/// `frontend_stages` cycles after `fetch_cycle`.
 #[derive(Clone, Debug)]
 pub(crate) struct DynInst {
-    /// Per-thread sequence number (the thread's program order).
+    /// Per-thread sequence number (the thread's program order), set at
+    /// rename.
     pub(crate) seq: u64,
-    pub(crate) rec: ExecRecord,
-    pub(crate) dest: Option<u16>,
-    pub(crate) prev: Option<u16>,
+    pub(crate) pc: u64,
+    pub(crate) inst: Inst,
+    /// Effective address of a load or store.
+    pub(crate) mem_addr: Option<u64>,
     /// Cycle the result is ready, or [`NOT_ISSUED`].
     pub(crate) exec_done: u64,
     pub(crate) fetch_cycle: u64,
+    /// The global history at fetch, for the degree-of-use predictor.
+    pub(crate) hist: GlobalHistory,
+    pub(crate) dest: Option<u16>,
+    pub(crate) prev: Option<u16>,
     pub(crate) mispredicted: bool,
+    /// Fetched down a mispredicted branch's predicted target.
     pub(crate) wrong_path: bool,
 }
 
 /// [`DynInst::exec_done`] sentinel for an instruction that has not
 /// issued: later than every cycle, so it never looks complete.
 pub(crate) const NOT_ISSUED: u64 = u64::MAX;
-
-#[derive(Clone, Debug)]
-pub(crate) struct FetchedEntry {
-    pub(crate) rec: ExecRecord,
-    pub(crate) ready_at: u64,
-    pub(crate) fetch_cycle: u64,
-    pub(crate) hist: GlobalHistory,
-    pub(crate) mispredicted: bool,
-    /// The speculatively-fetched wrong target of a mispredicted branch
-    /// (begins wrong-path fetch when the entry is created).
-    pub(crate) wrong_path: bool,
-}
 
 /// What the register cache keeps of a value beside its use counter:
 /// its set, the bypasses its write decision sees (§3.1), and what its
@@ -279,7 +281,7 @@ impl Storage {
     pub(crate) fn produce(
         &mut self,
         p: u16,
-        producer: Option<(ThreadId, &FetchedEntry)>,
+        producer: Option<(ThreadId, &DynInst)>,
         checker: Option<&mut Checker>,
     ) {
         let preg = PhysReg(p);
@@ -300,10 +302,10 @@ impl Storage {
                     }
                     Some((tid, e)) => {
                         let cfg = c.cache.config();
-                        let prediction = c.douse[tid].predict(e.rec.pc, e.hist);
+                        let prediction = c.douse[tid].predict(e.pc, e.hist);
                         c.tracker
                             .init(preg, prediction, cfg.unknown_default, cfg.max_use_count);
-                        value.producer = (!e.wrong_path).then_some((e.rec.pc, e.hist));
+                        value.producer = (!e.wrong_path).then_some((e.pc, e.hist));
                         c.tracker.predicted(preg)
                     }
                 };
@@ -314,21 +316,6 @@ impl Storage {
                 c.values[p as usize] = value;
                 c.cache.produce(preg);
             }
-        }
-    }
-}
-
-/// Fetch → rename latch: fetched records maturing through the front
-/// end. Entries become visible to rename `frontend_stages` cycles
-/// after fetch; a full queue back-pressures the fetch stage.
-pub(crate) struct FetchLatch {
-    pub(crate) queue: VecDeque<FetchedEntry>,
-}
-
-impl FetchLatch {
-    pub(crate) fn new() -> Self {
-        FetchLatch {
-            queue: VecDeque::new(),
         }
     }
 }
@@ -426,11 +413,11 @@ pub(crate) const SCHED_PARKED: u64 = u64::MAX - 1;
 pub(crate) const NO_SRC: u16 = u16::MAX;
 
 /// The issue path's per-slot state, one per ROB entry in a dense deque
-/// kept in lockstep with the thread's `rob`. This is the SoA split of
-/// the wake-up/select hot path: the select walk, the waiter wake and
-/// the ready check touch only these 32 bytes per slot, never the fat
-/// [`DynInst`] (whose `ExecRecord` payload is only needed once, at
-/// issue). Whether the slot is armed lives beside it, one bit in the
+/// kept in lockstep with the renamed prefix of the thread's window.
+/// This is the SoA split of the wake-up/select hot path: the select
+/// walk, the waiter wake and the ready check touch only these 32 bytes
+/// per slot, never the [`DynInst`] (whose fields are only needed once,
+/// at issue). Whether the slot is armed lives beside it, one bit in the
 /// thread's [`ArmedSlots`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct IssueSlot {
@@ -522,15 +509,17 @@ pub(crate) struct ThreadState {
     /// The thread's functional emulator, running ahead of the pipeline.
     pub(crate) machine: Machine,
     pub(crate) stream_done: bool,
+    /// The record fetch stepped the emulator to but has not fetched
+    /// yet (an I-cache miss stalled it): the one-record lookahead.
     pub(crate) peeked: Option<ExecRecord>,
 
     /// Next per-thread sequence number (the thread's program order;
     /// cross-thread age ordering uses `IssueSlot::age`).
     pub(crate) seq: u64,
     /// Instructions retired, which is also the absolute window position
-    /// of `sched[0]` / `rob[0]`: `armed` and `preg_waiters` name slots
-    /// by absolute position (`retired + index`), so retirement pops
-    /// never shift them.
+    /// of `sched[0]` / `window[0]`: `armed` and `preg_waiters` name
+    /// slots by absolute position (`retired + index`), so retirement
+    /// pops never shift them.
     pub(crate) retired: u64,
     pub(crate) last_retired_seq: u64,
     pub(crate) halted: bool,
@@ -547,7 +536,6 @@ pub(crate) struct ThreadState {
     pub(crate) wrong_path: Option<u64>,
     pub(crate) wp_ghist: GlobalHistory,
     pub(crate) wp_ras: ReturnAddressStack,
-    pub(crate) fetch_latch: FetchLatch,
     pub(crate) ghist: GlobalHistory,
     pub(crate) branch_pred: DirectionPredictor,
     pub(crate) ras: ReturnAddressStack,
@@ -557,11 +545,14 @@ pub(crate) struct ThreadState {
     // Rename (replicated map over the core's register pool).
     pub(crate) map: Vec<u16>, // arch reg -> preg
 
-    // The thread's ROB slice, in per-thread program order, with its
-    // `sched` issue-slot array in lockstep (see `CoreState` docs).
-    // Retirement and squash walk only this thread's slice, so one
-    // thread's misprediction never disturbs the other's window.
-    pub(crate) rob: VecDeque<DynInst>,
+    /// The thread's in-flight instructions in program order, each held
+    /// once from fetch to retirement or squash. The first `renamed` are
+    /// its ROB slice, with `sched` in lockstep (see `CoreState` docs);
+    /// the rest are its fetch → rename latch. Retirement and squash
+    /// walk only this thread's window, so one thread's misprediction
+    /// never disturbs another's.
+    pub(crate) window: VecDeque<DynInst>,
+    pub(crate) renamed: usize,
     pub(crate) sched: VecDeque<IssueSlot>,
     /// Lower bound on the earliest finite deadline in `sched`. The
     /// select walk skips this thread entirely while `due_hint > now`
@@ -590,8 +581,9 @@ pub(crate) struct ThreadState {
     /// machine check restores `machine` from it. `None` unless the
     /// oracle or protection is on.
     pub(crate) retired_machine: Option<Box<Machine>>,
-    /// Lockstep co-simulation oracle (`check.oracle`): the recent
-    /// retirements its divergence report replays.
+    /// Lockstep co-simulation oracle (`check.oracle`): each window
+    /// entry's full record, and the recent retirements its divergence
+    /// report replays.
     pub(crate) oracle: Option<Oracle>,
 
     // Soft-error recovery (protected storage only).
@@ -605,6 +597,18 @@ pub(crate) struct ThreadState {
     /// Cycle a machine-check squash fired, pending its first
     /// post-recovery retirement (measures full replay latency).
     pub(crate) recovery_pending_since: Option<u64>,
+}
+
+impl ThreadState {
+    /// The ROB slice: the renamed prefix of the window.
+    pub(crate) fn rob(&self) -> std::collections::vec_deque::Iter<'_, DynInst> {
+        self.window.range(..self.renamed)
+    }
+
+    /// Entries fetched but not yet renamed: the fetch → rename latch.
+    pub(crate) fn latch_len(&self) -> usize {
+        self.window.len() - self.renamed
+    }
 }
 
 /// The physical registers rename allocates from. Under
@@ -714,7 +718,7 @@ pub(crate) struct CoreState {
     pub(crate) window_count: usize,
 
     // Event-driven wake-up/select. `threads[t].sched[i]` is
-    // `threads[t].rob[i]`'s [`IssueSlot`]: its wake deadline (the
+    // `threads[t].window[i]`'s [`IssueSlot`]: its wake deadline (the
     // earliest cycle its operands could be ready, a lower bound
     // derived from its sources' `PregTime`, or a sentinel —
     // [`SCHED_ISSUED`] once it has issued, [`SCHED_PARKED`] while it
@@ -722,7 +726,7 @@ pub(crate) struct CoreState {
     // `preg_waiters` when the producer issues) plus the compact
     // ready-check fields. Kept as a dense parallel array so the
     // per-cycle select walk and ready check stay inside these slots
-    // instead of walking the fat `DynInst` entries;
+    // instead of walking the window's `DynInst` entries;
     // `ThreadState::due_hint` and `ThreadState::armed` reduce the walk
     // to armed deadlines only.
     // `preg_waiters` holds each parked consumer's (absolute window
@@ -731,11 +735,10 @@ pub(crate) struct CoreState {
     // or squashed one whose position was reused.
     pub(crate) preg_waiters: Vec<Vec<(u64, u64)>>,
     // Reused per-cycle scratch (hoisted allocations): the per-thread
-    // cursors of the select merge, (seq, tid, idx) for the issue
-    // group, and the squashed instructions of an unwind.
+    // cursors of the select merge, and (seq, tid, idx) for the issue
+    // group.
     pub(crate) cursors: Vec<SelectCursor>,
     pub(crate) selected_buf: Vec<(u64, u32, u32)>,
-    pub(crate) squash_buf: Vec<DynInst>,
 
     // Storage under test (shared: the register cache, backing file, and
     // set assigner serve every thread's values; only the degree-of-use
@@ -927,7 +930,13 @@ impl CoreState {
     /// capacity applies to the sum).
     #[inline]
     pub(crate) fn rob_len_total(&self) -> usize {
-        self.threads.iter().map(|t| t.rob.len()).sum()
+        self.threads.iter().map(|t| t.renamed).sum()
+    }
+
+    /// How many fetched, unrenamed entries a thread's window may hold:
+    /// a fetch block for each front-end stage and one for rename.
+    pub(crate) fn latch_cap(&self) -> usize {
+        self.config.fetch_width * (self.config.frontend_stages as usize + 1)
     }
 
     /// Books one completed recovery for `tid`: `latency` cycles were
@@ -947,7 +956,7 @@ impl CoreState {
             .iter()
             .enumerate()
             .flat_map(|(tid, t)| {
-                t.rob.iter().enumerate().take(8).map(move |(i, inst)| {
+                t.rob().enumerate().take(8).map(move |(i, inst)| {
                     let slot = &t.sched[i];
                     let deadline = if slot.wake < SCHED_PARKED {
                         slot.wake.to_string()
@@ -957,8 +966,8 @@ impl CoreState {
                     format!(
                         "t{tid} seq {:>8} pc {:#08x} `{}` {} earliest_issue {} wake {}",
                         inst.seq,
-                        inst.rec.pc,
-                        inst.rec.inst,
+                        inst.pc,
+                        inst.inst,
                         if inst.exec_done == NOT_ISSUED {
                             "Waiting"
                         } else {
@@ -986,8 +995,8 @@ impl CoreState {
                     "t{tid}: retired {} (last seq {}), rob {}, fetchq {}, free pregs {}{}{}{}{}",
                     t.retired,
                     t.last_retired_seq,
-                    t.rob.len(),
-                    t.fetch_latch.queue.len(),
+                    t.renamed,
+                    t.latch_len(),
                     self.pool.free[self.pool.list(tid)].len(),
                     if t.halted { ", halted" } else { "" },
                     if t.wrong_path.is_some() {
@@ -1022,7 +1031,7 @@ impl CoreState {
             cycle: self.now,
             last_progress: self.last_progress,
             retired: self.retired(),
-            fetch_queue: self.threads.iter().map(|t| t.fetch_latch.queue.len()).sum(),
+            fetch_queue: self.threads.iter().map(ThreadState::latch_len).sum(),
             window_count: self.window_count,
             threads,
             rob_head,
@@ -1053,19 +1062,44 @@ impl CoreState {
         // the window.
         let mut waiting = 0;
         for (tid, t) in self.threads.iter().enumerate() {
-            if t.sched.len() != t.rob.len() {
+            if t.sched.len() != t.renamed || t.renamed > t.window.len() {
                 return viol(
                     Some(tid),
                     "sched-rob-lockstep",
                     format!(
-                        "{} wake deadlines for {} rob entries",
+                        "{} wake deadlines for {} renamed of {} window entries",
                         t.sched.len(),
-                        t.rob.len()
+                        t.renamed,
+                        t.window.len()
                     ),
                 );
             }
+            if t.latch_len() > self.latch_cap() {
+                return viol(
+                    Some(tid),
+                    "fetch-latch",
+                    format!(
+                        "{} unrenamed entries exceed the latch's {}",
+                        t.latch_len(),
+                        self.latch_cap()
+                    ),
+                );
+            }
+            if let Some(o) = &t.oracle {
+                if o.records.len() != t.window.len() {
+                    return viol(
+                        Some(tid),
+                        "fetch-latch",
+                        format!(
+                            "{} oracle records for {} window entries",
+                            o.records.len(),
+                            t.window.len()
+                        ),
+                    );
+                }
+            }
             let mut armed = 0;
-            for (i, (inst, slot)) in t.rob.iter().zip(&t.sched).enumerate() {
+            for (i, (inst, slot)) in t.rob().zip(&t.sched).enumerate() {
                 waiting += usize::from(inst.exec_done == NOT_ISSUED);
                 let pos = t.retired + i as u64;
                 let finite = slot.wake < SCHED_PARKED;
@@ -1237,11 +1271,12 @@ mod tests {
         );
     }
 
-    /// The ROB entry repeats nothing its lockstep issue slot holds, and
-    /// the slot stays within half a cache line.
+    /// The window entry holds only what the pipeline reads after fetch
+    /// and repeats nothing its lockstep issue slot holds, and the slot
+    /// stays within half a cache line.
     #[test]
     fn rob_entry_and_issue_slot_stay_small() {
-        assert!(std::mem::size_of::<DynInst>() <= 112);
+        assert!(std::mem::size_of::<DynInst>() <= 80);
         assert_eq!(std::mem::size_of::<IssueSlot>(), 32);
     }
 

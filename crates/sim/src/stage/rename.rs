@@ -1,28 +1,30 @@
-//! Rename/dispatch stage: drains each thread's fetch→rename latch,
-//! renames architectural registers against that thread's map, allocates
-//! destinations from the register pool, and inserts into the
-//! (shared-budget) ROB/window.
+//! Rename/dispatch stage: takes each thread's matured fetch→rename
+//! latch entries, oldest first, renames their architectural registers
+//! against that thread's map, allocates destinations from the register
+//! pool, and admits them to the (shared-budget) ROB/window. An entry
+//! never moves: rename fills it in place in the thread's window and
+//! advances the window's `renamed` boundary past it.
 //!
 //! Backpressure: dispatch stops at the shared ROB/window capacity; a
 //! thread the pool cannot serve (its list is dry or it is at its cap)
 //! stalls alone, letting the other threads keep dispatching from the
 //! shared width budget.
 
-use super::{
-    CoreState, DynInst, FetchedEntry, IssueSlot, PregTime, Storage, ThreadId, NOT_ISSUED, NO_SRC,
-};
+use super::{CoreState, DynInst, IssueSlot, PregTime, Storage, ThreadId, NO_SRC};
 use crate::trace::InstTrace;
 use ubrc_core::PhysReg;
 
 impl CoreState {
     pub(crate) fn dispatch(&mut self, now: u64) {
         let mut budget = self.config.fetch_width;
+        let frontend_stages = self.config.frontend_stages as u64;
         for tid in 0..self.threads.len() {
             while budget > 0 {
-                let Some(front) = self.threads[tid].fetch_latch.queue.front() else {
+                let t = &self.threads[tid];
+                let Some(front) = t.window.get(t.renamed) else {
                     break;
                 };
-                if front.ready_at > now {
+                if front.fetch_cycle + frontend_stages > now {
                     break;
                 }
                 if self.rob_len_total() == self.config.rob_entries
@@ -31,7 +33,7 @@ impl CoreState {
                     // Shared capacity exhausted: no thread can dispatch.
                     return;
                 }
-                let has_dest = front.rec.inst.dest().is_some();
+                let has_dest = front.inst.dest().is_some();
                 if has_dest {
                     if !self.pool.can_alloc(tid) {
                         self.result.dispatch_stall_pregs += 1;
@@ -44,12 +46,7 @@ impl CoreState {
                         }
                     }
                 }
-                let entry = self.threads[tid]
-                    .fetch_latch
-                    .queue
-                    .pop_front()
-                    .expect("checked non-empty");
-                self.rename_and_insert(tid, entry, now);
+                self.rename_and_insert(tid, now);
                 budget -= 1;
             }
             if budget == 0 {
@@ -58,8 +55,12 @@ impl CoreState {
         }
     }
 
-    fn rename_and_insert(&mut self, tid: ThreadId, entry: FetchedEntry, now: u64) {
-        let rec = entry.rec;
+    /// Renames the oldest unrenamed entry of thread `tid`'s window.
+    fn rename_and_insert(&mut self, tid: ThreadId, now: u64) {
+        let idx = self.threads[tid].renamed;
+        let DynInst {
+            pc, inst, mem_addr, ..
+        } = self.threads[tid].window[idx];
         let seq = self.threads[tid].seq;
         self.threads[tid].seq += 1;
         // Global dispatch-order stamp: orders instructions across
@@ -70,7 +71,7 @@ impl CoreState {
 
         // Sources: current mappings in this thread's map table.
         let mut srcs = [NO_SRC; 2];
-        for (slot, src) in rec.inst.sources().into_iter().enumerate() {
+        for (slot, src) in inst.sources().into_iter().enumerate() {
             if let Some(r) = src {
                 let p = self.threads[tid].map[r.index() as usize];
                 srcs[slot] = p;
@@ -85,7 +86,7 @@ impl CoreState {
         // Destination: allocate from the pool and remap.
         let mut dest = None;
         let mut prev = None;
-        if let Some(r) = rec.inst.dest() {
+        if let Some(r) = inst.dest() {
             let p = self.pool.alloc(tid);
             let old = self.threads[tid].map[r.index() as usize];
             self.threads[tid].map[r.index() as usize] = p;
@@ -106,15 +107,17 @@ impl CoreState {
             if let Some(lt) = &mut self.lifetimes {
                 lt.alloc(p, now);
             }
+            let entry = &self.threads[tid].window[idx];
             self.storage
-                .produce(p, Some((tid, &entry)), self.checker.as_mut());
+                .produce(p, Some((tid, entry)), self.checker.as_mut());
         }
 
         if (age as usize) < self.config.trace_instructions {
+            let entry = &self.threads[tid].window[idx];
             self.trace.push(InstTrace {
                 seq,
-                pc: rec.pc,
-                asm: rec.inst.to_string(),
+                pc,
+                asm: inst.to_string(),
                 fetch: entry.fetch_cycle,
                 dispatch: now,
                 issue: 0,
@@ -126,8 +129,8 @@ impl CoreState {
                 wrong_path: entry.wrong_path,
             });
         }
-        if self.config.model_store_forwarding && rec.inst.is_store() {
-            let granule = rec.mem_addr.expect("store has an address") / 8;
+        if self.config.model_store_forwarding && inst.is_store() {
+            let granule = mem_addr.expect("store has an address") / 8;
             self.threads[tid]
                 .store_granules
                 .entry(granule)
@@ -135,16 +138,11 @@ impl CoreState {
                 .push((seq, None));
         }
         let t = &mut self.threads[tid];
-        t.rob.push_back(DynInst {
-            seq,
-            rec,
-            dest,
-            prev,
-            exec_done: NOT_ISSUED,
-            fetch_cycle: entry.fetch_cycle,
-            mispredicted: entry.mispredicted,
-            wrong_path: entry.wrong_path,
-        });
+        let entry = &mut t.window[idx];
+        entry.seq = seq;
+        entry.dest = dest;
+        entry.prev = prev;
+        t.renamed += 1;
         t.sched.push_back(IssueSlot {
             wake: now + 1,
             age,

@@ -18,34 +18,47 @@ impl CoreState {
         let mut stores = 0;
         for tid in 0..self.threads.len() {
             while budget > 0 {
-                let Some(head) = self.threads[tid].rob.front() else {
+                let t = &self.threads[tid];
+                let Some(head) = t.window.front().filter(|_| t.renamed > 0) else {
                     break;
                 };
                 if head.exec_done > now {
                     break;
                 }
-                if head.rec.inst.is_store() {
+                let DynInst {
+                    seq,
+                    inst,
+                    mem_addr,
+                    dest,
+                    prev,
+                    ..
+                } = *head;
+                debug_assert!(!head.wrong_path, "a wrong-path instruction retired");
+                if inst.is_store() {
                     if stores == self.config.max_stores_per_retire {
                         break;
                     }
-                    let addr = head.rec.mem_addr.expect("store has an address");
+                    let addr = mem_addr.expect("store has an address");
                     if !self.memsys.store_retire(addr, now) {
                         break; // store buffer full: stall this thread
                     }
                     stores += 1;
                 }
                 let t = &mut self.threads[tid];
-                let inst = t.rob.pop_front().expect("checked non-empty");
-                let slot = t.sched.pop_front().expect("sched is in lockstep with rob");
-                debug_assert!(!inst.wrong_path, "a wrong-path instruction retired");
+                t.window.pop_front();
+                t.renamed -= 1;
+                let slot = t
+                    .sched
+                    .pop_front()
+                    .expect("sched is in lockstep with the rob");
                 budget -= 1;
                 t.retired += 1;
-                if self.config.model_store_forwarding && inst.rec.inst.is_store() {
+                if self.config.model_store_forwarding && inst.is_store() {
                     // Younger loads are now ordered by the store buffer
                     // in the memory system, not the LSQ.
-                    let granule = inst.rec.mem_addr.expect("store has an address") / 8;
+                    let granule = mem_addr.expect("store has an address") / 8;
                     if let Some(stores) = t.store_granules.get_mut(&granule) {
-                        stores.retain(|&(sseq, _)| sseq != inst.seq);
+                        stores.retain(|&(sseq, _)| sseq != seq);
                         if stores.is_empty() {
                             t.store_granules.remove(&granule);
                         }
@@ -54,14 +67,14 @@ impl CoreState {
                 if let Some(tr) = self.trace.get_mut(slot.age as usize) {
                     tr.retire = now;
                 }
-                t.last_retired_seq = inst.seq;
+                t.last_retired_seq = seq;
                 self.last_progress = now;
                 if let Some(m) = t.retired_machine.as_mut() {
                     // Advancing in lockstep with retirement keeps it
                     // exactly at the thread's retired state.
                     let step = m.step();
                     if let Some(oracle) = t.oracle.as_mut() {
-                        if let Err(report) = oracle.check_retire(now, &inst.rec, step) {
+                        if let Err(report) = oracle.check_retire(now, step) {
                             self.error = Some(Box::new(SimError::Divergence(report)));
                             return;
                         }
@@ -76,11 +89,11 @@ impl CoreState {
                     self.result.recovery_cycles += lat;
                     self.result.recovery_latency.record(lat);
                 }
-                if inst.rec.inst == Inst::Halt {
+                if inst == Inst::Halt {
                     t.halted = true;
                     break;
                 }
-                self.free_reg(&inst, true, now);
+                self.free_reg(dest, prev, true, now);
             }
             if budget == 0 {
                 break;
@@ -88,14 +101,21 @@ impl CoreState {
         }
     }
 
-    /// Frees the register `inst` gives up as it leaves the ROB: at
+    /// Frees the register an instruction with destination `dest` and
+    /// previous mapping `prev` gives up as it leaves the ROB: at
     /// retirement the value its destination overwrote (`prev`), at a
     /// squash its own destination. The destination's set assignment
     /// leaves with its producer either way (§4.2), but only a retired
     /// value trains the degree predictor and records a lifetime: a
     /// squashed one never completed one.
-    pub(super) fn free_reg(&mut self, inst: &DynInst, retired: bool, now: u64) {
-        let (Some(d), Some(prev)) = (inst.dest, inst.prev) else {
+    pub(super) fn free_reg(
+        &mut self,
+        dest: Option<u16>,
+        prev: Option<u16>,
+        retired: bool,
+        now: u64,
+    ) {
+        let (Some(d), Some(prev)) = (dest, prev) else {
             return;
         };
         let p = if retired { prev } else { d };

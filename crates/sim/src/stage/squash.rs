@@ -1,10 +1,11 @@
 //! Squashes: the wrong-path squash at a resolved misprediction and the
 //! machine-check squash of soft-error recovery. Both unwind the
-//! thread's ROB youngest first through one loop, which also restores
-//! its rename map; every inter-stage latch holding the squashed work is
-//! cleared here, and no other thread's state is touched.
+//! thread's window youngest first through one loop, which also restores
+//! its rename map and drops the fetch→rename latch with the squashed
+//! ROB entries; every other inter-stage latch holding the squashed work
+//! is cleared here, and no other thread's state is touched.
 
-use super::{CoreState, Storage, ThreadId, NO_SRC, SCHED_ISSUED};
+use super::{CoreState, DynInst, Storage, ThreadId, NO_SRC, SCHED_ISSUED};
 
 /// Cycles a machine-checked thread's front end stays quiesced before it
 /// refetches: the pipeline drain and the restore from its retired state.
@@ -15,16 +16,16 @@ impl CoreState {
     /// mispredicted branch: ROB/window entries, renamed registers, LSQ
     /// entries, the fetch latch, and the speculative emulator state.
     pub(crate) fn squash_wrong_path(&mut self, tid: ThreadId, branch_seq: u64, now: u64) {
-        let rob = &self.threads[tid].rob;
-        let keep = rob
-            .iter()
+        let t = &self.threads[tid];
+        let keep = t
+            .rob()
             .position(|i| i.seq > branch_seq)
-            .unwrap_or(rob.len());
+            .unwrap_or(t.renamed);
         debug_assert!(
-            rob.range(keep..).all(|i| i.wrong_path),
+            t.window.range(keep..).all(|i| i.wrong_path),
             "squashed a correct-path instruction"
         );
-        self.result.wrong_path_squashed += (rob.len() - keep) as u64;
+        self.result.wrong_path_squashed += (t.renamed - keep) as u64;
         self.unwind_rob(tid, keep, now);
 
         // Restore this thread's front end to the branch point.
@@ -36,8 +37,6 @@ impl CoreState {
         );
         t.ghist = t.wp_ghist;
         std::mem::swap(&mut t.ras, &mut t.wp_ras);
-        debug_assert!(t.fetch_latch.queue.iter().all(|e| e.wrong_path));
-        t.fetch_latch.queue.clear();
         t.peeked = None;
         t.machine.abort_speculation();
         if t.waiting_on_branch.is_some_and(|w| w > branch_seq) {
@@ -62,7 +61,6 @@ impl CoreState {
         // Full front-end reset: the thread refetches from its retired
         // state, so every latched fetch/decode artifact is stale.
         let t = &mut self.threads[tid];
-        t.fetch_latch.queue.clear();
         t.peeked = None;
         t.halt_fetched = false;
         t.stream_done = false;
@@ -86,11 +84,12 @@ impl CoreState {
         t.recovery_pending_since.get_or_insert(now);
     }
 
-    /// Unwinds thread `tid`'s ROB down to its first `keep` entries,
-    /// youngest first. Each squashed instruction leaves the window and
-    /// the LSQ, frees its destination and puts its `prev` mapping back,
-    /// so the rename map ends as it stood after the youngest kept
-    /// instruction renamed.
+    /// Unwinds thread `tid`'s window down to its first `keep` entries,
+    /// which are renamed. Each squashed ROB entry, youngest first,
+    /// leaves the issue window and the LSQ, frees its destination and
+    /// puts its `prev` mapping back, so the rename map ends as it stood
+    /// after the youngest kept instruction renamed; the unrenamed
+    /// fetch→rename latch behind them goes too.
     fn unwind_rob(&mut self, tid: ThreadId, keep: usize, now: u64) {
         let t = &mut self.threads[tid];
         for (i, slot) in t.sched.range(keep..).enumerate() {
@@ -110,21 +109,26 @@ impl CoreState {
             }
         }
         t.sched.truncate(keep);
-        let mut removed = std::mem::take(&mut self.squash_buf);
-        removed.clear();
-        removed.extend(t.rob.drain(keep..));
-        for inst in removed.iter().rev() {
-            if self.config.model_store_forwarding && inst.rec.inst.is_store() {
-                let granule = inst.rec.mem_addr.expect("store has an address") / 8;
+        for i in (keep..t.renamed).rev() {
+            let DynInst {
+                seq,
+                inst,
+                mem_addr,
+                dest,
+                prev,
+                ..
+            } = self.threads[tid].window[i];
+            if self.config.model_store_forwarding && inst.is_store() {
+                let granule = mem_addr.expect("store has an address") / 8;
                 let granules = &mut self.threads[tid].store_granules;
                 if let Some(stores) = granules.get_mut(&granule) {
-                    stores.retain(|&(sseq, _)| sseq != inst.seq);
+                    stores.retain(|&(sseq, _)| sseq != seq);
                     if stores.is_empty() {
                         granules.remove(&granule);
                     }
                 }
             }
-            if let (Some(r), Some(prev)) = (inst.rec.inst.dest(), inst.prev) {
+            if let (Some(r), Some(prev)) = (inst.dest(), prev) {
                 // The architectural name reverts to the old value: every
                 // younger writer of `r` is already unwound.
                 self.threads[tid].map[r.index() as usize] = prev;
@@ -132,9 +136,14 @@ impl CoreState {
                     values[prev as usize].reassigned = None;
                 }
             }
-            self.free_reg(inst, false, now);
+            self.free_reg(dest, prev, false, now);
         }
-        self.squash_buf = removed;
+        let t = &mut self.threads[tid];
+        t.window.truncate(keep);
+        t.renamed = keep;
+        if let Some(o) = t.oracle.as_mut() {
+            o.records.truncate(keep);
+        }
     }
 }
 
@@ -145,9 +154,9 @@ mod tests {
     use ubrc_workloads::{workload_by_name, Scale};
 
     /// After any cycle on which the core is back on the correct path,
-    /// no wrong-path state survives in any latch: the fetch→rename
-    /// latch holds only correct-path entries, the ROB holds no
-    /// wrong-path instructions.
+    /// no wrong-path state survives in any latch: the window's
+    /// unrenamed fetch→rename latch holds only correct-path entries,
+    /// its renamed ROB prefix no wrong-path instructions.
     #[test]
     fn squash_clears_wrong_path_state_from_every_latch() {
         let w = workload_by_name("bfs", Scale::Tiny).unwrap();
@@ -165,11 +174,11 @@ mod tests {
             let t = &sim.core.threads[0];
             if t.wrong_path.is_none() {
                 assert!(
-                    t.fetch_latch.queue.iter().all(|e| !e.wrong_path),
+                    t.window.range(t.renamed..).all(|e| !e.wrong_path),
                     "wrong-path entry left in the fetch latch after squash"
                 );
                 assert!(
-                    t.rob.iter().all(|i| !i.wrong_path),
+                    t.rob().all(|i| !i.wrong_path),
                     "wrong-path instruction left in the ROB after squash"
                 );
             }
