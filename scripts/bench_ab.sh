@@ -3,11 +3,11 @@
 #
 #   scripts/bench_ab.sh PARENT CHANGE [PAIRS] [DIR]
 #
-# Builds each commit once, from `git archive` into its own source
-# directory and target directory under DIR (default: a new temporary
-# directory), so each side's `experiments` sits beside its
-# `ubrc-benchmark`. Then, for seeds 1..PAIRS (default 10) and every
-# workload BENCHMARK.json lists, it runs
+# Builds each commit once with scripts/build_commit.sh, from `git
+# archive` into its own source directory and target directory under DIR
+# (default: a new temporary directory), so each side's `experiments`
+# sits beside its `ubrc-benchmark`. Then, for seeds 1..PAIRS (default
+# 10) and every workload BENCHMARK.json lists, it runs
 #
 #   ubrc-benchmark --workload W --seed i --seconds 10 --trace 0
 #
@@ -30,25 +30,8 @@ dir=${4:-$(mktemp -d)}
 mkdir -p "$dir/runs" "$dir/docs"
 dir=$(cd "$dir" && pwd)
 
-# Builds commit $1 into $dir/src-SHA with target $dir/target-SHA and
-# prints the release directory. An existing source tree is reused, so
-# a second call only checks that the build is fresh.
-build() {
-  local sha
-  sha=$(git rev-parse --verify "$1^{commit}")
-  local src=$dir/src-$sha
-  if [ ! -d "$src" ]; then
-    mkdir -p "$src"
-    git archive "$sha" | tar -x -C "$src"
-  fi
-  (cd "$src" && CARGO_TARGET_DIR=$dir/target-$sha \
-    cargo build --release --quiet -p ubrc --bin ubrc-benchmark \
-      -p ubrc-bench --bin experiments 1>&2)
-  echo "$dir/target-$sha/release"
-}
-
-base_bin=$(build "$1")
-new_bin=$(build "$2")
+base_bin=$(scripts/build_commit.sh "$1" "$dir")
+new_bin=$(scripts/build_commit.sh "$2" "$dir")
 workloads=$(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
 
 # Runs side $1 (base or new) of workload $2 at seed $3, keeping its
