@@ -117,6 +117,12 @@ fn report(r: &SimResult) {
             .map(|v| format!("{:.1}%", v * 100.0))
             .unwrap_or_else(|| "-".into()),
     ]);
+    // Rename found no free physical register, or on a two-level file no
+    // free L1 register: counted once per thread and cycle it stopped.
+    t.row([
+        "dispatch stalls for a register".to_string(),
+        r.dispatch_stall_pregs.to_string(),
+    ]);
     if let Some(c) = &r.regcache {
         t.row([
             "regcache miss rate (per operand)".to_string(),
@@ -162,10 +168,6 @@ fn report(r: &SimResult) {
     }
     if let Some(tl) = &r.twolevel {
         t.row(["L1→L2 transfers".to_string(), tl.transfers.to_string()]);
-        t.row([
-            "rename alloc stalls".to_string(),
-            tl.alloc_failures.to_string(),
-        ]);
         t.row([
             "recovered registers".to_string(),
             tl.recovered_regs.to_string(),

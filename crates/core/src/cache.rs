@@ -241,8 +241,6 @@ pub struct EntryView {
 struct PregState {
     /// The current value has occupied a cache entry at least once.
     ever_cached: bool,
-    /// A value is live in this physical register (produce..free).
-    active: bool,
     /// The index of the entry holding this register's value while it is
     /// resident: set by `place`, cleared by `remove`.
     entry: Option<u32>,
@@ -450,17 +448,12 @@ impl RegisterCache {
     }
 
     /// Declares a newly renamed destination value. Must be called once
-    /// per produced value, before its `write`.
+    /// per produced value, before its `write`, and not again for the
+    /// register until [`RegisterCache::free`].
     pub fn produce(&mut self, preg: PhysReg) {
-        let st = &mut self.per_preg[preg.0 as usize];
-        debug_assert!(!st.active, "produce() on a live physical register");
         // The entry index follows the entries, which producing a value
         // does not touch.
-        *st = PregState {
-            ever_cached: false,
-            active: true,
-            ..*st
-        };
+        self.per_preg[preg.0 as usize].ever_cached = false;
         self.stats.values_produced += 1;
         if let Some(s) = &mut self.shadow {
             s.produce(preg);
@@ -738,16 +731,14 @@ impl RegisterCache {
 
     /// Invalidates the value when its physical register is freed
     /// (required for correctness, §2.2) and closes out the value's
-    /// statistics.
+    /// statistics. Must follow exactly one [`RegisterCache::produce`]
+    /// of the register: the cache keeps no liveness of its own, so a
+    /// second `free` would count the value twice.
     pub fn free(&mut self, preg: PhysReg, set: u16, now: u64) {
-        let st = self.per_preg[preg.0 as usize];
-        if st.active {
-            self.stats.values_freed += 1;
-            if !st.ever_cached {
-                self.stats.values_never_cached += 1;
-            }
+        self.stats.values_freed += 1;
+        if !self.per_preg[preg.0 as usize].ever_cached {
+            self.stats.values_never_cached += 1;
         }
-        self.per_preg[preg.0 as usize].active = false;
         if let Some(m) = &mut self.monitor {
             // The tag may be re-allocated to an unrelated value (this
             // path also runs under squash recovery), so the shadow

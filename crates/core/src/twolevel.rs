@@ -34,9 +34,6 @@ impl TwoLevelConfig {
 pub struct TwoLevelStats {
     /// Values transferred from L1 to L2.
     pub transfers: u64,
-    /// Rename-side allocation failures (each is a rename stall cycle
-    /// cause).
-    pub alloc_failures: u64,
     /// Mis-speculation recovery events that required L2→L1 copies.
     pub recoveries: u64,
     /// Registers copied back during recoveries.
@@ -51,10 +48,12 @@ pub struct TwoLevelStats {
 /// Values move from the L1 file to the L2 when (a) their architectural
 /// register has been reassigned, (b) all renamed consumers have read
 /// them, and (c) the free-register count is below a threshold. Rename
-/// stalls when no L1 register is free. On a mis-speculation, values
-/// moved while their reassigner was still speculative must be copied
-/// back (modeled via the in-order retirement boundary — see DESIGN.md
-/// for the substitution rationale).
+/// stalls when no L1 register is free (the caller checks
+/// [`TwoLevelFile::free_count`] before it allocates). On a
+/// mis-speculation, values moved while their reassigner was still
+/// speculative must be copied back (modeled via the in-order
+/// retirement boundary — see DESIGN.md for the substitution
+/// rationale).
 ///
 /// # Examples
 ///
@@ -62,21 +61,30 @@ pub struct TwoLevelStats {
 /// use ubrc_core::{PhysReg, TwoLevelConfig, TwoLevelFile};
 ///
 /// let mut f = TwoLevelFile::new(TwoLevelConfig::optimistic(96), 512);
-/// assert!(f.try_allocate(PhysReg(0)));
+/// f.allocate(PhysReg(0));
 /// assert_eq!(f.free_count(), 95);
 /// ```
 #[derive(Clone, Debug)]
 pub struct TwoLevelFile {
     config: TwoLevelConfig,
     free: usize,
-    resident: Vec<bool>,
-    allocated: Vec<bool>,
+    /// Indexed by physical register.
+    state: Vec<Slot>,
     /// Dead-eligible values awaiting transfer: (preg, reassigner seq).
     eligible: VecDeque<(PhysReg, u64)>,
-    /// Values moved to L2: reassigner seq, while the value's storage is
-    /// still live.
-    moved: Vec<Option<u64>>,
     stats: TwoLevelStats,
+}
+
+/// Where a physical register's value is stored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Slot {
+    /// No value: the register is not allocated.
+    Free,
+    /// In an L1 register.
+    L1,
+    /// Moved to the L2 while its reassigner, this sequence number, was
+    /// in flight.
+    L2(u64),
 }
 
 impl TwoLevelFile {
@@ -86,10 +94,8 @@ impl TwoLevelFile {
         Self {
             config,
             free: config.l1_entries,
-            resident: vec![false; num_pregs],
-            allocated: vec![false; num_pregs],
+            state: vec![Slot::Free; num_pregs],
             eligible: VecDeque::new(),
-            moved: vec![None; num_pregs],
             stats: TwoLevelStats::default(),
         }
     }
@@ -109,25 +115,23 @@ impl TwoLevelFile {
         self.free
     }
 
-    /// Attempts to allocate an L1 register at rename. Returns `false`
-    /// (and records a stall) when none is free.
-    pub fn try_allocate(&mut self, preg: PhysReg) -> bool {
-        if self.free == 0 {
-            self.stats.alloc_failures += 1;
-            return false;
-        }
+    /// Allocates an L1 register for the value renamed into `preg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no L1 register is free: rename stalls on
+    /// [`TwoLevelFile::free_count`] first.
+    pub fn allocate(&mut self, preg: PhysReg) {
+        assert!(self.free > 0, "no free L1 register");
         self.free -= 1;
-        self.resident[preg.0 as usize] = true;
-        self.allocated[preg.0 as usize] = true;
-        self.moved[preg.0 as usize] = None;
-        true
+        self.state[preg.0 as usize] = Slot::L1;
     }
 
     /// Marks a value transfer-eligible: its architectural register was
     /// reassigned by the instruction with sequence number
     /// `reassign_seq`, and every renamed consumer has read it.
     pub fn mark_eligible(&mut self, preg: PhysReg, reassign_seq: u64) {
-        if self.allocated[preg.0 as usize] && self.resident[preg.0 as usize] {
+        if self.state[preg.0 as usize] == Slot::L1 {
             self.eligible.push_back((preg, reassign_seq));
         }
     }
@@ -143,12 +147,11 @@ impl TwoLevelFile {
             let Some((preg, seq)) = self.eligible.pop_front() else {
                 break;
             };
-            let i = preg.0 as usize;
-            if !self.allocated[i] || !self.resident[i] {
+            let slot = &mut self.state[preg.0 as usize];
+            if *slot != Slot::L1 {
                 continue; // freed or already handled
             }
-            self.resident[i] = false;
-            self.moved[i] = Some(seq);
+            *slot = Slot::L2(seq);
             self.free += 1;
             self.stats.transfers += 1;
         }
@@ -157,22 +160,17 @@ impl TwoLevelFile {
     /// The value is now architecturally dead (its reassigner retired):
     /// release its storage entirely.
     pub fn release(&mut self, preg: PhysReg) {
-        let i = preg.0 as usize;
-        if !self.allocated[i] {
-            return;
-        }
-        if self.resident[i] {
-            self.resident[i] = false;
+        let slot = &mut self.state[preg.0 as usize];
+        if *slot == Slot::L1 {
             self.free += 1;
         }
-        self.allocated[i] = false;
-        self.moved[i] = None;
+        *slot = Slot::Free;
     }
 
     /// True when the value is in the L1 file (normal reads require
     /// this; only recovery ever touches the L2).
     pub fn is_resident(&self, preg: PhysReg) -> bool {
-        self.resident[preg.0 as usize]
+        self.state[preg.0 as usize] == Slot::L1
     }
 
     /// Mis-speculation recovery: values moved to L2 while their
@@ -182,11 +180,10 @@ impl TwoLevelFile {
     /// the configured bandwidth.
     pub fn on_mispredict(&mut self, retired_boundary: u64) -> usize {
         let mut count = 0;
-        for i in 0..self.moved.len() {
-            if let Some(seq) = self.moved[i] {
-                if seq > retired_boundary && self.allocated[i] {
-                    self.moved[i] = None;
-                    self.resident[i] = true;
+        for (i, slot) in self.state.iter_mut().enumerate() {
+            if let Slot::L2(seq) = *slot {
+                if seq > retired_boundary {
+                    *slot = Slot::L1;
                     self.free = self.free.saturating_sub(1);
                     count += 1;
                     // Still dead-eligible; re-queue so it can move again
@@ -228,26 +225,27 @@ mod tests {
     }
 
     #[test]
-    fn allocation_exhausts_and_stalls() {
+    #[should_panic(expected = "no free L1 register")]
+    fn allocating_past_the_l1_panics() {
         let mut f = file(2);
-        assert!(f.try_allocate(PhysReg(0)));
-        assert!(f.try_allocate(PhysReg(1)));
-        assert!(!f.try_allocate(PhysReg(2)));
-        assert_eq!(f.stats().alloc_failures, 1);
+        f.allocate(PhysReg(0));
+        f.allocate(PhysReg(1));
+        assert_eq!(f.free_count(), 0);
+        f.allocate(PhysReg(2));
     }
 
     #[test]
     fn transfer_frees_l1_slots() {
         let mut f = file(2);
-        f.try_allocate(PhysReg(0));
-        f.try_allocate(PhysReg(1));
+        f.allocate(PhysReg(0));
+        f.allocate(PhysReg(1));
         f.mark_eligible(PhysReg(0), 10);
         f.tick();
         assert_eq!(f.free_count(), 1);
         assert!(!f.is_resident(PhysReg(0)));
         assert!(f.is_resident(PhysReg(1)));
         assert_eq!(f.stats().transfers, 1);
-        assert!(f.try_allocate(PhysReg(2)));
+        f.allocate(PhysReg(2));
     }
 
     #[test]
@@ -262,14 +260,14 @@ mod tests {
             64,
         );
         for p in 0..4 {
-            f.try_allocate(PhysReg(p));
+            f.allocate(PhysReg(p));
         }
         // free = 4 >= threshold 2: no transfers happen.
         f.mark_eligible(PhysReg(0), 1);
         f.tick();
         assert_eq!(f.stats().transfers, 0);
         for p in 4..8 {
-            f.try_allocate(PhysReg(p));
+            f.allocate(PhysReg(p));
         }
         // free = 0 < 2: now it moves.
         f.tick();
@@ -280,7 +278,7 @@ mod tests {
     fn bandwidth_limits_transfers_per_tick() {
         let mut f = file(8);
         for p in 0..8 {
-            f.try_allocate(PhysReg(p));
+            f.allocate(PhysReg(p));
             f.mark_eligible(PhysReg(p), p as u64);
         }
         f.tick();
@@ -292,8 +290,8 @@ mod tests {
     #[test]
     fn release_of_resident_and_moved_values() {
         let mut f = file(2);
-        f.try_allocate(PhysReg(0));
-        f.try_allocate(PhysReg(1));
+        f.allocate(PhysReg(0));
+        f.allocate(PhysReg(1));
         f.mark_eligible(PhysReg(0), 5);
         f.tick(); // preg 0 moved to L2
         f.release(PhysReg(0)); // moved value: no L1 slot to free
@@ -306,7 +304,7 @@ mod tests {
     fn mispredict_recovers_speculatively_moved_values() {
         let mut f = file(4);
         for p in 0..4 {
-            f.try_allocate(PhysReg(p));
+            f.allocate(PhysReg(p));
         }
         f.mark_eligible(PhysReg(0), 100); // reassigner not yet retired
         f.mark_eligible(PhysReg(1), 50); // reassigner retired (<= boundary)
@@ -331,8 +329,8 @@ mod tests {
     #[test]
     fn stale_eligible_entries_are_skipped() {
         let mut f = file(2);
-        f.try_allocate(PhysReg(0));
-        f.try_allocate(PhysReg(1));
+        f.allocate(PhysReg(0));
+        f.allocate(PhysReg(1));
         f.mark_eligible(PhysReg(0), 1);
         f.release(PhysReg(0)); // freed before the transfer happens
         f.tick();

@@ -4,16 +4,19 @@ use crate::PhysReg;
 struct State {
     remaining: u8,
     pinned: bool,
-    active: bool,
     predicted: u8,
     /// Modeled parity error: set by the fault injector, cleared by the
-    /// next write ([`UseTracker::init`] / [`UseTracker::scrub`] /
-    /// [`UseTracker::clear`]).
+    /// next write ([`UseTracker::init`] / [`UseTracker::scrub`]).
     parity_bad: bool,
 }
 
 /// Remaining-use bookkeeping for values between rename and the register
 /// cache write (§3.3 of the paper).
+///
+/// The tracker keeps no liveness of its own: a register's word means
+/// something only while the simulator's register pool holds it, and
+/// [`UseTracker::init`] rewrites the whole word when the register is
+/// allocated again, so nothing clears it when the register is freed.
 ///
 /// At rename, each destination's predicted degree of use initializes a
 /// counter (applying the *unknown default* when the predictor abstains
@@ -63,7 +66,6 @@ impl UseTracker {
         self.states[preg.0 as usize] = State {
             remaining: degree.min(max_use_count),
             pinned,
-            active: true,
             predicted: degree.min(max_use_count),
             parity_bad: false,
         };
@@ -73,7 +75,7 @@ impl UseTracker {
     /// value reaches the cache. Pinned counters do not decrement.
     pub fn consume(&mut self, preg: PhysReg) {
         let s = &mut self.states[preg.0 as usize];
-        if s.active && !s.pinned {
+        if !s.pinned {
             s.remaining = s.remaining.saturating_sub(1);
         }
     }
@@ -94,29 +96,14 @@ impl UseTracker {
         self.states[preg.0 as usize].pinned
     }
 
-    /// True while a live value occupies this physical register
-    /// (between [`UseTracker::init`] and [`UseTracker::clear`]).
-    pub fn is_active(&self, preg: PhysReg) -> bool {
-        self.states[preg.0 as usize].active
-    }
-
-    /// Clears the state when the physical register is freed.
-    pub fn clear(&mut self, preg: PhysReg) {
-        self.states[preg.0 as usize] = State::default();
-    }
-
-    /// Fault-injection hook: flips the low bits of a live value's
-    /// stored remaining-use counter and clears its pinned flag, as a
-    /// bit upset in the counter SRAM would. Returns `false` (no fault
-    /// landed) when the register holds no live value.
-    pub fn corrupt_counter(&mut self, preg: PhysReg) -> bool {
+    /// Fault-injection hook: flips the low bits of the stored
+    /// remaining-use counter and clears its pinned flag, as a bit upset
+    /// in the counter SRAM would. The caller picks a register that
+    /// holds a live value.
+    pub fn corrupt_counter(&mut self, preg: PhysReg) {
         let s = &mut self.states[preg.0 as usize];
-        if !s.active {
-            return false;
-        }
         s.remaining ^= 0b111;
         s.pinned = false;
-        true
     }
 
     /// Recoverable fault-injection hook: like
@@ -124,18 +111,13 @@ impl UseTracker {
     /// parity bad so a protected read
     /// ([`RegCacheConfig::protect`](crate::RegCacheConfig::protect))
     /// detects the upset and scrubs it instead of consuming the
-    /// corrupted count. Returns `false` when the register holds no live
-    /// value.
-    pub fn flip_use_counter(&mut self, preg: PhysReg) -> bool {
-        if !self.corrupt_counter(preg) {
-            return false;
-        }
+    /// corrupted count.
+    pub fn flip_use_counter(&mut self, preg: PhysReg) {
+        self.corrupt_counter(preg);
         self.states[preg.0 as usize].parity_bad = true;
-        true
     }
 
-    /// True when the counter word's modeled parity is clean (inactive
-    /// registers always read clean).
+    /// True when the counter word's modeled parity is clean.
     pub fn parity_ok(&self, preg: PhysReg) -> bool {
         !self.states[preg.0 as usize].parity_bad
     }
@@ -143,8 +125,7 @@ impl UseTracker {
     /// Recovery scrub after a detected parity error: the counter bits
     /// are untrusted, so rewrite the word to the conservative
     /// zero-remaining, unpinned state (the counters are hints — a wrong
-    /// scrub costs performance, never correctness). The value stays
-    /// active; only [`UseTracker::clear`] deactivates it.
+    /// scrub costs performance, never correctness).
     pub fn scrub(&mut self, preg: PhysReg) {
         let s = &mut self.states[preg.0 as usize];
         s.remaining = 0;
@@ -190,15 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_state() {
-        let mut t = UseTracker::new(8);
-        t.init(PhysReg(2), Some(7), 1, 7);
-        t.clear(PhysReg(2));
-        assert!(!t.is_pinned(PhysReg(2)));
-        assert_eq!(t.remaining(PhysReg(2)), 0);
-    }
-
-    #[test]
     fn exact_max_prediction_pins() {
         let mut t = UseTracker::new(8);
         t.init(PhysReg(3), Some(7), 1, 7);
@@ -210,22 +182,21 @@ mod tests {
         let mut t = UseTracker::new(8);
         t.init(PhysReg(4), Some(9), 1, 7);
         assert!(t.parity_ok(PhysReg(4)));
-        assert!(t.flip_use_counter(PhysReg(4)));
+        t.flip_use_counter(PhysReg(4));
         assert!(!t.parity_ok(PhysReg(4)));
         t.scrub(PhysReg(4));
         assert!(t.parity_ok(PhysReg(4)));
         assert_eq!(t.remaining(PhysReg(4)), 0);
         assert!(!t.is_pinned(PhysReg(4)));
-        assert!(t.is_active(PhysReg(4)), "scrub keeps the value live");
     }
 
     #[test]
-    fn parity_faults_need_a_live_value_and_init_rewrites_the_word() {
+    fn init_rewrites_the_word() {
         let mut t = UseTracker::new(8);
-        assert!(!t.flip_use_counter(PhysReg(5)), "inactive: no fault");
         t.init(PhysReg(5), Some(2), 1, 7);
-        assert!(t.flip_use_counter(PhysReg(5)));
+        t.flip_use_counter(PhysReg(5));
         t.init(PhysReg(5), Some(3), 1, 7);
         assert!(t.parity_ok(PhysReg(5)), "a fresh init overwrites parity");
+        assert_eq!(t.remaining(PhysReg(5)), 3);
     }
 }

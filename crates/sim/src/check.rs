@@ -427,7 +427,8 @@ pub(crate) struct FillObligation {
 /// the real [`UseTracker`] and fill schedule; a fault injected directly
 /// into the real structures (or a future refactoring bug that forgets
 /// a bookkeeping step) shows up as a mirror mismatch at the end of the
-/// cycle.
+/// cycle. The use-counter mirror means something only for registers
+/// the pool holds, as the tracker's words do.
 pub(crate) struct Checker {
     remaining: Vec<u8>,
     pinned: Vec<bool>,
@@ -448,15 +449,26 @@ impl Checker {
         }
     }
 
-    /// Mirrors `UseTracker::init` (clamped remaining + pinned flag).
-    pub(crate) fn on_init(&mut self, preg: u16, remaining: u8, pinned: bool) {
+    /// Mirrors `UseTracker::init` from the same arguments: the clamped
+    /// count and the pin are derived here from the prediction, not read
+    /// back from the tracker this mirror audits, so a rename that
+    /// skipped `init` leaves a stale word that disagrees with it. The
+    /// rewrite clears the word's parity, which lifts any suspension.
+    pub(crate) fn on_init(
+        &mut self,
+        preg: u16,
+        prediction: Option<u8>,
+        unknown_default: u8,
+        max_use_count: u8,
+    ) {
         let i = preg as usize;
-        self.remaining[i] = remaining;
-        self.pinned[i] = pinned;
+        let degree = prediction.unwrap_or(unknown_default);
+        self.remaining[i] = degree.min(max_use_count);
+        self.pinned[i] = degree >= max_use_count;
+        self.suspect[i] = false;
     }
 
-    /// Mirrors `UseTracker::consume` (of a live value: a freed
-    /// register's mirror reads zero, unpinned).
+    /// Mirrors `UseTracker::consume`.
     pub(crate) fn on_consume(&mut self, preg: u16) {
         let i = preg as usize;
         if !self.pinned[i] {
@@ -464,13 +476,8 @@ impl Checker {
         }
     }
 
-    /// Mirrors `UseTracker::clear` and retires any fill obligations for
-    /// the freed register.
-    pub(crate) fn on_clear(&mut self, preg: u16) {
-        let i = preg as usize;
-        self.remaining[i] = 0;
-        self.pinned[i] = false;
-        self.suspect[i] = false;
+    /// Retires any fill obligations for a freed register.
+    pub(crate) fn on_free(&mut self, preg: u16) {
         self.fill_obligations.retain(|o| o.preg != preg);
     }
 
@@ -516,9 +523,9 @@ impl Checker {
         }
     }
 
-    /// Cross-checks the real use tracker against the mirror, and its
-    /// liveness against the register pool's (`held`). `thread_of` names
-    /// the thread that owns a physical register.
+    /// Cross-checks the real use tracker against the mirror for every
+    /// register the pool holds (`held`). `thread_of` names the thread
+    /// that owns a physical register.
     pub(crate) fn check_tracker(
         &self,
         tracker: &UseTracker,
@@ -527,24 +534,10 @@ impl Checker {
         thread_of: impl Fn(u16) -> usize,
     ) -> Option<Box<InvariantViolation>> {
         for (i, &live) in held.iter().enumerate() {
+            if !live || self.suspect[i] {
+                continue;
+            }
             let p = PhysReg(i as u16);
-            if self.suspect[i] {
-                continue;
-            }
-            if tracker.is_active(p) != live {
-                return Some(Box::new(InvariantViolation {
-                    cycle,
-                    thread: Some(thread_of(i as u16)),
-                    invariant: "use-tracker-liveness",
-                    detail: format!(
-                        "{p}: tracker active={}, pool holds it={live}",
-                        tracker.is_active(p)
-                    ),
-                }));
-            }
-            if !live {
-                continue;
-            }
             if tracker.remaining(p) != self.remaining[i] {
                 return Some(Box::new(InvariantViolation {
                     cycle,
@@ -579,12 +572,14 @@ impl Checker {
     /// cross-check against the tracker. Fill-installed entries are
     /// exempt from the pin check — a pinned value evicted and later
     /// re-fetched legitimately re-enters unpinned with the fill default
-    /// (§3.3). `thread_of` names the thread that owns a physical
+    /// (§3.3), and so is any entry whose register the pool does not
+    /// hold (`held`). `thread_of` names the thread that owns a physical
     /// register.
     pub(crate) fn check_cache(
         &self,
         cache: &RegisterCache,
         tracker: &UseTracker,
+        held: &[bool],
         cycle: u64,
         thread_of: impl Fn(u16) -> usize,
     ) -> Option<Box<InvariantViolation>> {
@@ -597,7 +592,7 @@ impl Checker {
             }));
         }
         for e in cache.entries() {
-            if e.from_fill || !tracker.is_active(e.preg) {
+            if e.from_fill || !held[e.preg.0 as usize] {
                 continue;
             }
             if tracker.is_pinned(e.preg) && !e.pinned {

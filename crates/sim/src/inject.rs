@@ -2,8 +2,10 @@
 //!
 //! A [`FaultPlan`] arms faults at chosen cycles; each armed fault
 //! lands at the first opportunity where its target state exists (a
-//! live tracked value, a resident cache entry, a pending fill, a
-//! fetched correct-path record). Target selection within a cycle is
+//! register the pool holds, for a use counter or a backing-file word;
+//! a resident cache entry, a pending fill, a fetched correct-path
+//! record). A fault aimed at a register on a free list stays armed
+//! until rename allocates the register. Target selection within a cycle is
 //! driven by a seeded splitmix64 stream, so a given plan corrupts the
 //! same state on every run — which is what lets the detection tests
 //! assert *which* checker catches each fault class.

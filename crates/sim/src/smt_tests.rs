@@ -7,6 +7,7 @@
 
 use crate::check::{CheckConfig, ConfigError, SimError};
 use crate::config::{FetchPolicy, FreelistPolicy, RegStorage, SimConfig};
+use crate::inject::{FaultKind, FaultPlan, FaultSpec};
 use crate::stage::Storage;
 use crate::{SimResult, Simulator};
 use ubrc_core::{CacheConfigError, CachePartition, RegCacheConfig};
@@ -655,7 +656,8 @@ fn checker_names_the_owner_of_a_shared_pool_register() {
     let Storage::Cached(c) = &mut sim.core.storage else {
         panic!("the paper default is a cached core");
     };
-    assert!(c.tracker.corrupt_counter(ubrc_core::PhysReg(100)));
+    assert!(sim.core.pool.held[100], "p100 holds a live value");
+    c.tracker.corrupt_counter(ubrc_core::PhysReg(100));
     let err = sim
         .run_checked()
         .expect_err("the corrupted counter is caught");
@@ -665,6 +667,95 @@ fn checker_names_the_owner_of_a_shared_pool_register() {
     assert_eq!(v.invariant, "use-counter", "{v}");
     assert_eq!(v.cycle, 0, "{v}");
     assert_eq!(v.thread, Some(1), "{v}");
+}
+
+/// A rename that allocates a register but skips `UseTracker::init`, in
+/// miniature: the mirror is set from a prediction the tracker's word
+/// never saw. The checker derives the mirror from the prediction, so
+/// the stale word is a `use-counter` violation of the holder's thread.
+#[test]
+fn checker_catches_a_tracker_word_that_missed_its_init() {
+    let mut cfg = SimConfig::paper_default();
+    cfg.check = CheckConfig::full();
+    let mut sim = sim(&["crc", "rle"], cfg);
+    // Thread 1's r1 holds initial state: no uses owed, unpinned.
+    let p = sim.core.threads[1].map[1];
+    assert!(sim.core.pool.held[p as usize]);
+    let ck = sim.core.checker.as_mut().expect("checked run");
+    ck.on_init(p, Some(3), 1, 7);
+    let err = sim.run_checked().expect_err("the stale word is caught");
+    let SimError::Invariant(v) = *err else {
+        panic!("expected an invariant violation, got {err}");
+    };
+    assert_eq!(v.invariant, "use-counter", "{v}");
+    assert_eq!(v.cycle, 0, "{v}");
+    assert_eq!(v.thread, Some(1), "{v}");
+}
+
+/// A checked, protected qsort with one `FlipUseCounter` armed at
+/// `at_cycle`, aimed at `target` or at the seeded draw.
+fn counter_fault_sim(target: Option<u16>, at_cycle: u64) -> Simulator {
+    let mut cfg = spec("use-based,protect=on");
+    cfg.check = CheckConfig::full();
+    cfg.fault_plan = Some(FaultPlan {
+        seed: 7,
+        faults: vec![FaultSpec {
+            at_cycle,
+            kind: FaultKind::FlipUseCounter,
+            target,
+        }],
+        periodic: None,
+    });
+    sim(&["qsort"], cfg)
+}
+
+/// A fault on a use counter needs a live value: aimed at a register on
+/// the free list, it stays armed until rename allocates the register
+/// and lands in the first cycle the pool holds it.
+#[test]
+fn targeted_counter_fault_waits_for_rename_to_allocate_its_register() {
+    let free = &sim(&["qsort"], spec("use-based")).core.pool.free[0];
+    let t = free[free.len() - 20]; // the 20th register rename allocates
+    let mut sim = counter_fault_sim(Some(t), 0);
+    let mut free_cycles = 0;
+    loop {
+        let (now, held) = (sim.core.now, sim.core.pool.held[t as usize]);
+        sim.core.inject_stage(now);
+        let armed = !sim.core.injector.as_ref().unwrap().armed.is_empty();
+        assert_eq!(armed, !held, "cycle {now}: p{t} held={held}");
+        if held {
+            let Storage::Cached(c) = &sim.core.storage else {
+                unreachable!()
+            };
+            assert!(!c.tracker.parity_ok(ubrc_core::PhysReg(t)));
+            break;
+        }
+        free_cycles += 1;
+        sim.core.cycle();
+    }
+    assert!(free_cycles > 1, "p{t} was free for {free_cycles} cycles");
+    sim.run_checked().expect("the checker waits for the scrub");
+}
+
+/// The seeded draw lands a use-counter fault on a register the pool
+/// holds, one register per fault.
+#[test]
+fn untargeted_counter_fault_lands_on_a_held_register() {
+    let mut sim = counter_fault_sim(None, 40);
+    while sim.core.now < 40 {
+        sim.core.cycle();
+    }
+    sim.core.inject_stage(40);
+    assert!(sim.core.injector.as_ref().unwrap().armed.is_empty());
+    let Storage::Cached(c) = &sim.core.storage else {
+        unreachable!()
+    };
+    let flipped: Vec<u16> = (0..sim.core.config.phys_regs as u16)
+        .filter(|&p| !c.tracker.parity_ok(ubrc_core::PhysReg(p)))
+        .collect();
+    assert_eq!(flipped.len(), 1, "{flipped:?}");
+    assert!(sim.core.pool.held[flipped[0] as usize], "{flipped:?}");
+    sim.run_checked().expect("the checker waits for the scrub");
 }
 
 /// The `armed-slot` invariant: a stray armed bit on an issued slot, and

@@ -40,8 +40,9 @@ impl CoreState {
                 FaultKind::FlipUsePrediction => {
                     let r = inj.next_u64() as usize;
                     if let Storage::Cached(c) = &mut self.storage {
-                        let n = self.config.phys_regs;
-                        (0..n).any(|k| c.tracker.corrupt_counter(PhysReg(((r + k) % n) as u16)))
+                        let p = held_from(&self.pool.held, r);
+                        p.inspect(|&p| c.tracker.corrupt_counter(PhysReg(p)))
+                            .is_some()
                     } else {
                         false
                     }
@@ -84,16 +85,12 @@ impl CoreState {
                 // to go unnoticed until then.
                 FaultKind::FlipUseCounter => {
                     let hit = if let Storage::Cached(c) = &mut self.storage {
-                        let n = self.config.phys_regs;
-                        match target {
-                            Some(t) => c.tracker.flip_use_counter(PhysReg(t)).then_some(t),
-                            None => {
-                                let r = inj.next_u64() as usize;
-                                (0..n)
-                                    .map(|k| ((r + k) % n) as u16)
-                                    .find(|&p| c.tracker.flip_use_counter(PhysReg(p)))
-                            }
-                        }
+                        let held = &self.pool.held;
+                        let p = match target {
+                            Some(t) => Some(t).filter(|&t| held[t as usize]),
+                            None => held_from(held, inj.next_u64() as usize),
+                        };
+                        p.inspect(|&p| c.tracker.flip_use_counter(PhysReg(p)))
                     } else {
                         None
                     };
@@ -158,8 +155,10 @@ impl CoreState {
         let Storage::Cached(c) = &mut self.storage else {
             return;
         };
-        let (held, preg_gen) = (&self.pool.held, &self.preg_gen);
-        let live = |p: u16, gen: u32| held[p as usize] && preg_gen[p as usize] == gen;
+        // Every free bumps the register's generation, so an event whose
+        // generation still matches belongs to the value that holds it.
+        let preg_gen = &self.preg_gen;
+        let live = |p: u16, gen: u32| preg_gen[p as usize] == gen;
         // Initial writes the cycle after execution completes.
         self.events.writes.drain_due(now, |(p, gen)| {
             if live(p, gen) {
@@ -202,4 +201,13 @@ impl CoreState {
             self.note_recovery(tid, now, 0);
         }
     }
+}
+
+/// The first register at or after `r`, wrapping round the file, that
+/// the pool holds: where a fault on a live value's use counter lands.
+fn held_from(held: &[bool], r: usize) -> Option<u16> {
+    let n = held.len();
+    (0..n)
+        .map(|k| ((r + k) % n) as u16)
+        .find(|&p| held[p as usize])
 }

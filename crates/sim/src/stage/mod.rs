@@ -290,28 +290,25 @@ impl Storage {
             Storage::TwoLevel { file, values } => {
                 // Dispatch checks the free count; validation fits the
                 // architectural state.
-                assert!(file.try_allocate(preg), "no free L1 register");
+                file.allocate(preg);
                 values[p as usize] = TwoLevelValue::default();
             }
             Storage::Cached(c) => {
                 let mut value = CachedValue::default();
-                let uses = match producer {
-                    None => {
-                        c.tracker.init(preg, Some(0), 0, u8::MAX);
-                        1
-                    }
+                let (prediction, unknown, max) = match producer {
+                    None => (Some(0), 0, u8::MAX),
                     Some((tid, e)) => {
                         let cfg = c.cache.config();
-                        let prediction = c.douse[tid].predict(e.pc, e.hist);
-                        c.tracker
-                            .init(preg, prediction, cfg.unknown_default, cfg.max_use_count);
                         value.producer = (!e.wrong_path).then_some((e.pc, e.hist));
-                        c.tracker.predicted(preg)
+                        let prediction = c.douse[tid].predict(e.pc, e.hist);
+                        (prediction, cfg.unknown_default, cfg.max_use_count)
                     }
                 };
+                c.tracker.init(preg, prediction, unknown, max);
                 if let Some(ck) = checker {
-                    ck.on_init(p, c.tracker.remaining(preg), c.tracker.is_pinned(preg));
+                    ck.on_init(p, prediction, unknown, max);
                 }
+                let uses = producer.map_or(1, |_| c.tracker.predicted(preg));
                 value.set = c.assigner.assign(preg, uses);
                 c.values[p as usize] = value;
                 c.cache.produce(preg);
@@ -1224,7 +1221,8 @@ impl CoreState {
                 if let Some(v) = ck.check_tracker(&c.tracker, &pool.held, cycle, thread_of) {
                     return Some(v);
                 }
-                if let Some(v) = ck.check_cache(&c.cache, &c.tracker, cycle, thread_of) {
+                if let Some(v) = ck.check_cache(&c.cache, &c.tracker, &pool.held, cycle, thread_of)
+                {
                     return Some(v);
                 }
                 for o in &ck.fill_obligations {

@@ -131,7 +131,6 @@ impl CoreState {
                     c.douse[tid].train(pc, hist, v.consumers.min(u8::MAX as u32) as u8);
                 }
                 c.cache.free(PhysReg(p), v.set, now);
-                c.tracker.clear(PhysReg(p));
             }
             Storage::TwoLevel { file, .. } => file.release(PhysReg(p)),
             Storage::Monolithic => {}
@@ -140,7 +139,7 @@ impl CoreState {
             lt.free(p, now);
         }
         if let Some(ck) = self.checker.as_mut() {
-            ck.on_clear(p);
+            ck.on_free(p);
         }
         self.preg_time[p as usize] = PregTime::UNKNOWN;
         self.preg_gen[p as usize] = self.preg_gen[p as usize].wrapping_add(1);
