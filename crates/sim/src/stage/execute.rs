@@ -40,7 +40,7 @@ impl CoreState {
                 FaultKind::FlipUsePrediction => {
                     let r = inj.next_u64() as usize;
                     if let Storage::Cached(c) = &mut self.storage {
-                        let p = held_from(&self.pool.held, r);
+                        let p = held_from(&self.pool.held, r).next();
                         p.inspect(|&p| c.tracker.corrupt_counter(PhysReg(p)))
                             .is_some()
                     } else {
@@ -88,7 +88,7 @@ impl CoreState {
                         let held = &self.pool.held;
                         let p = match target {
                             Some(t) => Some(t).filter(|&t| held[t as usize]),
-                            None => held_from(held, inj.next_u64() as usize),
+                            None => held_from(held, inj.next_u64() as usize).next(),
                         };
                         p.inspect(|&p| c.tracker.flip_use_counter(PhysReg(p)))
                     } else {
@@ -108,16 +108,11 @@ impl CoreState {
                 // register so the fault is reachable by a read.
                 FaultKind::FlipBackingWord => {
                     if let Storage::Cached(c) = &mut self.storage {
-                        let n = self.config.phys_regs;
                         let held = &self.pool.held;
                         match target {
                             Some(t) => held[t as usize] && c.backing.corrupt_word(PhysReg(t)),
-                            None => {
-                                let r = inj.next_u64() as usize;
-                                (0..n)
-                                    .map(|k| ((r + k) % n) as u16)
-                                    .any(|p| held[p as usize] && c.backing.corrupt_word(PhysReg(p)))
-                            }
+                            None => held_from(held, inj.next_u64() as usize)
+                                .any(|p| c.backing.corrupt_word(PhysReg(p))),
                         }
                     } else {
                         false
@@ -203,11 +198,12 @@ impl CoreState {
     }
 }
 
-/// The first register at or after `r`, wrapping round the file, that
-/// the pool holds: where a fault on a live value's use counter lands.
-fn held_from(held: &[bool], r: usize) -> Option<u16> {
+/// The registers the pool holds, from `r` on and wrapping round the
+/// file: where a fault on a live value's register may land, in the
+/// order it tries them.
+fn held_from(held: &[bool], r: usize) -> impl Iterator<Item = u16> + '_ {
     let n = held.len();
     (0..n)
-        .map(|k| ((r + k) % n) as u16)
-        .find(|&p| held[p as usize])
+        .map(move |k| ((r + k) % n) as u16)
+        .filter(|&p| held[p as usize])
 }
