@@ -47,8 +47,11 @@ pub struct TwoLevelStats {
 ///
 /// Values move from the L1 file to the L2 when (a) their architectural
 /// register has been reassigned, (b) all renamed consumers have read
-/// them, and (c) the free-register count is below a threshold. Rename
-/// stalls when no L1 register is free (the caller checks
+/// them, and (c) the free-register count is below a threshold. A
+/// transfer moves only the value it was queued for, while it is still
+/// queued under the same reassigner: a value freed, revived by a
+/// squash of its reassigner, or copied back since stays in the L1.
+/// Rename stalls when no L1 register is free (the caller checks
 /// [`TwoLevelFile::free_count`] before it allocates). On a
 /// mis-speculation, values moved while their reassigner was still
 /// speculative must be copied back (modeled via the in-order
@@ -82,6 +85,9 @@ enum Slot {
     Free,
     /// In an L1 register.
     L1,
+    /// In an L1 register and queued for transfer: dead once this
+    /// sequence number, its reassigner, retires.
+    Queued(u64),
     /// Moved to the L2 while its reassigner, this sequence number, was
     /// in flight.
     L2(u64),
@@ -129,16 +135,31 @@ impl TwoLevelFile {
 
     /// Marks a value transfer-eligible: its architectural register was
     /// reassigned by the instruction with sequence number
-    /// `reassign_seq`, and every renamed consumer has read it.
+    /// `reassign_seq`, and every renamed consumer has read it. Only a
+    /// value in the L1 is queued.
     pub fn mark_eligible(&mut self, preg: PhysReg, reassign_seq: u64) {
-        if self.state[preg.0 as usize] == Slot::L1 {
+        let slot = &mut self.state[preg.0 as usize];
+        if matches!(slot, Slot::L1 | Slot::Queued(_)) {
+            *slot = Slot::Queued(reassign_seq);
             self.eligible.push_back((preg, reassign_seq));
         }
     }
 
+    /// The value's reassigner was squashed, so its architectural name
+    /// maps it again: a queued value is no longer dead-eligible and
+    /// stays in the L1.
+    pub fn cancel_transfer(&mut self, preg: PhysReg) {
+        let slot = &mut self.state[preg.0 as usize];
+        if let Slot::Queued(_) = slot {
+            *slot = Slot::L1;
+        }
+    }
+
     /// One cycle of background transfer work: if the free count is
-    /// below the threshold, moves up to `transfers_per_cycle` eligible
-    /// values to the L2.
+    /// below the threshold, pops up to `transfers_per_cycle` queue
+    /// entries and moves each popped value still queued under the same
+    /// reassigner to the L2. A stale entry uses its share of the
+    /// bandwidth and moves nothing.
     pub fn tick(&mut self) {
         if self.free >= self.config.free_threshold {
             return;
@@ -148,8 +169,8 @@ impl TwoLevelFile {
                 break;
             };
             let slot = &mut self.state[preg.0 as usize];
-            if *slot != Slot::L1 {
-                continue; // freed or already handled
+            if *slot != Slot::Queued(seq) {
+                continue; // freed, revived, copied back or queued again
             }
             *slot = Slot::L2(seq);
             self.free += 1;
@@ -160,35 +181,32 @@ impl TwoLevelFile {
     /// The value is now architecturally dead (its reassigner retired):
     /// release its storage entirely.
     pub fn release(&mut self, preg: PhysReg) {
-        let slot = &mut self.state[preg.0 as usize];
-        if *slot == Slot::L1 {
+        if self.is_resident(preg) {
             self.free += 1;
         }
-        *slot = Slot::Free;
+        self.state[preg.0 as usize] = Slot::Free;
     }
 
     /// True when the value is in the L1 file (normal reads require
     /// this; only recovery ever touches the L2).
     pub fn is_resident(&self, preg: PhysReg) -> bool {
-        self.state[preg.0 as usize] == Slot::L1
+        matches!(self.state[preg.0 as usize], Slot::L1 | Slot::Queued(_))
     }
 
     /// Mis-speculation recovery: values moved to L2 while their
     /// reassigner was still speculative (sequence number greater than
-    /// `retired_boundary`) must be copied back into the L1. Returns the
-    /// number of copies; the caller converts that to stall cycles at
-    /// the configured bandwidth.
+    /// `retired_boundary`) must be copied back into the L1, where they
+    /// stay: their reassigners were squashed. Returns the number of
+    /// copies; the caller converts that to stall cycles at the
+    /// configured bandwidth.
     pub fn on_mispredict(&mut self, retired_boundary: u64) -> usize {
         let mut count = 0;
-        for (i, slot) in self.state.iter_mut().enumerate() {
+        for slot in &mut self.state {
             if let Slot::L2(seq) = *slot {
                 if seq > retired_boundary {
                     *slot = Slot::L1;
                     self.free = self.free.saturating_sub(1);
                     count += 1;
-                    // Still dead-eligible; re-queue so it can move again
-                    // once the speculation boundary passes.
-                    self.eligible.push_back((PhysReg(i as u16), seq));
                 }
             }
         }
@@ -324,6 +342,51 @@ mod tests {
         assert_eq!(f.recovery_stall(10, 15), 0);
         // 100 regs = 25 cycles; 10 beyond the refill.
         assert_eq!(f.recovery_stall(100, 15), 10);
+    }
+
+    #[test]
+    fn a_register_freed_and_reallocated_after_it_was_queued_stays() {
+        let mut f = file(2);
+        f.allocate(PhysReg(0));
+        f.allocate(PhysReg(1));
+        f.mark_eligible(PhysReg(0), 5);
+        f.release(PhysReg(0));
+        f.allocate(PhysReg(0)); // a new, live value
+        f.tick();
+        assert!(f.is_resident(PhysReg(0)));
+        assert_eq!(f.stats().transfers, 0);
+        assert_eq!(f.free_count(), 0);
+    }
+
+    #[test]
+    fn a_copied_back_value_is_not_moved_again() {
+        let mut f = file(4);
+        f.allocate(PhysReg(0));
+        f.allocate(PhysReg(1));
+        f.mark_eligible(PhysReg(0), 100);
+        f.tick();
+        assert_eq!(f.on_mispredict(80), 1);
+        f.tick();
+        assert!(f.is_resident(PhysReg(0)));
+        assert_eq!(f.stats().transfers, 1);
+        assert_eq!(f.free_count(), 2);
+    }
+
+    #[test]
+    fn a_queued_value_whose_reassigner_is_squashed_stays() {
+        let mut f = file(4);
+        f.allocate(PhysReg(0));
+        f.allocate(PhysReg(1));
+        f.mark_eligible(PhysReg(0), 100);
+        f.cancel_transfer(PhysReg(0));
+        f.tick();
+        assert!(f.is_resident(PhysReg(0)));
+        assert_eq!(f.stats().transfers, 0);
+        // Reassigned again, by a later instruction: it moves.
+        f.mark_eligible(PhysReg(0), 120);
+        f.tick();
+        assert!(!f.is_resident(PhysReg(0)));
+        assert_eq!(f.stats().transfers, 1);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! is cleared here, and no other thread's state is touched.
 
 use super::{CoreState, DynInst, Storage, ThreadId, NO_SRC, SCHED_ISSUED};
+use ubrc_core::PhysReg;
 
 /// Cycles a machine-checked thread's front end stays quiesced before it
 /// refetches: the pipeline drain and the restore from its retired state.
@@ -132,8 +133,9 @@ impl CoreState {
                 // The architectural name reverts to the old value: every
                 // younger writer of `r` is already unwound.
                 self.threads[tid].map[r.index() as usize] = prev;
-                if let Storage::TwoLevel { values, .. } = &mut self.storage {
+                if let Storage::TwoLevel { file, values } = &mut self.storage {
                     values[prev as usize].reassigned = None;
+                    file.cancel_transfer(PhysReg(prev));
                 }
             }
             self.free_reg(dest, prev, false, now);
